@@ -367,6 +367,14 @@ let parse_artifacts spec =
           name)
     names
 
+(* One resident pool of [jobs] domains for the whole command (one spawns
+   nothing and runs inline), reporting into the engine's registry. *)
+let with_pool jobs engine f =
+  let pool =
+    Service.Pool.create ~domains:jobs ~metrics:(Service.Engine.metrics engine) ()
+  in
+  Fun.protect ~finally:(fun () -> Service.Pool.shutdown pool) (fun () -> f pool)
+
 let cmd_batch jobs repeat artifacts timeout cache_size no_sccp check stats
     store_dir no_store trace_file trace_summary profile folded files =
   let artifacts = parse_artifacts artifacts in
@@ -382,20 +390,9 @@ let cmd_batch jobs repeat artifacts timeout cache_size no_sccp check stats
       (fun () ->
         (* One resident pool across every --repeat pass: the workers are
            spawned once, not once per pass. *)
-        if jobs > 1 then begin
-          let pool =
-            Service.Pool.create ~domains:jobs
-              ~metrics:(Service.Engine.metrics engine) ()
-          in
-          Fun.protect
-            ~finally:(fun () -> Service.Pool.shutdown pool)
-            (fun () ->
-              Service.Batch.run ?timeout_s:timeout ~passes:repeat ~pool
-                ~domains:jobs ~engine ~artifacts items)
-        end
-        else
-          Service.Batch.run ?timeout_s:timeout ~passes:repeat ~domains:jobs
-            ~engine ~artifacts items)
+        with_pool jobs engine (fun pool ->
+            Service.Batch.run ?timeout_s:timeout ~passes:repeat ~pool
+              ~domains:jobs ~engine ~artifacts items))
   in
   let failures = ref 0 in
   List.iter
@@ -443,16 +440,7 @@ let cmd_serve jobs cache_size no_sccp store_dir no_store =
   (* Serve mode always collects: the TRACE verb drains this collector,
      and its record limit bounds memory between drains. *)
   Obs.Trace.install (Obs.Trace.create ());
-  if jobs > 1 then begin
-    let pool =
-      Service.Pool.create ~domains:jobs
-        ~metrics:(Service.Engine.metrics engine) ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Service.Pool.shutdown pool)
-      (fun () -> Service.Server.run ~pool engine stdin stdout)
-  end
-  else Service.Server.run engine stdin stdout
+  with_pool jobs engine (fun pool -> Service.Server.run ~pool engine stdin stdout)
 
 (* --- diff: incremental re-analysis of an edited program --- *)
 
@@ -461,23 +449,11 @@ let cmd_diff jobs no_sccp emit trace_file trace_summary profile folded stats
   let engine = engine_of ~no_sccp ?store:(store_of ~store_dir ~no_store) () in
   let old_src = read_file old_file in
   let new_src = read_file new_file in
-  let with_pool f =
-    if jobs > 1 then begin
-      let pool =
-        Service.Pool.create ~domains:jobs
-          ~metrics:(Service.Engine.metrics engine) ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Service.Pool.shutdown pool)
-        (fun () -> f (Some pool))
-    end
-    else f None
-  in
-  with_pool @@ fun pool ->
+  with_pool jobs engine @@ fun pool ->
   render_or_fail
     (traced ~instruments:(Service.Engine.metrics engine) ~profile
        ?folded_file:folded ~trace_file ~trace_summary
-       (fun () -> Service.Engine.diff ?pool engine old_src new_src));
+       (fun () -> Service.Engine.diff ~pool engine old_src new_src));
   (match emit with
    | None -> ()
    | Some path ->
@@ -489,7 +465,7 @@ let cmd_diff jobs no_sccp emit trace_file trace_summary profile folded stats
        (fun () ->
          List.iter
            (fun a ->
-             match Service.Engine.render ?pool engine a new_src with
+             match Service.Engine.render ~pool engine a new_src with
              | Ok text -> output_string oc text
              | Error msg -> fatal 2 "%s" msg)
            [ Service.Engine.Classify; Service.Engine.Trip; Service.Engine.Deps ]));
@@ -555,17 +531,9 @@ let cmd_metrics jobs artifacts no_sccp store_dir no_store files =
   in
   let results =
     if items = [] then []
-    else if jobs > 1 then begin
-      let pool =
-        Service.Pool.create ~domains:jobs
-          ~metrics:(Service.Engine.metrics engine) ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Service.Pool.shutdown pool)
-        (fun () ->
+    else
+      with_pool jobs engine (fun pool ->
           Service.Batch.run ~pool ~domains:jobs ~engine ~artifacts items)
-    end
-    else Service.Batch.run ~domains:jobs ~engine ~artifacts items
   in
   let failures = ref 0 in
   List.iter

@@ -1,6 +1,6 @@
 (* The whole-program analysis driver — a thin façade over
-   Analysis.Pipeline, which owns the staged algorithm (the inner-to-
-   outer classification walk, trip counts, exit values, multiloop
+   Analysis.Pipeline, which owns the classification walk (inner-to-
+   outer classification, trip counts, exit values, multiloop
    promotion). The driver keeps the query surface: classification
    lookups by def / SSA name and the global (whole-nest) resolution
    that dependence testing needs. *)
@@ -105,9 +105,17 @@ and global_class_of_sym t (s : Sym.t) : Ivclass.t =
     (Ivclass.Invariant Sym.zero)
     (s : (Sym.mono * Bignum.Rat.t) list)
 
-(* --- entry point (delegates to the staged pipeline) --- *)
+(* --- entry point: the pipeline's classification walk over the whole
+   loop forest (an SSA-only caller has no AST to partition) --- *)
 
-let analyze ?use_sccp (ssa : Ir.Ssa.t) : t = Pipeline.run ?use_sccp ssa
+let analyze ?(use_sccp = true) (ssa : Ir.Ssa.t) : t =
+  Obs.Trace.with_span ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
+  let sccp =
+    if use_sccp then
+      Some (Obs.Trace.with_span ~cat:"pipeline" "pipeline.sccp" (fun () -> Sccp.run ssa))
+    else None
+  in
+  Pipeline.analyze_nests ?sccp ssa (Ir.Loops.roots (Ir.Ssa.loops ssa))
 
 (* [ranges t] runs the value-range analysis over the (promoted)
    classification — a fresh computation; cached access goes through the

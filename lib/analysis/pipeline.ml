@@ -1,9 +1,10 @@
 (* The demand-driven analysis pipeline.
 
-   The staged algorithm (loopwalk / promote / run) is the former
-   Driver.analyze, moved here verbatim so the driver can become a thin
-   façade; the lazy instance below adds per-pass memoization with
-   stable result digests for the service layer's cache keys. *)
+   The classification walk runs one set of loop nests at a time
+   ([analyze_nests]): per analysis unit in a pipeline instance, over the
+   whole loop forest for SSA-only callers ([Driver.analyze]). The lazy
+   instance below adds per-pass memoization with stable result digests
+   for the service layer's cache keys. *)
 
 (* -- the pass DAG -- *)
 
@@ -17,7 +18,6 @@ type pass =
   | Unitclassify
   | Classify
   | Trip
-  | Promote
   | Ranges
   | Depgraph
   | VerifyIr
@@ -37,7 +37,6 @@ let all =
     Unitclassify;
     Classify;
     Trip;
-    Promote;
     Ranges;
     Depgraph;
     VerifyClass;
@@ -55,7 +54,6 @@ let name = function
   | Unitclassify -> "unit_classify"
   | Classify -> "classify"
   | Trip -> "trip"
-  | Promote -> "promote"
   | Ranges -> "range"
   | Depgraph -> "depgraph"
   | VerifyIr -> "verify_ir"
@@ -73,7 +71,6 @@ let of_name = function
   | "unit_classify" -> Some Unitclassify
   | "classify" -> Some Classify
   | "trip" -> Some Trip
-  | "promote" -> Some Promote
   | "range" -> Some Ranges
   | "depgraph" -> Some Depgraph
   | "verify_ir" -> Some VerifyIr
@@ -93,15 +90,14 @@ let inputs = function
   | Sccp -> [ Ssa ]
   | Units -> [ Looptree; Sccp ]
   | Unitclassify -> [ Units ]
-  | Classify -> [ Looptree; Sccp ]
+  | Classify -> [ Units ]
   | Trip -> [ Classify ]
-  | Promote -> [ Classify ]
-  | Ranges -> [ Promote ]
-  | Depgraph -> [ Promote ]
+  | Ranges -> [ Classify ]
+  | Depgraph -> [ Classify ]
   | VerifyIr -> [ Lower; Ssa ]
-  | VerifyClass -> [ Promote ]
+  | VerifyClass -> [ Classify ]
   | VerifyRanges -> [ Ranges ]
-  | VerifyTrans -> [ Parse; Promote ]
+  | VerifyTrans -> [ Parse; Classify ]
 
 let description = function
   | Parse -> "source text -> AST"
@@ -111,9 +107,8 @@ let description = function
   | Sccp -> "conditional constant propagation"
   | Units -> "analysis-unit partition: loop nests + straight runs, per-unit digests"
   | Unitclassify -> "per-unit classification walk through the unit cache (service layer)"
-  | Classify -> "per-loop IV classification, trip counts, exit values"
+  | Classify -> "per-nest IV classification, trip counts, exit values, multiloop promotion"
   | Trip -> "trip-count report"
-  | Promote -> "multiloop promotion (nested IV tuples)"
   | Ranges -> "per-def value intervals (classification + SCCP seeds, widened fixpoint)"
   | Depgraph -> "dependence graph (service layer)"
   | VerifyIr -> "structural IR verification: CFG, SSA, looptree (service layer)"
@@ -129,8 +124,7 @@ let engine_forced = function
   | Depgraph | VerifyIr | VerifyClass | VerifyRanges | VerifyTrans
   | Unitclassify ->
     true
-  | Parse | Lower | Ssa | Looptree | Sccp | Units | Classify | Trip | Promote
-  | Ranges ->
+  | Parse | Lower | Ssa | Looptree | Sccp | Units | Classify | Trip | Ranges ->
     false
 
 (* -- options -- *)
@@ -232,7 +226,7 @@ let empty_analysis ?sccp (ssa : Ir.Ssa.t) =
    Inner loops of the same nest must already be classified — nothing
    else: exit values never cross a nest boundary (the [inner_exit]
    lookup is guarded by loop membership in [Classify.class_of_def]), so
-   walking one nest at a time is equivalent to the whole-program walk. *)
+   walking one nest at a time is equivalent to walking the forest. *)
 let classify_one (t : analysis) ~outer_const ~inner_exit (lp : Ir.Loops.loop) =
   Obs.Trace.with_span ~cat:"pipeline"
     ~attrs:
@@ -259,20 +253,11 @@ let classify_one (t : analysis) ~outer_const ~inner_exit (lp : Ir.Loops.loop) =
     "pipeline.exit_values"
     (fun () -> compute_exit_values t r)
 
-let loopwalk ?sccp (ssa : Ir.Ssa.t) : analysis =
-  let outer_const = outer_const_of sccp in
-  let t = empty_analysis ?sccp ssa in
-  let inner_exit d = Ir.Instr.Id.Table.find_opt t.exit_values d in
-  List.iter
-    (fun lp -> classify_one t ~outer_const ~inner_exit lp)
-    (Ir.Loops.postorder (Ir.Ssa.loops ssa));
-  t
-
 (* -- multiloop promotion (§5.3 and Figs 8-9) -- *)
 
 (* Promotion relates a loop only to its ancestors in the same nest, so
    promoting one nest's roots at a time is equivalent to the whole
-   forest ([promote] below). *)
+   forest. *)
 let promote_roots (t : analysis) roots =
   let loops = Ir.Ssa.loops t.ssa in
   (* Outer loops first, so inner promotions can nest through them. *)
@@ -324,20 +309,33 @@ let promote_roots (t : analysis) roots =
       | _ -> ())
     order
 
-let promote (t : analysis) =
-  promote_roots t (Ir.Loops.roots (Ir.Ssa.loops t.ssa))
+module Int_set = Set.Make (Int)
 
-(* -- the whole chain (the former Driver.analyze) -- *)
-
-let run ?(use_sccp = true) (ssa : Ir.Ssa.t) : analysis =
-  Obs.Trace.with_span ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
-  let sccp =
-    if use_sccp then
-      Some (Obs.Trace.with_span ~cat:"pipeline" "pipeline.sccp" (fun () -> Sccp.run ssa))
-    else None
+(* All loops of the given nests, inner-to-outer (the forest's postorder
+   restricted to the nests' descendants). *)
+let unit_loop_ids loops uroots =
+  let rec add acc id =
+    let lp = Ir.Loops.loop loops id in
+    List.fold_left add (Int_set.add id acc) lp.Ir.Loops.loop_children
   in
-  let t = loopwalk ?sccp ssa in
-  Obs.Trace.with_span ~cat:"pipeline" "pipeline.promote" (fun () -> promote t);
+  let mine = List.fold_left add Int_set.empty uroots in
+  List.filter_map
+    (fun (lp : Ir.Loops.loop) ->
+      if Int_set.mem lp.Ir.Loops.id mine then Some lp.Ir.Loops.id else None)
+    (Ir.Loops.postorder loops)
+
+(* The classification walk: classify every loop of the nests rooted at
+   [roots] inner-to-outer into a fresh analysis, then promote within
+   those nests. *)
+let analyze_nests ?sccp (ssa : Ir.Ssa.t) roots : analysis =
+  let t = empty_analysis ?sccp ssa in
+  let outer_const = outer_const_of sccp in
+  let inner_exit d = Ir.Instr.Id.Table.find_opt t.exit_values d in
+  let loops = Ir.Ssa.loops ssa in
+  List.iter
+    (fun id -> classify_one t ~outer_const ~inner_exit (Ir.Loops.loop loops id))
+    (unit_loop_ids loops roots);
+  promote_roots t roots;
   t
 
 (* -- report renderers -- *)
@@ -428,44 +426,35 @@ type unit_outcome = {
   u_hit : bool; (* the artifact came from the unit cache *)
 }
 
-(* Loop ids are assigned in program order of headers, so the k-th nest
-   unit's outermost loops are the next [outer_loops] roots of the
-   forest. [map_units] pairs them up; a count mismatch (e.g. a loop the
-   CFG dropped as unreachable) returns None and callers fall back to
-   the whole-program walk. *)
-let map_units loops (regions : Ir.Region.unit_ list) =
-  let rec take n xs =
-    if n = 0 then Some ([], xs)
-    else
-      match xs with
-      | [] -> None
-      | x :: tl ->
-        Option.map (fun (taken, rest) -> (x :: taken, rest)) (take (n - 1) tl)
+(* Each loop-forest root belongs to the unit whose top-level statement
+   lowered its header: lowering allocates labels in statement order, so
+   the owner is the last statement starting at or before the header
+   ([Ir.Cfg.stmt_starts]). Loops the CFG drops as unreachable are not in
+   the forest, so every root lands in exactly one unit, and a nest unit
+   may own none. *)
+let map_units ssa (regions : Ir.Region.unit_ list) =
+  let loops = Ir.Ssa.loops ssa in
+  let starts = Ir.Cfg.stmt_starts (Ir.Ssa.cfg ssa) in
+  let rec stmt_of label i =
+    if i + 1 < Array.length starts && starts.(i + 1) <= label then
+      stmt_of label (i + 1)
+    else i
   in
-  let rec go regions roots acc =
-    match regions with
-    | [] -> if roots = [] then Some (List.rev acc) else None
-    | (r : Ir.Region.unit_) :: tl -> (
-      match take r.Ir.Region.outer_loops roots with
-      | None -> None
-      | Some (mine, rest) -> go tl rest ((r, mine) :: acc))
+  let owned =
+    List.map
+      (fun r -> (stmt_of (Ir.Loops.loop loops r).Ir.Loops.header 0, r))
+      (Ir.Loops.roots loops)
   in
-  go regions (Ir.Loops.roots loops) []
-
-module Int_set = Set.Make (Int)
-
-(* All loops of the given nests, inner-to-outer (the whole-program
-   postorder restricted to the nests' descendants). *)
-let unit_loop_ids loops uroots =
-  let rec add acc id =
-    let lp = Ir.Loops.loop loops id in
-    List.fold_left add (Int_set.add id acc) lp.Ir.Loops.loop_children
-  in
-  let mine = List.fold_left add Int_set.empty uroots in
-  List.filter_map
-    (fun (lp : Ir.Loops.loop) ->
-      if Int_set.mem lp.Ir.Loops.id mine then Some lp.Ir.Loops.id else None)
-    (Ir.Loops.postorder loops)
+  List.map
+    (fun (region : Ir.Region.unit_) ->
+      ( region,
+        List.filter_map
+          (fun (stmt, r) ->
+            if stmt >= region.Ir.Region.first && stmt <= region.Ir.Region.last
+            then Some r
+            else None)
+          owned ))
+    regions
 
 let feed_value d (v : Ir.Instr.value) =
   match v with
@@ -557,25 +546,17 @@ let unit_digest ~use_sccp ssa sccp (region : Ir.Region.unit_) uloops =
     !mentioned;
   !d
 
-(* Analyze one unit in isolation: classify its loops inner-to-outer,
-   then promote within its nests, exactly as the whole-program walk
-   would (see [classify_one] and [promote_roots] for why the
-   restriction is equivalence-preserving). Promotion happens here,
-   before the artifact reaches the shared cache: a cached table must
-   never be mutated again. *)
+(* Analyze one unit in isolation (see [classify_one] and
+   [promote_roots] for why the restriction to its nests is
+   equivalence-preserving). Promotion happens here, before the artifact
+   reaches the shared cache: a cached table must never be mutated
+   again. *)
 let analyze_unit ?sccp (ssa : Ir.Ssa.t) (info : unit_info) : unit_artifact =
   Obs.Trace.with_span ~cat:"pipeline"
     ~attrs:[ ("unit", Obs.Trace.Int info.region.Ir.Region.index) ]
     "pipeline.unit"
   @@ fun () ->
-  let t = empty_analysis ?sccp ssa in
-  let outer_const = outer_const_of sccp in
-  let inner_exit d = Ir.Instr.Id.Table.find_opt t.exit_values d in
-  let loops = Ir.Ssa.loops ssa in
-  List.iter
-    (fun id -> classify_one t ~outer_const ~inner_exit (Ir.Loops.loop loops id))
-    info.uloops;
-  promote_roots t info.uroots;
+  let t = analyze_nests ?sccp ssa info.uroots in
   {
     ua_results = List.filter_map (fun id -> t.by_loop.(id)) info.uloops;
     ua_exits =
@@ -606,20 +587,15 @@ type t = {
   opts : options;
   base : Hash.Fnv.t;
   lock : Mutex.t;
-  (* Memoized pass results. v_classify and v_promote share the same
-     analysis record: promotion mutates the classification tables in
-     place (idempotently), so after Promote is forced the "classified"
-     view reflects promoted classes too. Trip counts and exit values
-     are computed before promotion and never change. *)
   mutable v_parse : (Ir.Ast.program, string) result option;
   mutable v_lower : (Ir.Cfg.t, string) result option;
   mutable v_ssa : (Ir.Ssa.t, string) result option;
   mutable v_looptree : (Ir.Loops.t, string) result option;
   mutable v_sccp : (Sccp.result option, string) result option;
-  mutable v_units : (unit_info list option, string) result option;
-  mutable v_classify : (analysis, string) result option;
+  mutable v_units : (unit_info list, string) result option;
+  (* The promoted analysis and its rendered classification report. *)
+  mutable v_classify : (analysis * string, string) result option;
   mutable v_trip : (string, string) result option;
-  mutable v_promote : (string, string) result option; (* rendered report *)
   mutable v_range : (Range.t * string, string) result option;
   digests : (pass, Hash.Fnv.t) Hashtbl.t;
 }
@@ -638,7 +614,6 @@ let create ?(options = default_options) src =
     v_units = None;
     v_classify = None;
     v_trip = None;
-    v_promote = None;
     v_range = None;
     digests = Hashtbl.create 11;
   }
@@ -760,30 +735,24 @@ let ensure_units t =
       with
       | Ok prog, Ok loops, Ok sccp, Ok ssa ->
         staged Units (fun () ->
-            match map_units loops (Ir.Region.partition prog) with
-            | None ->
-              set_digest t Units "units:unmapped";
-              Ok None
-            | Some mapped ->
-              let infos =
-                List.map
-                  (fun ((region : Ir.Region.unit_), uroots) ->
-                    let uloops = unit_loop_ids loops uroots in
-                    {
-                      region;
-                      uroots;
-                      uloops;
-                      udigest =
-                        unit_digest ~use_sccp:t.opts.use_sccp ssa sccp region
-                          uloops;
-                    })
-                  mapped
-              in
-              Hashtbl.replace t.digests Units
-                (Hash.Fnv.of_strings
-                   ("units"
-                   :: List.map (fun i -> Hash.Fnv.to_hex i.udigest) infos));
-              Ok (Some infos))
+            let infos =
+              List.map
+                (fun ((region : Ir.Region.unit_), uroots) ->
+                  let uloops = unit_loop_ids loops uroots in
+                  {
+                    region;
+                    uroots;
+                    uloops;
+                    udigest =
+                      unit_digest ~use_sccp:t.opts.use_sccp ssa sccp region
+                        uloops;
+                  })
+                (map_units ssa (Ir.Region.partition prog))
+            in
+            Hashtbl.replace t.digests Units
+              (Hash.Fnv.of_strings
+                 ("units" :: List.map (fun i -> Hash.Fnv.to_hex i.udigest) infos));
+            Ok infos)
       | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e
         ->
         Error e
@@ -791,28 +760,91 @@ let ensure_units t =
     t.v_units <- Some v;
     v
 
-let ensure_classify t =
+(* The Classify pass: the unit walk. Probe [lookup] with each nest
+   unit's digest, run [analyze_unit] for the misses (fanned out through
+   [pool_run] when given and more than one unit missed), [store] the
+   fresh artifacts, and install the merged analysis with its rendered
+   report. A bare pipeline passes no cache; the engine passes its shared
+   unit-artifact cache. Returns one outcome per nest unit (none when
+   Classify was already forced). Callers hold [t.lock]. *)
+let classify_units ?pool_run ~lookup ~store t =
   match t.v_classify with
-  | Some v -> v
-  | None ->
-    let v =
-      match ensure_looptree t with
-      | Error e -> Error e
-      | Ok _ -> (
-        match ensure_sccp t with
-        | Error e -> Error e
-        | Ok sccp -> (
-          match ensure_ssa t with
-          | Error e -> Error e
-          | Ok ssa ->
-            let a = staged Classify (fun () -> loopwalk ?sccp ssa) in
-            (* Digest the un-promoted tables and trip counts through
-               their stable renderings. *)
-            set_digest t Classify (report_of a ^ "\x00" ^ trip_report_of a);
-            Ok a))
-    in
-    t.v_classify <- Some v;
-    v
+  | Some (Error e) -> Error e
+  | Some (Ok _) -> Ok []
+  | None -> (
+    match (ensure_units t, ensure_sccp t, ensure_ssa t) with
+    | Error e, _, _ | _, Error e, _ | _, _, Error e ->
+      t.v_classify <- Some (Error e);
+      Error e
+    | Ok infos, Ok sccp, Ok ssa ->
+      staged Unitclassify (fun () ->
+          let loops = Ir.Ssa.loops ssa in
+          let probed =
+            List.filter_map
+              (fun i ->
+                if i.uroots = [] then None else Some (i, lookup i.udigest))
+              infos
+          in
+          let misses =
+            List.filter_map
+              (fun (i, probe) -> if probe = None then Some i else None)
+              probed
+          in
+          (* Lazily built per-SSA state (dominators, the instruction
+             index) must exist before a parallel walk can share it. *)
+          if misses <> [] then begin
+            ignore (Ir.Ssa.dom ssa);
+            ignore (Ir.Cfg.find_instr_opt (Ir.Ssa.cfg ssa) 0)
+          end;
+          let computed =
+            let thunks =
+              Array.of_list
+                (List.map (fun i () -> analyze_unit ?sccp ssa i) misses)
+            in
+            match pool_run with
+            | Some run when Array.length thunks > 1 -> run thunks
+            | _ -> Array.map (fun f -> f ()) thunks
+          in
+          let results =
+            let next = ref 0 in
+            List.map
+              (fun (i, probe) ->
+                match probe with
+                | Some a -> (i, a, true)
+                | None ->
+                  let a = computed.(!next) in
+                  incr next;
+                  store i.udigest a;
+                  (i, a, false))
+              probed
+          in
+          let merged =
+            merge_units ?sccp ssa (List.map (fun (_, a, _) -> a) results)
+          in
+          let rendered = report_of merged in
+          t.v_classify <- Some (Ok (merged, rendered));
+          set_digest t Classify (rendered ^ "\x00" ^ trip_report_of merged);
+          Hashtbl.replace t.digests Unitclassify
+            (Hash.Fnv.of_strings
+               ("unit_classify"
+               :: List.map (fun (i, _, _) -> Hash.Fnv.to_hex i.udigest) results));
+          Ok
+            (List.map
+               (fun (i, _, hit) ->
+                 {
+                   u_index = i.region.Ir.Region.index;
+                   u_loops =
+                     List.map
+                       (fun id -> (Ir.Loops.loop loops id).Ir.Loops.name)
+                       i.uroots;
+                   u_hit = hit;
+                 })
+               results)))
+
+let ensure_classify t =
+  match classify_units ~lookup:(fun _ -> None) ~store:(fun _ _ -> ()) t with
+  | Error e -> Error e
+  | Ok _ -> Option.get t.v_classify
 
 let ensure_trip t =
   match t.v_trip with
@@ -821,31 +853,12 @@ let ensure_trip t =
     let v =
       match ensure_classify t with
       | Error e -> Error e
-      | Ok a ->
+      | Ok (a, _) ->
         let text = staged Trip (fun () -> trip_report_of a) in
         set_digest t Trip text;
         Ok text
     in
     t.v_trip <- Some v;
-    v
-
-let ensure_promote t =
-  match t.v_promote with
-  | Some v -> v
-  | None ->
-    let v =
-      match ensure_classify t with
-      | Error e -> Error e
-      | Ok a ->
-        let text =
-          staged Promote (fun () ->
-              promote a;
-              report_of a)
-        in
-        set_digest t Promote text;
-        Ok text
-    in
-    t.v_promote <- Some v;
     v
 
 (* The range analysis consumes the promoted classification tables; the
@@ -870,19 +883,16 @@ let ensure_range t =
   | Some v -> v
   | None ->
     let v =
-      match ensure_promote t with
+      match ensure_classify t with
       | Error e -> Error e
-      | Ok _ -> (
-        match t.v_classify with
-        | Some (Ok a) ->
-          let r, text =
-            staged Ranges (fun () ->
-                let r = range_of a in
-                (r, Range.report r))
-          in
-          set_digest t Ranges text;
-          Ok (r, text)
-        | _ -> assert false)
+      | Ok (a, _) ->
+        let r, text =
+          staged Ranges (fun () ->
+              let r = range_of a in
+              (r, Range.report r))
+        in
+        set_digest t Ranges text;
+        Ok (r, text)
     in
     t.v_range <- Some v;
     v
@@ -896,117 +906,15 @@ let lower t = locked t (fun () -> ensure_lower t)
 let ssa t = locked t (fun () -> ensure_ssa t)
 let looptree t = locked t (fun () -> ensure_looptree t)
 let sccp t = locked t (fun () -> ensure_sccp t)
-let classified t = locked t (fun () -> ensure_classify t)
 let trip_report t = locked t (fun () -> ensure_trip t)
-
-let promoted t =
-  locked t (fun () ->
-      match ensure_promote t with
-      | Error e -> Error e
-      | Ok _ -> (
-        match t.v_classify with
-        | Some (Ok a) -> Ok a
-        | _ -> assert false))
-
-let report t = locked t (fun () -> ensure_promote t)
+let promoted t = locked t (fun () -> Result.map fst (ensure_classify t))
+let report t = locked t (fun () -> Result.map snd (ensure_classify t))
 let units t = locked t (fun () -> ensure_units t)
 let ranges t = locked t (fun () -> Result.map fst (ensure_range t))
 let range_report t = locked t (fun () -> Result.map snd (ensure_range t))
 
-(* The unit-granular classification walk (the Unitclassify pass). The
-   engine drives it on a Classify miss: [lookup]/[store] are the shared
-   unit-artifact cache, [pool_run] optionally fans the missing units out
-   across domains. On success the pipeline holds the merged analysis
-   with Classify *and* Promote satisfied (unit artifacts are promoted
-   before caching — see [analyze_unit]), and the outcome list reports
-   one hit/miss per nest unit. Falls back to the whole-program walk
-   when no unit mapping exists. *)
 let classify_with_units ?pool_run ~lookup ~store t =
-  locked t @@ fun () ->
-  match t.v_classify with
-  | Some (Error e) -> Error e
-  | Some (Ok _) -> Ok []
-  | None -> (
-    match ensure_units t with
-    | Error e -> Error e
-    | Ok None -> (
-      match ensure_promote t with
-      | Error e -> Error e
-      | Ok _ ->
-        Hashtbl.replace t.digests Unitclassify
-          (Hash.Fnv.of_strings [ "unit_classify:fallback" ]);
-        Ok [])
-    | Ok (Some infos) -> (
-      match (ensure_sccp t, ensure_ssa t) with
-      | Ok sccp, Ok ssa ->
-        staged Unitclassify (fun () ->
-            let loops = Ir.Ssa.loops ssa in
-            let probed =
-              List.filter_map
-                (fun i ->
-                  if i.uroots = [] then None else Some (i, lookup i.udigest))
-                infos
-            in
-            let misses =
-              List.filter_map
-                (fun (i, probe) -> if probe = None then Some i else None)
-                probed
-            in
-            (* Lazily built per-SSA state (dominators, the instruction
-               index) must exist before a parallel walk can share it. *)
-            if misses <> [] then begin
-              ignore (Ir.Ssa.dom ssa);
-              ignore (Ir.Cfg.find_instr_opt (Ir.Ssa.cfg ssa) 0)
-            end;
-            let computed =
-              let thunks =
-                Array.of_list
-                  (List.map (fun i () -> analyze_unit ?sccp ssa i) misses)
-              in
-              match pool_run with
-              | Some run when Array.length thunks > 1 -> run thunks
-              | _ -> Array.map (fun f -> f ()) thunks
-            in
-            let results =
-              let next = ref 0 in
-              List.map
-                (fun (i, probe) ->
-                  match probe with
-                  | Some a -> (i, a, true)
-                  | None ->
-                    let a = computed.(!next) in
-                    incr next;
-                    store i.udigest a;
-                    (i, a, false))
-                probed
-            in
-            let merged =
-              merge_units ?sccp ssa (List.map (fun (_, a, _) -> a) results)
-            in
-            t.v_classify <- Some (Ok merged);
-            let rendered = report_of merged in
-            set_digest t Classify (rendered ^ "\x00" ^ trip_report_of merged);
-            t.v_promote <- Some (Ok rendered);
-            set_digest t Promote rendered;
-            Hashtbl.replace t.digests Unitclassify
-              (Hash.Fnv.of_strings
-                 ("unit_classify"
-                 :: List.map
-                      (fun (i, _, _) -> Hash.Fnv.to_hex i.udigest)
-                      results));
-            Ok
-              (List.map
-                 (fun (i, _, hit) ->
-                   {
-                     u_index = i.region.Ir.Region.index;
-                     u_loops =
-                       List.map
-                         (fun id -> (Ir.Loops.loop loops id).Ir.Loops.name)
-                         i.uroots;
-                     u_hit = hit;
-                   })
-                 results))
-      | Error e, _ | _, Error e -> Error e))
+  locked t (fun () -> classify_units ?pool_run ~lookup ~store t)
 
 let discard : _ -> (unit, string) result = function
   | Ok _ -> Ok ()
@@ -1023,7 +931,6 @@ let force t pass =
       | Units -> discard (ensure_units t)
       | Classify -> discard (ensure_classify t)
       | Trip -> discard (ensure_trip t)
-      | Promote -> discard (ensure_promote t)
       | Ranges -> discard (ensure_range t)
       | Depgraph -> Error "pass depgraph is forced by the service layer"
       | Unitclassify | VerifyIr | VerifyClass | VerifyRanges | VerifyTrans ->
@@ -1040,7 +947,6 @@ let forced t pass =
       | Units -> Option.is_some t.v_units
       | Classify -> Option.is_some t.v_classify
       | Trip -> Option.is_some t.v_trip
-      | Promote -> Option.is_some t.v_promote
       | Ranges -> Option.is_some t.v_range
       | ( Depgraph | Unitclassify | VerifyIr | VerifyClass | VerifyRanges
         | VerifyTrans ) as p ->

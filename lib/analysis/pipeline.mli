@@ -2,8 +2,8 @@
 
     The paper's algorithm is naturally staged — parse, lowering,
     CFG/dominators, SSA, the loop forest, SCCP, the inner-to-outer
-    per-loop classification walk (with trip counts and exit values,
-    §5.2–5.3), multiloop promotion, and finally dependence testing (§6).
+    per-nest classification walk (with trip counts, exit values and
+    multiloop promotion, §5.2–5.3), and finally dependence testing (§6).
     This module makes the staging explicit: a {!pass} is a typed node of
     a static DAG; a pipeline instance ({!t}) forces passes lazily on
     demand, remembers each forced pass's value, and exposes a stable
@@ -12,10 +12,9 @@
 
     Two layers:
 
-    - {e staged algorithm entry points} ({!loopwalk}, {!promote},
-      {!run}) — the whole-program analysis moved here from
-      {!Driver}, which is now a thin façade; reports stay
-      byte-identical.
+    - {e the classification walk} ({!analyze_nests}) — one walk, run
+      per analysis unit by the lazy instance and over the whole loop
+      forest by SSA-only callers ([Driver.analyze]).
     - {e the lazy instance} ({!create} and the per-pass accessors) —
       one pipeline per source text, thread-safe (a mutex serializes
       stage forcing per instance; distinct sources never contend).
@@ -41,14 +40,13 @@ type pass =
           residual straight-line runs ({!Ir.Region}), each with an
           exact per-unit digest — the incremental cache key *)
   | Unitclassify
-      (** the unit-granular classification walk — forced by the service
-          layer, which owns the shared unit-artifact cache
+      (** the per-unit hit/miss record of the Classify walk — counted by
+          the service layer, which owns the shared unit-artifact cache
           ({!classify_with_units}) *)
   | Classify
-      (** the inner-to-outer walk: per-loop classification tables,
-          trip counts and exit values (§5.2–5.3) *)
+      (** the unit walk: per nest, inner-to-outer classification tables,
+          trip counts, exit values and multiloop promotion (§5.2–5.3) *)
   | Trip  (** per-loop trip-count report (projection of Classify) *)
-  | Promote  (** multiloop promotion (§5.3); final classification *)
   | Ranges
       (** per-def value intervals: classification closed forms + SCCP
           constants seed a widened interval fixpoint ({!Range}) *)
@@ -84,7 +82,7 @@ val description : pass -> string
 (** Passes the pipeline cannot compute by itself — the service layer
     forces them and records completion with {!note}: [Depgraph] (lives
     in [lib/dependence]), the three verify passes ([lib/verify]) and
-    [Unitclassify] (needs the engine's shared unit-artifact cache). *)
+    [Unitclassify] (its per-unit hits and misses are the engine's). *)
 val engine_forced : pass -> bool
 
 (* -- options -- *)
@@ -109,22 +107,18 @@ type analysis = {
   exit_values : Sym.t Ir.Instr.Id.Table.t;
 }
 
-(* -- staged algorithm entry points (the former Driver.analyze) -- *)
+(* -- the classification walk -- *)
 
-(** [loopwalk ?sccp ssa] classifies every loop from the innermost out,
-    computing trip counts and symbolic exit values as each countable
-    loop completes (§5.2–5.3). Does {e not} promote. *)
-val loopwalk : ?sccp:Sccp.result -> Ir.Ssa.t -> analysis
-
-(** [promote t] rewrites inner initial values that are outer-loop IVs
-    into the paper's nested multiloop tuples (§5.3, Figs 8–9).
-    In place and idempotent. *)
-val promote : analysis -> unit
-
-(** [run ssa] is the whole chain — SCCP (per [use_sccp], default true),
-    {!loopwalk}, {!promote} — under the same trace spans the monolithic
-    driver emitted. [Driver.analyze] delegates here. *)
-val run : ?use_sccp:bool -> Ir.Ssa.t -> analysis
+(** [analyze_nests ?sccp ssa roots] classifies every loop of the nests
+    rooted at [roots] from the innermost out, computing trip counts and
+    symbolic exit values as each countable loop completes, then rewrites
+    inner initial values that are outer-loop IVs into the paper's nested
+    multiloop tuples (§5.2–5.3, Figs 8–9). The lazy instance runs it on
+    one analysis unit's nests at a time — equivalent, since exit values
+    never cross a nest boundary and promotion relates only loops of one
+    nest; [Driver.analyze] runs it on the whole forest
+    ([Ir.Loops.roots]). *)
+val analyze_nests : ?sccp:Sccp.result -> Ir.Ssa.t -> int list -> analysis
 
 (* -- analysis units (incremental re-analysis) -- *)
 
@@ -159,17 +153,6 @@ type unit_outcome = {
   u_loops : string list;  (** the unit's outermost loop names *)
   u_hit : bool;  (** the artifact came from the unit cache *)
 }
-
-(** [analyze_unit ?sccp ssa info] classifies and promotes one unit in
-    isolation — equivalent to the unit's slice of the whole-program
-    walk (exit values never cross a nest boundary, promotion relates
-    only loops of one nest). *)
-val analyze_unit : ?sccp:Sccp.result -> Ir.Ssa.t -> unit_info -> unit_artifact
-
-(** [merge_units ?sccp ssa artifacts] reassembles the whole-program
-    analysis; renderers and the dependence pass run on it unchanged, so
-    incremental reports are byte-identical to a cold run. *)
-val merge_units : ?sccp:Sccp.result -> Ir.Ssa.t -> unit_artifact list -> analysis
 
 (* -- report renderers (shared by Driver and the service engine) -- *)
 
@@ -212,23 +195,19 @@ val ssa : t -> (Ir.Ssa.t, string) result
 val looptree : t -> (Ir.Loops.t, string) result
 val sccp : t -> (Sccp.result option, string) result
 
-(** The un-promoted analysis (classification tables, trip counts, exit
-    values). A trip-count query needs nothing past this. *)
-val classified : t -> (analysis, string) result
-
 (** The rendered trip-count report (forces through [Trip] only). *)
 val trip_report : t -> (string, string) result
 
 (** The promoted (final) analysis — what [Driver.analyze] returns. *)
 val promoted : t -> (analysis, string) result
 
-(** The rendered classification report (forces through [Promote]). *)
+(** The rendered classification report (forces through [Classify]). *)
 val report : t -> (string, string) result
 
-(** The analysis-unit partition with per-unit digests ([Ok None] when
-    the syntactic partition could not be mapped onto the loop forest —
-    callers fall back to the whole-program walk). *)
-val units : t -> (unit_info list option, string) result
+(** The analysis-unit partition with per-unit digests. Every root of
+    the loop forest belongs to exactly one unit; loops the CFG drops as
+    unreachable belong to none. *)
+val units : t -> (unit_info list, string) result
 
 (** The value-range analysis over the promoted classification (forces
     through [Ranges]). *)
@@ -237,15 +216,16 @@ val ranges : t -> (Range.t, string) result
 (** The rendered range table (the [Ranges] digest source). *)
 val range_report : t -> (string, string) result
 
-(** [classify_with_units ?pool_run ~lookup ~store t] satisfies
-    [Classify] {e and} [Promote] through the unit layer: probe [lookup]
-    with each nest unit's digest, run {!analyze_unit} for the misses
-    (fanned out through [pool_run] when given and more than one unit
-    missed), [store] the fresh artifacts, and install the merged
-    analysis. Returns one {!unit_outcome} per nest unit (empty when the
-    partition was unmapped and the whole-program walk ran instead, or
-    when [Classify] was already forced). Driven by the service engine,
-    which owns the shared unit-artifact cache. *)
+(** [classify_with_units ?pool_run ~lookup ~store t] forces [Classify]
+    through a unit-artifact cache: probe [lookup] with each nest unit's
+    digest, run {!analyze_nests} over each missing unit (fanned out
+    through [pool_run] when given and more than one unit missed),
+    [store] the fresh artifacts, and install the merged analysis (the
+    renderers and the dependence pass run on it unchanged, so
+    incremental reports are byte-identical to a cold run). Returns one
+    {!unit_outcome} per nest unit (empty when [Classify] was already
+    forced). Forcing [Classify] any other way runs the same walk with
+    no cache; the service engine passes its shared one. *)
 val classify_with_units :
   ?pool_run:((unit -> unit_artifact) array -> unit_artifact array) ->
   lookup:(Hash.Fnv.t -> unit_artifact option) ->

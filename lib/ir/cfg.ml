@@ -24,11 +24,20 @@ type t = {
   mutable next_instr : int;
   (* Cache: instruction id -> (block, instr); rebuilt on demand. *)
   mutable index : (Label.t * Instr.t) Instr.Id.Table.t option;
+  (* Set by [Lower]: per top-level statement, the first label its
+     lowering allocated. *)
+  mutable stmt_starts : Label.t array;
 }
 
 let create () =
   let entry_block = { label = 0; instrs = []; term = Halt; loop_name = None } in
-  { blocks = [| entry_block |]; entry = 0; next_instr = 0; index = None }
+  {
+    blocks = [| entry_block |];
+    entry = 0;
+    next_instr = 0;
+    index = None;
+    stmt_starts = [||];
+  }
 
 let entry t = t.entry
 let block t label = t.blocks.(label)
@@ -36,6 +45,8 @@ let num_blocks t = Array.length t.blocks
 let labels t = List.init (num_blocks t) (fun i -> i)
 
 let invalidate t = t.index <- None
+let stmt_starts t = t.stmt_starts
+let set_stmt_starts t starts = t.stmt_starts <- starts
 
 let add_block t =
   let label = Array.length t.blocks in

@@ -130,11 +130,18 @@ let rec lower_stmt ctx (s : Ast.stmt) =
 
 and lower_stmts ctx stmts = List.iter (lower_stmt ctx) stmts
 
-(* [lower program] builds the CFG for a whole program. *)
+(* [lower program] builds the CFG for a whole program, recording the
+   first label of each top-level statement ([Cfg.stmt_starts]). *)
 let lower (p : Ast.program) : Cfg.t =
   let cfg = Cfg.create () in
   let ctx = { cfg; current = Some (Cfg.entry cfg); exits = []; limits = 0 } in
-  lower_stmts ctx p.Ast.stmts;
+  let starts = Array.make (List.length p.Ast.stmts) 0 in
+  List.iteri
+    (fun i s ->
+      starts.(i) <- Cfg.num_blocks cfg;
+      lower_stmt ctx s)
+    p.Ast.stmts;
+  Cfg.set_stmt_starts cfg starts;
   terminate ctx Cfg.Halt;
   cfg
 

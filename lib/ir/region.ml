@@ -8,8 +8,8 @@
    single `L: loop ... endloop` nest, but an `if` wrapping loops counts
    too and may carry several outermost loops), or a maximal run of
    loop-free top-level statements (a [Straight] unit). Units partition
-   the statement list in order, so unit k's loops are exactly the next
-   [outer_loops] roots of the loop forest. *)
+   the statement list in order; the pipeline maps each loop-forest root
+   to the unit whose statement lowered its header. *)
 
 type kind = Nest | Straight
 
@@ -19,7 +19,6 @@ type unit_ = {
   first : int; (* index of the first top-level stmt (0-based) *)
   last : int; (* inclusive *)
   stmts : Ast.stmt list;
-  outer_loops : int; (* syntactic count of outermost loops in the slice *)
   free : string list; (* scalars read before any local write, sorted *)
   defined : string list; (* scalars written, sorted *)
   arrays : string list; (* arrays loaded or stored, sorted *)
@@ -27,15 +26,10 @@ type unit_ = {
 
 let kind_to_string = function Nest -> "nest" | Straight -> "straight"
 
-(* -- syntactic loop counting (outermost only) -- *)
-
-let rec stmt_outer_loops = function
-  | Ast.Loop _ | Ast.For _ -> 1
-  | Ast.If (_, t, e) ->
-    List.fold_left (fun n s -> n + stmt_outer_loops s) 0 (t @ e)
-  | Ast.Assign _ | Ast.Astore _ | Ast.Exit_if _ -> 0
-
-let stmt_has_loop s = stmt_outer_loops s > 0
+let rec stmt_has_loop = function
+  | Ast.Loop _ | Ast.For _ -> true
+  | Ast.If (_, t, e) -> List.exists stmt_has_loop (t @ e)
+  | Ast.Assign _ | Ast.Astore _ | Ast.Exit_if _ -> false
 
 (* -- the variable interface -- *)
 
@@ -124,7 +118,6 @@ let make_unit ~index ~kind ~first ~last stmts =
     first;
     last;
     stmts;
-    outer_loops = List.fold_left (fun n s -> n + stmt_outer_loops s) 0 stmts;
     free;
     defined;
     arrays;
@@ -167,8 +160,8 @@ let partition (p : Ast.program) : unit_ list =
 let source_slice u = Ast.to_string { Ast.decls = []; stmts = u.stmts }
 
 let pp fmt u =
-  Format.fprintf fmt "unit %d %-8s stmts %d-%d loops=%d" u.index
-    (kind_to_string u.kind) u.first u.last u.outer_loops;
+  Format.fprintf fmt "unit %d %-8s stmts %d-%d" u.index
+    (kind_to_string u.kind) u.first u.last;
   if u.free <> [] then Format.fprintf fmt " free=%s" (String.concat "," u.free);
   if u.defined <> [] then
     Format.fprintf fmt " defines=%s" (String.concat "," u.defined);

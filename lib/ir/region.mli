@@ -4,10 +4,10 @@
     A [Nest] unit is one top-level statement containing at least one
     loop (an [if] wrapping loops counts, and may carry several outermost
     loops); a [Straight] unit is a maximal run of loop-free top-level
-    statements. Units partition the statement list in order, so the
-    k-th nest unit's outermost loops are exactly the next [outer_loops]
-    roots of the loop forest — the property the incremental pipeline
-    layer uses to map units onto loop ids (see [Analysis.Pipeline] and
+    statements. Units partition the statement list in order, so every
+    loop-forest root belongs to the unit whose statement lowered its
+    header ({!Cfg.stmt_starts}) — how the incremental pipeline layer
+    maps units onto loop ids (see [Analysis.Pipeline] and
     docs/INCREMENTAL.md). *)
 
 type kind = Nest | Straight
@@ -18,7 +18,6 @@ type unit_ = {
   first : int;  (** index of the first top-level stmt (0-based) *)
   last : int;  (** inclusive *)
   stmts : Ast.stmt list;  (** the slice itself *)
-  outer_loops : int;  (** syntactic count of outermost loops *)
   free : string list;  (** scalars read before any local write, sorted *)
   defined : string list;  (** scalars written by the unit, sorted *)
   arrays : string list;  (** arrays loaded or stored, sorted *)
@@ -33,10 +32,6 @@ val partition : Ast.program -> unit_ list
 (** The unit's slice of the source in the parser's canonical rendering
     (parse–print–parse stable). *)
 val source_slice : unit_ -> string
-
-(** [stmt_outer_loops s] counts the outermost loops of one statement
-    (loops nested inside other loops are not counted). *)
-val stmt_outer_loops : Ast.stmt -> int
 
 val pp : Format.formatter -> unit_ -> unit
 val to_string : unit_ -> string

@@ -29,28 +29,20 @@ let run ?timeout_s ?(passes = 1) ?pool ~domains ~engine ~artifacts items =
   let arr = Array.of_list items in
   (* With a resident pool the spawn already happened; [domains] is
      advisory only (the pool's own size governs). Without one, a
-     temporary pool spans every pass. Either way the pool reaches the
+     temporary pool of [domains] workers spans every pass (one worker
+     spawns nothing and runs inline). Either way the pool reaches the
      engine through [report], so each item's per-unit classification
      walk forks onto the scheduler — units, not files, are the
      stealable tasks, and a single large file no longer serializes a
      domain (nor a single-item batch the whole pool). *)
   let with_pool k =
     match pool with
-    | Some p -> k (Some p)
+    | Some p -> k p
     | None ->
-      if domains <= 1 then k None
-      else begin
-        let p = Pool.create ~domains ~metrics () in
-        Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> k (Some p))
-      end
+      let p = Pool.create ~domains ~metrics () in
+      Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> k p)
   in
   with_pool @@ fun pool ->
-  let fan_out ~queue_depth f tasks =
-    match pool with
-    | Some p -> Pool.run ?timeout_s ~queue_depth ~metrics p f tasks
-    | None -> Pool.map ?timeout_s ~queue_depth ~metrics ~domains:1 f tasks
-  in
-  let pool_size = match pool with Some p -> Pool.size p | None -> 1 in
   let one_pass p =
     Metrics.incr passes_counter;
     Metrics.incr ~by:(Array.length arr) items_counter;
@@ -58,15 +50,15 @@ let run ?timeout_s ?(passes = 1) ?pool ~domains ~engine ~artifacts items =
       ~attrs:
         [ ("pass", Obs.Trace.Int p);
           ("items", Obs.Trace.Int (Array.length arr));
-          ("domains", Obs.Trace.Int pool_size) ]
+          ("domains", Obs.Trace.Int (Pool.size pool)) ]
       "batch.pass"
       (fun () ->
-        fan_out ~queue_depth:(Metrics.set_gauge depth)
+        Pool.run ?timeout_s ~queue_depth:(Metrics.set_gauge depth) ~metrics pool
           (fun item ->
             Obs.Trace.with_span ~cat:"batch"
               ~attrs:[ ("file", Obs.Trace.Str item.name) ]
               "batch.item"
-              (fun () -> report ?pool engine ~artifacts item))
+              (fun () -> report ~pool engine ~artifacts item))
           arr)
   in
   let total = max 1 passes in

@@ -26,15 +26,12 @@ val report :
     cooperative per-item timeout (see {!Pool}). Worker crashes and
     timeouts surface as [Error] for their item only.
 
-    With [pool], every pass fans out over the resident workers of that
-    {!Pool.pool} — no per-pass [Domain.spawn] — and [domains] is
-    ignored. Without it, each pass spawns (and joins) its own workers
-    as before.
-
-    A single-item batch (with no [timeout_s]) runs on the calling
-    domain and lends the workers to the engine instead, so the
-    per-unit classification walk fans out — analysis units, not files,
-    become the scheduled tasks. *)
+    Every pass fans out through {!Pool.run}: on [pool] when given
+    ([domains] is then ignored), otherwise on a temporary pool of
+    [domains] workers that spans every pass ([domains = 1] spawns
+    nothing and runs inline). The pool is also lent to the engine, so
+    each item's per-unit classification walk fans out — analysis units,
+    not files, are the scheduled tasks. *)
 val run :
   ?timeout_s:float ->
   ?passes:int ->

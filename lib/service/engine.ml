@@ -3,11 +3,11 @@
    The engine keys its cache per *pass*, not per monolithic analysis:
    each source text maps (through one digest, computed once per
    request) to an Analysis.Pipeline instance whose stages force lazily,
-   so a trip-count request never runs promotion or dependence testing.
-   The dependence report — the one artifact computed above lib/analysis
-   — is cached under a key derived from the promote pass's result
-   digest, so it survives pipeline eviction and is shared by any source
-   that promotes to the same classification. *)
+   so a trip-count request never runs range analysis or dependence
+   testing. The dependence report — the one artifact computed above
+   lib/analysis — is cached under a key derived from the classify
+   pass's result digest, so it survives pipeline eviction and is shared
+   by any source that classifies the same way. *)
 
 module Pipeline = Analysis.Pipeline
 
@@ -104,7 +104,7 @@ let set_store t s = t.store <- s
 
 let base_key t src = Digest.feed_bool (Digest.of_strings [ src ]) t.options.use_sccp
 let pipeline_key base = Digest.feed_string base "pipeline"
-let deps_key promote_digest = Digest.feed_string promote_digest "text.deps"
+let deps_key classify_digest = Digest.feed_string classify_digest "text.deps"
 
 (* Unit artifacts key off the unit digest alone (not the source): two
    sources sharing an unchanged loop nest share its artifact. *)
@@ -193,7 +193,6 @@ let phase_metric = function
   | Pipeline.Unitclassify -> "phase.unit_classify"
   | Pipeline.Classify -> "phase.classify"
   | Pipeline.Trip -> "phase.trip"
-  | Pipeline.Promote -> "phase.promote"
   | Pipeline.Ranges -> "phase.range"
   | Pipeline.Depgraph -> "phase.deps"
   | Pipeline.VerifyIr -> "phase.verify_ir"
@@ -295,15 +294,11 @@ let rec ensure_chain ?pool t p = function
     | Ok () -> ensure_chain ?pool t p rest
     | Error e -> Error e)
 
-(* Promote (and so Lower, which nothing here needs) is deliberately
-   absent from the trip chain: a trip request must not force it. *)
-let classify_chain =
-  Pipeline.[ Parse; Ssa; Looptree; Sccp; Units; Classify; Promote ]
-
-let trip_chain = Pipeline.[ Parse; Ssa; Looptree; Sccp; Units; Classify; Trip ]
-
-let ranges_chain =
-  Pipeline.[ Parse; Ssa; Looptree; Sccp; Units; Classify; Promote; Ranges ]
+(* Lower is absent from every chain but the check chain: nothing else
+   needs the pristine pre-SSA CFG. *)
+let classify_chain = Pipeline.[ Parse; Ssa; Looptree; Sccp; Units; Classify ]
+let trip_chain = classify_chain @ [ Pipeline.Trip ]
+let ranges_chain = classify_chain @ [ Pipeline.Ranges ]
 
 let analyze ?pool t src : (Analysis.Driver.t, string) result =
   Metrics.incr (Metrics.counter t.metrics "requests.analyze");
@@ -325,15 +320,15 @@ let deps_text ?pool t p : (string, string) result =
     match Pipeline.promoted p with
     | Error e -> Error e
     | Ok a ->
-      let pd =
-        match Pipeline.digest p Pipeline.Promote with
+      let cd =
+        match Pipeline.digest p Pipeline.Classify with
         | Some d -> d
-        | None -> assert false (* promote just succeeded *)
+        | None -> assert false (* classify just succeeded *)
       in
       (* Range sharpening changes the report, so the ranges digest joins
-         the key: a source that promotes identically but ranges
-         differently (it cannot today — ranges derive from promote — but
-         schema honesty is cheap) never shares the text. *)
+         the key: a source that classifies identically but ranges
+         differently (it cannot today — ranges derive from classify —
+         but schema honesty is cheap) never shares the text. *)
       let ranges =
         if t.options.use_ranges then
           match Pipeline.ranges p with Ok r -> Some r | Error _ -> None
@@ -341,8 +336,8 @@ let deps_text ?pool t p : (string, string) result =
       in
       let key =
         match (ranges, Pipeline.digest p Pipeline.Ranges) with
-        | Some _, Some rd -> Digest.feed_string (deps_key pd) (Digest.to_hex rd)
-        | _ -> deps_key pd
+        | Some _, Some rd -> Digest.feed_string (deps_key cd) (Digest.to_hex rd)
+        | _ -> deps_key cd
       in
       let c = counters_of t Pipeline.Depgraph in
       let computed = ref false in
@@ -368,7 +363,7 @@ let deps_text ?pool t p : (string, string) result =
 
    Each part is cached on its own key, derived from the digests of the
    passes it actually reads — the structural part from Lower + Ssa (this
-   is the consumer the Lower pass never had), the oracle from Promote
+   is the consumer the Lower pass never had), the oracle from Classify
    plus the iteration bound, the transform validators from the source
    digest (they re-lower their own fresh copies, and their footprints
    depend on the program text, not on what it classified to). Completed
@@ -386,21 +381,21 @@ let verify_ir_key p =
   | _ -> None
 
 let verify_class_key t p =
-  match Pipeline.digest p Pipeline.Promote with
-  | Some dp ->
-    Some (Digest.feed_int (verify_key "part.verify_class" [ dp ]) t.options.check_iters)
+  match Pipeline.digest p Pipeline.Classify with
+  | Some dc ->
+    Some (Digest.feed_int (verify_key "part.verify_class" [ dc ]) t.options.check_iters)
   | None -> None
 
 let verify_trans_key base = Digest.feed_string base "part.verify_trans"
 
 let verify_ranges_key t p =
   match
-    (Pipeline.digest p Pipeline.Promote, Pipeline.digest p Pipeline.Ranges)
+    (Pipeline.digest p Pipeline.Classify, Pipeline.digest p Pipeline.Ranges)
   with
-  | Some dp, Some dr ->
+  | Some dc, Some dr ->
     Some
       (Digest.feed_int
-         (verify_key "part.verify_ranges" [ dp; dr ])
+         (verify_key "part.verify_ranges" [ dc; dr ])
          t.options.check_iters)
   | _ -> None
 
@@ -424,8 +419,7 @@ let ensure_part t p pass key compute : Verify.Check.part =
 
 (* The check chain forces Lower (unlike every other artifact): the
    structural verifier is the lowered CFG's consumer. *)
-let check_chain =
-  Pipeline.[ Parse; Lower; Ssa; Looptree; Sccp; Units; Classify; Promote ]
+let check_chain = Pipeline.[ Parse; Lower; Ssa; Looptree; Sccp; Units; Classify ]
 
 let check_parts ?pool t base p : (Verify.Check.report, string) result =
   match ensure_chain ?pool t p check_chain with
@@ -494,7 +488,7 @@ let check t src : (Verify.Check.report, string) result =
 (* -- rendered artifacts -- *)
 
 let final_pass = function
-  | Classify -> Pipeline.Promote
+  | Classify -> Pipeline.Classify
   | Trip -> Pipeline.Trip
   | Deps -> Pipeline.Depgraph
   | Check -> Pipeline.VerifyTrans
@@ -598,13 +592,7 @@ let classify_with_outcomes ?pool t src =
   let p = pipeline t src in
   match ensure_chain ?pool t p Pipeline.[ Parse; Ssa; Looptree; Sccp; Units ] with
   | Error e -> Error e
-  | Ok () -> (
-    match classify_outcomes ?pool t p with
-    | Error e -> Error e
-    | Ok outcomes -> (
-      match ensure ?pool t p Pipeline.Promote with
-      | Error e -> Error e
-      | Ok () -> Ok (p, outcomes)))
+  | Ok () -> Result.map (fun outcomes -> (p, outcomes)) (classify_outcomes ?pool t p)
 
 (* [diff t old_src new_src] analyzes OLD (warming the unit cache), then
    NEW through it, and reports per unit whether its artifact was reused
@@ -619,17 +607,15 @@ let diff ?pool t old_src new_src : (string, string) result =
   | Ok _ -> (
     let old_hex =
       match Pipeline.units (pipeline t old_src) with
-      | Ok (Some us) ->
-        List.map (fun u -> Digest.to_hex u.Pipeline.udigest) us
-      | Ok None | Error _ -> []
+      | Ok us -> List.map (fun u -> Digest.to_hex u.Pipeline.udigest) us
+      | Error _ -> []
     in
     match classify_with_outcomes ?pool t new_src with
     | Error e -> Error e
     | Ok (p_new, outcomes) -> (
       match Pipeline.units p_new with
       | Error e -> Error e
-      | Ok None -> Ok "diff: no unit mapping; whole-program re-analysis\n"
-      | Ok (Some infos) ->
+      | Ok infos ->
         let buf = Buffer.create 256 in
         let reused = ref 0 and reran = ref 0 in
         let lines =
@@ -716,7 +702,7 @@ let reanalyze ?pool t src : (string, string) result =
 let invalidate t src =
   let base = base_key t src in
   let pk = pipeline_key base in
-  (* Drop the dependence report first: its key derives from the promote
+  (* Drop the dependence report first: its key derives from the classify
      digest, reachable only while the pipeline entry is alive. *)
   let removed_derived =
     match Cache.peek t.cache pk with
@@ -726,9 +712,9 @@ let invalidate t src =
         | None -> 0
       in
       drop
-        (match Pipeline.digest p Pipeline.Promote with
-         | Some pd -> (
-           let base_deps = deps_key pd in
+        (match Pipeline.digest p Pipeline.Classify with
+         | Some cd -> (
+           let base_deps = deps_key cd in
            match Pipeline.digest p Pipeline.Ranges with
            | Some rd when t.options.use_ranges ->
              Some (Digest.feed_string base_deps (Digest.to_hex rd))

@@ -1,9 +1,10 @@
-(* Classification provenance reports: re-run classification under a
-   fresh collector and replay the per-SCR provenance events (category
-   "provenance", one per strongly-connected region, emitted by
-   Analysis.Classify in Tarjan emission order) as a readable report,
-   followed by a ranges section — the per-def interval table plus the
-   bounds-check classification it licenses. *)
+(* Classification provenance reports: classify the engine pipeline's
+   SSA afresh ([Driver.analyze]; a cached classification would emit no
+   events) under a fresh collector and replay the per-SCR provenance
+   events (category "provenance", one per strongly-connected region,
+   emitted by Analysis.Classify in Tarjan emission order) as a readable
+   report, followed by a ranges section — the per-def interval table
+   plus the bounds-check classification it licenses. *)
 
 let attr (e : Obs.Trace.event) key =
   Option.map Obs.Trace.attr_to_string (List.assoc_opt key e.Obs.Trace.ev_attrs)
@@ -112,14 +113,11 @@ let ranges_parts engine src =
    ranges section appended. [Error] when the program fails to
    parse/analyze, or when [var] matches no SCR. *)
 let run ?var ?(json = false) engine src =
-  (* A cache hit would skip classification (and so emit no provenance
-     events): drop the pipeline entry and classify through the
-     whole-program walk rather than [Engine.classify], whose unit-level
-     cache would splice in stored artifacts without re-classifying. *)
-  ignore (Engine.invalidate engine src);
   let p = Engine.pipeline engine src in
+  let use_sccp = (Analysis.Pipeline.options p).Analysis.Pipeline.use_sccp in
   let result, t =
-    Obs.Trace.collect (fun () -> Analysis.Pipeline.report p)
+    Obs.Trace.collect (fun () ->
+        Result.map (Analysis.Driver.analyze ~use_sccp) (Analysis.Pipeline.ssa p))
   in
   match result with
   | Error msg -> Error msg

@@ -367,48 +367,6 @@ let seq_run ?timeout_s ?queue_depth ?metrics ~traced f tasks results =
       ~wait_ns:0L
   done
 
-let map ?timeout_s ?queue_depth ?metrics ~domains f tasks =
-  let n = Array.length tasks in
-  let results = Array.make n (Failed "task never ran") in
-  if n = 0 then results
-  else begin
-    let traced = Obs.Trace.enabled () in
-    let d = max 1 (min domains n) in
-    let body () =
-      if d <= 1 then
-        seq_run ?timeout_s ?queue_depth ?metrics ~traced f tasks results
-      else begin
-        let sched = make_sched d n in
-        let worker wid () =
-          job_worker ?timeout_s ?queue_depth ?metrics ~traced ~sched f tasks
-            results wid
-        in
-        let spawned =
-          Obs.Trace.with_span ~cat:"pool"
-            ~attrs:[ ("domains", Obs.Trace.Int (d - 1)) ]
-            "pool.spawn"
-            (fun () ->
-              observing metrics "pool.spawn" (fun () ->
-                  List.init (d - 1) (fun k -> Domain.spawn (worker (k + 1)))))
-        in
-        worker 0 ();
-        Obs.Trace.with_span ~cat:"pool" "pool.join" (fun () ->
-            observing metrics "pool.join" (fun () ->
-                List.iter Domain.join spawned))
-      end
-    in
-    if traced then
-      Obs.Trace.with_span ~cat:"pool"
-        ~attrs:[ ("tasks", Obs.Trace.Int n); ("domains", Obs.Trace.Int d) ]
-        "pool.map" body
-    else body ();
-    results
-  end
-
-let map_list ?timeout_s ?queue_depth ?metrics ~domains f tasks =
-  Array.to_list
-    (map ?timeout_s ?queue_depth ?metrics ~domains f (Array.of_list tasks))
-
 let to_result = function
   | Done x -> Ok x
   | Failed msg -> Error ("task failed: " ^ msg)
@@ -417,16 +375,16 @@ let to_result = function
 let default_domains ?(cap = 8) () =
   max 1 (min cap (Domain.recommended_domain_count ()))
 
-(* -- the persistent pool --
+(* -- the pool --
 
-   [map] pays one Domain.spawn per worker per call; on small corpora
-   the spawns dominate the analysis (see EXPERIMENTS.md, B1). A [pool]
-   spawns its workers once and keeps them parked in [Condition.wait]
-   between jobs, so repeated batch passes and serve-mode requests reuse
-   the same domains. A job is a generation-stamped closure; the
-   submitter participates as worker 0 and waits until every parked
-   worker has finished the generation before returning, so results are
-   complete (and in input order) on return, exactly like [map]. *)
+   A pool spawns its workers once and keeps them parked in
+   [Condition.wait] between jobs, so repeated batch passes and
+   serve-mode requests reuse the same domains (spawning per job
+   dominated small corpora: EXPERIMENTS.md, B1). A job is a
+   generation-stamped closure; the submitter participates as worker 0
+   and waits until every parked worker has finished the generation
+   before returning, so results are complete (and in input order) on
+   return. *)
 
 type pool = {
   size : int; (* total workers, including the submitter *)
@@ -562,10 +520,6 @@ let run ?timeout_s ?queue_depth ?metrics pool f tasks =
         else run_all ());
     results
   end
-
-let run_list ?timeout_s ?queue_depth ?metrics pool f tasks =
-  Array.to_list
-    (run ?timeout_s ?queue_depth ?metrics pool f (Array.of_list tasks))
 
 (* -- fork_all: the unit-graph entry point --
 

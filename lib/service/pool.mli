@@ -1,9 +1,9 @@
 (** A parallel batch engine on OCaml 5 domains.
 
-    [map ~domains f tasks] runs [f] over [tasks] on up to [domains]
-    workers pulling from a shared queue, and returns one {!outcome} per
-    task {e in input order} — results are deterministic regardless of
-    worker count or scheduling.
+    A {!pool} spawns its workers once ({!create}) and parks them between
+    jobs. [run pool f tasks] runs [f] over [tasks] on the pool's workers
+    and returns one {!outcome} per task {e in input order} — results are
+    deterministic regardless of worker count or scheduling.
 
     Failure isolation: an exception escaping one task is captured as
     [Failed] for that task only; the rest of the batch proceeds.
@@ -26,38 +26,6 @@ type 'b outcome =
     passed. A no-op outside a pool task or when no timeout was set. *)
 val tick : unit -> unit
 
-(** [map ?timeout_s ?queue_depth ?metrics ~domains f tasks]. [domains]
-    is clamped to [1 .. length tasks]; with [domains = 1] everything
-    runs on the calling domain (no spawn, no scheduler atomics).
-    Otherwise workers run a work-stealing scheduler: per-worker
-    Chase-Lev deques, the submitter seeds the task nodes, idle workers
-    steal — see docs/SERVICE.md. [queue_depth], when given, is called
-    with the number of unclaimed scheduler nodes each time a worker
-    dequeues — feed it a {!Metrics.gauge}. [metrics], when given,
-    receives per-domain scheduler telemetry: [pool.tasks{domain=N}],
-    [pool.steals{domain=N}] and [pool.parks{domain=N}] counters,
-    [pool.task_latency{domain=N}] / [pool.queue_wait{domain=N}]
-    histograms, per-task GC deltas as [pool.gc.*{domain=N}] counters,
-    and [pool.spawn]/[pool.join] cost histograms. *)
-val map :
-  ?timeout_s:float ->
-  ?queue_depth:(int -> unit) ->
-  ?metrics:Obs.Instrument.t ->
-  domains:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b outcome array
-
-(** List version of {!map}. *)
-val map_list :
-  ?timeout_s:float ->
-  ?queue_depth:(int -> unit) ->
-  ?metrics:Obs.Instrument.t ->
-  domains:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b outcome list
-
 (** [Done x -> Ok x], otherwise [Error message]. *)
 val to_result : 'b outcome -> ('b, string) result
 
@@ -65,14 +33,11 @@ val to_result : 'b outcome -> ('b, string) result
     parallelism, capped at [cap] (default 8). *)
 val default_domains : ?cap:int -> unit -> int
 
-(** {2 The persistent pool}
+(** {2 The pool}
 
-    {!map} pays one [Domain.spawn] per worker per call; on small
-    corpora the spawns dominate the analysis. A {!pool} spawns its
-    workers once ({!create}) and parks them between jobs, so repeated
-    batch passes and serve-mode requests reuse the same domains.
-    {!run} has {!map}'s contract — one outcome per task, in input
-    order, failures isolated, cooperative timeouts via {!tick}. *)
+    Spawning per job would dominate small corpora; a {!pool} spawns its
+    workers once, so repeated batch passes and serve-mode requests reuse
+    the same domains. *)
 
 type pool
 
@@ -87,11 +52,24 @@ val create : ?domains:int -> ?metrics:Obs.Instrument.t -> unit -> pool
 (** Total workers, including the submitting domain. *)
 val size : pool -> int
 
-(** [run pool f tasks] — as {!map}, on the pool's resident workers.
+(** [run ?timeout_s ?queue_depth ?metrics pool f tasks] — one outcome
+    per task, in input order, failures isolated, cooperative timeouts
+    via {!tick}. On a one-worker pool everything runs on the calling
+    domain (no scheduler atomics). Otherwise the workers run a
+    work-stealing scheduler: per-worker Chase-Lev deques, the submitter
+    seeds the task nodes, idle workers steal — see docs/SERVICE.md.
     Blocks until every worker has finished the job. Serializes
     concurrent submitters. Raises [Invalid_argument] after
-    {!shutdown}. [metrics] overrides the pool's registry for this job
-    (see {!map} for what is recorded). *)
+    {!shutdown}.
+
+    [queue_depth], when given, is called with the number of unclaimed
+    scheduler nodes each time a worker dequeues — feed it a
+    {!Metrics.gauge}. [metrics] (default: the pool's registry) receives
+    per-domain scheduler telemetry: [pool.tasks{domain=N}],
+    [pool.steals{domain=N}] and [pool.parks{domain=N}] counters,
+    [pool.task_latency{domain=N}] / [pool.queue_wait{domain=N}]
+    histograms, and per-task GC deltas as [pool.gc.*{domain=N}]
+    counters. *)
 val run :
   ?timeout_s:float ->
   ?queue_depth:(int -> unit) ->
@@ -100,16 +78,6 @@ val run :
   ('a -> 'b) ->
   'a array ->
   'b outcome array
-
-(** List version of {!run}. *)
-val run_list :
-  ?timeout_s:float ->
-  ?queue_depth:(int -> unit) ->
-  ?metrics:Obs.Instrument.t ->
-  pool ->
-  ('a -> 'b) ->
-  'a list ->
-  'b outcome list
 
 (** Stop and join the worker domains. Idempotent; waits for an
     in-flight job to drain first. *)
@@ -120,7 +88,7 @@ val shutdown : pool -> unit
     [fork_all thunks] evaluates every thunk and returns one outcome
     per thunk, in order — the unit-graph scheduling entry point.
 
-    Called from {e inside} a pool task (a {!map} or {!run} worker),
+    Called from {e inside} a pool task (a {!run} worker),
     the thunks are pushed onto the calling worker's own deque as
     first-class scheduler nodes: idle workers steal them, the caller
     helps with its own nodes, and the call returns when all have

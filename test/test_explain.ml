@@ -185,6 +185,28 @@ let test_warm_engine () =
       (Helpers.contains report "basic IV family (sec 3.1)")
   | Error msg -> Alcotest.failf "explain on warm engine failed: %s" msg
 
+(* Explain classifies afresh without touching the engine's entries: no
+   invalidation, and the next classify of the source is a memory hit. *)
+let test_explain_keeps_cache () =
+  let e = engine () in
+  let src = "j = n\nL7: loop\n  i = j + c\n  j = i + k\nendloop\n" in
+  let classify_tiers () =
+    List.find_map
+      (fun (a, mem, _, computed) ->
+        if a = Service.Engine.Classify then Some (mem, computed) else None)
+      (Service.Engine.artifact_stats e)
+  in
+  ignore (Service.Engine.classify e src);
+  let invalidations () = (Service.Engine.cache_stats e).Service.Cache.invalidations in
+  let before = invalidations () in
+  (match Service.Explain.run e src with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.failf "explain failed: %s" msg);
+  Alcotest.(check int) "no invalidation" before (invalidations ());
+  ignore (Service.Engine.classify e src);
+  Alcotest.(check (option (pair int int))) "classify: one memory hit, one computed"
+    (Some (1, 1)) (classify_tiers ())
+
 (* --- the ranges section, text and JSON --- *)
 
 let ranges_src =
@@ -246,6 +268,7 @@ let suite =
       Helpers.case "unknown variable is an error" test_unknown_var;
       Helpers.case "parse error propagates" test_parse_error;
       Helpers.case "warm engine cache is bypassed" test_warm_engine;
+      Helpers.case "engine cache is left intact" test_explain_keeps_cache;
       Helpers.case "ranges section golden" test_ranges_section;
       Helpers.case "ranges JSON payload" test_ranges_json;
     ] )

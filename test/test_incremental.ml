@@ -44,29 +44,26 @@ let stat engine name =
 (* --- the partition itself --- *)
 
 let test_partition () =
-  let p = Pipeline.create old_src in
-  match ok (Pipeline.units p) with
-  | None -> Alcotest.fail "expected a unit mapping for a structured program"
-  | Some infos ->
-    Alcotest.(check int) "five units" 5 (List.length infos);
-    let kinds =
-      List.map
-        (fun (i : Pipeline.unit_info) -> Region.kind_to_string i.region.kind)
-        infos
-    in
-    Alcotest.(check (list string))
-      "straight / nest interleaving"
-      [ "straight"; "nest"; "straight"; "nest"; "nest" ]
-      kinds;
-    List.iter
-      (fun (i : Pipeline.unit_info) ->
-        match i.region.kind with
-        | Region.Nest ->
-          Alcotest.(check bool) "nest unit owns loops" true (i.uroots <> [])
-        | Region.Straight ->
-          Alcotest.(check bool) "straight unit owns no loops" true
-            (i.uroots = []))
+  let infos = ok (Pipeline.units (Pipeline.create old_src)) in
+  Alcotest.(check int) "five units" 5 (List.length infos);
+  let kinds =
+    List.map
+      (fun (i : Pipeline.unit_info) -> Region.kind_to_string i.region.kind)
       infos
+  in
+  Alcotest.(check (list string))
+    "straight / nest interleaving"
+    [ "straight"; "nest"; "straight"; "nest"; "nest" ]
+    kinds;
+  List.iter
+    (fun (i : Pipeline.unit_info) ->
+      match i.region.kind with
+      | Region.Nest ->
+        Alcotest.(check bool) "nest unit owns loops" true (i.uroots <> [])
+      | Region.Straight ->
+        Alcotest.(check bool) "straight unit owns no loops" true
+          (i.uroots = []))
+    infos
 
 (* --- cache behaviour across an edit --- *)
 
@@ -188,6 +185,103 @@ let test_reanalyze_verb () =
      | Server.Err msg -> Helpers.contains msg "file argument"
      | _ -> false)
 
+(* --- unit mapping: every loop-forest root lands in exactly one unit --- *)
+
+(* A countable nest after an infinite loop: the CFG drops the nest as
+   unreachable, so its unit owns no root. *)
+let unreachable_tail ?(body = "s + j") () =
+  Printf.sprintf
+    "i = 0\nL: loop\n  i = i + 1\nendloop\nM: for j = 1 to 10 loop\n  s = %s\nendloop\n"
+    body
+
+(* An unconditional exit before an infinite inner loop: L never reaches
+   its latch, so the forest root is the inner loop M. *)
+let exit_before_inner ?(body = "k + i") () =
+  Printf.sprintf
+    "k = 0\nL: loop\n  exit\n  M: loop\n    k = k + 1\n  endloop\nendloop\n\
+     N: for i = 1 to n loop\n  A(i) = %s\nendloop\n"
+    body
+
+let same_label ?(body = "t + 2") () =
+  Printf.sprintf
+    "s = 0\nL: for i = 1 to n loop\n  s = s + i\n  A(i) = s\nendloop\nt = 0\n\
+     L: for j = 1 to m loop\n  t = %s\n  A(j) = t\nendloop\n"
+    body
+
+let roots_partitioned src =
+  let p = Pipeline.create src in
+  let infos = ok (Pipeline.units p) in
+  let roots = Ir.Loops.roots (ok (Pipeline.looptree p)) in
+  List.sort compare (List.concat_map (fun (i : Pipeline.unit_info) -> i.uroots) infos)
+  = List.sort compare roots
+
+(* The unit (index) owning each loop-forest root, by loop name. *)
+let owners src =
+  let p = Pipeline.create src in
+  let loops = ok (Pipeline.looptree p) in
+  List.concat_map
+    (fun (i : Pipeline.unit_info) ->
+      List.map
+        (fun r -> ((Ir.Loops.loop loops r).Ir.Loops.name, i.region.Region.index))
+        i.uroots)
+    (ok (Pipeline.units p))
+
+(* [src]'s roots map onto [owners] and its reports match the goldens;
+   [edited] changes one of its two nests, so a warm engine reuses the
+   other nest's unit and the merged reports equal a cold run's. *)
+let check_mapping ~src ~edited ~owners:expected ~classify ~trip ~deps =
+  Alcotest.(check bool) "roots partitioned" true (roots_partitioned src);
+  Alcotest.(check (list (pair string int))) "root owners" expected (owners src);
+  let e = Engine.create () in
+  Alcotest.(check (list string))
+    "classify, trip, deps" [ classify; trip; deps ] (reports e src);
+  let h0, _ = stat e "unit_classify" in
+  check_identical ~edited:"one nest" src edited;
+  ignore (ok (Engine.classify e edited));
+  let h1, _ = stat e "unit_classify" in
+  Alcotest.(check int) "the other nest is reused" 1 (h1 - h0)
+
+let test_unreachable_tail () =
+  check_mapping ~src:(unreachable_tail ())
+    ~edited:(unreachable_tail ~body:"s - j" ())
+    ~owners:[ ("L", 1) ]
+    ~classify:"loop L (depth 1, trip count infinite):\n  i2       (L, 0, 1)\n  i3       (L, 1, 1)\n  \n"
+    ~trip:"loop L        trips: infinite\n" ~deps:"no dependences\n";
+  let text = ok (Engine.diff (Engine.create ()) (unreachable_tail ()) (unreachable_tail ~body:"s - j" ())) in
+  Alcotest.(check bool) "diff maps every unit" true
+    (Helpers.contains text "diff: 3 units, 1 reused, 0 reanalyzed")
+
+let test_exit_before_inner () =
+  check_mapping ~src:(exit_before_inner ())
+    ~edited:(exit_before_inner ~body:"k - i" ())
+    ~owners:[ ("M", 1); ("N", 2) ]
+    ~classify:
+      "loop M (depth 1, trip count infinite):\n  k2       (M, 0, 1)\n  k3       (M, 1, 1)\n  \n\
+       loop N (depth 1, trip count n):\n  i2       (N, 1, 1)\n  %10      unknown\n\
+      \  %14      (N, 1, 1)\n  %15      (N, 1, 1)\n  i3       (N, 2, 1)\n  \n"
+    ~trip:"loop M        trips: infinite\nloop N        trips: n\n"
+    ~deps:"no dependences\n"
+
+let test_same_label () =
+  check_mapping ~src:(same_label ())
+    ~edited:(same_label ~body:"t + 3" ())
+    ~owners:[ ("L", 1); ("L", 3) ]
+    ~classify:
+      "loop L (depth 1, trip count n):\n  i2       (L, 1, 1)\n  s2       (L, 0, 1/2, 1/2)\n\
+      \  %6       unknown\n  s3       (L, 1, 3/2, 1/2)\n  %13      (L, 1, 3/2, 1/2)\n\
+      \  i3       (L, 2, 1)\n  \n\
+       loop L (depth 1, trip count m):\n  j2       (L, 1, 1)\n  t2       (L, 0, 2)\n\
+      \  %23      unknown\n  t3       (L, 2, 2)\n  %29      (L, 2, 2)\n  j3       (L, 2, 1)\n  \n"
+    ~trip:"loop L        trips: n\nloop L        trips: m\n"
+    ~deps:"output A@%13 -> A@%29: dependent ()\n"
+
+let prop_units_partition_roots =
+  Helpers.qtest ~count:100 "units partition the forest roots" Gen.gen_program
+    (fun prog ->
+      let src = Ir.Ast.to_string prog in
+      roots_partitioned src
+      || QCheck2.Test.fail_reportf "roots not partitioned for:\n%s" src)
+
 let suite =
   ( "incremental",
     [
@@ -200,4 +294,8 @@ let suite =
       Helpers.case "checked mode passes on merged" test_check_after_merge;
       Helpers.case "diff report" test_diff_report;
       Helpers.case "REANALYZE serve verb" test_reanalyze_verb;
+      Helpers.case "unreachable tail maps every root" test_unreachable_tail;
+      Helpers.case "exit before an inner loop maps its root" test_exit_before_inner;
+      Helpers.case "two nests with the same label" test_same_label;
+      prop_units_partition_roots;
     ] )

@@ -1,6 +1,6 @@
 (* The demand-driven pipeline: golden equivalence against the
    monolithic driver path over the whole examples corpus, lazy forcing
-   (a trip request must not run promotion or dependence testing),
+   (a trip request must not run range analysis or dependence testing),
    per-pass cache accounting, digest stability, and the persistent
    worker pool. *)
 
@@ -102,22 +102,17 @@ let test_trip_is_lazy () =
   ignore (ok (Engine.trip engine fig9));
   let p = Engine.pipeline engine fig9 in
   (* Classify runs through the unit layer, so [units]/[unit_classify]
-     are forced with it, and — unit artifacts being promoted before they
-     reach the cache — [promote] is satisfied as a by-product (though
-     never requested: its counters below stay zero). *)
+     are forced with it. *)
   Alcotest.(check (list string))
     "trip forces exactly its chain"
-    [
-      "parse"; "ssa"; "looptree"; "sccp"; "units"; "unit_classify"; "classify";
-      "trip"; "promote";
-    ]
+    [ "parse"; "ssa"; "looptree"; "sccp"; "units"; "unit_classify"; "classify"; "trip" ]
     (forced_passes p);
   Alcotest.(check bool) "depgraph not forced" false
     (Pipeline.forced p Pipeline.Depgraph);
-  (* The per-pass stats agree: nothing ever asked for promote or deps. *)
+  (* The per-pass stats agree: nothing ever asked for ranges or deps. *)
   List.iter
     (fun (pass, hits, misses) ->
-      if pass = "promote" || pass = "depgraph" || pass = "lower" then begin
+      if pass = "range" || pass = "depgraph" || pass = "lower" then begin
         Alcotest.(check int) (pass ^ " hits") 0 hits;
         Alcotest.(check int) (pass ^ " misses") 0 misses
       end)
@@ -133,11 +128,6 @@ let test_per_pass_accounting () =
       | "parse" | "ssa" | "looptree" | "sccp" | "units" | "classify" ->
         Alcotest.(check int) (pass ^ " misses once") 1 misses;
         Alcotest.(check int) (pass ^ " hits once") 1 hits
-      | "promote" ->
-        (* Satisfied by the unit walk (artifacts are pre-promoted), so
-           both requests find it already forced. *)
-        Alcotest.(check int) "promote never ran" 0 misses;
-        Alcotest.(check int) "promote hits twice" 2 hits
       | "unit_classify" ->
         (* fig9 is one nest unit: a cold miss, then the second request
            is a Classify-level hit and never probes the unit cache. *)
@@ -195,6 +185,30 @@ let test_digests_are_stable () =
         Alcotest.fail
           ("pass " ^ Pipeline.name pass ^ " forced on one instance only"))
     Pipeline.all
+
+(* A bare pipeline and the engine run the same unit walk (one without a
+   unit cache, one through it), so every pass both force digests the
+   same, for every example program. *)
+let test_bare_digests_match_engine () =
+  List.iter
+    (fun (name, src) ->
+      let bare = Pipeline.create src in
+      List.iter
+        (fun pass -> ignore (ok (Pipeline.force bare pass)))
+        Pipeline.[ Classify; Trip; Ranges ];
+      let engine = Engine.create () in
+      List.iter
+        (fun a -> ignore (ok (Engine.render engine a src)))
+        Engine.[ Classify; Trip; Ranges ];
+      let served = Engine.pipeline engine src in
+      List.iter
+        (fun pass ->
+          let hex p = Option.map Hash.Fnv.to_hex (Pipeline.digest p pass) in
+          let label = name ^ ": " ^ Pipeline.name pass in
+          Alcotest.(check bool) (label ^ " forced") true (hex bare <> None);
+          Alcotest.(check (option string)) (label ^ " digest") (hex served) (hex bare))
+        Pipeline.[ Units; Unitclassify; Classify; Trip; Ranges ])
+    (corpus ())
 
 let test_pipeline_errors () =
   let p = Pipeline.create "x = = 1\n" in
@@ -306,6 +320,7 @@ let suite =
       Helpers.case "per-pass hit/miss accounting" test_per_pass_accounting;
       Helpers.case "invalidate drops pipeline and deps" test_deps_invalidate_drops_both;
       Helpers.case "pass digests are reproducible" test_digests_are_stable;
+      Helpers.case "bare pipeline digests equal the engine's" test_bare_digests_match_engine;
       Helpers.case "errors cache and propagate" test_pipeline_errors;
       Helpers.case "pass DAG is topologically ordered" test_dag_shape;
       Helpers.case "persistent pool reuses workers" test_persistent_pool;

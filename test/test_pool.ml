@@ -15,6 +15,13 @@ let sources =
     "L23: for i = 1 to n loop\n  L24: for j = i + 1 to n loop\n    A(i, j) = A(i - 1, j)\n  endloop\nendloop\n";
   ]
 
+(* One job on a fresh pool of [domains] workers, shut down afterwards. *)
+let run_on ?timeout_s ?metrics ~domains f tasks =
+  let pool = Pool.create ~domains ?metrics () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> Pool.run ?timeout_s pool f tasks)
+
 let unwrap = function
   | Pool.Done x -> x
   | Pool.Failed msg -> Alcotest.fail ("unexpected failure: " ^ msg)
@@ -23,8 +30,8 @@ let unwrap = function
 let test_parallel_equals_sequential () =
   let tasks = Array.init 64 (fun i -> i) in
   let f i = i * i in
-  let seq = Pool.map ~domains:1 f tasks in
-  let par = Pool.map ~domains:4 f tasks in
+  let seq = run_on ~domains:1 f tasks in
+  let par = run_on ~domains:4 f tasks in
   Alcotest.(check (list int))
     "same results, same order"
     (Array.to_list (Array.map unwrap seq))
@@ -33,7 +40,7 @@ let test_parallel_equals_sequential () =
 let test_exception_isolation () =
   let tasks = Array.init 10 (fun i -> i) in
   let f i = if i = 3 then failwith "boom" else i in
-  let results = Pool.map ~domains:4 f tasks in
+  let results = run_on ~domains:4 f tasks in
   Array.iteri
     (fun i r ->
       match (i, r) with
@@ -55,7 +62,7 @@ let test_timeout_is_cooperative () =
       0
     | `Quick -> 1
   in
-  let results = Pool.map ~timeout_s:0.02 ~domains:2 f [| `Sleepy; `Quick; `Quick |] in
+  let results = run_on ~timeout_s:0.02 ~domains:2 f [| `Sleepy; `Quick; `Quick |] in
   (match results.(0) with
    | Pool.Timed_out _ -> ()
    | _ -> Alcotest.fail "sleepy task should time out");
@@ -116,7 +123,7 @@ let test_death_mid_steal () =
   let n = 128 in
   let tasks = Array.init n (fun i -> i) in
   let f i = if i mod 7 = 3 then failwith (Printf.sprintf "dead-%d" i) else i * 3 in
-  let results = Pool.map ~domains:4 f tasks in
+  let results = run_on ~domains:4 f tasks in
   Array.iteri
     (fun i r ->
       match r with
@@ -140,7 +147,7 @@ let test_timeout_with_nonempty_deque () =
       -1
     | i -> i
   in
-  let results = Pool.map ~timeout_s:0.02 ~domains:2 f (Array.init n Fun.id) in
+  let results = run_on ~timeout_s:0.02 ~domains:2 f (Array.init n Fun.id) in
   (match results.(0) with
    | Pool.Timed_out _ -> ()
    | _ -> Alcotest.fail "task 0 should time out");
@@ -193,7 +200,7 @@ let test_fork_all_inherits_deadline () =
     | Pool.Done _ -> `Sub_finished
     | Pool.Failed m -> `Sub_failed m
   in
-  let results = Pool.map ~timeout_s:0.02 ~domains:2 f [| (); () |] in
+  let results = run_on ~timeout_s:0.02 ~domains:2 f [| (); () |] in
   Array.iter
     (fun r ->
       match unwrap r with
@@ -202,11 +209,12 @@ let test_fork_all_inherits_deadline () =
       | `Sub_failed m -> Alcotest.fail ("subtask failed: " ^ m))
     results
 
-(* domains = 1 takes the no-atomic sequential path; fork_all without a
-   worker context or pool evaluates inline. Same contract either way. *)
+(* A one-worker pool takes the no-atomic sequential path; fork_all
+   without a worker context or pool evaluates inline. Same contract
+   either way. *)
 let test_j1_inline_fallback () =
   let results =
-    Pool.map ~domains:1
+    run_on ~domains:1
       (fun i ->
         let subs = [| (fun () -> i); (fun () -> failwith "inline-boom") |] in
         match Pool.fork_all subs with
@@ -223,7 +231,7 @@ let test_j1_inline_fallback () =
 let test_steal_telemetry () =
   let m = Obs.Instrument.create () in
   let n = 256 in
-  let results = Pool.map ~metrics:m ~domains:4 (fun i -> i) (Array.init n Fun.id) in
+  let results = run_on ~metrics:m ~domains:4 (fun i -> i) (Array.init n Fun.id) in
   Array.iteri (fun i r -> Alcotest.(check int) "result" i (unwrap r)) results;
   let sum_prefix prefix =
     List.fold_left

@@ -292,7 +292,7 @@ let test_engine_store_owner_column () =
       let e2 = Engine.create ~store:(open_exn dir) () in
       ignore (render_exn e2 Engine.Classify fig1);
       let report = Engine.passes_report e2 fig1 in
-      Alcotest.(check bool) "promote owned by the store" true
+      Alcotest.(check bool) "classify owned by the store" true
         (Helpers.contains report "store");
       (* The same report from the computing engine has no store rows:
          every pass genuinely ran there. *)
