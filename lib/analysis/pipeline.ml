@@ -309,20 +309,14 @@ let promote_roots (t : analysis) roots =
       | _ -> ())
     order
 
-module Int_set = Set.Make (Int)
-
-(* All loops of the given nests, inner-to-outer (the forest's postorder
-   restricted to the nests' descendants). *)
+(* All loops of the given nests, inner-to-outer: the postorder of each
+   root's subtree in turn, which for roots in forest order is the
+   forest's postorder restricted to the nests' descendants. *)
 let unit_loop_ids loops uroots =
-  let rec add acc id =
-    let lp = Ir.Loops.loop loops id in
-    List.fold_left add (Int_set.add id acc) lp.Ir.Loops.loop_children
+  let rec visit acc id =
+    id :: List.fold_left visit acc (Ir.Loops.loop loops id).Ir.Loops.loop_children
   in
-  let mine = List.fold_left add Int_set.empty uroots in
-  List.filter_map
-    (fun (lp : Ir.Loops.loop) ->
-      if Int_set.mem lp.Ir.Loops.id mine then Some lp.Ir.Loops.id else None)
-    (Ir.Loops.postorder loops)
+  List.rev (List.fold_left visit [] uroots)
 
 (* The classification walk: classify every loop of the nests rooted at
    [roots] inner-to-outer into a fresh analysis, then promote within
@@ -431,30 +425,29 @@ type unit_outcome = {
    the owner is the last statement starting at or before the header
    ([Ir.Cfg.stmt_starts]). Loops the CFG drops as unreachable are not in
    the forest, so every root lands in exactly one unit, and a nest unit
-   may own none. *)
+   may own none. Roots come in header order (loop ids follow it), and
+   statements and units in program order, so one merged walk over the
+   three assigns every root. *)
 let map_units ssa (regions : Ir.Region.unit_ list) =
   let loops = Ir.Ssa.loops ssa in
   let starts = Ir.Cfg.stmt_starts (Ir.Ssa.cfg ssa) in
-  let rec stmt_of label i =
-    if i + 1 < Array.length starts && starts.(i + 1) <= label then
-      stmt_of label (i + 1)
-    else i
+  let stmt = ref 0 in
+  let pending = ref (Ir.Loops.roots loops) in
+  let rec take (region : Ir.Region.unit_) acc =
+    match !pending with
+    | r :: rest ->
+      let header = (Ir.Loops.loop loops r).Ir.Loops.header in
+      while !stmt + 1 < Array.length starts && starts.(!stmt + 1) <= header do
+        incr stmt
+      done;
+      if !stmt <= region.Ir.Region.last then begin
+        pending := rest;
+        take region (r :: acc)
+      end
+      else List.rev acc
+    | [] -> List.rev acc
   in
-  let owned =
-    List.map
-      (fun r -> (stmt_of (Ir.Loops.loop loops r).Ir.Loops.header 0, r))
-      (Ir.Loops.roots loops)
-  in
-  List.map
-    (fun (region : Ir.Region.unit_) ->
-      ( region,
-        List.filter_map
-          (fun (stmt, r) ->
-            if stmt >= region.Ir.Region.first && stmt <= region.Ir.Region.last
-            then Some r
-            else None)
-          owned ))
-    regions
+  List.map (fun region -> (region, take region [])) regions
 
 let feed_value d (v : Ir.Instr.value) =
   match v with
@@ -597,8 +590,16 @@ type t = {
   mutable v_classify : (analysis * string, string) result option;
   mutable v_trip : (string, string) result option;
   mutable v_range : (Range.t * string, string) result option;
-  digests : (pass, Hash.Fnv.t) Hashtbl.t;
+  digests : (pass, digest_slot) Hashtbl.t;
 }
+
+(* A forced pass's digest. The Parse, Ssa and Looptree digests hash a
+   full rendering of their result, which nothing on the analysis path
+   reads, so they stay [Deferred] until the first [digest] call renders
+   them (under [lock]: [Lazy] is not domain-safe). The results they
+   render are never mutated after forcing, so the value is the same
+   whenever it is computed. *)
+and digest_slot = Ready of Hash.Fnv.t | Deferred of (unit -> string)
 
 let create ?(options = default_options) src =
   {
@@ -621,7 +622,9 @@ let create ?(options = default_options) src =
 let options t = t.opts
 let source_digest t = t.base
 
-let set_digest t pass s = Hashtbl.replace t.digests pass (Hash.Fnv.of_strings [ s ])
+let set_digest_hash t pass d = Hashtbl.replace t.digests pass (Ready d)
+let set_digest t pass s = set_digest_hash t pass (Hash.Fnv.of_strings [ s ])
+let defer_digest t pass render = Hashtbl.replace t.digests pass (Deferred render)
 
 (* Each stage runs under a "pipeline.<pass>" span on first forcing.
    Callers hold [t.lock]. *)
@@ -639,7 +642,7 @@ let ensure_parse t =
       staged Parse (fun () -> Ir.Parser.parse_result t.src)
     in
     (match v with
-     | Ok prog -> set_digest t Parse (Ir.Ast.to_string prog)
+     | Ok prog -> defer_digest t Parse (fun () -> Ir.Ast.to_string prog)
      | Error _ -> ());
     t.v_parse <- Some v;
     v
@@ -670,7 +673,7 @@ let ensure_ssa t =
         let ssa = staged Ssa (fun () -> Ir.Ssa.of_program prog) in
         match Ir.Ssa.check ssa with
         | [] ->
-          set_digest t Ssa (Ir.Ssa.to_string ssa);
+          defer_digest t Ssa (fun () -> Ir.Ssa.to_string ssa);
           Ok ssa
         | errs ->
           Error (String.concat "\n" (List.map Ir.Diag.to_string errs)))
@@ -687,7 +690,7 @@ let ensure_looptree t =
       | Error e -> Error e
       | Ok ssa ->
         let loops = staged Looptree (fun () -> Ir.Ssa.loops ssa) in
-        set_digest t Looptree (Format.asprintf "%a" Ir.Loops.pp loops);
+        defer_digest t Looptree (fun () -> Format.asprintf "%a" Ir.Loops.pp loops);
         Ok loops
     in
     t.v_looptree <- Some v;
@@ -718,7 +721,7 @@ let ensure_sccp t =
         end
         else begin
           let r = staged Sccp (fun () -> Sccp.run ssa) in
-          Hashtbl.replace t.digests Sccp (sccp_digest ssa r);
+          set_digest_hash t Sccp (sccp_digest ssa r);
           Ok (Some r)
         end
     in
@@ -749,7 +752,7 @@ let ensure_units t =
                   })
                 (map_units ssa (Ir.Region.partition prog))
             in
-            Hashtbl.replace t.digests Units
+            set_digest_hash t Units
               (Hash.Fnv.of_strings
                  ("units" :: List.map (fun i -> Hash.Fnv.to_hex i.udigest) infos));
             Ok infos)
@@ -824,7 +827,7 @@ let classify_units ?pool_run ~lookup ~store t =
           let rendered = report_of merged in
           t.v_classify <- Some (Ok (merged, rendered));
           set_digest t Classify (rendered ^ "\x00" ^ trip_report_of merged);
-          Hashtbl.replace t.digests Unitclassify
+          set_digest_hash t Unitclassify
             (Hash.Fnv.of_strings
                ("unit_classify"
                :: List.map (fun (i, _, _) -> Hash.Fnv.to_hex i.udigest) results));
@@ -952,6 +955,14 @@ let forced t pass =
         | VerifyTrans ) as p ->
         Hashtbl.mem t.digests p)
 
-let digest t pass = locked t (fun () -> Hashtbl.find_opt t.digests pass)
+let digest t pass =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.digests pass with
+      | Some (Ready d) -> Some d
+      | Some (Deferred render) ->
+        let d = Hash.Fnv.of_strings [ render () ] in
+        set_digest_hash t pass d;
+        Some d
+      | None -> None)
 
-let note t pass d = locked t (fun () -> Hashtbl.replace t.digests pass d)
+let note t pass d = locked t (fun () -> set_digest_hash t pass d)

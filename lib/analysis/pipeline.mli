@@ -243,7 +243,9 @@ val forced : t -> pass -> bool
 
 (** [digest t pass] is the stable digest of the pass's result, once
     forced. Digests are content hashes of a canonical rendering, so
-    they are reproducible across instances and processes. *)
+    they are reproducible across instances and processes. The Parse,
+    Ssa and Looptree digests are rendered on the first call for that
+    pass, not when the pass runs. *)
 val digest : t -> pass -> Hash.Fnv.t option
 
 (** [note t pass d] records an externally-computed pass (the service

@@ -19,7 +19,10 @@ type block = {
 }
 
 type t = {
-  mutable blocks : block array; (* indexed by label *)
+  (* Indexed by label; the first [count] slots are the blocks, the rest
+     is spare capacity (doubled when full, so building is linear). *)
+  mutable blocks : block array;
+  mutable count : int;
   entry : Label.t;
   mutable next_instr : int;
   (* Cache: instruction id -> (block, instr); rebuilt on demand. *)
@@ -33,6 +36,7 @@ let create () =
   let entry_block = { label = 0; instrs = []; term = Halt; loop_name = None } in
   {
     blocks = [| entry_block |];
+    count = 1;
     entry = 0;
     next_instr = 0;
     index = None;
@@ -40,8 +44,17 @@ let create () =
   }
 
 let entry t = t.entry
-let block t label = t.blocks.(label)
-let num_blocks t = Array.length t.blocks
+let num_blocks t = t.count
+
+let block t label =
+  if label < 0 || label >= t.count then invalid_arg "index out of bounds";
+  t.blocks.(label)
+
+let iter_blocks t f =
+  for l = 0 to t.count - 1 do
+    f t.blocks.(l)
+  done
+
 let labels t = List.init (num_blocks t) (fun i -> i)
 
 let invalidate t = t.index <- None
@@ -49,9 +62,15 @@ let stmt_starts t = t.stmt_starts
 let set_stmt_starts t starts = t.stmt_starts <- starts
 
 let add_block t =
-  let label = Array.length t.blocks in
+  let label = t.count in
   let b = { label; instrs = []; term = Halt; loop_name = None } in
-  t.blocks <- Array.append t.blocks [| b |];
+  if label = Array.length t.blocks then begin
+    let grown = Array.make (2 * label) b in
+    Array.blit t.blocks 0 grown 0 label;
+    t.blocks <- grown
+  end;
+  t.blocks.(label) <- b;
+  t.count <- label + 1;
   label
 
 let fresh_instr_id t =
@@ -63,7 +82,7 @@ let fresh_instr_id t =
 let append t label op args =
   let id = fresh_instr_id t in
   let instr = { Instr.id; op; args } in
-  let b = t.blocks.(label) in
+  let b = block t label in
   b.instrs <- b.instrs @ [ instr ];
   invalidate t;
   instr
@@ -73,7 +92,7 @@ let append t label op args =
 let prepend t label op args =
   let id = fresh_instr_id t in
   let instr = { Instr.id; op; args } in
-  let b = t.blocks.(label) in
+  let b = block t label in
   b.instrs <- instr :: b.instrs;
   invalidate t;
   instr
@@ -90,12 +109,10 @@ let successors t label =
    phi argument order matches this order. *)
 let predecessors t label =
   let preds = ref [] in
-  Array.iter
-    (fun b ->
+  iter_blocks t (fun b ->
       List.iter
         (fun s -> if Label.equal s label then preds := b.label :: !preds)
-        (successors t b.label))
-    t.blocks;
+        (successors t b.label));
   List.sort_uniq Label.compare !preds
 
 (* All predecessors, including duplicates when both branch targets are the
@@ -113,10 +130,8 @@ let index t =
   | Some idx -> idx
   | None ->
     let idx = Instr.Id.Table.create 256 in
-    Array.iter
-      (fun b ->
-        List.iter (fun i -> Instr.Id.Table.replace idx i.Instr.id (b.label, i)) b.instrs)
-      t.blocks;
+    iter_blocks t (fun b ->
+        List.iter (fun i -> Instr.Id.Table.replace idx i.Instr.id (b.label, i)) b.instrs);
     t.index <- Some idx;
     idx
 
@@ -130,13 +145,13 @@ let find_instr_opt t id =
 (* [block_of_instr t id] is the label of the block containing [id]. *)
 let block_of_instr t id = fst (Instr.Id.Table.find (index t) id)
 
-let iter_instrs t f =
-  Array.iter (fun b -> List.iter (fun i -> f b.label i) b.instrs) t.blocks
+let iter_instrs t f = iter_blocks t (fun b -> List.iter (fun i -> f b.label i) b.instrs)
 
 let fold_instrs t f acc =
-  Array.fold_left
-    (fun acc b -> List.fold_left (fun acc i -> f acc b.label i) acc b.instrs)
-    acc t.blocks
+  let acc = ref acc in
+  iter_blocks t (fun b ->
+      acc := List.fold_left (fun acc i -> f acc b.label i) !acc b.instrs);
+  !acc
 
 let num_instrs t = fold_instrs t (fun n _ _ -> n + 1) 0
 
@@ -182,8 +197,7 @@ let pp_terminator fmt = function
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
-  Array.iter
-    (fun b ->
+  iter_blocks t (fun b ->
       let header =
         match b.loop_name with
         | Some name -> Printf.sprintf " ; loop %s header" name
@@ -191,8 +205,7 @@ let pp fmt t =
       in
       Format.fprintf fmt "@[<v 2>%a:%s@," Label.pp b.label header;
       List.iter (fun i -> Format.fprintf fmt "%a@," Instr.pp i) b.instrs;
-      Format.fprintf fmt "%a@]@," pp_terminator b.term)
-    t.blocks;
+      Format.fprintf fmt "%a@]@," pp_terminator b.term);
   Format.fprintf fmt "@]"
 
 let to_string t = Format.asprintf "%a" pp t

@@ -3,7 +3,9 @@
    Uses the Cooper–Harvey–Kennedy iterative algorithm on reverse
    postorder: simple, robust, and fast enough for the CFGs this library
    sees. Dominance frontiers follow Cytron et al., which is what the SSA
-   phi-placement pass consumes. *)
+   phi-placement pass consumes. Dominance queries compare pre/post
+   numbers of the dominator tree, so each is O(1) however deep the tree
+   (a file of sequential loop nests makes it one long chain). *)
 
 type t = {
   idom : int array; (* idom.(l) = immediate dominator; entry maps to itself *)
@@ -12,6 +14,10 @@ type t = {
   reachable : bool array;
   children : Label.t list array; (* dominator-tree children *)
   frontier : Label.Set.t array;
+  (* Dominator-tree entry and exit numbers: [a] dominates [b] iff [a]'s
+     interval holds [b]'s. -1 (an empty interval) if unreachable. *)
+  pre : int array;
+  post : int array;
 }
 
 let idom t l = t.idom.(l)
@@ -20,20 +26,26 @@ let frontier t l = t.frontier.(l)
 let reverse_postorder t = t.order
 let is_reachable t l = t.reachable.(l)
 
-(* [dominates t a b] holds when [a] dominates [b] (reflexively). *)
+(* [dominates t a b] holds when [a] dominates [b] (reflexively): [a]'s
+   subtree of the dominator tree holds [b]. An unreachable [b] has no
+   idom chain, and a query on one raises, as walking that chain did. *)
 let dominates t a b =
-  let rec walk b = if a = b then true else if b = t.idom.(b) then false else walk t.idom.(b) in
-  walk b
+  a = b
+  || (if not t.reachable.(b) then invalid_arg "index out of bounds";
+      a >= 0
+      && a < Array.length t.pre
+      && t.pre.(a) <= t.pre.(b)
+      && t.post.(b) <= t.post.(a))
 
 let strictly_dominates t a b = a <> b && dominates t a b
 
-let compute (cfg : Cfg.t) : t =
+let compute ?preds (cfg : Cfg.t) : t =
   let n = Cfg.num_blocks cfg in
   let order = Cfg.reverse_postorder cfg in
   let reachable = Cfg.reachable cfg in
   let rpo_index = Array.make n (-1) in
   List.iteri (fun i l -> rpo_index.(l) <- i) order;
-  let preds = Cfg.pred_table cfg in
+  let preds = match preds with Some p -> p | None -> Cfg.pred_table cfg in
   let entry = Cfg.entry cfg in
   let idom = Array.make n (-1) in
   idom.(entry) <- entry;
@@ -88,7 +100,17 @@ let compute (cfg : Cfg.t) : t =
             done)
           ps)
     order;
-  { idom; rpo_index; order; reachable; children; frontier }
+  let pre = Array.make n (-1) and post = Array.make n (-1) in
+  let clock = ref 0 in
+  let rec number l =
+    pre.(l) <- !clock;
+    incr clock;
+    List.iter number children.(l);
+    post.(l) <- !clock;
+    incr clock
+  in
+  number entry;
+  { idom; rpo_index; order; reachable; children; frontier; pre; post }
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

@@ -51,8 +51,8 @@ let postorder t =
   List.iter visit t.roots;
   List.rev !order
 
-let compute (cfg : Cfg.t) (dom : Dom.t) : t =
-  let preds = Cfg.pred_table cfg in
+let compute ?preds (cfg : Cfg.t) (dom : Dom.t) : t =
+  let preds = match preds with Some p -> p | None -> Cfg.pred_table cfg in
   (* Collect back edges grouped by header. *)
   let back_edges : (Label.t, Label.t list) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -97,23 +97,25 @@ let compute (cfg : Cfg.t) (dom : Dom.t) : t =
   in
   let loops = Array.of_list loops in
   (* Nesting: loop A is inside loop B iff A's header is in B's blocks and
-     A <> B. Choose the smallest enclosing loop as parent. *)
-  Array.iter
-    (fun a ->
-      let best = ref None in
-      Array.iter
-        (fun b ->
-          if b.id <> a.id && Label.Set.mem a.header b.blocks then
-            match !best with
-            | Some c when Label.Set.cardinal c.blocks <= Label.Set.cardinal b.blocks -> ()
-            | _ -> best := Some b)
-        loops;
-      match !best with
-      | Some b ->
-        a.parent <- Some b.id;
-        b.loop_children <- a.id :: b.loop_children
-      | None -> ())
-    loops;
+     A <> B; A's parent is the smallest such B. Natural loops with
+     distinct headers are disjoint or strictly nested, so visiting loops
+     largest first and recording, per block, the last (hence smallest)
+     loop seen to contain it finds each parent at its header's owner —
+     and leaves every block's owner its innermost loop. *)
+  let owner = Array.make (Cfg.num_blocks cfg) None in
+  let by_size =
+    Array.map (fun lp -> (Label.Set.cardinal lp.blocks, lp)) loops |> Array.to_list
+    |> List.stable_sort (fun (m, _) (n, _) -> compare n m)
+  in
+  List.iter
+    (fun (_, a) ->
+      (match owner.(a.header) with
+       | Some b ->
+         a.parent <- Some b;
+         loops.(b).loop_children <- a.id :: loops.(b).loop_children
+       | None -> ());
+      Label.Set.iter (fun l -> owner.(l) <- Some a.id) a.blocks)
+    by_size;
   Array.iter (fun lp -> lp.loop_children <- List.sort compare lp.loop_children) loops;
   let roots =
     Array.to_list loops
@@ -126,19 +128,7 @@ let compute (cfg : Cfg.t) (dom : Dom.t) : t =
     List.iter (set_depth (d + 1)) lp.loop_children
   in
   List.iter (set_depth 1) roots;
-  (* Innermost containing loop per block: deepest loop whose block set
-     includes it. *)
-  let containing = Array.make (Cfg.num_blocks cfg) None in
-  Array.iter
-    (fun lp ->
-      Label.Set.iter
-        (fun l ->
-          match containing.(l) with
-          | Some other when loops.(other).depth >= lp.depth -> ()
-          | _ -> containing.(l) <- Some lp.id)
-        lp.blocks)
-    loops;
-  { loops; roots; containing }
+  { loops; roots; containing = owner }
 
 (* [exit_edges cfg loop] is the list of (from, to) edges leaving [loop]. *)
 let exit_edges cfg loop =

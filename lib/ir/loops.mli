@@ -15,7 +15,9 @@ type loop = {
 
 type t
 
-val compute : Cfg.t -> Dom.t -> t
+(** [compute ?preds cfg dom]; [preds] is [Cfg.pred_table cfg] when the
+    caller already holds it. *)
+val compute : ?preds:Label.t list array -> Cfg.t -> Dom.t -> t
 
 val loop : t -> int -> loop
 val num_loops : t -> int

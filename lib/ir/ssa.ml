@@ -14,6 +14,9 @@
 
 type t = {
   cfg : Cfg.t;
+  (* Cfg.pred_table of the converted CFG (conversion changes no edge);
+     dominators and the loop forest are computed from it too. *)
+  preds : Label.t list array;
   dom : Dom.t;
   loops : Loops.t;
   (* phi id -> the source variable it merges *)
@@ -26,6 +29,7 @@ type t = {
 }
 
 let cfg t = t.cfg
+let preds t label = t.preds.(label)
 let dom t = t.dom
 let loops t = t.loops
 
@@ -76,8 +80,10 @@ let is_scalar_op = function
 (* --- Construction --- *)
 
 let convert (cfg : Cfg.t) : t =
-  let dom = Obs.Trace.with_span "pipeline.dominators" (fun () -> Dom.compute cfg) in
   let preds = Cfg.pred_table cfg in
+  let dom =
+    Obs.Trace.with_span "pipeline.dominators" (fun () -> Dom.compute ~preds cfg)
+  in
   let nblocks = Cfg.num_blocks cfg in
   (* 1. Definition blocks per scalar variable, keeping the variables in
      first-definition order so phi placement (and hence instruction ids,
@@ -92,33 +98,36 @@ let convert (cfg : Cfg.t) : t =
         Hashtbl.replace def_blocks x (Label.Set.add label cur)
       | _ -> ());
   let vars_in_order = List.rev !vars_in_order in
-  (* 2. Phi placement on iterated dominance frontiers. *)
+  (* 2. Phi placement on iterated dominance frontiers. [has_phi] and
+     [in_work] hold the index of the last variable that marked each
+     block (Cytron et al.'s iteration stamps), so one pair of arrays
+     serves every variable. *)
   let phi_var : Ident.t Instr.Id.Table.t = Instr.Id.Table.create 32 in
   let phis_at : Instr.t list array = Array.make nblocks [] in
-  List.iter
-    (fun x ->
+  let has_phi = Array.make nblocks (-1) in
+  let in_work = Array.make nblocks (-1) in
+  List.iteri
+    (fun stamp x ->
       let defs = Hashtbl.find def_blocks x in
-      let has_phi = Array.make nblocks false in
-      let in_work = Array.make nblocks false in
       let work = Queue.create () in
       Label.Set.iter
         (fun l ->
           Queue.push l work;
-          in_work.(l) <- true)
+          in_work.(l) <- stamp)
         defs;
       while not (Queue.is_empty work) do
         let l = Queue.pop work in
         Label.Set.iter
           (fun y ->
-            if Dom.is_reachable dom y && not has_phi.(y) then begin
-              has_phi.(y) <- true;
+            if Dom.is_reachable dom y && has_phi.(y) <> stamp then begin
+              has_phi.(y) <- stamp;
               let arity = List.length preds.(y) in
               let phi = Cfg.prepend cfg y Instr.Phi (Array.make arity (Instr.Const 0)) in
               Instr.Id.Table.replace phi_var phi.Instr.id x;
               phis_at.(y) <- phi :: phis_at.(y);
-              if not in_work.(y) then begin
+              if in_work.(y) <> stamp then begin
                 Queue.push y work;
-                in_work.(y) <- true
+                in_work.(y) <- stamp
               end
             end)
           (Dom.frontier dom l)
@@ -300,8 +309,10 @@ let convert (cfg : Cfg.t) : t =
         Hashtbl.replace name_env name v
       end)
     (List.rev !naming_events);
-  let loops = Obs.Trace.with_span "pipeline.looptree" (fun () -> Loops.compute cfg dom) in
-  { cfg; dom; loops; phi_var; names_of; name_env }
+  let loops =
+    Obs.Trace.with_span "pipeline.looptree" (fun () -> Loops.compute ~preds cfg dom)
+  in
+  { cfg; preds; dom; loops; phi_var; names_of; name_env }
 
 let convert cfg = Obs.Trace.with_span "pipeline.ssa" (fun () -> convert cfg)
 

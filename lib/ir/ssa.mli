@@ -11,6 +11,12 @@
 type t
 
 val cfg : t -> Cfg.t
+
+(** [preds t label] is {!Cfg.predecessors} of the converted CFG, read
+    from the table conversion built once (sorted by label — the order
+    phi arguments follow). *)
+val preds : t -> Label.t -> Label.t list
+
 val dom : t -> Dom.t
 val loops : t -> Loops.t
 

@@ -88,3 +88,53 @@ let array_footprint ?(fuel = 200_000) ?(params = fun _ -> 0) ?(rand = fun () -> 
     (fun (a, idx) v acc -> (Ir.Ident.name a, idx, v) :: acc)
     st.Ir.Interp.arrays []
   |> List.sort compare
+
+(* ---------- many-nest files ----------
+
+   [nest_program ~seed ~nests] concatenates [nests] {!Corpus.Gen}
+   programs (program [k] drawn from seed [(seed, k)]), with every loop
+   and array of program [k] renamed to names of its own so that nests
+   share no label and no array. Scalars stay shared, as in an edited
+   file of sequential nests. *)
+let rename_nest k stmts =
+  let j = ref 0 in
+  let fresh () =
+    incr j;
+    Printf.sprintf "N%dL%d" k !j
+  in
+  let arr = Ir.Ident.of_string (Printf.sprintf "a%d" k) in
+  let open Ir.Ast in
+  let rec e = function
+    | Aref (_, es) -> Aref (arr, List.map e es)
+    | Binop (o, a, b) -> Binop (o, e a, e b)
+    | Neg x -> Neg (e x)
+    | (Int _ | Var _) as x -> x
+  in
+  let c = function Cmp (o, a, b) -> Cmp (o, e a, e b) | Unknown -> Unknown in
+  let rec stmt = function
+    | For l ->
+      let name = fresh () in
+      For { l with name; lo = e l.lo; hi = e l.hi; body = List.map stmt l.body }
+    | Loop (_, b) ->
+      let name = fresh () in
+      Loop (name, List.map stmt b)
+    | If (cd, t, f) -> If (c cd, List.map stmt t, List.map stmt f)
+    | Assign (v, x) -> Assign (v, e x)
+    | Astore (_, es, x) -> Astore (arr, List.map e es, e x)
+    | Exit_if cd -> Exit_if (c cd)
+  in
+  List.map stmt stmts
+
+let nest_program ~seed ~nests =
+  {
+    Ir.Ast.decls = [];
+    stmts =
+      List.concat
+        (List.init nests (fun k ->
+             rename_nest k
+               (Corpus.Gen.program (Random.State.make [| seed; k |])).Ir.Ast.stmts));
+  }
+
+(* One 64-nest file, converted once and shared by the properties that
+   check the IR's tables on a large input. *)
+let nest_ssa = lazy (Ir.Ssa.of_program (nest_program ~seed:64 ~nests:64))

@@ -89,6 +89,33 @@ let test_index_lookup () =
         (Ir.Cfg.block_of_instr cfg i.Ir.Instr.id));
   Alcotest.(check bool) "missing instr" true (Ir.Cfg.find_instr_opt cfg 9999 = None)
 
+(* The block store grows by doubling: after 10k additions labels are
+   still dense, every block is reachable by its label, and labels past
+   the end (or below zero) still raise. *)
+let test_many_blocks () =
+  let cfg = Ir.Cfg.create () in
+  let n = 10_000 in
+  for i = 1 to n do
+    let l = Ir.Cfg.add_block cfg in
+    if l <> i then Alcotest.failf "block %d got label %d" i l;
+    Ir.Cfg.set_term cfg (i - 1) (Ir.Cfg.Jump l)
+  done;
+  Alcotest.(check int) "num_blocks" (n + 1) (Ir.Cfg.num_blocks cfg);
+  Alcotest.(check bool) "labels dense" true
+    (Ir.Cfg.labels cfg = List.init (n + 1) Fun.id);
+  List.iter
+    (fun l ->
+      Alcotest.(check int) "block label" l (Ir.Cfg.block cfg l).Ir.Cfg.label)
+    (Ir.Cfg.labels cfg);
+  Alcotest.(check (list int)) "last preds" [ n - 1 ] (Ir.Cfg.predecessors cfg n);
+  Alcotest.(check int) "reverse postorder" (n + 1)
+    (List.length (Ir.Cfg.reverse_postorder cfg));
+  List.iter
+    (fun l ->
+      Alcotest.check_raises "out of range" (Invalid_argument "index out of bounds")
+        (fun () -> ignore (Ir.Cfg.block cfg l)))
+    [ n + 1; n + 2; 2 * n; -1 ]
+
 let suite =
   ( "cfg-lowering",
     [
@@ -100,4 +127,5 @@ let suite =
       Helpers.case "reverse postorder" test_reverse_postorder;
       Helpers.case "unreachable after exit" test_unreachable_after_exit;
       Helpers.case "instruction index" test_index_lookup;
+      Helpers.case "10k add_block" test_many_blocks;
     ] )
