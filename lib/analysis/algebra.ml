@@ -224,7 +224,14 @@ and mono_add m other =
   match growth other with
   | Some (None, _) -> Monotonic m
   | Some (Some dir, strict) when dir = m.dir ->
-    Monotonic { m with strict = m.strict || strict }
+    (* Adding another growing sequence leaves the family: the sum can
+       grow in an iteration where the family's region does not. *)
+    let family =
+      match other with
+      | Monotonic o when o.family = m.family -> m.family
+      | _ -> Ivclass.no_family
+    in
+    Monotonic { m with strict = m.strict || strict; family }
   | Some (Some _, _) | None -> Unknown
 
 (* [shift t k] is the class of h -> t(h + k) for exact classes. *)

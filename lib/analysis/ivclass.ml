@@ -60,6 +60,9 @@ and monotonic = {
   family : int; (* instruction id of the region's loop-header phi *)
 }
 
+(* The family of a sum of growing sequences from different sources. *)
+let no_family = -1
+
 (* Structural equality (with symbolic equality of coefficients). *)
 let rec equal a b =
   match (a, b) with

@@ -58,8 +58,12 @@ and monotonic = {
   loop : int;
   dir : dir;
   strict : bool;
-  family : int;  (** instruction id of the region's loop-header phi *)
+  family : int;
+      (** instruction id of the region's loop-header phi, or [no_family]
+          for a sum of growing sequences from different sources *)
 }
+
+val no_family : int
 
 (** Structural equality (symbolic equality of coefficients). *)
 val equal : t -> t -> bool
