@@ -161,22 +161,26 @@ let test_timeout_with_nonempty_deque () =
 let test_fork_all_in_task () =
   let pool = Pool.create ~domains:3 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  (* Alcotest's checks are not domain-safe: a task only records what
+     it saw, and the checks run here after the join. *)
   let f i =
-    Alcotest.(check bool) "inside a scheduler node" true (Pool.in_worker ());
+    let in_worker = Pool.in_worker () in
     let subs =
       Array.init 5 (fun j ->
           fun () -> if j = 2 && i = 1 then failwith "sub-boom" else (i * 10) + j)
     in
-    Pool.fork_all subs
-    |> Array.map (function
-         | Pool.Done v -> v
-         | Pool.Failed _ -> -1
-         | Pool.Timed_out _ -> -2)
+    ( in_worker,
+      Pool.fork_all subs
+      |> Array.map (function
+           | Pool.Done v -> v
+           | Pool.Failed _ -> -1
+           | Pool.Timed_out _ -> -2) )
   in
   let results = Pool.run pool f (Array.init 8 Fun.id) in
   Array.iteri
     (fun i r ->
-      let sub = unwrap r in
+      let in_worker, sub = unwrap r in
+      Alcotest.(check bool) "inside a scheduler node" true in_worker;
       Array.iteri
         (fun j v ->
           let expect = if j = 2 && i = 1 then -1 else (i * 10) + j in
