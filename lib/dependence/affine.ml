@@ -34,15 +34,17 @@ let add_term t loop step =
 let rec of_class (c : Ivclass.t) : t option =
   match c with
   | Ivclass.Invariant s -> Some (invariant s)
+  (* A wrap-around below the top level has first values that vary with
+     the enclosing terms, which [initials] cannot record: not affine. *)
   | Ivclass.Linear { loop; base; step } -> (
     match of_class base with
-    | Some b -> Some (add_term b loop step)
-    | None -> None)
+    | Some b when b.holds_after = 0 -> Some (add_term b loop step)
+    | Some _ | None -> None)
   | Ivclass.Wrap { loop; order; inner; initials } -> (
     (* value(h_L) = inner(h_L - order): shift the constant term; the
        first [order] iterations take the recorded initial values. *)
     match of_class inner with
-    | Some a ->
+    | Some a when a.holds_after = 0 ->
       let step_l =
         Option.value ~default:Sym.zero (List.assoc_opt loop a.terms)
       in
@@ -50,11 +52,11 @@ let rec of_class (c : Ivclass.t) : t option =
         {
           a with
           const = Sym.sub a.const (Sym.scale (Rat.of_int order) step_l);
-          holds_after = Stdlib.max order a.holds_after;
+          holds_after = order;
           wrap_loop = Some loop;
           initials;
         }
-    | None -> None)
+    | Some _ | None -> None)
   | Ivclass.Unknown | Ivclass.Poly _ | Ivclass.Geometric _ | Ivclass.Periodic _
   | Ivclass.Monotonic _ ->
     None
