@@ -231,17 +231,24 @@ let convert (cfg : Cfg.t) : t =
   in
   walk (Cfg.entry cfg);
   (* 4. Delete the promoted Load/Store instructions and apply any
-     remaining substitutions (e.g. phi args pointing at loads). *)
+     remaining substitutions (e.g. phi args pointing at loads). Blocks
+     unreachable from the entry sit outside the dominator tree, so the
+     walk never renamed them; their code never runs, so each of their
+     loads becomes the program input and no operand names a deleted
+     load. *)
   List.iter
     (fun label ->
       Cfg.replace_instrs cfg label (fun instrs ->
           List.filter_map
             (fun (instr : Instr.t) ->
-              if is_scalar_op instr.Instr.op then None
-              else begin
+              match instr.Instr.op with
+              | Instr.Load x when not (Dom.is_reachable dom label) ->
+                Instr.Id.Table.replace subst instr.Instr.id (Instr.Param x);
+                None
+              | op when is_scalar_op op -> None
+              | _ ->
                 instr.Instr.args <- Array.map resolve instr.Instr.args;
-                Some instr
-              end)
+                Some instr)
             instrs);
       let block = Cfg.block cfg label in
       match block.Cfg.term with

@@ -1,17 +1,18 @@
 (* Counters, gauges and log2-bucketed latency histograms, registered by
-   name. One mutex per registry; individual updates also take it (they
-   are rare enough per-sample — parsing/analysis dominates by orders of
-   magnitude).
+   name. The registry's mutex guards registration and snapshots only:
+   counters and gauges are single atomics, so an increment costs one
+   fetch-and-add on a handle resolved at registration. Each histogram
+   keeps its own mutex (a sample updates several fields together).
 
-   This module is the library behind [Service.Metrics] (which re-exports
-   it unchanged); it lives in [lib/obs] so the tracing exporters can
-   fold instrument state into their summaries. *)
+   Lives in [lib/obs] so the tracing exporters can fold instrument state
+   into their summaries; the service engine keeps its pass and tier
+   accounting here too. *)
 
 let buckets = 40
 (* bucket i holds samples in [2^i, 2^(i+1)) microseconds; 2^39 µs ≈ 6.4 days *)
 
-type counter = { c_lock : Mutex.t; mutable c : int }
-type gauge = { g_lock : Mutex.t; mutable g : int }
+type counter = int Atomic.t
+type gauge = int Atomic.t
 
 type histogram = {
   h_lock : Mutex.t;
@@ -48,19 +49,19 @@ let wrong name = invalid_arg ("Instrument: kind mismatch for " ^ name)
 
 let counter t name =
   register t name
-    (fun () -> Counter { c_lock = Mutex.create (); c = 0 })
+    (fun () -> Counter (Atomic.make 0))
     (fun name -> function Counter c -> c | _ -> wrong name)
 
-let incr ?(by = 1) c = locked c.c_lock (fun () -> c.c <- c.c + by)
-let count c = locked c.c_lock (fun () -> c.c)
+let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+let count = Atomic.get
 
 let gauge t name =
   register t name
-    (fun () -> Gauge { g_lock = Mutex.create (); g = 0 })
+    (fun () -> Gauge (Atomic.make 0))
     (fun name -> function Gauge g -> g | _ -> wrong name)
 
-let set_gauge g v = locked g.g_lock (fun () -> g.g <- v)
-let gauge_value g = locked g.g_lock (fun () -> g.g)
+let set_gauge = Atomic.set
+let gauge_value = Atomic.get
 
 let histogram t name =
   register t name
@@ -130,69 +131,9 @@ let labeled name labels =
     Buffer.add_char buf '}';
     Buffer.contents buf
 
-(* Quantiles interpolate nothing: the answer is always one of the two
-   exact extremes or a bucket's upper edge clamped into [min, max], so
-   the same samples always render the same bytes.
-
-   Edge behavior: q <= 0 is the recorded minimum, q >= 1 (and NaN,
-   conservatively) the recorded maximum; empty leading/trailing buckets
-   are skipped by the cumulative scan. *)
-let quantile h q =
-  locked h.h_lock (fun () ->
-      if h.n = 0 then None
-      else if Float.is_nan q || q >= 1.0 then Some h.max_s
-      else if q <= 0.0 then Some h.min_s
-      else begin
-        let target = int_of_float (Float.round (q *. float_of_int (h.n - 1))) + 1 in
-        let target = if target > h.n then h.n else target in
-        let rec scan i seen =
-          if i >= buckets then Some h.max_s
-          else
-            let seen = seen + h.counts.(i) in
-            if seen >= target then
-              Some (Float.max h.min_s (Float.min (bucket_upper i) h.max_s))
-            else scan (i + 1) seen
-        in
-        scan 0 0
-      end)
-
-let mean h =
-  locked h.h_lock (fun () ->
-      if h.n = 0 then None else Some (h.sum /. float_of_int h.n))
-
-(* Deterministic µs rendering: integer microseconds, half away from
-   zero. [%.0f] would round half-to-even through the C library;
-   converting explicitly keeps the text stable across runtimes. *)
-let us_string s = Printf.sprintf "%.0f" (Float.round (s *. 1e6))
-
-let dump t =
-  let rows =
-    locked t.lock (fun () ->
-        Hashtbl.fold (fun name i acc -> (name, i) :: acc) t.tbl [])
-  in
-  let render (name, i) =
-    match i with
-    | Counter c -> Printf.sprintf "%-32s %d" name (count c)
-    | Gauge g -> Printf.sprintf "%-32s %d (gauge)" name (gauge_value g)
-    | Histogram h ->
-      let n = samples h in
-      if n = 0 then Printf.sprintf "%-32s count=0" name
-      else
-        let get o = Option.value ~default:0.0 o in
-        Printf.sprintf "%-32s count=%d mean=%sus p50=%sus p90=%sus max=%sus" name n
-          (us_string (get (mean h)))
-          (us_string (get (quantile h 0.5)))
-          (us_string (get (quantile h 0.9)))
-          (us_string (locked h.h_lock (fun () -> h.max_s)))
-    in
-  rows
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map render
-  |> String.concat "\n"
-
-(* Point-in-time copies for the exporters: no locks escape, and a
-   histogram's buckets come back as (upper edge in seconds, count)
-   pairs for the populated buckets only. *)
+(* Point-in-time copies: no locks escape, and a histogram's buckets come
+   back as (upper edge in seconds, count) pairs for the populated
+   buckets only. *)
 type view =
   | V_counter of int
   | V_gauge of int
@@ -205,8 +146,8 @@ type view =
     }
 
 let view = function
-  | Counter c -> V_counter (count c)
-  | Gauge g -> V_gauge (gauge_value g)
+  | Counter c -> V_counter (Atomic.get c)
+  | Gauge g -> V_gauge (Atomic.get g)
   | Histogram h ->
     locked h.h_lock (fun () ->
         let bs = ref [] in
@@ -214,13 +155,40 @@ let view = function
           if h.counts.(i) > 0 then bs := (bucket_upper i, h.counts.(i)) :: !bs
         done;
         V_histogram
-          {
-            v_count = h.n;
-            v_sum = h.sum;
-            v_min = h.min_s;
-            v_max = h.max_s;
-            v_buckets = !bs;
-          })
+          { v_count = h.n; v_sum = h.sum; v_min = h.min_s; v_max = h.max_s; v_buckets = !bs })
+
+(* Quantiles interpolate nothing: the answer is always one of the two
+   exact extremes or a bucket's upper edge clamped into [min, max], so
+   the same samples always render the same bytes.
+
+   Edge behavior: q <= 0 is the recorded minimum, q >= 1 (and NaN,
+   conservatively) the recorded maximum. Only populated buckets are
+   listed, so the cumulative scan skips empty ones by construction. *)
+let view_quantile v q =
+  match v with
+  | V_counter _ | V_gauge _ -> None
+  | V_histogram v ->
+    if v.v_count = 0 then None
+    else if Float.is_nan q || q >= 1.0 then Some v.v_max
+    else if q <= 0.0 then Some v.v_min
+    else begin
+      let target = int_of_float (Float.round (q *. float_of_int (v.v_count - 1))) + 1 in
+      let target = min target v.v_count in
+      let rec scan seen = function
+        | [] -> Some v.v_max
+        | (upper, c) :: rest ->
+          let seen = seen + c in
+          if seen >= target then Some (Float.max v.v_min (Float.min upper v.v_max))
+          else scan seen rest
+      in
+      scan 0 v.v_buckets
+    end
+
+let quantile h q = view_quantile (view (Histogram h)) q
+
+let mean h =
+  locked h.h_lock (fun () ->
+      if h.n = 0 then None else Some (h.sum /. float_of_int h.n))
 
 let snapshot t =
   locked t.lock (fun () ->
@@ -228,14 +196,35 @@ let snapshot t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.map (fun (name, i) -> (name, view i))
 
+(* Deterministic µs rendering: integer microseconds, half away from
+   zero. [%.0f] would round half-to-even through the C library;
+   converting explicitly keeps the text stable across runtimes. *)
+let us_string s = Printf.sprintf "%.0f" (Float.round (s *. 1e6))
+
+let dump_views views =
+  let render (name, v) =
+    match v with
+    | V_counter c -> Printf.sprintf "%-32s %d" name c
+    | V_gauge g -> Printf.sprintf "%-32s %d (gauge)" name g
+    | V_histogram h when h.v_count = 0 -> Printf.sprintf "%-32s count=0" name
+    | V_histogram h as v ->
+      let q x = us_string (Option.get (view_quantile v x)) in
+      Printf.sprintf "%-32s count=%d mean=%sus p50=%sus p90=%sus max=%sus" name
+        h.v_count
+        (us_string (h.v_sum /. float_of_int h.v_count))
+        (q 0.5) (q 0.9) (us_string h.v_max)
+  in
+  String.concat "\n" (List.map render views)
+
+let dump t = dump_views (snapshot t)
+
 let reset t =
   let instruments =
     locked t.lock (fun () -> Hashtbl.fold (fun _ i acc -> i :: acc) t.tbl [])
   in
   List.iter
     (function
-      | Counter c -> locked c.c_lock (fun () -> c.c <- 0)
-      | Gauge g -> locked g.g_lock (fun () -> g.g <- 0)
+      | Counter c | Gauge c -> Atomic.set c 0
       | Histogram h ->
         locked h.h_lock (fun () ->
             Array.fill h.counts 0 buckets 0;

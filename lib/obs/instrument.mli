@@ -1,14 +1,12 @@
-(** A small counters/gauges/histograms registry.
+(** The metrics registry: counters, gauges and latency histograms.
 
-    Instruments are created (or looked up) by name in a registry; all
-    operations are thread-safe and cheap enough for hot paths. Latency
-    histograms bucket samples into powers of two of microseconds, so
-    percentile estimates are deterministic (no sampling) and domains can
-    record concurrently without coordination beyond the registry lock.
-
-    [dump] renders the whole registry as sorted text — the backing for
-    the server's [STATS] reply and `ivtool batch --stats`. This module
-    is re-exported unchanged as [Service.Metrics]. *)
+    Instruments are created (or looked up) by name under the registry
+    lock; all operations are thread-safe. Counters and gauges are
+    single atomics, so an update through a resolved handle takes no
+    lock. Latency histograms bucket samples into powers of two of
+    microseconds, so percentile estimates are deterministic (no
+    sampling). The service engine keeps all its accounting here; its
+    [STATS] reply renders one {!snapshot} through {!dump_views}. *)
 
 type t
 
@@ -82,11 +80,14 @@ type view =
 (** Every instrument's current value, sorted by name. *)
 val snapshot : t -> (string * view) list
 
-(** Render every instrument, sorted by name: counters as [name value],
-    gauges as [name value (gauge)], histograms as
-    [name count=… mean=… p50=… p90=… max=…]. Times are integer
+(** Render instrument copies, one line each in the given order:
+    counters as [name value], gauges as [name value (gauge)], histograms
+    as [name count=… mean=… p50=… p90=… max=…]. Times are integer
     microseconds, rounded half away from zero — byte-stable for the
     same recorded samples. *)
+val dump_views : (string * view) list -> string
+
+(** [dump t] = [dump_views (snapshot t)]. *)
 val dump : t -> string
 
 (** Forget every instrument's value (instruments stay registered). *)

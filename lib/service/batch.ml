@@ -23,9 +23,9 @@ let report ?pool engine ~artifacts item =
 
 let run ?timeout_s ?(passes = 1) ?pool ~domains ~engine ~artifacts items =
   let metrics = Engine.metrics engine in
-  let depth = Metrics.gauge metrics "pool.queue_depth" in
-  let items_counter = Metrics.counter metrics "batch.items" in
-  let passes_counter = Metrics.counter metrics "batch.passes" in
+  let depth = Obs.Instrument.gauge metrics "pool.queue_depth" in
+  let items_counter = Obs.Instrument.counter metrics "batch.items" in
+  let passes_counter = Obs.Instrument.counter metrics "batch.passes" in
   let arr = Array.of_list items in
   (* With a resident pool the spawn already happened; [domains] is
      advisory only (the pool's own size governs). Without one, a
@@ -44,8 +44,8 @@ let run ?timeout_s ?(passes = 1) ?pool ~domains ~engine ~artifacts items =
   in
   with_pool @@ fun pool ->
   let one_pass p =
-    Metrics.incr passes_counter;
-    Metrics.incr ~by:(Array.length arr) items_counter;
+    Obs.Instrument.incr passes_counter;
+    Obs.Instrument.incr ~by:(Array.length arr) items_counter;
     Obs.Trace.with_span ~cat:"batch"
       ~attrs:
         [ ("pass", Obs.Trace.Int p);
@@ -53,7 +53,7 @@ let run ?timeout_s ?(passes = 1) ?pool ~domains ~engine ~artifacts items =
           ("domains", Obs.Trace.Int (Pool.size pool)) ]
       "batch.pass"
       (fun () ->
-        Pool.run ?timeout_s ~queue_depth:(Metrics.set_gauge depth) ~metrics pool
+        Pool.run ?timeout_s ~queue_depth:(Obs.Instrument.set_gauge depth) ~metrics pool
           (fun item ->
             Obs.Trace.with_span ~cat:"batch"
               ~attrs:[ ("file", Obs.Trace.Str item.name) ]

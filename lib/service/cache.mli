@@ -4,7 +4,7 @@
     evicts the least-recently-used entry. Every operation is guarded by
     a mutex, so one cache instance may be shared by all the domains of a
     {!Pool}. Hit, miss, eviction and insertion counts are maintained for
-    {!Metrics} reporting. *)
+    the engine's STATS and METRICS reports. *)
 
 type ('k, 'v) t
 

@@ -10,6 +10,7 @@
    by any source that classifies the same way. *)
 
 module Pipeline = Analysis.Pipeline
+module Instrument = Obs.Instrument
 
 type options = { use_sccp : bool; check_iters : int; use_ranges : bool }
 
@@ -41,63 +42,73 @@ type entry =
   | E_part of Verify.Check.part
   | E_unit of Pipeline.unit_artifact
 
-type pass_counters = { p_hits : int Atomic.t; p_misses : int Atomic.t }
-
-(* Where a rendered artifact came from: the memory tier (a forced
-   pipeline or a promoted text entry), the disk store, or a fresh
-   computation. One triple per artifact kind — the per-kind hit-rate
-   line in STATS. *)
-type tier_counters = {
-  a_mem : int Atomic.t;
-  a_disk : int Atomic.t;
-  a_computed : int Atomic.t;
-}
-
 let all_artifacts = [ Classify; Deps; Trip; Check; Ranges ]
+
+(* The engine's accounting lives in its metrics registry, under the
+   names METRICS exports: [pass.hits{pass=…}] / [pass.misses{pass=…}]
+   per pipeline pass, and [artifact.served{artifact=…,tier=…}] per
+   artifact kind and the tier that served it — the memory tier (a
+   forced pipeline or a promoted text entry), the disk store, or a fresh
+   computation. *)
+let pass_metric kind pass =
+  Instrument.labeled ("pass." ^ kind) [ ("pass", Pipeline.name pass) ]
+
+type tier = Mem | Disk | Computed
+
+let tiers = [ (Mem, "mem"); (Disk, "disk"); (Computed, "computed") ]
+
+let served_metric a tier =
+  Instrument.labeled "artifact.served"
+    [ ("artifact", artifact_to_string a); ("tier", List.assq tier tiers) ]
 
 type t = {
   options : options;
   cache : (Digest.t, entry) Cache.t;
-  metrics : Metrics.t;
-  counters : (Pipeline.pass * pass_counters) list;
-  tiers : (artifact * tier_counters) list;
+  metrics : Instrument.t;
+  (* Handles into [metrics], resolved once by [create] (every pass and
+     tier up front, so zero rows export too): per pass its (hits,
+     misses) pair, per artifact kind one counter per tier. *)
+  passes : (Pipeline.pass * (Instrument.counter * Instrument.counter)) list;
+  served : (artifact * (tier * Instrument.counter) list) list;
   mutable store : Store.Disk.t option;
+  prov_lock : Mutex.t;
   (* (base key, pass) pairs whose artifact was served from the disk
      store in this process — the `store` owner tier of `ivtool
      passes`. *)
-  prov_lock : Mutex.t;
   store_served : (Digest.t * Pipeline.pass, unit) Hashtbl.t;
+  (* Render keys this process already knows the store holds: published
+     or served from it. *)
+  stored : (Digest.t, unit) Hashtbl.t;
 }
 
 let create ?(capacity = 256) ?(options = default_options) ?store () =
+  let metrics = Instrument.create () in
+  let counter name = Instrument.counter metrics name in
   {
     options;
     cache = Cache.create ~capacity ();
-    metrics = Metrics.create ();
-    counters =
+    metrics;
+    passes =
       List.map
-        (fun p -> (p, { p_hits = Atomic.make 0; p_misses = Atomic.make 0 }))
+        (fun p -> (p, (counter (pass_metric "hits" p), counter (pass_metric "misses" p))))
         Pipeline.all;
-    tiers =
+    served =
       List.map
-        (fun a ->
-          ( a,
-            {
-              a_mem = Atomic.make 0;
-              a_disk = Atomic.make 0;
-              a_computed = Atomic.make 0;
-            } ))
+        (fun a -> (a, List.map (fun (tier, _) -> (tier, counter (served_metric a tier))) tiers))
         all_artifacts;
     store;
     prov_lock = Mutex.create ();
     store_served = Hashtbl.create 16;
+    stored = Hashtbl.create 16;
   }
 
 let options t = t.options
 let metrics t = t.metrics
 let cache_stats t = Cache.stats t.cache
 let store t = t.store
-let set_store t s = t.store <- s
+let set_store t s =
+  t.store <- s;
+  Mutex.protect t.prov_lock (fun () -> Hashtbl.reset t.stored)
 
 (* -- keys: the source text is digested exactly once per request; every
    key below derives from that digest -- *)
@@ -137,18 +148,14 @@ let render_key t base artifact =
   | Deps -> Digest.feed_bool k t.options.use_ranges
   | Classify | Trip | Ranges -> k
 
-let tier_of t artifact = List.assoc artifact t.tiers
+let count_served t artifact tier =
+  Instrument.incr (List.assq tier (List.assq artifact t.served))
 
 let mark_store_served t base pass =
-  Mutex.lock t.prov_lock;
-  Hashtbl.replace t.store_served (base, pass) ();
-  Mutex.unlock t.prov_lock
+  Mutex.protect t.prov_lock (fun () -> Hashtbl.replace t.store_served (base, pass) ())
 
 let was_store_served t base pass =
-  Mutex.lock t.prov_lock;
-  let r = Hashtbl.mem t.store_served (base, pass) in
-  Mutex.unlock t.prov_lock;
-  r
+  Mutex.protect t.prov_lock (fun () -> Hashtbl.mem t.store_served (base, pass))
 
 (* Probe the disk tier under an [engine.store] span. Absent store =
    silent None, so every caller works unchanged without one. *)
@@ -163,10 +170,20 @@ let store_probe t tag key =
         "engine.store" probe
     else probe ()
 
+(* Record that the attached store holds the render key [key]; [false]
+   when it was recorded already. *)
+let mark_stored t key =
+  Mutex.protect t.prov_lock (fun () ->
+      let fresh = not (Hashtbl.mem t.stored key) in
+      if fresh then Hashtbl.replace t.stored key ();
+      fresh)
+
+(* Publish once per key per process: the bytes are a function of the
+   key, so a key already published or served from the store is there. *)
 let store_publish t tag key text =
   match t.store with
-  | None -> ()
-  | Some s -> Store.Disk.put s ~kind:tag key text
+  | Some s when mark_stored t key -> Store.Disk.put s ~kind:tag key text
+  | Some _ | None -> ()
 
 let pipeline_for t base src : Pipeline.t =
   match
@@ -181,7 +198,9 @@ let pipeline t src = pipeline_for t (base_key t src) src
 
 (* -- per-pass forcing with hit/miss accounting -- *)
 
-let counters_of t pass = List.assq pass t.counters
+let count_pass t pass ~hit =
+  let hits, misses = List.assq pass t.passes in
+  Instrument.incr (if hit then hits else misses)
 
 let phase_metric = function
   | Pipeline.Parse -> "phase.parse"
@@ -236,11 +255,9 @@ let classify_units ?pool t p : (Pipeline.unit_outcome list, string) result =
   with
   | Error e -> Error e
   | Ok outcomes ->
-    let c = counters_of t Pipeline.Unitclassify in
     List.iter
       (fun (o : Pipeline.unit_outcome) ->
-        if o.Pipeline.u_hit then Atomic.incr c.p_hits
-        else Atomic.incr c.p_misses;
+        count_pass t Pipeline.Unitclassify ~hit:o.Pipeline.u_hit;
         if Obs.Trace.enabled () then
           Obs.Trace.event ~cat:"engine"
             ~attrs:
@@ -254,13 +271,10 @@ let classify_units ?pool t p : (Pipeline.unit_outcome list, string) result =
 (* Classify, with its hit/miss accounting, returning the per-unit
    outcomes (empty when the pass was already forced). *)
 let classify_outcomes ?pool t p : (Pipeline.unit_outcome list, string) result =
-  let c = counters_of t Pipeline.Classify in
-  if Pipeline.forced p Pipeline.Classify then begin
-    Atomic.incr c.p_hits;
-    Ok []
-  end
+  let hit = Pipeline.forced p Pipeline.Classify in
+  count_pass t Pipeline.Classify ~hit;
+  if hit then Ok []
   else begin
-    Atomic.incr c.p_misses;
     Pool.tick ();
     Obs.Prof.time t.metrics
       (phase_metric Pipeline.Classify)
@@ -275,13 +289,10 @@ let ensure ?pool t p pass : (unit, string) result =
   match pass with
   | Pipeline.Classify -> Result.map ignore (classify_outcomes ?pool t p)
   | _ ->
-    let c = counters_of t pass in
-    if Pipeline.forced p pass then begin
-      Atomic.incr c.p_hits;
-      Ok ()
-    end
+    let hit = Pipeline.forced p pass in
+    count_pass t pass ~hit;
+    if hit then Ok ()
     else begin
-      Atomic.incr c.p_misses;
       Pool.tick ();
       Obs.Prof.time t.metrics (phase_metric pass) (fun () ->
           Pipeline.force p pass)
@@ -301,7 +312,7 @@ let trip_chain = classify_chain @ [ Pipeline.Trip ]
 let ranges_chain = classify_chain @ [ Pipeline.Ranges ]
 
 let analyze ?pool t src : (Analysis.Driver.t, string) result =
-  Metrics.incr (Metrics.counter t.metrics "requests.analyze");
+  Instrument.incr (Instrument.counter t.metrics "requests.analyze");
   let p = pipeline t src in
   match ensure_chain ?pool t p classify_chain with
   | Error e -> Error e
@@ -339,7 +350,6 @@ let deps_text ?pool t p : (string, string) result =
         | Some _, Some rd -> Digest.feed_string (deps_key cd) (Digest.to_hex rd)
         | _ -> deps_key cd
       in
-      let c = counters_of t Pipeline.Depgraph in
       let computed = ref false in
       let entry =
         Cache.find_or_add t.cache key (fun () ->
@@ -352,7 +362,7 @@ let deps_text ?pool t p : (string, string) result =
                   (if g = [] then "no dependences\n"
                    else Dependence.Dep_graph.to_string d g)))
       in
-      if !computed then Atomic.incr c.p_misses else Atomic.incr c.p_hits;
+      count_pass t Pipeline.Depgraph ~hit:(not !computed);
       (match entry with
        | E_text text ->
          Pipeline.note p Pipeline.Depgraph (Digest.of_strings [ text ]);
@@ -402,7 +412,6 @@ let verify_ranges_key t p =
 (* Force one verify pass through the part cache, with the same hit/miss
    accounting, timeout tick and phase timing as any other pass. *)
 let ensure_part t p pass key compute : Verify.Check.part =
-  let c = counters_of t pass in
   let computed = ref false in
   let entry =
     Cache.find_or_add t.cache key (fun () ->
@@ -410,7 +419,7 @@ let ensure_part t p pass key compute : Verify.Check.part =
         Pool.tick ();
         Obs.Prof.time t.metrics (phase_metric pass) (fun () -> E_part (compute ())))
   in
-  if !computed then Atomic.incr c.p_misses else Atomic.incr c.p_hits;
+  count_pass t pass ~hit:(not !computed);
   match entry with
   | E_part part ->
     Pipeline.note p pass (Digest.of_strings [ Verify.Check.part_to_text part ]);
@@ -481,7 +490,7 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
    `ivtool check` read it); the rendered artifact below serves batch and
    the CHECK verb. *)
 let check t src : (Verify.Check.report, string) result =
-  Metrics.incr (Metrics.counter t.metrics "requests.check");
+  Instrument.incr (Instrument.counter t.metrics "requests.check");
   let base = base_key t src in
   check_parts t base (pipeline_for t base src)
 
@@ -500,9 +509,8 @@ let final_pass = function
    the next process starts warm. *)
 let render ?pool t artifact src : (string, string) result =
   let tag = artifact_to_string artifact in
-  Metrics.incr (Metrics.counter t.metrics ("requests." ^ tag));
+  Instrument.incr (Instrument.counter t.metrics ("requests." ^ tag));
   let base = base_key t src in
-  let tier = tier_of t artifact in
   let rkey = render_key t base artifact in
   let cache_event hit tier_name =
     if Obs.Trace.enabled () then
@@ -524,7 +532,7 @@ let render ?pool t artifact src : (string, string) result =
   in
   match promoted with
   | Some text ->
-    Atomic.incr tier.a_mem;
+    count_served t artifact Mem;
     cache_event true "memory";
     Ok text
   | None -> (
@@ -549,19 +557,26 @@ let render ?pool t artifact src : (string, string) result =
     in
     if hit then begin
       (* The pipeline already holds every pass the artifact needs;
-         "compute" only re-renders it. *)
-      Atomic.incr tier.a_mem;
+         "compute" only re-renders it. Another artifact may have forced
+         that pass (deps forces ranges) without this rendering ever
+         reaching the store: publish it. *)
+      count_served t artifact Mem;
       cache_event true "memory";
-      compute ()
+      let result = compute () in
+      (match result with
+       | Ok text -> store_publish t tag rkey text
+       | Error _ -> ());
+      result
     end
     else
       match store_probe t tag rkey with
       | Some text ->
-        Atomic.incr tier.a_disk;
+        count_served t artifact Disk;
         (* Promote: the next request for this artifact is a memory hit
            even though no pipeline pass ever ran in this process. *)
         Cache.add t.cache rkey (E_text text);
         mark_store_served t base (final_pass artifact);
+        ignore (mark_stored t rkey);
         cache_event true "disk";
         Ok text
       | None ->
@@ -572,7 +587,7 @@ let render ?pool t artifact src : (string, string) result =
               ~attrs:[ ("artifact", Obs.Trace.Str tag) ]
               "engine.compute" compute
         in
-        Atomic.incr tier.a_computed;
+        count_served t artifact Computed;
         (match result with
          | Ok text -> store_publish t tag rkey text
          | Error _ -> ());
@@ -598,7 +613,7 @@ let classify_with_outcomes ?pool t src =
    NEW through it, and reports per unit whether its artifact was reused
    and why. *)
 let diff ?pool t old_src new_src : (string, string) result =
-  Metrics.incr (Metrics.counter t.metrics "requests.diff");
+  Instrument.incr (Instrument.counter t.metrics "requests.diff");
   (* Warm OLD through the unit layer directly (not [render]): a disk
      store could serve OLD's rendered report without ever populating
      the unit cache, and diff's whole point is unit-level reuse. *)
@@ -681,7 +696,7 @@ let diff ?pool t old_src new_src : (string, string) result =
    the unit layer and prepend a reuse summary to the classification
    report. *)
 let reanalyze ?pool t src : (string, string) result =
-  Metrics.incr (Metrics.counter t.metrics "requests.reanalyze");
+  Instrument.incr (Instrument.counter t.metrics "requests.reanalyze");
   match classify_with_outcomes ?pool t src with
   | Error e -> Error e
   | Ok (p, outcomes) -> (
@@ -734,78 +749,76 @@ let invalidate t src =
 let clear t =
   Cache.clear t.cache;
   Cache.reset_stats t.cache;
-  Metrics.reset t.metrics;
-  List.iter
-    (fun (_, c) ->
-      Atomic.set c.p_hits 0;
-      Atomic.set c.p_misses 0)
-    t.counters;
-  List.iter
-    (fun (_, c) ->
-      Atomic.set c.a_mem 0;
-      Atomic.set c.a_disk 0;
-      Atomic.set c.a_computed 0)
-    t.tiers;
-  Mutex.lock t.prov_lock;
-  Hashtbl.reset t.store_served;
-  Mutex.unlock t.prov_lock
+  Instrument.reset t.metrics;
+  Mutex.protect t.prov_lock (fun () ->
+      Hashtbl.reset t.store_served;
+      Hashtbl.reset t.stored)
 
 (* -- introspection -- *)
 
 let pass_stats t =
   List.map
-    (fun (p, c) -> (Pipeline.name p, Atomic.get c.p_hits, Atomic.get c.p_misses))
-    t.counters
+    (fun (p, (hits, misses)) ->
+      (Pipeline.name p, Instrument.count hits, Instrument.count misses))
+    t.passes
 
 let artifact_stats t =
   List.map
-    (fun (a, c) ->
-      (a, Atomic.get c.a_mem, Atomic.get c.a_disk, Atomic.get c.a_computed))
-    t.tiers
+    (fun (a, cs) ->
+      let n tier = Instrument.count (List.assq tier cs) in
+      (a, n Mem, n Disk, n Computed))
+    t.served
 
 let rate hits total =
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
+(* The engine owns the [pass.*] and [artifact.*] families: STATS renders
+   them as its own lines and dumps the rest of the registry after. *)
+let is_accounting (name, _) =
+  String.starts_with ~prefix:"pass." name || String.starts_with ~prefix:"artifact." name
+
 let stats_report t =
+  let accounting, rest = List.partition is_accounting (Instrument.snapshot t.metrics) in
+  let count name =
+    match List.assoc_opt name accounting with
+    | Some (Instrument.V_counter n) -> n
+    | _ -> 0
+  in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "cache: %s\n" (Cache.stats_to_string (cache_stats t)));
-  (match t.store with
-   | None -> ()
-   | Some s ->
-     Buffer.add_string buf
-       (Printf.sprintf "store: %s\n"
-          (Store.Disk.stats_to_string (Store.Disk.stats s))));
+  let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  line "cache: %s\n" (Cache.stats_to_string (cache_stats t));
+  Option.iter
+    (fun s -> line "store: %s\n" (Store.Disk.stats_to_string (Store.Disk.stats s)))
+    t.store;
   (* Per artifact kind: which tier served it, and the overall hit rate
      (memory + disk over everything) — the one line that proves a
      restart started warm. *)
   List.iter
-    (fun (a, mem, disk, computed) ->
+    (fun a ->
+      let n tier = count (served_metric a tier) in
+      let mem = n Mem and disk = n Disk and computed = n Computed in
       let total = mem + disk + computed in
       if total > 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "artifact.%s: mem=%d disk=%d computed=%d hit_rate=%.2f\n"
-             (artifact_to_string a) mem disk computed
-             (rate (mem + disk) total)))
-    (artifact_stats t);
+        line "artifact.%s: mem=%d disk=%d computed=%d hit_rate=%.2f\n"
+          (artifact_to_string a) mem disk computed
+          (rate (mem + disk) total))
+    all_artifacts;
   List.iter
-    (fun (name, h, m) ->
+    (fun p ->
+      let h = count (pass_metric "hits" p) and m = count (pass_metric "misses" p) in
       if h + m > 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "pass.%s: hits=%d misses=%d hit_rate=%.2f\n" name h m
-             (rate h (h + m))))
-    (pass_stats t);
-  Buffer.add_string buf (Metrics.dump t.metrics);
-  Buffer.add_string buf "\n";
+        line "pass.%s: hits=%d misses=%d hit_rate=%.2f\n" (Pipeline.name p) h m
+          (rate h (h + m)))
+    Pipeline.all;
+  line "%s\n" (Instrument.dump_views rest);
   Buffer.contents buf
 
-(* The Prometheus exposition of everything this engine knows: the
-   engine's own tier/pass accounting (atomics + cache/store structs,
-   which live outside the Instrument registry) rendered as Export_prom
-   rows, a current-process GC snapshot, and then the whole metrics
-   registry (phase timings + GC deltas, pool per-domain telemetry,
-   request counters). Backing for serve [METRICS] and `ivtool
-   metrics`. *)
+(* The Prometheus exposition of everything this engine knows: the cache
+   and store tiers (read through their own stats records), a
+   current-process GC snapshot, and then the whole metrics registry
+   (pass and tier accounting, phase timings + GC deltas, pool
+   per-domain telemetry, request counters). Backing for serve [METRICS]
+   and `ivtool metrics`. *)
 let prometheus_report t =
   let open Obs.Export_prom in
   let c = float_of_int in
@@ -839,28 +852,6 @@ let prometheus_report t =
         row "store.bytes" (Gauge (c bytes)) ~help:"payload bytes on disk";
       ]
   in
-  let pass_rows =
-    List.concat_map
-      (fun (name, hits, misses) ->
-        let labels = [ ("pass", name) ] in
-        [
-          row (Metrics.labeled "pass.hits" labels) (Counter (c hits));
-          row (Metrics.labeled "pass.misses" labels) (Counter (c misses));
-        ])
-      (pass_stats t)
-  in
-  let tier_rows =
-    List.concat_map
-      (fun (a, mem, disk, computed) ->
-        let kind = artifact_to_string a in
-        List.map
-          (fun (tier, v) ->
-            row
-              (Metrics.labeled "artifact.served" [ ("artifact", kind); ("tier", tier) ])
-              (Counter (c v)))
-          [ ("mem", mem); ("disk", disk); ("computed", computed) ])
-      (artifact_stats t)
-  in
   let gc = Obs.Prof.sample () in
   let gc_rows =
     [
@@ -873,9 +864,7 @@ let prometheus_report t =
       row "gc.process.heap_words" (Gauge (c gc.Obs.Prof.heap_words));
     ]
   in
-  render_rows
-    (cache_rows @ store_rows @ pass_rows @ tier_rows @ gc_rows
-    @ of_instruments t.metrics)
+  render_rows (cache_rows @ store_rows @ gc_rows @ of_instruments t.metrics)
 
 let passes_report t src =
   let base = base_key t src in

@@ -1,26 +1,29 @@
 (** The memoizing analysis engine.
 
-    An engine owns one {!Cache} and one {!Metrics} registry and serves
-    the repository's analyses over raw source text. Caching is
+    An engine owns one {!Cache} and one {!Obs.Instrument} registry and
+    serves the repository's analyses over raw source text. Caching is
     per-pass, not per-monolith: the source text is digested once per
     request, that digest names an {!Analysis.Pipeline} instance in the
     LRU, and each request forces exactly the pipeline passes its
-    artifact needs — a [trip] request never runs promotion or
-    dependence testing. Per-pass hit/miss counts are kept alongside the
-    entry-level cache statistics (see {!pass_stats}).
+    artifact needs — a [trip] request never runs range analysis or
+    dependence testing. The registry holds all of the engine's
+    accounting: [pass.hits/misses{pass=…}] and
+    [artifact.served{artifact=…,tier=…}] counters, registered at
+    {!create} (see {!pass_stats}, {!artifact_stats}).
 
     The dependence report — the one pass computed above [lib/analysis]
-    — is cached under a key derived from the promote pass's result
-    digest, so it is shared by any source (under any options) whose
-    promoted classification renders identically. Checked mode
-    ({!check}) works the same way: each verify part is cached under the
-    digests of the passes it actually reads.
+    — is cached under a key derived from the classify pass's result
+    digest (and the ranges digest when range sharpening is on), so it
+    is shared by any source (under any options) whose classification
+    renders identically. Checked mode ({!check}) works the same way:
+    each verify part is cached under the digests of the passes it
+    actually reads.
 
     Phase timings ([phase.parse], [phase.ssa], [phase.classify],
-    [phase.deps], …) are recorded in the metrics registry on the miss
-    path, and {!Pool.tick} is called between passes so pooled tasks
-    honor cooperative timeouts. One engine may be shared by all domains
-    of a {!Pool}. *)
+    [phase.deps], …) are recorded in the registry on the miss path, and
+    {!Pool.tick} is called between passes so pooled tasks honor
+    cooperative timeouts. One engine may be shared by all domains of a
+    {!Pool}. *)
 
 type options = {
   use_sccp : bool;
@@ -54,7 +57,7 @@ val create :
   ?capacity:int -> ?options:options -> ?store:Store.Disk.t -> unit -> t
 
 val options : t -> options
-val metrics : t -> Metrics.t
+val metrics : t -> Obs.Instrument.t
 val cache_stats : t -> Cache.stats
 
 (** The attached disk store, if any. *)
@@ -122,8 +125,8 @@ val check : t -> string -> (Verify.Check.report, string) result
     many entries were removed. *)
 val invalidate : t -> string -> int
 
-(** Drop every cache entry, reset cache statistics, metrics, and the
-    per-pass counters. *)
+(** Drop every cache entry and reset the cache statistics and every
+    instrument of the registry (the accounting counters included). *)
 val clear : t -> unit
 
 (** [(pass, hits, misses)] per pipeline pass, in topological order.
@@ -137,17 +140,17 @@ val pass_stats : t -> (string * int * int) list
     computed. All zeros until the first render. *)
 val artifact_stats : t -> (artifact * int * int * int) list
 
-(** Cache statistics, the store line (when a store is attached),
-    per-artifact tier counters with hit rates, per-pass hit/miss lines
-    with hit rates, and the metrics dump, as text — the [STATS]
-    payload. *)
+(** Cache statistics, the store line (when a store is attached), and
+    then from one registry snapshot: the nonzero per-artifact tier
+    lines and per-pass hit/miss lines with hit rates, followed by the
+    dump of every other instrument — the [STATS] payload. *)
 val stats_report : t -> string
 
 (** Prometheus text-format (0.0.4) exposition of everything the engine
-    knows: cache/store tiers, per-pass hit/miss counters
-    ([iv_pass_hits_total{pass="…"}]), per-artifact tier counters, a
-    current-process GC snapshot, and the whole metrics registry (phase
-    wall/GC, pool per-domain telemetry). Backs serve [METRICS] and
+    knows: cache/store tiers, a current-process GC snapshot, and the
+    whole registry — per-pass hit/miss counters
+    ([iv_pass_hits_total{pass="…"}]), per-artifact tier counters, phase
+    wall/GC, pool per-domain telemetry. Backs serve [METRICS] and
     `ivtool metrics`. *)
 val prometheus_report : t -> string
 

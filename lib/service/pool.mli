@@ -64,7 +64,7 @@ val size : pool -> int
 
     [queue_depth], when given, is called with the number of unclaimed
     scheduler nodes each time a worker dequeues — feed it a
-    {!Metrics.gauge}. [metrics] (default: the pool's registry) receives
+    {!Obs.Instrument.gauge}. [metrics] (default: the pool's registry) receives
     per-domain scheduler telemetry: [pool.tasks{domain=N}],
     [pool.steals{domain=N}] and [pool.parks{domain=N}] counters,
     [pool.task_latency{domain=N}] / [pool.queue_wait{domain=N}]

@@ -141,12 +141,12 @@ let reply_to_string = function
   | Bye -> "BYE\n"
 
 let run ?pool engine ic oc =
-  let requests = Metrics.counter (Engine.metrics engine) "server.requests" in
+  let requests = Obs.Instrument.counter (Engine.metrics engine) "server.requests" in
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> output_string oc (reply_to_string Bye)
     | line ->
-      Metrics.incr requests;
+      Obs.Instrument.incr requests;
       let verb, _ = split_command (String.trim line) in
       let reply =
         try

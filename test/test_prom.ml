@@ -76,6 +76,20 @@ let test_bucket_boundaries () =
       (List.fold_left (fun a (_, c) -> a + c) 0 v_buckets)
   | _ -> Alcotest.fail "no snapshot view for edges"
 
+(* --- lock-free counters --- *)
+
+let test_concurrent_incr () =
+  let m = I.create () in
+  let c = I.counter m "hits" in
+  let per_domain = 100_000 in
+  List.init 4 (fun _ ->
+      Domain.spawn (fun () ->
+          for _ = 1 to per_domain do
+            I.incr c
+          done))
+  |> List.iter Domain.join;
+  Alcotest.(check int) "4 domains sum exactly" (4 * per_domain) (I.count c)
+
 (* --- Instrument.labeled --- *)
 
 let test_labeled_names () =
@@ -389,4 +403,5 @@ let suite =
       Helpers.case "bench-diff shape notes" test_bench_diff_shape_notes;
       Helpers.case "pool per-domain telemetry" test_pool_telemetry;
       Helpers.case "engine prometheus report" test_engine_prometheus_report;
+      Helpers.case "concurrent increments" test_concurrent_incr;
     ] )

@@ -121,6 +121,69 @@ let test_run_loop_over_channels () =
             (not (Helpers.contains replies "after-quit"));
           Alcotest.(check bool) "says BYE" true (Helpers.contains replies "BYE\n")))
 
+(* STATS and METRICS render one registry: after every request, each
+   accounting line of STATS must equal its Prometheus sample, and every
+   nonzero accounting sample must have its STATS line. *)
+let accounting_of_stats stats =
+  List.concat_map
+    (fun line ->
+      let pass () =
+        Scanf.sscanf line "pass.%[^:]: hits=%d misses=%d" (fun p h m ->
+            [ (Printf.sprintf "iv_pass_hits_total{pass=\"%s\"}" p, h);
+              (Printf.sprintf "iv_pass_misses_total{pass=\"%s\"}" p, m) ])
+      and artifact () =
+        Scanf.sscanf line "artifact.%[^:]: mem=%d disk=%d computed=%d" (fun a m d c ->
+            List.map
+              (fun (tier, v) ->
+                ( Printf.sprintf "iv_artifact_served_total{artifact=\"%s\",tier=\"%s\"}"
+                    a tier,
+                  v ))
+              [ ("mem", m); ("disk", d); ("computed", c) ])
+      in
+      if String.starts_with ~prefix:"pass." line then pass ()
+      else if String.starts_with ~prefix:"artifact." line then artifact ()
+      else [])
+    (String.split_on_char '\n' stats)
+  |> List.filter (fun (_, v) -> v <> 0)
+  |> List.sort compare
+
+let accounting_of_metrics text =
+  List.filter_map
+    (fun line ->
+      if
+        String.starts_with ~prefix:"iv_pass_" line
+        || String.starts_with ~prefix:"iv_artifact_served_total" line
+      then
+        match String.rindex_opt line ' ' with
+        | Some i ->
+          let v = int_of_string (String.sub line (i + 1) (String.length line - i - 1)) in
+          if v = 0 then None else Some (String.sub line 0 i, v)
+        | None -> None
+      else None)
+    (String.split_on_char '\n' text)
+  |> List.sort compare
+
+let test_stats_metrics_agree () =
+  with_temp_program fig1 (fun path ->
+      let e = Engine.create () in
+      let agree step =
+        let stats = accounting_of_stats (payload (Server.handle e "STATS")) in
+        let metrics = accounting_of_metrics (payload (Server.handle e "METRICS")) in
+        Alcotest.(check (list (pair string int))) ("after " ^ step) metrics stats;
+        stats
+      in
+      List.iter
+        (fun verb ->
+          let request = if verb = "RESET" then verb else verb ^ " " ^ path in
+          ignore (payload (Server.handle e request));
+          let rows = agree request in
+          if verb = "RESET" then
+            Alcotest.(check int) "no accounting row after RESET" 0 (List.length rows)
+          else
+            Alcotest.(check bool) ("accounting rows after " ^ verb) true (rows <> []))
+        [ "CLASSIFY"; "DEPS"; "RANGES"; "CHECK"; "CLASSIFY"; "RESET"; "TRIP"; "DEPS";
+          "CLASSIFY" ])
+
 let suite =
   ( "service-server",
     [
@@ -130,4 +193,5 @@ let suite =
       Helpers.case "error replies and quit" test_errors_and_quit;
       Helpers.case "reply framing" test_reply_framing;
       Helpers.case "run loop over channels" test_run_loop_over_channels;
+      Helpers.case "STATS and METRICS agree" test_stats_metrics_agree;
     ] )

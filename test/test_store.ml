@@ -285,6 +285,27 @@ let test_engine_two_tiers () =
         [ "store: hits=1"; "artifact.classify: mem=1 disk=1 computed=0";
           "hit_rate=1.00" ])
 
+(* Deps forces the ranges pass, so a later ranges request is a memory
+   hit that never computes: it must still reach the store, once. *)
+let test_engine_publishes_memory_renders () =
+  with_store_dir (fun dir ->
+      let s1 = open_exn dir in
+      let e1 = Engine.create ~store:s1 () in
+      List.iter (fun a -> ignore (render_exn e1 a fig1)) Engine.[ Classify; Deps; Ranges ];
+      Alcotest.(check (triple int int int)) "ranges from memory" (1, 0, 0)
+        (artifact_counts e1 Engine.Ranges);
+      Alcotest.(check int) "three puts" 3 (Disk.stats s1).Disk.puts;
+      List.iter (fun a -> ignore (render_exn e1 a fig1)) Engine.[ Classify; Ranges ];
+      Alcotest.(check int) "published once per key" 3 (Disk.stats s1).Disk.puts;
+      let e2 = Engine.create ~store:(open_exn dir) () in
+      ignore (render_exn e2 Engine.Ranges fig1);
+      Alcotest.(check (triple int int int)) "fresh engine: ranges from disk" (0, 1, 0)
+        (artifact_counts e2 Engine.Ranges);
+      List.iter
+        (fun (name, hits, misses) ->
+          Alcotest.(check int) (name ^ " never ran") 0 (hits + misses))
+        (Engine.pass_stats e2))
+
 let test_engine_store_owner_column () =
   with_store_dir (fun dir ->
       let e1 = Engine.create ~store:(open_exn dir) () in
@@ -434,4 +455,6 @@ let suite =
       Alcotest.test_case "store-less engine unchanged" `Quick
         test_engine_without_store_unchanged;
       Alcotest.test_case "serve PERSIST" `Quick test_server_persist;
+      Alcotest.test_case "memory renders published" `Quick
+        test_engine_publishes_memory_renders;
     ] )

@@ -149,7 +149,7 @@ let test_json_parser_rejects () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "record without name/ts accepted"
 
-(* --- instrument quantile edges (Service.Metrics = Obs.Instrument) --- *)
+(* --- instrument quantile edges --- *)
 
 let test_quantile_edges () =
   let m = Obs.Instrument.create () in

@@ -119,6 +119,31 @@ let test_corpus_checks_clean () =
   Alcotest.(check bool) "ranges checked something across the corpus" true
     (!range_checks > 0)
 
+(* Code after an infinite loop is unreachable, so SSA renaming never
+   visits it; its loads must still be resolved, or every operand naming
+   one reads as a missing instruction (CFG003). *)
+let test_unreachable_tail_checks_clean () =
+  let dir = Filename.concat (Filename.dirname corpus_dir) "incremental" in
+  List.iter
+    (fun f ->
+      let src = read_file (Filename.concat dir f) in
+      (match Check.run ~iters:40 src with
+       | Error e -> Alcotest.failf "%s: %s" f e
+       | Ok report ->
+         Alcotest.(check int) (f ^ ": errors") 0 (Check.errors report);
+         Alcotest.(check int) (f ^ ": warnings") 0 (Check.warnings report));
+      let ssa = Ir.Ssa.of_program (Ir.Parser.parse src) in
+      (match Inject.apply Inject.Dangling_def ssa with
+       | Ok _ -> ()
+       | Error e -> Alcotest.failf "%s: injection not applicable: %s" f e);
+      let codes = List.map (fun (d : Diag.t) -> d.Diag.code) (Structural.check_ir ssa) in
+      List.iter
+        (fun code ->
+          Alcotest.(check bool) (f ^ ": dangling-def reports " ^ code) true
+            (List.mem code codes))
+        [ "CFG003"; "SSA005" ])
+    [ "unreachable_tail_old.iv"; "unreachable_tail_new.iv" ]
+
 let test_oracle_depth () =
   (* The acceptance bar: closed forms hold for at least 64 iterations.
      oracle_stress.iv runs its outer loop 120 times, so the oracle must
@@ -262,4 +287,6 @@ let suite =
       Helpers.case "broken IR is caught before interpretation"
         test_broken_ir_skips_oracle;
       Helpers.case "CHECK serve verb" test_check_verb;
+      Helpers.case "unreachable tail checks clean"
+        test_unreachable_tail_checks_clean;
     ] )
