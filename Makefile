@@ -1,5 +1,5 @@
-.PHONY: build test check bench bench-smoke bench-b1 bench-b2 bench-b4 \
-	bench-gate metrics-demo trace-demo clean
+.PHONY: build test check bench bench-smoke bench-gate metrics-demo \
+	trace-demo clean
 
 build:
 	dune build
@@ -17,38 +17,23 @@ check: build
 bench:
 	dune exec bench/main.exe
 
-# One fast pass over the service batch and unit paths (B1 + B2 + B4).
+# The three counter experiments (B1 batch reuse, B2 incremental
+# reuse, B4 range precision), writing BENCH_service.json,
+# BENCH_incremental.json and BENCH_ranges.json.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
 
-# Full-scale batch-throughput experiment (B1 only; writes
-# BENCH_service.json including the disk-warm persistent-store rows —
-# see docs/STORE.md).
-bench-b1:
-	dune exec bench/main.exe -- --b1
-
-# Full-scale incremental re-analysis experiment (B2 only; writes
-# BENCH_incremental.json — see docs/INCREMENTAL.md).
-bench-b2:
-	dune exec bench/main.exe -- --b2
-
-# Range-precision experiment (B4 only; writes BENCH_ranges.json — see
-# docs/RANGES.md).
-bench-b4:
-	dune exec bench/main.exe -- --b4
-
-# The perf gate CI runs: smoke bench, then diff each experiment against
-# its checked-in baseline. B1/B2 carry timings, so their threshold is
-# generous (runners differ; tighten it when comparing two runs from the
-# same machine). B4 is deterministic precision counting — any drop in
-# pairs_proven_independent / checks_eliminated fails the tight gate.
+# The bench gate CI runs: each experiment against its checked-in
+# baseline. Every field is a deterministic counter, so a move of more
+# than 1% either way fails; a change that moves one on purpose
+# regenerates the baseline in the same diff.
 bench-gate: bench-smoke
 	dune exec bin/ivtool.exe -- bench-diff \
-	  bench/BASELINE_b1_smoke.json BENCH_service.json --threshold 900
+	  bench/BASELINE_b1_smoke.json BENCH_service.json
 	dune exec bin/ivtool.exe -- bench-diff \
-	  bench/BASELINE_b2_smoke.json BENCH_incremental.json --threshold 900
+	  bench/BASELINE_b2_smoke.json BENCH_incremental.json
 	dune exec bin/ivtool.exe -- bench-diff \
-	  bench/BASELINE_b4_smoke.json BENCH_ranges.json --threshold 1
+	  bench/BASELINE_b4_smoke.json BENCH_ranges.json
 
 # The metrics tour (docs/OBSERVABILITY.md, "Metrics & profiling"):
 # Prometheus exposition of a pooled batch, and a profiled classify.

@@ -436,56 +436,26 @@ let run_benchmarks () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Experiment B1: service batch throughput                              *)
+(* Experiment B1: service batch reuse                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Batch-analyze a synthetic corpus through lib/service: 1 domain vs N
-   domains; cold cache vs disk-warm (a fresh engine over a populated
-   persistent store — the restarted-server shape, see docs/STORE.md)
-   vs memory-warm cache. Wall-clock times (monotonic
-   enough at these durations: Unix.gettimeofday), plus the engine's own
-   cache counters. Results go to stdout as a table and to
-   BENCH_service.json for machine consumption. *)
+(* Batch-analyze a generated corpus through lib/service at one domain,
+   three ways: cold (fresh engine), disk (a fresh engine over a
+   populated persistent store — the restarted-server shape, see
+   docs/STORE.md) and warm (the cold engine again). Each row holds only
+   deterministic counters — cache and store traffic, the engine's pass
+   misses and the minor words allocated per file — so `make bench-gate`
+   can hold them to 1%. Wall-clock comparison lives in perfbench. The
+   run fails outright when the warm pass misses the cache or the disk
+   pass misses the store: that is a broken experiment, not a
+   measurement. *)
 
 (* The corpus is drawn from the seeded generator (Corpus.Gen — the
-   same engine as `ivtool gen` and the property tests), so its size is
-   a knob: the smoke gate uses a few dozen programs, the full
-   experiment ~10k, and any two runs at the same size see identical
-   programs. *)
+   same engine as `ivtool gen` and the property tests), so every run
+   sees identical programs. *)
 let b1_seed = 1992
-
-let b1_corpus n =
-  List.map
-    (fun (name, source) -> { Service.Batch.name; source })
-    (Corpus.Gen.corpus ~seed:b1_seed ~count:n ())
-
-type b1_run = {
-  domains : int;
-  cache : string; (* "cold" | "disk" | "warm" *)
-  pool : bool; (* resident worker pool vs spawn-per-pass *)
-  seconds : float;
-  files_per_sec : float;
-  hits : int;
-  misses : int;
-  store_hits : int; (* disk-tier traffic; zero without a store *)
-  store_misses : int;
-}
-
+let b1_files = 32
 let b1_artifacts = [ Service.Engine.Classify; Service.Engine.Deps; Service.Engine.Trip ]
-
-let b1_time_pass ?pool ~domains ~engine items =
-  let t0 = Unix.gettimeofday () in
-  let results =
-    Service.Batch.run ?pool ~domains ~engine ~artifacts:b1_artifacts items
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  List.iter
-    (fun ((item : Service.Batch.item), r) ->
-      match r with
-      | Ok _ -> ()
-      | Error msg -> failwith (Printf.sprintf "B1: %s failed: %s" item.name msg))
-    results;
-  dt
 
 let rec b1_rm_rf path =
   if Sys.is_directory path then begin
@@ -499,306 +469,115 @@ let b1_open_store root =
   | Ok s -> s
   | Error msg -> failwith ("B1: " ^ msg)
 
-let b1_runs ~corpus_size ~reps ~domain_counts =
-  let items = b1_corpus corpus_size in
-  let n = float_of_int corpus_size in
-  (* One persistent store, populated outside every timed region: the
-     disk-warm rows measure a *restarted process* (fresh engine, empty
-     memory cache) against it — the serve-fleet sharing shape. *)
+let b1_counters engine =
+  let c = Service.Engine.cache_stats engine in
+  let s = Option.map Store.Disk.stats (Service.Engine.store engine) in
+  [
+    ("cache_hits", c.Service.Cache.hits);
+    ("cache_misses", c.Service.Cache.misses);
+    ("store_hits", Option.fold ~none:0 ~some:(fun s -> s.Store.Disk.hits) s);
+    ("store_misses", Option.fold ~none:0 ~some:(fun s -> s.Store.Disk.misses) s);
+    ( "passes_run",
+      List.fold_left (fun acc (_, _, m) -> acc + m) 0
+        (Service.Engine.pass_stats engine) );
+  ]
+
+(* One pass over [items]: the engine's counters as deltas across it,
+   and the minor words it allocated per file. At one domain the pass
+   runs inline, so this domain's [Gc.minor_words] sees every word. *)
+let b1_pass engine items =
+  let before = b1_counters engine in
+  let w0 = Gc.minor_words () in
+  let results =
+    Service.Batch.run ~domains:1 ~engine ~artifacts:b1_artifacts items
+  in
+  let words = Gc.minor_words () -. w0 in
+  List.iter
+    (fun ((item : Service.Batch.item), r) ->
+      match r with
+      | Ok _ -> ()
+      | Error msg -> failwith (Printf.sprintf "B1: %s failed: %s" item.name msg))
+    results;
+  List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (b1_counters engine)
+  @ [ ("minor_words_per_file", int_of_float (words /. float_of_int b1_files)) ]
+
+let b1_rows () =
+  let items =
+    List.map
+      (fun (name, source) -> { Service.Batch.name; source })
+      (Corpus.Gen.corpus ~seed:b1_seed ~count:b1_files ())
+  in
   let store_root = Filename.temp_file "ivbench_store" "" in
   Sys.remove store_root;
-  let populate () =
-    let engine =
-      Service.Engine.create ~capacity:4096 ~store:(b1_open_store store_root) ()
-    in
-    ignore (Service.Batch.run ~domains:1 ~engine ~artifacts:b1_artifacts items)
-  in
-  let measure ~domains ~use_pool =
-    (* Best-of-[reps], with a fresh engine per cold rep so the cold
-       measurement never sees a warm cache. With [use_pool] the workers
-       are spawned once, outside the timed region — the resident-pool
-       deployment shape. *)
-    let best f =
-      List.fold_left (fun acc _ -> Float.min acc (f ())) infinity
-        (List.init reps Fun.id)
-    in
-    let pool =
-      if use_pool then Some (Service.Pool.create ~domains ()) else None
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Service.Pool.shutdown pool)
-      (fun () ->
-        let last_engine = ref (Service.Engine.create ~capacity:4096 ()) in
-        let cold =
-          best (fun () ->
-              last_engine := Service.Engine.create ~capacity:4096 ();
-              b1_time_pass ?pool ~domains ~engine:!last_engine items)
-        in
-        let cold_stats = Service.Engine.cache_stats !last_engine in
-        let disk =
-          best (fun () ->
-              last_engine :=
-                Service.Engine.create ~capacity:4096
-                  ~store:(b1_open_store store_root) ();
-              b1_time_pass ?pool ~domains ~engine:!last_engine items)
-        in
-        let disk_store =
-          match Service.Engine.store !last_engine with
-          | Some s -> Store.Disk.stats s
-          | None -> assert false
-        in
-        let disk_stats = Service.Engine.cache_stats !last_engine in
-        let warm_base = Service.Engine.create ~capacity:4096 () in
-        ignore (b1_time_pass ?pool ~domains ~engine:warm_base items);
-        let warm_cold_stats = Service.Engine.cache_stats warm_base in
-        let warm =
-          best (fun () -> b1_time_pass ?pool ~domains ~engine:warm_base items)
-        in
-        let warm_stats = Service.Engine.cache_stats warm_base in
-        [
-          {
-            domains;
-            cache = "cold";
-            pool = use_pool;
-            seconds = cold;
-            files_per_sec = n /. cold;
-            hits = cold_stats.Service.Cache.hits;
-            misses = cold_stats.Service.Cache.misses;
-            store_hits = 0;
-            store_misses = 0;
-          };
-          {
-            domains;
-            cache = "disk";
-            pool = use_pool;
-            seconds = disk;
-            files_per_sec = n /. disk;
-            hits = disk_stats.Service.Cache.hits;
-            misses = disk_stats.Service.Cache.misses;
-            store_hits = disk_store.Store.Disk.hits;
-            store_misses = disk_store.Store.Disk.misses;
-          };
-          {
-            domains;
-            cache = "warm";
-            pool = use_pool;
-            seconds = warm;
-            files_per_sec = n /. warm;
-            hits = warm_stats.Service.Cache.hits - warm_cold_stats.Service.Cache.hits;
-            misses =
-              warm_stats.Service.Cache.misses - warm_cold_stats.Service.Cache.misses;
-            store_hits = 0;
-            store_misses = 0;
-          };
-        ])
-  in
   Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists store_root then b1_rm_rf store_root)
+    ~finally:(fun () -> if Sys.file_exists store_root then b1_rm_rf store_root)
     (fun () ->
-      populate ();
-      List.concat_map
-        (fun domains ->
-          measure ~domains ~use_pool:false
-          @ (if domains > 1 then measure ~domains ~use_pool:true else []))
-        domain_counts)
-
-(* --- per-phase breakdown (lib/obs tracing) ---
-
-   One traced pass per (domains, cache) cell: where does the wall clock
-   go? [spawn] is Domain.spawn cost paid by the coordinating domain,
-   [join] the straggler wait after the coordinator's own worker loop
-   drained, [task] the summed in-worker task time, [queue] the summed
-   claim-to-start wait, [compute] the summed cold pipeline time inside
-   cache misses. *)
-
-type b1_phases = {
-  p_domains : int;
-  p_cache : string;
-  p_pool : bool;
-  wall_us : float;
-  spawn_us : float;
-  join_us : float;
-  task_us : float;
-  queue_us : float;
-  compute_us : float;
-  (* GC work inside the workers, summed from the pool.task span
-     attributes ([Obs.Prof] deltas — minor words are exact per domain;
-     see lib/obs/prof.ml). *)
-  gc_minor_words : int;
-  gc_promoted_words : int;
-  gc_minor_gcs : int;
-  gc_major_gcs : int;
-}
-
-let b1_phase_breakdown ?pool ~domains ~engine ~cache items =
-  let (), t =
-    Obs.Trace.collect (fun () ->
-        ignore
-          (Service.Batch.run ?pool ~domains ~engine ~artifacts:b1_artifacts items))
-  in
-  let spans = Obs.Trace.spans t in
-  let dur (s : Obs.Trace.span) =
-    Obs.Clock.ns_to_us (Int64.sub s.Obs.Trace.stop_ns s.Obs.Trace.start_ns)
-  in
-  let sum name =
-    List.fold_left
-      (fun acc (s : Obs.Trace.span) ->
-        if s.Obs.Trace.name = name then acc +. dur s else acc)
-      0.0 spans
-  in
-  let queue_us =
-    List.fold_left
-      (fun acc (s : Obs.Trace.span) ->
-        if s.Obs.Trace.name = "pool.task" then
-          match List.assoc_opt "queue_wait_us" s.Obs.Trace.attrs with
-          | Some (Obs.Trace.Float f) -> acc +. f
-          | _ -> acc
-        else acc)
-      0.0 spans
-  in
-  let task_gc field =
-    List.fold_left
-      (fun acc (s : Obs.Trace.span) ->
-        if s.Obs.Trace.name = "pool.task" then
-          match List.assoc_opt field s.Obs.Trace.attrs with
-          | Some (Obs.Trace.Int v) -> acc + v
-          | _ -> acc
-        else acc)
-      0 spans
-  in
-  {
-    p_domains = domains;
-    p_cache = cache;
-    p_pool = pool <> None;
-    wall_us = sum "batch.pass";
-    spawn_us = sum "pool.spawn";
-    join_us = sum "pool.join";
-    task_us = sum "pool.task";
-    queue_us;
-    compute_us = sum "engine.compute";
-    gc_minor_words = task_gc "minor_words";
-    gc_promoted_words = task_gc "promoted_words";
-    gc_minor_gcs = task_gc "minor_gcs";
-    gc_major_gcs = task_gc "major_gcs";
-  }
-
-let b1_phase_runs ~domain_counts items =
-  List.concat_map
-    (fun domains ->
-      let engine = Service.Engine.create ~capacity:4096 () in
-      let cold = b1_phase_breakdown ~domains ~engine ~cache:"cold" items in
-      let warm = b1_phase_breakdown ~domains ~engine ~cache:"warm" items in
-      let pooled =
-        if domains <= 1 then []
-        else begin
-          (* Workers spawned outside the collected region: the spawn and
-             join spans vanish from the pooled breakdown by design. *)
-          let pool = Service.Pool.create ~domains () in
-          Fun.protect
-            ~finally:(fun () -> Service.Pool.shutdown pool)
-            (fun () ->
-              let engine = Service.Engine.create ~capacity:4096 () in
-              let pcold =
-                b1_phase_breakdown ~pool ~domains ~engine ~cache:"cold" items
-              in
-              let pwarm =
-                b1_phase_breakdown ~pool ~domains ~engine ~cache:"warm" items
-              in
-              [ pcold; pwarm ])
-        end
+      let populate =
+        Service.Engine.create ~capacity:4096 ~store:(b1_open_store store_root) ()
       in
-      (cold :: warm :: pooled))
-    domain_counts
+      ignore (Service.Batch.run ~domains:1 ~engine:populate ~artifacts:b1_artifacts items);
+      let engine = Service.Engine.create ~capacity:4096 () in
+      let cold = b1_pass engine items in
+      let disk =
+        b1_pass
+          (Service.Engine.create ~capacity:4096 ~store:(b1_open_store store_root) ())
+          items
+      in
+      let warm = b1_pass engine items in
+      if List.assoc "cache_misses" warm > 0 then
+        failwith "B1: the warm pass missed the memory cache";
+      if List.assoc "store_misses" disk > 0 then
+        failwith "B1: the disk pass missed the store";
+      [ ("cold", cold); ("disk", disk); ("warm", warm) ])
 
-let b1_json ~corpus_size runs phases =
-  let run_json r =
-    Printf.sprintf
-      "    {\"domains\": %d, \"cache\": \"%s\", \"pool\": %b, \"seconds\": %.6f, \"files_per_sec\": %.1f, \"cache_hits\": %d, \"cache_misses\": %d, \"store_hits\": %d, \"store_misses\": %d}"
-      r.domains r.cache r.pool r.seconds r.files_per_sec r.hits r.misses
-      r.store_hits r.store_misses
-  in
-  let phase_json p =
-    Printf.sprintf
-      "    {\"domains\": %d, \"cache\": \"%s\", \"pool\": %b, \"wall_us\": %.1f, \"spawn_us\": %.1f, \"join_us\": %.1f, \"task_us\": %.1f, \"queue_wait_us\": %.1f, \"compute_us\": %.1f, \"gc_minor_words\": %d, \"gc_promoted_words\": %d, \"gc_minor_gcs\": %d, \"gc_major_gcs\": %d}"
-      p.p_domains p.p_cache p.p_pool p.wall_us p.spawn_us p.join_us p.task_us
-      p.queue_us p.compute_us p.gc_minor_words p.gc_promoted_words
-      p.gc_minor_gcs p.gc_major_gcs
-  in
-  String.concat "\n"
+let write_json file lines =
+  let oc = open_out file in
+  output_string oc (String.concat "\n" lines ^ "\n");
+  close_out oc;
+  Printf.printf "   wrote %s\n" file
+
+let experiment_b1 () =
+  print_endline "== Experiment B1: service batch reuse (lib/service) ==";
+  let rows = b1_rows () in
+  Printf.printf "   corpus: %d generated programs x %d artifacts, 1 domain\n"
+    b1_files (List.length b1_artifacts);
+  List.iter
+    (fun (cache, fields) ->
+      Printf.printf "  %-4s %s\n" cache
+        (String.concat " "
+           (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) fields)))
+    rows;
+  write_json "BENCH_service.json"
     [
       "{";
       "  \"experiment\": \"B1\",";
-      "  \"description\": \"service batch throughput: 1 vs N domains; cold vs disk-warm (persistent store, fresh process) vs memory-warm cache\",";
-      Printf.sprintf "  \"corpus_files\": %d," corpus_size;
+      "  \"description\": \"service batch reuse at 1 domain: cold vs disk-warm (persistent store, fresh engine) vs memory-warm cache\",";
+      Printf.sprintf "  \"corpus_files\": %d," b1_files;
       "  \"artifacts\": [\"classify\", \"deps\", \"trip\"],";
       "  \"runs\": [";
-      String.concat ",\n" (List.map run_json runs);
-      "  ],";
-      "  \"phases\": [";
-      String.concat ",\n" (List.map phase_json phases);
+      String.concat ",\n"
+        (List.map
+           (fun (cache, fields) ->
+             Printf.sprintf "    {\"cache\": \"%s\", %s}" cache
+               (String.concat ", "
+                  (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) fields)))
+           rows);
       "  ]";
       "}";
-      "";
-    ]
-
-let experiment_b1 ~smoke () =
-  print_endline "== Experiment B1: service batch throughput (lib/service) ==";
-  (* Full mode runs the ~10k-program generated corpus: large enough
-     that files/sec trends (and the scheduler's scaling) are visible
-     above noise with a single rep. *)
-  let corpus_size = if smoke then 32 else 10_000 in
-  let reps = 1 in
-  (* Always measure a multi-domain row, even on one-core machines
-     (no speedup there, but the parallel path stays exercised). *)
-  let parallel = max 4 (Service.Pool.default_domains ~cap:4 ()) in
-  let domain_counts = [ 1; parallel ] in
-  let runs = b1_runs ~corpus_size ~reps ~domain_counts in
-  Printf.printf "   corpus: %d generated programs x %d artifacts; best of %d\n"
-    corpus_size (List.length b1_artifacts) reps;
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  domains=%d %-4s %-5s %8.4fs %8.1f files/s  hits=%d misses=%d%s\n"
-        r.domains r.cache
-        (if r.pool then "pool" else "spawn")
-        r.seconds r.files_per_sec r.hits r.misses
-        (if r.cache = "disk" then
-           Printf.sprintf " store_hits=%d store_misses=%d" r.store_hits
-             r.store_misses
-         else ""))
-    runs;
-  (* The traced per-phase breakdown keeps every span in memory; cap its
-     corpus so the full 10k run doesn't drown in trace buffers. *)
-  let phases = b1_phase_runs ~domain_counts (b1_corpus (min corpus_size 1_000)) in
-  print_endline
-    "   per-phase (one traced pass each; times are summed span µs; GC from\n\
-    \   pool.task span attributes — per-domain Obs.Prof deltas):";
-  List.iter
-    (fun p ->
-      Printf.printf
-        "  domains=%d %-4s %-5s wall=%8.0f spawn=%7.0f join=%7.0f task=%8.0f queue=%6.0f compute=%8.0f minor_w=%9d prom_w=%7d mGC=%3d MGC=%2d\n"
-        p.p_domains p.p_cache
-        (if p.p_pool then "pool" else "spawn")
-        p.wall_us p.spawn_us p.join_us p.task_us p.queue_us p.compute_us
-        p.gc_minor_words p.gc_promoted_words p.gc_minor_gcs p.gc_major_gcs)
-    phases;
-  let json = b1_json ~corpus_size runs phases in
-  let oc = open_out "BENCH_service.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "   wrote BENCH_service.json";
+    ];
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Experiment B2: incremental re-analysis (region-based units)          *)
 (* ------------------------------------------------------------------ *)
 
-(* One program of [n] independent top-level loop nests; edit exactly one
-   nest and re-analyze. The full run pays per-loop classification for
-   every nest; the incremental run reuses the unit cache for the n-1
-   untouched nests and recomputes only the edited one. Both must render
-   byte-identical classify/trip/deps reports. *)
+(* One program of [b2_nests] independent top-level loop nests; edit
+   exactly one nest and re-analyze. The full run classifies every nest;
+   the incremental run reuses the unit cache for the untouched nests and
+   recomputes only the edited one. Both must render byte-identical
+   classify/trip/deps reports. *)
+
+let b2_nests = 24
 
 let b2_program ?edited n =
   String.concat "\n"
@@ -822,13 +601,6 @@ let b2_render engine src =
       | Error msg -> failwith ("B2: " ^ msg))
     b2_artifacts
 
-type b2_run = {
-  b2_mode : string; (* "full" | "incremental" *)
-  b2_seconds : float;
-  b2_unit_hits : int;
-  b2_unit_misses : int;
-}
-
 let b2_unit_stat engine =
   match
     List.find_opt (fun (p, _, _) -> p = "unit_classify")
@@ -837,114 +609,52 @@ let b2_unit_stat engine =
   | Some (_, hits, misses) -> (hits, misses)
   | None -> (0, 0)
 
-let b2_runs ~nests ~reps =
-  let edited = nests / 2 in
-  let old_src = b2_program nests in
-  let new_src = b2_program ~edited nests in
-  (* Each rep uses a fresh engine so the timed region is never a pure
-     pipeline-cache hit; the incremental rep primes on [old_src] outside
-     the timed region, exactly the serve-mode REANALYZE shape. *)
-  let best f =
-    List.fold_left (fun acc _ -> Float.min acc (f ())) infinity
-      (List.init reps Fun.id)
-  in
-  let stats = ref (0, 0) in
-  let full =
-    best (fun () ->
-        let engine = Service.Engine.create ~capacity:4096 () in
-        let t0 = Unix.gettimeofday () in
-        ignore (b2_render engine new_src);
-        let dt = Unix.gettimeofday () -. t0 in
-        stats := b2_unit_stat engine;
-        dt)
-  in
-  let full_hits, full_misses = !stats in
-  let incremental =
-    best (fun () ->
-        let engine = Service.Engine.create ~capacity:4096 () in
-        ignore (b2_render engine old_src);
-        let h0, m0 = b2_unit_stat engine in
-        let t0 = Unix.gettimeofday () in
-        ignore (b2_render engine new_src);
-        let dt = Unix.gettimeofday () -. t0 in
-        let h1, m1 = b2_unit_stat engine in
-        stats := (h1 - h0, m1 - m0);
-        dt)
-  in
-  let inc_hits, inc_misses = !stats in
+let b2_rows () =
+  let old_src = b2_program b2_nests in
+  let new_src = b2_program ~edited:(b2_nests / 2) b2_nests in
+  let full = Service.Engine.create ~capacity:4096 () in
+  let cold = b2_render full new_src in
+  (* The incremental engine primes on [old_src] first: the serve-mode
+     REANALYZE shape. *)
+  let inc = Service.Engine.create ~capacity:4096 () in
+  ignore (b2_render inc old_src);
+  let h0, m0 = b2_unit_stat inc in
+  let merged = b2_render inc new_src in
+  let h1, m1 = b2_unit_stat inc in
   (* Byte-identity is part of the experiment's claim: check it on every
      harness run, not only in the test suite. *)
-  let warm = Service.Engine.create ~capacity:4096 () in
-  ignore (b2_render warm old_src);
-  let merged = b2_render warm new_src in
-  let cold = b2_render (Service.Engine.create ~capacity:4096 ()) new_src in
   if merged <> cold then failwith "B2: incremental reports diverge from cold run";
-  ( [
-      {
-        b2_mode = "full";
-        b2_seconds = full;
-        b2_unit_hits = full_hits;
-        b2_unit_misses = full_misses;
-      };
-      {
-        b2_mode = "incremental";
-        b2_seconds = incremental;
-        b2_unit_hits = inc_hits;
-        b2_unit_misses = inc_misses;
-      };
-    ],
-    old_src )
+  [ ("full", b2_unit_stat full); ("incremental", (h1 - h0, m1 - m0)) ]
 
-let b2_json ~nests ~reps runs =
-  let run_json r =
-    Printf.sprintf
-      "    {\"mode\": \"%s\", \"seconds\": %.6f, \"unit_hits\": %d, \"unit_misses\": %d}"
-      r.b2_mode r.b2_seconds r.b2_unit_hits r.b2_unit_misses
-  in
-  let speedup =
-    match runs with
-    | [ f; i ] when i.b2_seconds > 0.0 -> f.b2_seconds /. i.b2_seconds
-    | _ -> Float.nan
-  in
-  String.concat "\n"
+let experiment_b2 () =
+  print_endline "== Experiment B2: incremental re-analysis (region units) ==";
+  let rows = b2_rows () in
+  Printf.printf
+    "   program: %d top-level nests; edit one nest, re-render classify+trip+deps\n"
+    b2_nests;
+  List.iter
+    (fun (mode, (hits, misses)) ->
+      Printf.printf "  %-12s unit hits=%d misses=%d\n" mode hits misses)
+    rows;
+  print_endline "   merged reports byte-identical";
+  write_json "BENCH_incremental.json"
     [
       "{";
       "  \"experiment\": \"B2\",";
       "  \"description\": \"incremental re-analysis: edit one of N top-level loop nests, reuse per-unit artifacts for the rest\",";
-      Printf.sprintf "  \"nests\": %d," nests;
-      Printf.sprintf "  \"reps\": %d," reps;
+      Printf.sprintf "  \"nests\": %d," b2_nests;
       "  \"artifacts\": [\"classify\", \"trip\", \"deps\"],";
       "  \"byte_identical\": true,";
-      Printf.sprintf "  \"speedup_full_over_incremental\": %.2f," speedup;
       "  \"runs\": [";
-      String.concat ",\n" (List.map run_json runs);
+      String.concat ",\n"
+        (List.map
+           (fun (mode, (hits, misses)) ->
+             Printf.sprintf "    {\"mode\": \"%s\", \"unit_hits\": %d, \"unit_misses\": %d}"
+               mode hits misses)
+           rows);
       "  ]";
       "}";
-      "";
-    ]
-
-let experiment_b2 ~smoke () =
-  print_endline "== Experiment B2: incremental re-analysis (region units) ==";
-  let nests = if smoke then 6 else 24 in
-  let reps = if smoke then 1 else 3 in
-  let runs, _ = b2_runs ~nests ~reps in
-  Printf.printf
-    "   program: %d top-level nests; edit one nest, re-render classify+trip+deps\n"
-    nests;
-  List.iter
-    (fun r ->
-      Printf.printf "  %-12s %8.4fs  unit hits=%d misses=%d\n" r.b2_mode
-        r.b2_seconds r.b2_unit_hits r.b2_unit_misses)
-    runs;
-  (match runs with
-   | [ f; i ] when i.b2_seconds > 0.0 ->
-     Printf.printf "   full/incremental = %.2fx; merged reports byte-identical\n"
-       (f.b2_seconds /. i.b2_seconds)
-   | _ -> ());
-  let oc = open_out "BENCH_incremental.json" in
-  output_string oc (b2_json ~nests ~reps runs);
-  close_out oc;
-  print_endline "   wrote BENCH_incremental.json";
+    ];
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1009,33 +719,6 @@ let b4_rows () =
       })
     (b4_corpus ())
 
-let b4_json rows =
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let row_json r =
-    Printf.sprintf
-      "    {\"file\": \"%s\", \"baseline_edges\": %d, \"ranged_edges\": %d, \"checks_eliminated\": %d, \"checks_retained\": %d}"
-      r.b4_name r.b4_baseline_edges r.b4_ranged_edges r.b4_eliminated
-      r.b4_retained
-  in
-  String.concat "\n"
-    [
-      "{";
-      "  \"experiment\": \"B4\",";
-      "  \"description\": \"value-range precision: dependence edges with/without range sharpening, and bounds checks eliminated, over the examples corpus\",";
-      Printf.sprintf "  \"corpus_files\": %d," (List.length rows);
-      Printf.sprintf "  \"pairs_proven_independent\": %d,"
-        (total (fun r -> r.b4_baseline_edges - r.b4_ranged_edges));
-      Printf.sprintf "  \"checks_eliminated\": %d,"
-        (total (fun r -> r.b4_eliminated));
-      Printf.sprintf "  \"checks_retained\": %d,"
-        (total (fun r -> r.b4_retained));
-      "  \"rows\": [";
-      String.concat ",\n" (List.map row_json rows);
-      "  ]";
-      "}";
-      "";
-    ]
-
 let experiment_b4 () =
   print_endline
     "== Experiment B4: range-sharpened dependence precision (lib/analysis) ==";
@@ -1047,14 +730,9 @@ let experiment_b4 () =
         r.b4_name r.b4_baseline_edges r.b4_ranged_edges r.b4_eliminated
         r.b4_retained)
     rows;
-  let independent =
-    List.fold_left
-      (fun acc r -> acc + (r.b4_baseline_edges - r.b4_ranged_edges))
-      0 rows
-  in
-  let eliminated =
-    List.fold_left (fun acc r -> acc + r.b4_eliminated) 0 rows
-  in
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+  let independent = total (fun r -> r.b4_baseline_edges - r.b4_ranged_edges) in
+  let eliminated = total (fun r -> r.b4_eliminated) in
   Printf.printf
     "   corpus total: %d pairs newly proven independent, %d bounds checks eliminated\n"
     independent eliminated;
@@ -1062,52 +740,44 @@ let experiment_b4 () =
      consumers, checked on every harness run. *)
   if independent <= 0 then failwith "B4: range sharpening proved nothing";
   if eliminated <= 0 then failwith "B4: no bounds check eliminated";
-  let oc = open_out "BENCH_ranges.json" in
-  output_string oc (b4_json rows);
-  close_out oc;
-  print_endline "   wrote BENCH_ranges.json";
+  write_json "BENCH_ranges.json"
+    [
+      "{";
+      "  \"experiment\": \"B4\",";
+      "  \"description\": \"value-range precision: dependence edges with/without range sharpening, and bounds checks eliminated, over the examples corpus\",";
+      Printf.sprintf "  \"corpus_files\": %d," (List.length rows);
+      Printf.sprintf "  \"pairs_proven_independent\": %d," independent;
+      Printf.sprintf "  \"checks_eliminated\": %d," eliminated;
+      Printf.sprintf "  \"checks_retained\": %d," (total (fun r -> r.b4_retained));
+      "  \"rows\": [";
+      String.concat ",\n"
+        (List.map
+           (fun r ->
+             Printf.sprintf
+               "    {\"file\": \"%s\", \"baseline_edges\": %d, \"ranged_edges\": %d, \"checks_eliminated\": %d, \"checks_retained\": %d}"
+               r.b4_name r.b4_baseline_edges r.b4_ranged_edges r.b4_eliminated
+               r.b4_retained)
+           rows);
+      "  ]";
+      "}";
+    ];
   print_newline ()
 
 let () =
+  (* The three counter experiments run in every mode; `--smoke` (what
+     `make bench-gate` runs) skips the reproduction tables and the
+     Bechamel sweep. *)
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
-  let b1_only = Array.exists (( = ) "--b1") Sys.argv in
-  let b2_only = Array.exists (( = ) "--b2") Sys.argv in
-  let b4_only = Array.exists (( = ) "--b4") Sys.argv in
-  if smoke then begin
-    (* `make bench-smoke`: one fast pass over the batch and unit paths. *)
-    experiment_b1 ~smoke:true ();
-    experiment_b2 ~smoke:true ();
-    experiment_b4 ();
-    print_endline "bench: done (smoke)"
-  end
-  else if b1_only then begin
-    (* Full-scale batch-throughput experiment alone (`make bench-b1`):
-       regenerates BENCH_service.json including the disk-warm rows. *)
-    experiment_b1 ~smoke:false ();
-    print_endline "bench: done (b1)"
-  end
-  else if b2_only then begin
-    (* Full-scale incremental experiment alone (CI runs this per push;
-       the Bechamel timing sweep is too slow for that cadence). *)
-    experiment_b2 ~smoke:false ();
-    print_endline "bench: done (b2)"
-  end
-  else if b4_only then begin
-    (* Precision experiment alone (`make bench-b4`): deterministic, no
-       timing — safe at CI cadence. *)
-    experiment_b4 ();
-    print_endline "bench: done (b4)"
-  end
-  else begin
+  if not smoke then begin
     print_reproductions ();
     print_trip_counts ();
     print_dependence_repro ();
     print_generality ();
     print_ablations ();
-    print_pass_counts ();
-    experiment_b1 ~smoke:false ();
-    experiment_b2 ~smoke:false ();
-    experiment_b4 ();
-    run_benchmarks ();
-    print_endline "bench: done"
-  end
+    print_pass_counts ()
+  end;
+  experiment_b1 ();
+  experiment_b2 ();
+  experiment_b4 ();
+  if not smoke then run_benchmarks ();
+  print_endline "bench: done"

@@ -20,7 +20,7 @@
      ivtool explain FILE [VAR] — per-SCR classification provenance
      ivtool trace-check FILE   — validate a Chrome trace_event file
      ivtool metrics FILES...   — Prometheus text exposition of a run
-     ivtool bench-diff OLD NEW — perf-trajectory gate over BENCH json
+     ivtool bench-diff OLD NEW — counter gate over BENCH json
      classify/deps/trip/batch/check/gc take --trace OUT.json /
      --trace-summary; classify/batch/diff add --profile (per-pass
      wall/alloc/GC table + folded stacks on stderr) and --folded FILE;
@@ -548,19 +548,19 @@ let cmd_metrics jobs artifacts no_sccp store_dir no_store files =
   if !failures > 0 then
     fatal 2 "%d of %d files failed" !failures (List.length results)
 
-(* --- bench-diff: the perf-trajectory gate --- *)
+(* --- bench-diff: the bench gate --- *)
 
-let cmd_bench_diff threshold old_file new_file =
+let cmd_bench_diff old_file new_file =
   match
-    Service.Bench_diff.compare ~threshold_pct:threshold
-      ~old_json:(read_file old_file) ~new_json:(read_file new_file)
+    Service.Bench_diff.compare ~old_json:(read_file old_file)
+      ~new_json:(read_file new_file)
   with
   | Error msg -> fatal 2 "bench-diff: %s" msg
   | Ok report ->
     print_string (Service.Bench_diff.to_string report);
     if report.Service.Bench_diff.regressions > 0 then
-      fatal 3 "bench-diff: %d regression(s) beyond %g%%"
-        report.Service.Bench_diff.regressions threshold
+      fatal 3 "bench-diff: %d regression(s)"
+        report.Service.Bench_diff.regressions
 
 (* --- trace-check: validate a Chrome trace_event file --- *)
 
@@ -947,12 +947,6 @@ let gen_cmd =
           $ out)
 
 let bench_diff_cmd =
-  let threshold =
-    Arg.(value & opt float 10.0
-         & info [ "threshold" ] ~docv:"PCT"
-             ~doc:"Fail when a gated measurement (seconds, files_per_sec, \
-                   speedup) is worse by more than $(docv) percent.")
-  in
   let old_file =
     Arg.(required & pos 0 (some file) None
          & info [] ~docv:"OLD.json" ~doc:"Baseline BENCH_*.json.")
@@ -963,10 +957,10 @@ let bench_diff_cmd =
   in
   Cmd.v
     (Cmd.info "bench-diff"
-       ~doc:"Compare two bench result files row by row with typed deltas \
-             (time, rate, counts); exit 3 when a gated measurement regressed \
-             beyond the threshold. The CI perf-trajectory gate.")
-    Term.(const cmd_bench_diff $ threshold $ old_file $ new_file)
+       ~doc:"Compare two bench result files row by row; exit 3 when a \
+             counter moved by more than 1% either way, or a baseline row or \
+             counter is missing. The CI bench gate.")
+    Term.(const cmd_bench_diff $ old_file $ new_file)
 
 let () =
   let info =

@@ -1,107 +1,59 @@
-(* The perf-trajectory gate: compare two BENCH_*.json files row by row
-   and fail (nonzero exit in `ivtool bench-diff`) when a gated
-   measurement regressed beyond the threshold.
+(* The bench gate: compare two BENCH_*.json files row by row and fail
+   (exit 3 in `ivtool bench-diff`) when a counter moved.
 
    The differ is generic over this repo's bench JSON shape — a
-   top-level object whose array members ("runs", "phases") hold rows of
-   scalar fields. A row's identity is its string/bool fields plus the
-   numeric fields that name a configuration axis ("domains"); every
-   other numeric field is a measurement.
+   top-level object whose array members ("runs", "rows") hold rows of
+   scalar fields. A row's identity is its string and bool fields; every
+   numeric field is a counter. Every counter the benches emit is
+   deterministic (cache, store and unit hits, passes run, minor words
+   at one domain, precision counts), so any move of more than
+   [tolerance_pct] in either direction is a regression: a change that
+   moves a counter on purpose updates the baseline in the same diff. A
+   baseline row or counter missing from the new file is a regression
+   too, so renaming or dropping a counter cannot pass silently. *)
 
-   Measurements are typed: wall-clock seconds and *_us are
-   lower-is-better, throughput (files_per_sec) and speedup_* are
-   higher-is-better, and only {seconds, files_per_sec, speedup_*} are
-   *gated* — µs phase breakdowns and hit/miss counters print as
-   informational deltas but never fail the gate (counters are
-   structural: a change there means behavior changed, not that it got
-   slower, and the µs rows double-count what "seconds" already
-   gates). *)
-
-type direction = Lower_better | Higher_better
-type kind = Gated of direction | Info of direction | Count
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let ends_with ~suffix s =
-  let n = String.length s and m = String.length suffix in
-  n >= m && String.sub s (n - m) m = suffix
-
-let kind_of_field f =
-  if f = "seconds" then Gated Lower_better
-  else if f = "files_per_sec" then Gated Higher_better
-  else if starts_with ~prefix:"speedup" f then Gated Higher_better
-  else if f = "pairs_proven_independent" then Gated Higher_better
-  else if f = "checks_eliminated" then Gated Higher_better
-  else if ends_with ~suffix:"_us" f then Info Lower_better
-  else Count
-
-(* Numeric fields that are configuration, not measurement. *)
-let identity_num_field f = f = "domains" || f = "nests" || f = "reps"
+let tolerance_pct = 1.0
 
 type delta = {
   section : string;
   row_key : string;
   field : string;
-  kind : kind;
   old_v : float;
   new_v : float;
-  pct : float option;  (* signed percent change, None when old = 0 *)
   regression : bool;
 }
 
 type report = {
-  threshold_pct : float;
   deltas : delta list;
-  notes : string list;  (* rows present on one side only, shape changes *)
+  missing : string list;
+  notes : string list;
   regressions : int;
 }
 
 let render_scalar = function
   | Obs.Json.Str s -> Some s
   | Obs.Json.Bool b -> Some (string_of_bool b)
-  | Obs.Json.Num n when Float.is_integer n -> Some (Printf.sprintf "%.0f" n)
-  | Obs.Json.Num n -> Some (Printf.sprintf "%g" n)
   | _ -> None
 
 let row_identity fields =
   fields
   |> List.filter_map (fun (k, v) ->
-         match v with
-         | Obs.Json.Str _ | Obs.Json.Bool _ -> (
-           match render_scalar v with Some s -> Some (k, s) | None -> None)
-         | Obs.Json.Num _ when identity_num_field k -> (
-           match render_scalar v with Some s -> Some (k, s) | None -> None)
-         | _ -> None)
+         Option.map (fun s -> (k, s)) (render_scalar v))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v)
   |> String.concat " "
 
-let row_measurements fields =
+let counters fields =
   List.filter_map
-    (fun (k, v) ->
-      match v with
-      | Obs.Json.Num n when not (identity_num_field k) -> Some (k, n)
-      | _ -> None)
+    (fun (k, v) -> match v with Obs.Json.Num n -> Some (k, n) | _ -> None)
     fields
 
-(* Every comparable (section, row key, measurements) triple of a bench
+(* Every comparable (section, row key, counters) triple of a bench
    file: the top-level numeric scalars as one synthetic row, then each
    array-of-objects member as a section. *)
 let rows_of json =
   match json with
   | Obs.Json.Obj members ->
-    let top =
-      ( "(top)",
-        "",
-        List.filter_map
-          (fun (k, v) ->
-            match v with
-            | Obs.Json.Num n when not (identity_num_field k) -> Some (k, n)
-            | _ -> None)
-          members )
-    in
     let sections =
       List.concat_map
         (fun (k, v) ->
@@ -110,138 +62,108 @@ let rows_of json =
             List.filter_map
               (function
                 | Obs.Json.Obj fields ->
-                  Some (k, row_identity fields, row_measurements fields)
+                  Some (k, row_identity fields, counters fields)
                 | _ -> None)
               elems
           | _ -> [])
         members
     in
-    Ok (top :: sections)
+    Ok (("(top)", "", counters members) :: sections)
   | _ -> Error "top level is not an object"
 
-let percent old_v new_v =
-  if old_v = 0.0 then None else Some ((new_v -. old_v) /. Float.abs old_v *. 100.0)
+let where section row_key =
+  if row_key = "" then section else Printf.sprintf "%s[%s]" section row_key
 
-let is_regression ~threshold_pct kind pct =
-  match (kind, pct) with
-  | Gated dir, Some pct -> (
-    match dir with
-    | Lower_better -> pct > threshold_pct
-    | Higher_better -> pct < -.threshold_pct)
-  | Gated _, None -> false
-  | (Info _ | Count), _ -> false
-
-let compare_parsed ~threshold_pct old_json new_json =
+let compare_parsed old_json new_json =
   match (rows_of old_json, rows_of new_json) with
   | Error e, _ -> Error ("old: " ^ e)
   | _, Error e -> Error ("new: " ^ e)
   | Ok old_rows, Ok new_rows ->
-    let key (s, k, _) = (s, k) in
-    let notes = ref [] in
-    let deltas = ref [] in
+    let find rows (section, row_key) =
+      List.find_map
+        (fun (s, k, fields) ->
+          if s = section && k = row_key then Some fields else None)
+        rows
+    in
+    let missing = ref [] and deltas = ref [] in
     List.iter
       (fun (section, row_key, old_fields) ->
-        match List.find_opt (fun r -> key r = (section, row_key)) new_rows with
+        match find new_rows (section, row_key) with
         | None ->
-          notes :=
-            Printf.sprintf "row only in old: %s[%s]" section row_key :: !notes
-        | Some (_, _, new_fields) ->
+          missing := Printf.sprintf "row %s" (where section row_key) :: !missing
+        | Some new_fields ->
           List.iter
             (fun (field, old_v) ->
               match List.assoc_opt field new_fields with
               | None ->
-                notes :=
-                  Printf.sprintf "field only in old: %s[%s].%s" section row_key
-                    field
-                  :: !notes
+                missing :=
+                  Printf.sprintf "field %s.%s" (where section row_key) field
+                  :: !missing
               | Some new_v ->
-                let kind = kind_of_field field in
-                let pct = percent old_v new_v in
+                let regression =
+                  Float.abs (new_v -. old_v)
+                  > Float.abs old_v *. tolerance_pct /. 100.0
+                in
                 deltas :=
-                  {
-                    section;
-                    row_key;
-                    field;
-                    kind;
-                    old_v;
-                    new_v;
-                    pct;
-                    regression = is_regression ~threshold_pct kind pct;
-                  }
+                  { section; row_key; field; old_v; new_v; regression }
                   :: !deltas)
             old_fields)
       old_rows;
-    List.iter
-      (fun (section, row_key, _) ->
-        if
-          not
-            (List.exists (fun r -> key r = (section, row_key)) old_rows)
-        then
-          notes :=
-            Printf.sprintf "row only in new: %s[%s]" section row_key :: !notes)
-      new_rows;
+    let notes =
+      List.filter_map
+        (fun (section, row_key, _) ->
+          match find old_rows (section, row_key) with
+          | None -> Some (Printf.sprintf "row only in new: %s" (where section row_key))
+          | Some _ -> None)
+        new_rows
+    in
     let deltas =
       List.sort
         (fun a b ->
-          match String.compare a.section b.section with
-          | 0 -> (
-            match String.compare a.row_key b.row_key with
-            | 0 -> String.compare a.field b.field
-            | c -> c)
-          | c -> c)
+          Stdlib.compare (a.section, a.row_key, a.field)
+            (b.section, b.row_key, b.field))
         !deltas
     in
+    let missing = List.sort String.compare !missing in
     Ok
       {
-        threshold_pct;
         deltas;
-        notes = List.sort String.compare !notes;
+        missing;
+        notes = List.sort String.compare notes;
         regressions =
-          List.length (List.filter (fun d -> d.regression) deltas);
+          List.length missing
+          + List.length (List.filter (fun d -> d.regression) deltas);
       }
 
-let compare ~threshold_pct ~old_json ~new_json =
+let compare ~old_json ~new_json =
   match (Obs.Json.parse_result old_json, Obs.Json.parse_result new_json) with
   | Error e, _ -> Error ("old: not valid JSON: " ^ e)
   | _, Error e -> Error ("new: not valid JSON: " ^ e)
-  | Ok o, Ok n -> compare_parsed ~threshold_pct o n
-
-let kind_tag = function
-  | Gated Lower_better -> "time"
-  | Gated Higher_better -> "rate"
-  | Info _ -> "info"
-  | Count -> "count"
+  | Ok o, Ok n -> compare_parsed o n
 
 let to_string r =
   let buf = Buffer.create 1024 in
-  let interesting d =
-    match d.kind with
-    | Gated _ -> true
-    | Info _ | Count -> d.old_v <> d.new_v
-  in
   List.iter
     (fun d ->
-      if interesting d then begin
-        let where =
-          if d.row_key = "" then d.section
-          else Printf.sprintf "%s[%s]" d.section d.row_key
-        in
+      if d.old_v <> d.new_v then begin
         let pct =
-          match d.pct with
-          | None -> "   n/a"
-          | Some p -> Printf.sprintf "%+6.1f%%" p
+          if d.old_v = 0.0 then "   n/a"
+          else Printf.sprintf "%+6.1f%%" ((d.new_v -. d.old_v) /. Float.abs d.old_v *. 100.0)
         in
         Buffer.add_string buf
-          (Printf.sprintf "%-5s %-52s %-30s %14g -> %-14g %s%s\n" (kind_tag d.kind)
-             where d.field d.old_v d.new_v pct
+          (Printf.sprintf "%-52s %-24s %14g -> %-14g %s%s\n"
+             (where d.section d.row_key) d.field d.old_v d.new_v pct
              (if d.regression then "  REGRESSION" else ""))
       end)
     r.deltas;
+  List.iter
+    (fun m ->
+      Buffer.add_string buf (Printf.sprintf "missing from new: %s  REGRESSION\n" m))
+    r.missing;
   List.iter (fun n -> Buffer.add_string buf (Printf.sprintf "note: %s\n" n)) r.notes;
-  let gated = List.filter (fun d -> match d.kind with Gated _ -> true | _ -> false) r.deltas in
   Buffer.add_string buf
-    (Printf.sprintf "bench-diff: %d gated measurements, %d regression%s (threshold %g%%)\n"
-       (List.length gated) r.regressions
+    (Printf.sprintf "bench-diff: %d counters compared, %d regression%s (tolerance %g%%)\n"
+       (List.length r.deltas) r.regressions
        (if r.regressions = 1 then "" else "s")
-       r.threshold_pct);
+       tolerance_pct);
   Buffer.contents buf

@@ -1,43 +1,35 @@
-(** The perf-trajectory gate behind `ivtool bench-diff`: compare two
-    BENCH_*.json files row by row, produce typed per-measurement
-    deltas, and count regressions.
+(** The bench gate behind `ivtool bench-diff`: compare two BENCH_*.json
+    files row by row and count regressions.
 
     Works on this repo's bench JSON shape generically: a top-level
-    object whose array members ("runs", "phases") hold rows of scalar
-    fields. Row identity is the string/bool fields plus configuration
-    numerics ("domains", "nests", "reps"); the rest are measurements.
-    Only wall-clock [seconds] (lower is better), [files_per_sec] and
-    [speedup_*] (higher is better) are {e gated}; [*_us] breakdowns and
-    counters report as informational deltas but never fail the gate. *)
-
-type direction = Lower_better | Higher_better
-type kind = Gated of direction | Info of direction | Count
+    object whose array members ("runs", "rows") hold rows of scalar
+    fields. Row identity is the string and bool fields; every numeric
+    field (top-level ones included) is a deterministic counter. A
+    counter that moved by more than 1% of its baseline value, in either
+    direction, is a regression; so is a baseline row or counter missing
+    from the new file. *)
 
 type delta = {
   section : string;  (** "(top)" for top-level scalars, else "runs", … *)
-  row_key : string;  (** e.g. [cache=cold domains=4 pool=true] *)
+  row_key : string;  (** e.g. [cache=cold] *)
   field : string;
-  kind : kind;
   old_v : float;
   new_v : float;
-  pct : float option;  (** signed percent change; [None] when old = 0 *)
   regression : bool;
 }
 
 type report = {
-  threshold_pct : float;
   deltas : delta list;  (** sorted by section, row key, field *)
-  notes : string list;  (** rows/fields present on one side only *)
-  regressions : int;
+  missing : string list;  (** baseline rows/counters absent from new *)
+  notes : string list;  (** rows present only in new *)
+  regressions : int;  (** moved counters plus [missing] entries *)
 }
 
-(** [compare ~threshold_pct ~old_json ~new_json] over raw file
-    contents. [Error] on unparsable or non-object input. *)
-val compare :
-  threshold_pct:float -> old_json:string -> new_json:string ->
-  (report, string) result
+(** [compare ~old_json ~new_json] over raw file contents. [Error] on
+    unparsable or non-object input. *)
+val compare : old_json:string -> new_json:string -> (report, string) result
 
-(** Human-readable rendering: one line per gated measurement (and per
-    changed informational field), notes, and a trailing summary line.
+(** Human-readable rendering: one line per counter that changed, one
+    per missing row or counter, notes, and a trailing summary line.
     Deterministic for the same inputs. *)
 val to_string : report -> string

@@ -1,6 +1,6 @@
 (* The metrics-exposition layer: Obs.Json string escaping, log2
    histogram bucket edges, Prometheus text rendering, Prof GC deltas,
-   the folded-stacks exporter, and the bench-diff perf gate. *)
+   the folded-stacks exporter, and the bench-diff counter gate. *)
 
 module I = Obs.Instrument
 
@@ -243,70 +243,82 @@ let test_folded_zero_self_omitted () =
   let out = Obs.Export_folded.render_parts spans in
   Alcotest.(check string) "only the leaf" "domain0;outer;inner 50\n" out
 
-(* --- bench-diff: the perf gate --- *)
+(* --- bench-diff: the counter gate --- *)
 
-let bench_json ~seconds ~fps ~hits =
+let bench_json ?(rows = "") ~hits ~words () =
   Printf.sprintf
     {|{
   "experiment": "B1",
   "corpus_files": 8,
   "runs": [
-    {"domains": 1, "cache": "cold", "pool": false, "seconds": %g, "files_per_sec": %g, "cache_hits": %d, "task_us": 12.0}
+    {"cache": "cold", "cache_hits": %d, "minor_words_per_file": %d}%s
   ]
 }|}
-    seconds fps hits
+    hits words rows
 
-let diff ?(threshold = 10.0) old_j new_j =
-  match
-    Service.Bench_diff.compare ~threshold_pct:threshold ~old_json:old_j
-      ~new_json:new_j
-  with
+let diff old_j new_j =
+  match Service.Bench_diff.compare ~old_json:old_j ~new_json:new_j with
   | Ok r -> r
   | Error msg -> Alcotest.failf "bench-diff failed: %s" msg
 
 let test_bench_diff_regression () =
-  let old_j = bench_json ~seconds:1.0 ~fps:100.0 ~hits:5 in
-  (* Slower wall clock beyond threshold: exactly one regression. *)
-  let r = diff old_j (bench_json ~seconds:1.5 ~fps:100.0 ~hits:5) in
-  Alcotest.(check int) "seconds regressed" 1 r.Service.Bench_diff.regressions;
+  let old_j = bench_json ~hits:1000 ~words:50000 () in
+  (* A counter that grew past 1%: exactly one regression. *)
+  let r = diff old_j (bench_json ~hits:1011 ~words:50000 ()) in
+  Alcotest.(check int) "growth regressed" 1 r.Service.Bench_diff.regressions;
   Alcotest.(check bool) "marked in rendering" true
     (Helpers.contains (Service.Bench_diff.to_string r) "REGRESSION");
-  (* Faster is never a regression, whatever the magnitude. *)
-  let r = diff old_j (bench_json ~seconds:0.01 ~fps:100.0 ~hits:5) in
-  Alcotest.(check int) "improvement ok" 0 r.Service.Bench_diff.regressions;
-  (* Throughput gates in the other direction. *)
-  let r = diff old_j (bench_json ~seconds:1.0 ~fps:50.0 ~hits:5) in
-  Alcotest.(check int) "rate drop regressed" 1 r.Service.Bench_diff.regressions;
-  (* Within threshold: clean. *)
-  let r = diff old_j (bench_json ~seconds:1.05 ~fps:98.0 ~hits:5) in
-  Alcotest.(check int) "within threshold" 0 r.Service.Bench_diff.regressions
+  (* A drop past 1% fails too: the gate has no better direction. *)
+  let r = diff old_j (bench_json ~hits:1000 ~words:49400 ()) in
+  Alcotest.(check int) "drop regressed" 1 r.Service.Bench_diff.regressions;
+  (* Within 1% either way: clean, but the moved counters still show. *)
+  let r = diff old_j (bench_json ~hits:995 ~words:50400 ()) in
+  Alcotest.(check int) "within tolerance" 0 r.Service.Bench_diff.regressions;
+  Alcotest.(check bool) "moved counter reported" true
+    (Helpers.contains (Service.Bench_diff.to_string r) "minor_words_per_file");
+  (* A zero baseline tolerates no move at all. *)
+  let r = diff (bench_json ~hits:0 ~words:50000 ()) old_j in
+  Alcotest.(check int) "from zero regressed" 1 r.Service.Bench_diff.regressions
 
-let test_bench_diff_info_never_gates () =
-  (* Counters and µs breakdowns report but cannot fail the gate. *)
-  let old_j = bench_json ~seconds:1.0 ~fps:100.0 ~hits:5 in
-  let r = diff old_j (bench_json ~seconds:1.0 ~fps:100.0 ~hits:500) in
-  Alcotest.(check int) "hit-count change not gated" 0
-    r.Service.Bench_diff.regressions;
-  let shown = Service.Bench_diff.to_string r in
-  Alcotest.(check bool) "but reported" true (Helpers.contains shown "cache_hits")
-
-let test_bench_diff_shape_notes () =
-  let old_j = bench_json ~seconds:1.0 ~fps:100.0 ~hits:5 in
-  let extra =
-    {|{"runs": [
-        {"domains": 1, "cache": "cold", "pool": false, "seconds": 1.0, "files_per_sec": 100.0},
-        {"domains": 8, "cache": "cold", "pool": false, "seconds": 2.0, "files_per_sec": 50.0}
+let test_bench_diff_missing_gates () =
+  (* A baseline row or counter absent from the new file fails the gate:
+     dropping or renaming a counter must not pass silently. *)
+  let old_j = bench_json ~hits:1000 ~words:50000 () in
+  let renamed_row =
+    {|{"corpus_files": 8, "runs": [
+        {"cache": "hot", "cache_hits": 1000, "minor_words_per_file": 50000}
       ]}|}
   in
+  let r = diff old_j renamed_row in
+  Alcotest.(check int) "missing row regressed" 1
+    r.Service.Bench_diff.regressions;
+  Alcotest.(check (list string)) "row named" [ "row runs[cache=cold]" ]
+    r.Service.Bench_diff.missing;
+  let renamed_field =
+    {|{"corpus_files": 8, "runs": [
+        {"cache": "cold", "hits": 1000, "minor_words_per_file": 50000}
+      ]}|}
+  in
+  let r = diff old_j renamed_field in
+  Alcotest.(check int) "missing field regressed" 1
+    r.Service.Bench_diff.regressions;
+  Alcotest.(check bool) "rendered as a regression" true
+    (Helpers.contains (Service.Bench_diff.to_string r)
+       "missing from new: field runs[cache=cold].cache_hits  REGRESSION")
+
+let test_bench_diff_shape_notes () =
+  let old_j = bench_json ~hits:1000 ~words:50000 () in
+  let extra =
+    bench_json ~hits:1000 ~words:50000
+      ~rows:{|,
+    {"cache": "warm", "cache_hits": 7, "minor_words_per_file": 9}|} ()
+  in
   let r = diff old_j extra in
-  Alcotest.(check bool) "new row noted" true
-    (List.exists
-       (fun n -> Helpers.contains n "only in new")
-       r.Service.Bench_diff.notes);
-  match
-    Service.Bench_diff.compare ~threshold_pct:10.0 ~old_json:"not json"
-      ~new_json:old_j
-  with
+  Alcotest.(check int) "new row is no regression" 0
+    r.Service.Bench_diff.regressions;
+  Alcotest.(check (list string)) "new row noted"
+    [ "row only in new: runs[cache=warm]" ] r.Service.Bench_diff.notes;
+  match Service.Bench_diff.compare ~old_json:"not json" ~new_json:old_j with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse error accepted"
 
@@ -399,7 +411,7 @@ let suite =
       Helpers.case "folded self time" test_folded_self_time;
       Helpers.case "folded omits zero self" test_folded_zero_self_omitted;
       Helpers.case "bench-diff regressions" test_bench_diff_regression;
-      Helpers.case "bench-diff info never gates" test_bench_diff_info_never_gates;
+      Helpers.case "bench-diff missing rows gate" test_bench_diff_missing_gates;
       Helpers.case "bench-diff shape notes" test_bench_diff_shape_notes;
       Helpers.case "pool per-domain telemetry" test_pool_telemetry;
       Helpers.case "engine prometheus report" test_engine_prometheus_report;
