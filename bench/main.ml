@@ -157,12 +157,12 @@ let print_reproductions () =
   List.iter
     (fun (title, src, rows) ->
       Printf.printf "--- %s ---\n" title;
-      let t = Analysis.Driver.analyze_source src in
+      let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source src) in
       List.iter
         (fun (name, paper) ->
           let measured =
-            match Analysis.Driver.class_of_name t name with
-            | Some c -> Analysis.Driver.class_to_string t c
+            match Analysis.Pipeline.class_of_name t name with
+            | Some c -> Analysis.Pipeline.class_to_string t c
             | None -> "<missing>"
           in
           Printf.printf "  %-5s paper: %-34s measured: %s\n" name paper measured)
@@ -173,15 +173,15 @@ let print_reproductions () =
 let print_trip_counts () =
   print_endline "== Experiment T1: trip counts (section 5.2 table) ==";
   let show title src loop expected =
-    let t = Analysis.Driver.analyze_source src in
-    let loops = Ir.Ssa.loops (Analysis.Driver.ssa t) in
+    let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source src) in
+    let loops = Ir.Ssa.loops t.Analysis.Pipeline.ssa in
     let measured =
       match Ir.Loops.find_by_name loops loop with
       | Some lp ->
         Format.asprintf "%a"
           (Analysis.Trip_count.pp_with (fun id ->
-               Ir.Ssa.primary_name (Analysis.Driver.ssa t) id))
-          (Analysis.Driver.trip_count t lp.Ir.Loops.id)
+               Ir.Ssa.primary_name t.Analysis.Pipeline.ssa id))
+          (Analysis.Pipeline.trip_count t lp.Ir.Loops.id)
       | None -> "<loop missing>"
     in
     Printf.printf "  %-38s paper: %-10s measured: %s\n" title expected measured
@@ -201,7 +201,7 @@ let print_dependence_repro () =
   print_endline "== Experiments L21/L22/L23, F10: dependence testing (section 6) ==";
   let show title src =
     Printf.printf "--- %s ---\n" title;
-    let t = Analysis.Driver.analyze_source src in
+    let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source src) in
     let g = Dependence.Dep_graph.build t in
     if g = [] then print_endline "  (no dependences)"
     else
@@ -249,11 +249,11 @@ let print_generality () =
           0
           (Analysis.Baseline.find_all (Ir.Lower.lower_source src))
       in
-      let t = Analysis.Driver.analyze_source src in
-      let ssa = Analysis.Driver.ssa t in
+      let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source src) in
+      let ssa = t.Analysis.Pipeline.ssa in
       let ours = ref 0 in
       Ir.Cfg.iter_instrs (Ir.Ssa.cfg ssa) (fun _ (i : Ir.Instr.t) ->
-          match Analysis.Driver.class_of t i.Ir.Instr.id with
+          match Analysis.Pipeline.class_of t i.Ir.Instr.id with
           | Analysis.Ivclass.Linear _ | Analysis.Ivclass.Poly _
           | Analysis.Ivclass.Geometric _ | Analysis.Ivclass.Wrap _
           | Analysis.Ivclass.Periodic _ | Analysis.Ivclass.Monotonic _ ->
@@ -271,9 +271,9 @@ let print_ablations () =
   (* (a) SCCP: constant initial values vs symbolic ones. *)
   let src = "c = 2 + 3\nk = 0\nT: loop\n  k = k + c\n  if k > 100 exit\nendloop\nA(k) = 1" in
   let step use_sccp =
-    let t = Analysis.Driver.analyze_source ~use_sccp src in
-    match Analysis.Driver.class_of_name t "k2" with
-    | Some c -> Analysis.Driver.class_to_string t c
+    let t = Analysis.Pipeline.analyze ~use_sccp (Ir.Ssa.of_source src) in
+    match Analysis.Pipeline.class_of_name t "k2" with
+    | Some c -> Analysis.Pipeline.class_to_string t c
     | None -> "<missing>"
   in
   Printf.printf "  SCCP on : k2 = %s\n" (step true);
@@ -283,11 +283,11 @@ let print_ablations () =
   let tri =
     "j = 0\nL19: for i = 1 to n loop\n  j = j + i\n  L20: for k = 1 to i loop\n    j = j + 1\n  endloop\nendloop"
   in
-  let t = Analysis.Driver.analyze_source tri in
-  (match Analysis.Driver.class_of_name t "j2" with
+  let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source tri) in
+  (match Analysis.Pipeline.class_of_name t "j2" with
    | Some c ->
      Printf.printf "  with exit-value substitution: j2 = %s\n"
-       (Analysis.Driver.class_to_string t c)
+       (Analysis.Pipeline.class_to_string t c)
    | None -> ());
   print_endline
     "  (without section-5.3 exit values the outer cycle would touch an\n\
@@ -296,7 +296,7 @@ let print_ablations () =
   let nest =
     "L23: for i = 1 to n loop\n  L24: for j = i + 1 to n loop\n    A(i, j) = A(i - 1, j)\n  endloop\nendloop"
   in
-  let t = Analysis.Driver.analyze_source nest in
+  let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source nest) in
   List.iter
     (fun e -> Format.printf "  coupled system: %a@." (Dependence.Dep_graph.pp_edge t) e)
     (Dependence.Dep_graph.build t);
@@ -324,7 +324,8 @@ let print_pass_counts () =
 (* Bechamel timing benches (experiment C1)                              *)
 (* ------------------------------------------------------------------ *)
 
-let classify_whole src () = ignore (Analysis.Driver.analyze_source src)
+let classify_whole src () =
+  ignore (Analysis.Pipeline.analyze (Ir.Ssa.of_source src))
 
 let classify_prepared ssa () =
   let loops = Ir.Ssa.loops ssa in
@@ -397,8 +398,9 @@ let tests () =
       Test.make ~name:"pipeline/dependence-graph"
         (Staged.stage (fun () ->
              let t =
-               Analysis.Driver.analyze_source
-                 "L23: for i = 1 to n loop\n  L24: for j = i + 1 to n loop\n    A(i, j) = A(i - 1, j)\n  endloop\nendloop"
+               Analysis.Pipeline.analyze
+                 (Ir.Ssa.of_source
+                    "L23: for i = 1 to n loop\n  L24: for j = i + 1 to n loop\n    A(i, j) = A(i - 1, j)\n  endloop\nendloop")
              in
              ignore (Dependence.Dep_graph.build t)));
       Test.make ~name:"pipeline/sccp"
@@ -668,19 +670,28 @@ let experiment_b2 () =
    and checks eliminated — both must be nonzero for the pass to have
    earned its place in the pipeline. *)
 
-let b4_corpus_dir =
-  List.find Sys.file_exists
+(* The corpus is looked up when B4 runs (from the repo root or one level
+   below it), so B1 and B2 have run and written their files first. *)
+let b4_corpus () =
+  let candidates =
     [
       Filename.concat "examples" "programs";
       Filename.concat (Filename.concat ".." "examples") "programs";
     ]
-
-let b4_corpus () =
-  Sys.readdir b4_corpus_dir |> Array.to_list
+  in
+  let dir =
+    match List.find_opt Sys.file_exists candidates with
+    | Some dir -> dir
+    | None ->
+      failwith
+        ("B4: corpus not found at " ^ String.concat " or " candidates
+       ^ " (run from the repo root)")
+  in
+  Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".iv")
   |> List.sort compare
   |> List.map (fun f ->
-         let path = Filename.concat b4_corpus_dir f in
+         let path = Filename.concat dir f in
          let ic = open_in_bin path in
          let src = really_input_string ic (in_channel_length ic) in
          close_in ic;
@@ -697,15 +708,15 @@ type b4_row = {
 let b4_rows () =
   List.map
     (fun (name, src) ->
-      let d = Analysis.Driver.analyze_source src in
-      let r = Analysis.Driver.ranges d in
+      let d = Analysis.Pipeline.analyze (Ir.Ssa.of_source src) in
+      let r = Analysis.Pipeline.range_of d in
       let baseline = List.length (Dependence.Dep_graph.build d) in
       let ranged = List.length (Dependence.Dep_graph.build ~ranges:r d) in
       let eliminated, retained =
         match Ir.Parser.parse_result src with
         | Ok prog when prog.Ir.Ast.decls <> [] ->
           let s =
-            Transform.Bounds_elim.analyze r (Analysis.Driver.ssa d) prog
+            Transform.Bounds_elim.analyze r d.Analysis.Pipeline.ssa prog
           in
           (s.Transform.Bounds_elim.eliminated, s.Transform.Bounds_elim.retained)
         | _ -> (0, 0)

@@ -226,7 +226,7 @@ let cmd_peel loop_name file =
 
 let cmd_parallel file =
   with_source file (fun p ->
-      let t = Analysis.Driver.analyze (Ir.Ssa.of_program p) in
+      let t = Analysis.Pipeline.analyze (Ir.Ssa.of_program p) in
       print_string (Transform.Parallelize.report t))
 
 let cmd_interchange outer inner file =
@@ -242,7 +242,7 @@ let cmd_interchange outer inner file =
 let cmd_optimize file =
   with_source file (fun p ->
       let ssa = Ir.Ssa.of_program p in
-      let t = Analysis.Driver.analyze ssa in
+      let t = Analysis.Pipeline.analyze ssa in
       let hoisted = Transform.Licm.hoist t in
       let reduced = Transform.Strength_reduction.reduce t in
       let removed = Transform.Dce.run (Ir.Ssa.cfg ssa) in

@@ -36,7 +36,7 @@ endloop
 
 let show_deps title src =
   Printf.printf "=== %s ===\n" title;
-  let t = Analysis.Driver.analyze_source src in
+  let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source src) in
   let edges = Dependence.Dep_graph.build t in
   List.iter
     (fun e -> Format.printf "  %a@." (Dependence.Dep_graph.pp_edge t) e)
@@ -59,7 +59,7 @@ let () =
   ignore rect_edges;
 
   (* The unimodular fix for the triangular nest. *)
-  let loops = Ir.Ssa.loops (Analysis.Driver.ssa tri_t) in
+  let loops = Ir.Ssa.loops tri_t.Analysis.Pipeline.ssa in
   let o = Option.get (Ir.Loops.find_by_name loops "L23") in
   let i = Option.get (Ir.Loops.find_by_name loops "L24") in
   (match

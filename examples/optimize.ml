@@ -41,7 +41,7 @@ let () =
   let ssa = Ir.Ssa.of_source program in
   Printf.printf "multiplies before: %d\n" (count_op ssa is_mul);
 
-  let t = Analysis.Driver.analyze ssa in
+  let t = Analysis.Pipeline.analyze ssa in
   let hoisted = Transform.Licm.hoist t in
   Printf.printf "licm hoisted     : %d instructions\n" (List.length hoisted);
 

@@ -19,21 +19,21 @@ endloop
 |}
 
 let () =
-  let t = Analysis.Driver.analyze_source program in
-  print_string (Analysis.Driver.report t);
+  let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source program) in
+  print_string (Analysis.Pipeline.report_of t);
   print_endline "--- dependences ---";
   let g = Dependence.Dep_graph.build t in
   if g = [] then print_endline "(none)" else print_string (Dependence.Dep_graph.to_string t g);
 
   (* The store B(k3) uses the strictly monotonic member: no output
      dependence across iterations; each cell written once. *)
-  (match Analysis.Driver.class_of_name t "k3" with
+  (match Analysis.Pipeline.class_of_name t "k3" with
    | Some (Analysis.Ivclass.Monotonic m) ->
      Printf.printf "\nk3 monotonic: increasing=%b strict=%b\n"
        (m.Analysis.Ivclass.dir = Analysis.Ivclass.Increasing)
        m.Analysis.Ivclass.strict
    | Some c ->
-     Printf.printf "\nk3: %s\n" (Analysis.Driver.class_to_string t c)
+     Printf.printf "\nk3: %s\n" (Analysis.Pipeline.class_to_string t c)
    | None -> print_endline "k3 not found");
 
   (* Sanity: run the program on concrete data and confirm the packing
@@ -41,7 +41,7 @@ let () =
   let a = Ir.Ident.of_string "A" and b = Ir.Ident.of_string "B" in
   let data = [ 3; -1; 4; 0; 5; -9; 2; -6 ] in
   let arrays = List.mapi (fun i v -> ((a, [ i + 1 ]), v)) data in
-  let ssa = Analysis.Driver.ssa t in
+  let ssa = t.Analysis.Pipeline.ssa in
   let st =
     Ir.Interp.run ~fuel:10_000 ~arrays
       ~params:(fun x -> if Ir.Ident.name x = "n" then 8 else 0)

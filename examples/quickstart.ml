@@ -20,18 +20,18 @@ let () =
   print_endline (Ir.Ssa.to_string ssa);
 
   (* The analysis driver classifies every loop, inner to outer. *)
-  let t = Analysis.Driver.analyze ssa in
+  let t = Analysis.Pipeline.analyze ssa in
   print_endline "--- classification report ---";
-  print_string (Analysis.Driver.report t);
+  print_string (Analysis.Pipeline.report_of t);
 
   (* Classifications can be looked up by SSA name (the names in the
      report, matching the paper's subscripted figures). *)
   print_endline "--- individual lookups ---";
   List.iter
     (fun name ->
-      match Analysis.Driver.class_of_name t name with
+      match Analysis.Pipeline.class_of_name t name with
       | Some c ->
-        Printf.printf "%-4s : %s\n" name (Analysis.Driver.class_to_string t c)
+        Printf.printf "%-4s : %s\n" name (Analysis.Pipeline.class_to_string t c)
       | None -> Printf.printf "%-4s : (no such name)\n" name)
     [ "j2"; "i2"; "j3" ];
 
@@ -50,7 +50,7 @@ let () =
   in
   let observed = Ir.Instr.Id.Map.find target traces in
   print_endline "--- j2 observed vs predicted (first 8 iterations) ---";
-  let c = Option.get (Analysis.Driver.class_of_name t "j2") in
+  let c = Option.get (Analysis.Pipeline.class_of_name t "j2") in
   List.iteri
     (fun i (h, v) ->
       if i < 8 then begin

@@ -43,8 +43,8 @@ endloop
 
 let analyze_and_report title src =
   Printf.printf "=== %s ===\n" title;
-  let t = Analysis.Driver.analyze_source src in
-  print_string (Analysis.Driver.report t);
+  let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source src) in
+  print_string (Analysis.Pipeline.report_of t);
   print_endline "--- dependences on A ---";
   let g = Dependence.Dep_graph.build t in
   (match g with
@@ -58,7 +58,7 @@ let () =
   (* The payoff: in both styles the same-iteration ('=' direction on the
      outer loop) dependence between the write plane and the read plane is
      disproved, which is what legalizes optimizing the inner sweep. *)
-  let t = Analysis.Driver.analyze_source rotation_style in
+  let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source rotation_style) in
   let g = Dependence.Dep_graph.build t in
   let same_outer_iter_possible =
     List.exists

@@ -25,12 +25,12 @@ endloop
 
 let () =
   let ssa = Ir.Ssa.of_source program in
-  let t = Analysis.Driver.analyze ssa in
-  print_string (Analysis.Driver.report t);
+  let t = Analysis.Pipeline.analyze ssa in
+  print_string (Analysis.Pipeline.report_of t);
 
   (* The quadratic closed form of the outer j. *)
-  (match Analysis.Driver.class_of_name t "j2" with
-   | Some c -> Printf.printf "\nj2 = %s\n" (Analysis.Driver.class_to_string t c)
+  (match Analysis.Pipeline.class_of_name t "j2" with
+   | Some c -> Printf.printf "\nj2 = %s\n" (Analysis.Pipeline.class_to_string t c)
    | None -> ());
 
   (* Validate: observed j2 values vs h^2 + h for n = 12. *)
@@ -45,7 +45,7 @@ let () =
     Ir.Interp.trace_of ~fuel:100_000 ~params ssa (Ir.Instr.Id.Set.singleton target)
   in
   let obs = Ir.Instr.Id.Map.find target traces in
-  let cls = Option.get (Analysis.Driver.class_of_name t "j2") in
+  let cls = Option.get (Analysis.Pipeline.class_of_name t "j2") in
   let lookup = function
     | Analysis.Sym.Param x -> Some (Bignum.Rat.of_int (params x))
     | Analysis.Sym.Def _ -> None

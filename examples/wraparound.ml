@@ -25,10 +25,10 @@ endloop
 let () =
   print_endline "--- before peeling ---";
   let ast = Ir.Parser.parse program in
-  let t = Analysis.Driver.analyze (Ir.Ssa.of_program ast) in
-  print_string (Analysis.Driver.report t);
-  (match Analysis.Driver.class_of_name t "iml2" with
-   | Some c -> Printf.printf "iml2 = %s\n" (Analysis.Driver.class_to_string t c)
+  let t = Analysis.Pipeline.analyze (Ir.Ssa.of_program ast) in
+  print_string (Analysis.Pipeline.report_of t);
+  (match Analysis.Pipeline.class_of_name t "iml2" with
+   | Some c -> Printf.printf "iml2 = %s\n" (Analysis.Pipeline.class_to_string t c)
    | None -> ());
   print_endline "--- dependences (note the wrap-around flag) ---";
   let g = Dependence.Dep_graph.build t in
@@ -37,8 +37,8 @@ let () =
   print_endline "\n--- after peeling the first iteration ---";
   let peeled = Transform.Peel.peel_named "L9" ast in
   print_endline (Ir.Ast.to_string peeled);
-  let t' = Analysis.Driver.analyze (Ir.Ssa.of_program peeled) in
-  print_string (Analysis.Driver.report t');
+  let t' = Analysis.Pipeline.analyze (Ir.Ssa.of_program peeled) in
+  print_string (Analysis.Pipeline.report_of t');
 
   (* Semantic equivalence of the peel: identical array traffic. *)
   let run ast =

@@ -2,8 +2,11 @@
 
    The classification walk runs one set of loop nests at a time
    ([analyze_nests]): per analysis unit in a pipeline instance, over the
-   whole loop forest for SSA-only callers ([Driver.analyze]). The lazy
-   instance below adds per-pass memoization with stable result digests
+   whole loop forest for SSA-only callers ([analyze]). The [analysis]
+   record it returns is the one analysis result; the queries below it
+   (classification by def, by SSA name, in the whole nest's frame) are
+   what the transforms, dependence testing and verification read. The
+   lazy instance adds per-pass memoization with stable result digests
    for the service layer's cache keys. *)
 
 (* -- the pass DAG -- *)
@@ -148,6 +151,92 @@ type analysis = {
   by_loop : loop_result option array; (* indexed by loop id *)
   exit_values : Sym.t Ir.Instr.Id.Table.t;
 }
+
+(* -- queries over the analysis -- *)
+
+let trip_count t loop_id =
+  match t.by_loop.(loop_id) with
+  | Some r -> r.trip
+  | None -> Trip_count.unknown
+
+let exit_value t id = Ir.Instr.Id.Table.find_opt t.exit_values id
+
+(* The innermost loop containing def [id], if any. *)
+let innermost_loop t id =
+  Ir.Loops.innermost (Ir.Ssa.loops t.ssa)
+    (Ir.Cfg.block_of_instr (Ir.Ssa.cfg t.ssa) id)
+
+(* Def [id]'s entry in loop [lp]'s classification table. *)
+let table_entry t lp id =
+  match t.by_loop.(lp) with
+  | Some r -> Ir.Instr.Id.Table.find_opt r.table id
+  | None -> None
+
+(* [class_of t id] is the classification of a def in its innermost loop;
+   defs outside all loops are invariant. *)
+let class_of t id : Ivclass.t =
+  match innermost_loop t id with
+  | Some lp -> Option.value ~default:Ivclass.Unknown (table_entry t lp id)
+  | None -> Invariant (Sym.def id)
+
+(* [class_of_name t name] looks a classification up by SSA name ("j2"). *)
+let class_of_name t name : Ivclass.t option =
+  match Ir.Ssa.value_of_name t.ssa name with
+  | Some (Ir.Instr.Def id) -> Some (class_of t id)
+  | Some (Ir.Instr.Const c) -> Some (Invariant (Sym.of_int c))
+  | Some (Ir.Instr.Param x) -> Some (Invariant (Sym.param x))
+  | None -> None
+
+(* [global_class_of t v] expresses a value's classification in the frame
+   of the whole loop nest: invariant symbols whose atoms are defs that
+   vary in *outer* loops are expanded through those defs' classifications
+   (so a subscript like "i - 1" computed in an inner loop resolves to a
+   linear IV of the outer loop, as dependence testing needs). *)
+let rec global_class_of t (v : Ir.Instr.value) : Ivclass.t =
+  match v with
+  | Ir.Instr.Const c -> Invariant (Sym.of_int c)
+  | Ir.Instr.Param x -> Invariant (Sym.param x)
+  | Ir.Instr.Def d -> (
+    match class_of t d with
+    (* Opaque invariants are their own atom; expanding would loop. *)
+    | Ivclass.Invariant s when Sym.equal s (Sym.def d) -> Ivclass.Invariant s
+    | c -> resolve_global t c)
+
+and resolve_global t (c : Ivclass.t) : Ivclass.t =
+  match c with
+  | Ivclass.Invariant s -> global_class_of_sym t s
+  | Ivclass.Linear l -> (
+    match resolve_global t l.Ivclass.base with
+    | Ivclass.Unknown -> Ivclass.Unknown
+    | base -> Ivclass.Linear { l with base })
+  | c -> c
+
+and global_class_of_sym t (s : Sym.t) : Ivclass.t =
+  let atom_class = function
+    | Sym.Param x -> Ivclass.Invariant (Sym.param x)
+    | Sym.Def d -> (
+      match global_class_of t (Ir.Instr.Def d) with
+      | Ivclass.Unknown ->
+        (* An unknown-classified def is not provably invariant anywhere:
+           stay conservative. *)
+        Ivclass.Unknown
+      | c -> c)
+  in
+  List.fold_left
+    (fun acc ((mono, coeff) : Sym.mono * Bignum.Rat.t) ->
+      let term =
+        List.fold_left
+          (fun acc (a, p) ->
+            let rec pow acc n =
+              if n = 0 then acc else pow (Algebra.mul acc (atom_class a)) (n - 1)
+            in
+            pow acc p)
+          (Ivclass.Invariant (Sym.of_rat coeff))
+          mono
+      in
+      Algebra.add acc term)
+    (Ivclass.Invariant Sym.zero)
+    (s : (Sym.mono * Bignum.Rat.t) list)
 
 (* -- exit values (paper §5.3) -- *)
 
@@ -332,6 +421,17 @@ let analyze_nests ?sccp (ssa : Ir.Ssa.t) roots : analysis =
   promote_roots t roots;
   t
 
+(* The walk over the whole loop forest, for callers that hold only SSA
+   (an SSA-only caller has no AST to partition into units). *)
+let analyze ?(use_sccp = true) (ssa : Ir.Ssa.t) : analysis =
+  Obs.Trace.with_span ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
+  let sccp =
+    if use_sccp then
+      Some (Obs.Trace.with_span ~cat:"pipeline" "pipeline.sccp" (fun () -> Sccp.run ssa))
+    else None
+  in
+  analyze_nests ?sccp ssa (Ir.Loops.roots (Ir.Ssa.loops ssa))
+
 (* -- report renderers -- *)
 
 let namer_of (t : analysis) : Ivclass.namer =
@@ -348,6 +448,8 @@ let namer_of (t : analysis) : Ivclass.namer =
         | Sym.Param x -> Ir.Ident.name x
         | Sym.Def id -> Ir.Ssa.primary_name t.ssa id);
   }
+
+let class_to_string t c = Ivclass.to_string_with (namer_of t) c
 
 let pp_report fmt (t : analysis) =
   let nm = namer_of t in
@@ -383,11 +485,7 @@ let trip_report_of (t : analysis) =
   let fmt = Format.formatter_of_buffer buf in
   List.iter
     (fun (lp : Ir.Loops.loop) ->
-      let trip =
-        match t.by_loop.(lp.Ir.Loops.id) with
-        | Some r -> r.trip
-        | None -> Trip_count.unknown
-      in
+      let trip = trip_count t lp.Ir.Loops.id in
       Format.fprintf fmt "loop %-8s trips: %a" lp.Ir.Loops.name
         (Trip_count.pp_with (fun id -> Ir.Ssa.primary_name t.ssa id))
         trip;
@@ -867,14 +965,9 @@ let ensure_trip t =
 (* The range analysis consumes the promoted classification tables; the
    closures keep [Range] free of a dependency on this module. *)
 let range_of (a : analysis) : Range.t =
-  let loops = Ir.Ssa.loops a.ssa in
-  let cfg = Ir.Ssa.cfg a.ssa in
   let class_of id =
-    match Ir.Loops.innermost loops (Ir.Cfg.block_of_instr cfg id) with
-    | Some lp -> (
-      match a.by_loop.(lp) with
-      | Some r -> Ir.Instr.Id.Table.find_opt r.table id
-      | None -> None)
+    match innermost_loop a id with
+    | Some lp -> table_entry a lp id
     | None -> None
     | exception Not_found -> None
   in

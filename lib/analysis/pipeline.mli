@@ -12,9 +12,11 @@
 
     Two layers:
 
-    - {e the classification walk} ({!analyze_nests}) — one walk, run
-      per analysis unit by the lazy instance and over the whole loop
-      forest by SSA-only callers ([Driver.analyze]).
+    - {e the classification walk} — one walk, run per analysis unit by
+      the lazy instance and over the whole loop forest by SSA-only
+      callers ({!analyze}). Both produce an {!analysis}, the one
+      analysis record, which the queries ({!class_of},
+      {!global_class_of}, …) and the report renderers read.
     - {e the lazy instance} ({!create} and the per-pass accessors) —
       one pipeline per source text, thread-safe (a mutex serializes
       stage forcing per instance; distinct sources never contend).
@@ -91,7 +93,7 @@ type options = { use_sccp : bool }
 
 val default_options : options
 
-(* -- the analysis payload (what Driver.t wraps) -- *)
+(* -- the analysis record -- *)
 
 type loop_result = {
   loop : Ir.Loops.loop;
@@ -107,18 +109,44 @@ type analysis = {
   exit_values : Sym.t Ir.Instr.Id.Table.t;
 }
 
+(* -- queries over the analysis -- *)
+
+val trip_count : analysis -> int -> Trip_count.t
+
+(** [exit_value a id] is the symbolic value of a def after its loop
+    exits, when the loop is countable and the def unconditional (§5.3). *)
+val exit_value : analysis -> Ir.Instr.Id.t -> Sym.t option
+
+(** [class_of a id] is the classification of a def in its innermost loop
+    (invariant for defs outside all loops). *)
+val class_of : analysis -> Ir.Instr.Id.t -> Ivclass.t
+
+(** [class_of_name a name] looks up by SSA name ("j2"). *)
+val class_of_name : analysis -> string -> Ivclass.t option
+
+(** [global_class_of a v] expresses a value's classification in the frame
+    of the whole nest: invariant symbols over defs that vary in outer
+    loops are expanded through those defs' classifications (what
+    dependence testing needs for subscripts like "i - 1" computed in an
+    inner loop). *)
+val global_class_of : analysis -> Ir.Instr.value -> Ivclass.t
+
+val resolve_global : analysis -> Ivclass.t -> Ivclass.t
+
 (* -- the classification walk -- *)
 
-(** [analyze_nests ?sccp ssa roots] classifies every loop of the nests
-    rooted at [roots] from the innermost out, computing trip counts and
-    symbolic exit values as each countable loop completes, then rewrites
-    inner initial values that are outer-loop IVs into the paper's nested
-    multiloop tuples (§5.2–5.3, Figs 8–9). The lazy instance runs it on
-    one analysis unit's nests at a time — equivalent, since exit values
-    never cross a nest boundary and promotion relates only loops of one
-    nest; [Driver.analyze] runs it on the whole forest
-    ([Ir.Loops.roots]). *)
-val analyze_nests : ?sccp:Sccp.result -> Ir.Ssa.t -> int list -> analysis
+(** [analyze ?use_sccp ssa] classifies every loop of the program from
+    the innermost out, computing trip counts and symbolic exit values as
+    each countable loop completes, then rewrites inner initial values
+    that are outer-loop IVs into the paper's nested multiloop tuples
+    (§5.2–5.3, Figs 8–9). [use_sccp] (default true) feeds
+    conditional-constant-propagation results into initial values. This
+    is the entry point for callers that hold only SSA (transform
+    validation, [ivtool optimize]); the lazy instance runs the same walk
+    on one analysis unit's nests at a time — equivalent, since exit
+    values never cross a nest boundary and promotion relates only loops
+    of one nest. *)
+val analyze : ?use_sccp:bool -> Ir.Ssa.t -> analysis
 
 (* -- analysis units (incremental re-analysis) -- *)
 
@@ -154,21 +182,21 @@ type unit_outcome = {
   u_hit : bool;  (** the artifact came from the unit cache *)
 }
 
-(* -- report renderers (shared by Driver and the service engine) -- *)
+(* -- report renderers -- *)
 
-val namer_of : analysis -> Ivclass.namer
+(** A class rendered in the paper's tuple notation, with loop names
+    ("L18") and def atoms ("k2") from [a]. *)
+val class_to_string : analysis -> Ivclass.t -> string
 
-val pp_report : Format.formatter -> analysis -> unit
-
-(** The per-loop classification report ([Driver.report]). *)
+(** The per-loop classification report (see README). *)
 val report_of : analysis -> string
 
 (** The per-loop trip-count report (the [trip] artifact). *)
 val trip_report_of : analysis -> string
 
 (** [range_of a] runs the value-range analysis over a (promoted)
-    analysis record — the [Ranges] pass body, also reachable through
-    [Driver.ranges] for standalone consumers (transform validation). *)
+    analysis record — the [Ranges] pass body, called directly (fresh
+    each call) by standalone consumers such as transform validation. *)
 val range_of : analysis -> Range.t
 
 (* -- the lazy per-source instance -- *)
@@ -198,7 +226,8 @@ val sccp : t -> (Sccp.result option, string) result
 (** The rendered trip-count report (forces through [Trip] only). *)
 val trip_report : t -> (string, string) result
 
-(** The promoted (final) analysis — what [Driver.analyze] returns. *)
+(** The promoted (final) analysis — what {!analyze} returns for the
+    same program. *)
 val promoted : t -> (analysis, string) result
 
 (** The rendered classification report (forces through [Classify]). *)
@@ -218,7 +247,7 @@ val range_report : t -> (string, string) result
 
 (** [classify_with_units ?pool_run ~lookup ~store t] forces [Classify]
     through a unit-artifact cache: probe [lookup] with each nest unit's
-    digest, run {!analyze_nests} over each missing unit (fanned out
+    digest, run the classification walk over each missing unit (fanned out
     through [pool_run] when given and more than one unit missed),
     [store] the fresh artifacts, and install the merged analysis (the
     renderers and the dependence pass run on it unchanged, so

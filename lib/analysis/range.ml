@@ -373,20 +373,6 @@ let report t =
     (defs_in_order t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "{\"iterations\":%d,\"values\":[" t.iterations;
@@ -396,8 +382,9 @@ let to_json t =
       let id = instr.Ir.Instr.id in
       let iv = interval_of t id in
       if !first then first := false else Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"name\":\"%s\",\"lo\":\"%s\",\"hi\":\"%s\""
-        (json_escape (Ir.Ssa.primary_name t.ssa id))
+      Buffer.add_string buf "{\"name\":";
+      Obs.Json.escape_to_buffer buf (Ir.Ssa.primary_name t.ssa id);
+      Printf.bprintf buf ",\"lo\":\"%s\",\"hi\":\"%s\""
         (Extint.to_string (Interval.lo iv))
         (Extint.to_string (Interval.hi iv));
       (match Table.find_opt t.body id with

@@ -8,7 +8,7 @@ type t
 (** [compute ?sccp ~class_of ~trip_of ssa] runs the analysis. [class_of]
     resolves a def's (promoted) classification, [trip_of] a loop's trip
     count; both normally come from the pipeline's classification layer
-    (see {!Pipeline.range_of} / [Driver.ranges]). *)
+    (see {!Pipeline.range_of}). *)
 val compute :
   ?sccp:Sccp.result ->
   class_of:(Ir.Instr.Id.t -> Ivclass.t option) ->

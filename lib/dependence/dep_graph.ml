@@ -5,7 +5,7 @@
 
 module Sym = Analysis.Sym
 module Ivclass = Analysis.Ivclass
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Trip_count = Analysis.Trip_count
 module Range = Analysis.Range
 module Interval = Analysis.Interval
@@ -58,12 +58,12 @@ let rec class_loops (c : Ivclass.t) =
   | Ivclass.Monotonic { loop; _ } -> [ loop ]
 
 (* Collect every array reference of the program, in program order. *)
-let collect_refs (t : Driver.t) : array_ref list =
-  let ssa = Driver.ssa t in
+let collect_refs (t : Pipeline.analysis) : array_ref list =
+  let ssa = t.Pipeline.ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let loops = Ir.Ssa.loops ssa in
   let dom = Ir.Ssa.dom ssa in
-  let class_of_value (v : Ir.Instr.value) = Driver.global_class_of t v in
+  let class_of_value (v : Ir.Instr.value) = Pipeline.global_class_of t v in
   (* A subscript defined in a loop that does not enclose the reference
      holds that loop's exit value; its class in the defining loop's frame
      ranges over iterations the reference never sees. *)
@@ -74,9 +74,9 @@ let collect_refs (t : Driver.t) : array_ref list =
     else
       match v with
       | Ir.Instr.Def d -> (
-        match Driver.exit_value t d with
+        match Pipeline.exit_value t d with
         | Some s ->
-          let c = Driver.resolve_global t (Ivclass.Invariant s) in
+          let c = Pipeline.resolve_global t (Ivclass.Invariant s) in
           if in_frame c then c else Ivclass.Unknown
         | None -> Ivclass.Unknown)
       | Ir.Instr.Const _ | Ir.Instr.Param _ -> Ivclass.Unknown
@@ -292,11 +292,11 @@ let time_filter ~src_first common (outcome : Deptest.outcome) : Deptest.outcome 
    every in-loop path to a latch passes a block containing a *strict*
    member of the monotonic family: a family value used there cannot
    repeat on a later iteration. *)
-let strict_region (t : Driver.t) loop_id family : Ir.Label.Set.t =
-  let ssa = Driver.ssa t in
+let strict_region (t : Pipeline.analysis) loop_id family : Ir.Label.Set.t =
+  let ssa = t.Pipeline.ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let loop = Ir.Loops.loop (Ir.Ssa.loops ssa) loop_id in
-  match Driver.loop_result t loop_id with
+  match t.Pipeline.by_loop.(loop_id) with
   | None -> Ir.Label.Set.empty
   | Some r ->
     (* Blocks holding a strict update of this family. *)
@@ -307,7 +307,7 @@ let strict_region (t : Driver.t) loop_id family : Ir.Label.Set.t =
           | Ivclass.Monotonic m when m.Ivclass.family = family && m.Ivclass.strict ->
             Ir.Label.Set.add (Ir.Cfg.block_of_instr cfg d) acc
           | _ -> acc)
-        r.Driver.table Ir.Label.Set.empty
+        r.Pipeline.table Ir.Label.Set.empty
     in
     if Ir.Label.Set.is_empty strict_blocks then Ir.Label.Set.empty
     else begin
@@ -345,7 +345,7 @@ let strict_region (t : Driver.t) loop_id family : Ir.Label.Set.t =
 
 (* Upgrade a reference's monotonic subscript classes using the region
    rule: at a block in the strict region, the family cannot repeat. *)
-let refine_ref_strictness (t : Driver.t) (r : array_ref) : array_ref =
+let refine_ref_strictness (t : Pipeline.analysis) (r : array_ref) : array_ref =
   let refined =
     List.map
       (fun c ->
@@ -462,14 +462,14 @@ let directed_edge ?ranges ~bounds (src : array_ref) (dst : array_ref) :
 (* [build ?include_input t] is the dependence graph of the program: both
    directions of every same-array pair with at least one write are
    tested, and only surviving (possibly conservative) edges are kept. *)
-let build ?(include_input = false) ?ranges (t : Driver.t) : edge list =
+let build ?(include_input = false) ?ranges (t : Pipeline.analysis) : edge list =
   Obs.Trace.with_span ~cat:"deptest" "deptest.build" @@ fun () ->
   let refs = List.map (refine_ref_strictness t) (collect_refs t) in
   (* Iteration-count bounds for the Banerjee tests: an exact count when
      available, else the multi-exit maximum (paper §5.2: "useful for
      dependence testing, to place bounds on the solution space"). *)
   let bounds l =
-    let trip = Driver.trip_count t l in
+    let trip = Pipeline.trip_count t l in
     match Trip_count.count_int trip with
     | Some n -> Some n
     | None -> Trip_count.max_count_int trip
@@ -537,13 +537,13 @@ let direction_vectors_of ~(bounds : int -> int option) (e : edge) :
 let dependent_edges g =
   List.filter (fun e -> e.outcome <> Deptest.Independent) g
 
-let pp_edge (t : Driver.t) fmt e =
-  let name id = Ir.Ssa.primary_name (Driver.ssa t) id in
+let pp_edge (t : Pipeline.analysis) fmt e =
+  let name id = Ir.Ssa.primary_name t.Pipeline.ssa id in
   Format.fprintf fmt "%s %s@%s -> %s@%s: %a" (kind_to_string e.kind)
     (Ir.Ident.name e.src.array) (name e.src.instr) (Ir.Ident.name e.dst.array)
     (name e.dst.instr) Deptest.pp_outcome e.outcome
 
-let pp (t : Driver.t) fmt g =
+let pp (t : Pipeline.analysis) fmt g =
   Format.fprintf fmt "@[<v>";
   List.iter (fun e -> Format.fprintf fmt "%a@," (pp_edge t) e) g;
   Format.fprintf fmt "@]"

@@ -6,7 +6,7 @@
 
 module Sym = Analysis.Sym
 module Ivclass = Analysis.Ivclass
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 type ref_kind = Read | Write
 
@@ -34,7 +34,7 @@ val kind_to_string : dep_kind -> string
 
 (** [collect_refs t] lists every array reference in program order, with
     subscripts classified in the global (whole-nest) frame. *)
-val collect_refs : Driver.t -> array_ref list
+val collect_refs : Pipeline.analysis -> array_ref list
 
 (** [common_loops a b]: the loops enclosing both references, outer
     first. *)
@@ -44,7 +44,7 @@ val common_loops : array_ref -> array_ref -> int list
     monotonic family value cannot repeat on later iterations — every
     in-loop path onward passes a strict update (paper §5.4's
     "post-dominated by the strictly monotonic assignment"). *)
-val strict_region : Driver.t -> int -> int -> Ir.Label.Set.t
+val strict_region : Pipeline.analysis -> int -> int -> Ir.Label.Set.t
 
 (** [build t] is the dependence graph: both directions of every
     same-array pair with at least one write, plus self-output edges for
@@ -55,7 +55,10 @@ val strict_region : Driver.t -> int -> int -> Ir.Label.Set.t
     constant differences are bounded through [Range.sym_interval] so the
     interval Banerjee path can run where coefficients are symbolic. *)
 val build :
-  ?include_input:bool -> ?ranges:Analysis.Range.t -> Driver.t -> edge list
+  ?include_input:bool ->
+  ?ranges:Analysis.Range.t ->
+  Pipeline.analysis ->
+  edge list
 
 (** [direction_vectors_of ~bounds e] intersects per-dimension direction
     vector enumerations, when every dimension is affine and decidable. *)
@@ -63,6 +66,6 @@ val direction_vectors_of :
   bounds:(int -> int option) -> edge -> Deptest.simple_dir list list option
 
 val dependent_edges : edge list -> edge list
-val pp_edge : Driver.t -> Format.formatter -> edge -> unit
-val pp : Driver.t -> Format.formatter -> edge list -> unit
-val to_string : Driver.t -> edge list -> string
+val pp_edge : Pipeline.analysis -> Format.formatter -> edge -> unit
+val pp : Pipeline.analysis -> Format.formatter -> edge list -> unit
+val to_string : Pipeline.analysis -> edge list -> string

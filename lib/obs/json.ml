@@ -12,8 +12,9 @@ type t =
 
 exception Parse_error of string
 
-(* The one JSON string-escaping routine in the tree: Export_chrome and
-   the Prometheus/folded exporters' JSON needs all go through here so a
+(* The one JSON string-escaping routine in the tree: Export_chrome, the
+   Prometheus/folded exporters' JSON needs and the hand-rendered
+   [--json] reports (explain, check, range) all go through here so a
    single test suite covers them (test_prom). Output includes the
    surrounding quotes. Bytes >= 0x80 pass through verbatim — strings
    are treated as opaque byte sequences, which round-trips UTF-8. *)

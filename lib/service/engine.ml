@@ -311,15 +311,12 @@ let classify_chain = Pipeline.[ Parse; Ssa; Looptree; Sccp; Units; Classify ]
 let trip_chain = classify_chain @ [ Pipeline.Trip ]
 let ranges_chain = classify_chain @ [ Pipeline.Ranges ]
 
-let analyze ?pool t src : (Analysis.Driver.t, string) result =
+let analyze ?pool t src : (Analysis.Pipeline.analysis, string) result =
   Instrument.incr (Instrument.counter t.metrics "requests.analyze");
   let p = pipeline t src in
   match ensure_chain ?pool t p classify_chain with
   | Error e -> Error e
-  | Ok () -> (
-    match Pipeline.promoted p with
-    | Ok a -> Ok (Analysis.Driver.of_analysis a)
-    | Error e -> Error e)
+  | Ok () -> Pipeline.promoted p
 
 (* -- the dependence report (the service layer's own pass) -- *)
 
@@ -356,11 +353,10 @@ let deps_text ?pool t p : (string, string) result =
             computed := true;
             Pool.tick ();
             Obs.Prof.time t.metrics "phase.deps" (fun () ->
-                let d = Analysis.Driver.of_analysis a in
-                let g = Dependence.Dep_graph.build ?ranges d in
+                let g = Dependence.Dep_graph.build ?ranges a in
                 E_text
                   (if g = [] then "no dependences\n"
-                   else Dependence.Dep_graph.to_string d g)))
+                   else Dependence.Dep_graph.to_string a g)))
       in
       count_pass t Pipeline.Depgraph ~hit:(not !computed);
       (match entry with
@@ -451,13 +447,12 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
     if List.exists Ir.Diag.is_error structural.Verify.Check.diags then
       Ok { Verify.Check.parts = [ structural ] }
     else begin
-      let d = Analysis.Driver.of_analysis a in
       let oracle =
         match verify_class_key t p with
         | Some key ->
           ensure_part t p Pipeline.VerifyClass key (fun () ->
-              Verify.Check.oracle_part ~iters:t.options.check_iters d)
-        | None -> Verify.Check.oracle_part ~iters:t.options.check_iters d
+              Verify.Check.oracle_part ~iters:t.options.check_iters a)
+        | None -> Verify.Check.oracle_part ~iters:t.options.check_iters a
       in
       let ranges_part =
         if not t.options.use_ranges then []
@@ -472,9 +467,9 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
                 match verify_ranges_key t p with
                 | Some key ->
                   ensure_part t p Pipeline.VerifyRanges key (fun () ->
-                      Verify.Check.ranges_part ~iters:t.options.check_iters d r)
+                      Verify.Check.ranges_part ~iters:t.options.check_iters a r)
                 | None ->
-                  Verify.Check.ranges_part ~iters:t.options.check_iters d r
+                  Verify.Check.ranges_part ~iters:t.options.check_iters a r
               in
               [ part ])
         end

@@ -82,7 +82,8 @@ val pipeline : t -> string -> Analysis.Pipeline.t
     walks fan out across its workers. Only pass a pool from a
     coordinator context — never from inside a pool task (nested [run]
     would deadlock). *)
-val analyze : ?pool:Pool.pool -> t -> string -> (Analysis.Driver.t, string) result
+val analyze :
+  ?pool:Pool.pool -> t -> string -> (Analysis.Pipeline.analysis, string) result
 
 (** [render t artifact src] is the memoized text report, forcing only
     the passes the artifact needs. A Classify miss runs unit-at-a-time

@@ -1,5 +1,5 @@
 (* Classification provenance reports: classify the engine pipeline's
-   SSA afresh ([Driver.analyze]; a cached classification would emit no
+   SSA afresh ([Pipeline.analyze]; a cached classification would emit no
    events) under a fresh collector and replay the per-SCR provenance
    events (category "provenance", one per strongly-connected region,
    emitted by Analysis.Classify in Tarjan emission order) as a readable
@@ -49,20 +49,6 @@ let report ?var events =
     selected;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* The provenance events as a JSON array of SCR objects. *)
 let scrs_to_json ?var events =
   let selected =
@@ -76,17 +62,16 @@ let scrs_to_json ?var events =
         (fun name ->
           Option.map
             (fun c ->
-              Printf.sprintf {|"%s":"%s"|} (json_escape name) (json_escape c))
+              Obs.Json.escape name ^ ":" ^ Obs.Json.escape c)
             (attr e ("class." ^ name)))
         (members e)
     in
     Printf.sprintf
-      {|{"loop":"%s","members":[%s],"shape":"%s","rule":"%s","classes":{%s}}|}
-      (json_escape (str e "loop"))
-      (String.concat ","
-         (List.map (fun m -> "\"" ^ json_escape m ^ "\"") (members e)))
-      (json_escape (str e "shape"))
-      (json_escape (str e "rule"))
+      {|{"loop":%s,"members":[%s],"shape":%s,"rule":%s,"classes":{%s}}|}
+      (Obs.Json.escape (str e "loop"))
+      (String.concat "," (List.map Obs.Json.escape (members e)))
+      (Obs.Json.escape (str e "shape"))
+      (Obs.Json.escape (str e "rule"))
       (String.concat "," classes)
   in
   "[" ^ String.concat "," (List.map scr selected) ^ "]"
@@ -97,14 +82,14 @@ let ranges_parts engine src =
   match Engine.analyze engine src with
   | Error _ -> None
   | Ok t ->
-    let r = Analysis.Driver.ranges t in
+    let r = Analysis.Pipeline.range_of t in
     let bounds =
       match Ir.Parser.parse_result src with
       | Error _ -> None
       | Ok prog ->
         if prog.Ir.Ast.decls = [] then None
         else
-          Some (Transform.Bounds_elim.analyze r (Analysis.Driver.ssa t) prog)
+          Some (Transform.Bounds_elim.analyze r t.Analysis.Pipeline.ssa prog)
     in
     Some (r, bounds)
 
@@ -117,7 +102,9 @@ let run ?var ?(json = false) engine src =
   let use_sccp = (Analysis.Pipeline.options p).Analysis.Pipeline.use_sccp in
   let result, t =
     Obs.Trace.collect (fun () ->
-        Result.map (Analysis.Driver.analyze ~use_sccp) (Analysis.Pipeline.ssa p))
+        Result.map
+          (Analysis.Pipeline.analyze ~use_sccp)
+          (Analysis.Pipeline.ssa p))
   in
   match result with
   | Error msg -> Error msg

@@ -24,7 +24,7 @@
    engineering ... low-cost insertion" alternative it mentions. *)
 
 module Sym = Analysis.Sym
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 type materialization = {
   original : Ir.Instr.Id.t; (* the loop-carried def *)
@@ -68,11 +68,11 @@ let exit_target cfg (loop : Ir.Loops.loop) exit_block =
   | _ -> None
 
 (* [materialize_loop t loop_id] rewrites one countable loop. *)
-let materialize_loop (t : Driver.t) loop_id : materialization list =
-  let ssa = Driver.ssa t in
+let materialize_loop (t : Pipeline.analysis) loop_id : materialization list =
+  let ssa = t.Pipeline.ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let loop = Ir.Loops.loop (Ir.Ssa.loops ssa) loop_id in
-  let trip = Driver.trip_count t loop_id in
+  let trip = Pipeline.trip_count t loop_id in
   match trip.Analysis.Trip_count.exit_block with
   | None -> []
   | Some exit_block -> (
@@ -80,13 +80,13 @@ let materialize_loop (t : Driver.t) loop_id : materialization list =
     | None -> []
     | Some target ->
       let candidates =
-        match Driver.loop_result t loop_id with
+        match t.Pipeline.by_loop.(loop_id) with
         | None -> []
         | Some r ->
           List.filter_map
             (fun (instr : Ir.Instr.t) ->
               let d = instr.Ir.Instr.id in
-              match Driver.exit_value t d with
+              match Pipeline.exit_value t d with
               | Some sym
                 when Codegen.integral sym
                      && has_outside_use cfg loop d
@@ -103,7 +103,7 @@ let materialize_loop (t : Driver.t) loop_id : materialization list =
                           (Sym.atoms sym) ->
                 Some (d, sym)
               | _ -> None)
-            (Analysis.Ssa_graph.nodes r.Driver.graph)
+            (Analysis.Ssa_graph.nodes r.Pipeline.graph)
       in
       List.filter_map
         (fun (d, sym) ->
@@ -127,8 +127,8 @@ let materialize_loop (t : Driver.t) loop_id : materialization list =
         candidates)
 
 (* [materialize t] rewrites every countable loop, inner first. *)
-let materialize (t : Driver.t) : materialization list =
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+let materialize (t : Pipeline.analysis) : materialization list =
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   List.concat_map
     (fun (lp : Ir.Loops.loop) -> materialize_loop t lp.Ir.Loops.id)
     (Ir.Loops.postorder loops)

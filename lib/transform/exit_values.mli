@@ -12,8 +12,8 @@ type materialization = {
   loop : int;
 }
 
-val materialize_loop : Analysis.Driver.t -> int -> materialization list
+val materialize_loop : Analysis.Pipeline.analysis -> int -> materialization list
 
 (** [materialize t] rewrites every countable loop, inner first. The CFG
     is modified in place; re-analyze for further passes. *)
-val materialize : Analysis.Driver.t -> materialization list
+val materialize : Analysis.Pipeline.analysis -> materialization list

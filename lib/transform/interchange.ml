@@ -5,7 +5,7 @@
 
 module Deptest = Dependence.Deptest
 module Dep_graph = Dependence.Dep_graph
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 (* A dependence direction vector (outer, inner) blocks interchange when
    it is (<, >): swapping would make the sink run before the source. *)
@@ -68,8 +68,8 @@ let apply (p : Ir.Ast.program) ~outer_name : Ir.Ast.program =
 (* [legal_for_program src ~outer_name ~inner_name] is the whole check:
    analyze, build the dependence graph, decide. *)
 let legal_for_source src ~outer_name ~inner_name =
-  let t = Driver.analyze_source src in
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+  let t = Pipeline.analyze (Ir.Ssa.of_source src) in
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   match
     (Ir.Loops.find_by_name loops outer_name, Ir.Loops.find_by_name loops inner_name)
   with

@@ -12,7 +12,7 @@
        to be defined outside the loop or hoisted by this same pass. *)
 
 module Ivclass = Analysis.Ivclass
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 let hoistable_op (op : Ir.Instr.op) =
   match op with
@@ -32,11 +32,11 @@ let preheader_of cfg (loop : Ir.Loops.loop) =
 
 (* [hoist_loop t loop_id] moves invariant instructions of one loop to its
    preheader; returns the hoisted instruction ids. *)
-let hoist_loop (t : Driver.t) loop_id : Ir.Instr.Id.t list =
-  let ssa = Driver.ssa t in
+let hoist_loop (t : Pipeline.analysis) loop_id : Ir.Instr.Id.t list =
+  let ssa = t.Pipeline.ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let loop = Ir.Loops.loop (Ir.Ssa.loops ssa) loop_id in
-  match (Driver.loop_result t loop_id, preheader_of cfg loop) with
+  match (t.Pipeline.by_loop.(loop_id), preheader_of cfg loop) with
   | Some r, Some preheader ->
     let hoisted : unit Ir.Instr.Id.Table.t = Ir.Instr.Id.Table.create 8 in
     let available (v : Ir.Instr.value) =
@@ -51,7 +51,7 @@ let hoist_loop (t : Driver.t) loop_id : Ir.Instr.Id.t list =
     List.iter
       (fun (instr : Ir.Instr.t) ->
         let invariant =
-          match Ir.Instr.Id.Table.find_opt r.Driver.table instr.Ir.Instr.id with
+          match Ir.Instr.Id.Table.find_opt r.Pipeline.table instr.Ir.Instr.id with
           | Some (Ivclass.Invariant _) -> true
           | _ -> false
         in
@@ -71,14 +71,14 @@ let hoist_loop (t : Driver.t) loop_id : Ir.Instr.Id.t list =
           Ir.Instr.Id.Table.replace hoisted instr.Ir.Instr.id ();
           moved := instr.Ir.Instr.id :: !moved
         end)
-      (Analysis.Ssa_graph.nodes r.Driver.graph);
+      (Analysis.Ssa_graph.nodes r.Pipeline.graph);
     List.rev !moved
   | _ -> []
 
 (* [hoist t] hoists in every loop, innermost first (so inner-hoisted code
    can cascade out of enclosing loops on a re-analysis). *)
-let hoist (t : Driver.t) : Ir.Instr.Id.t list =
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+let hoist (t : Pipeline.analysis) : Ir.Instr.Id.t list =
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   List.concat_map
     (fun (lp : Ir.Loops.loop) -> hoist_loop t lp.Ir.Loops.id)
     (Ir.Loops.postorder loops)

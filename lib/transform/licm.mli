@@ -3,7 +3,7 @@
     loop preheader (division and array loads never move). *)
 
 (** [hoist_loop t loop_id] hoists in one loop; returns the moved ids. *)
-val hoist_loop : Analysis.Driver.t -> int -> Ir.Instr.Id.t list
+val hoist_loop : Analysis.Pipeline.analysis -> int -> Ir.Instr.Id.t list
 
 (** [hoist t] hoists in every loop, innermost first. *)
-val hoist : Analysis.Driver.t -> Ir.Instr.Id.t list
+val hoist : Analysis.Pipeline.analysis -> Ir.Instr.Id.t list

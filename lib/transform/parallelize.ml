@@ -7,7 +7,7 @@
 
 module Deptest = Dependence.Deptest
 module Dep_graph = Dependence.Dep_graph
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 (* A dependence is carried by loop [l] when source and sink can be in
    different iterations of [l] (direction < or > feasible). *)
@@ -28,9 +28,9 @@ let carried_edges (edges : Dep_graph.edge list) l =
 
 (* [parallel_loops t] analyzes the program and returns, for every loop,
    whether its iterations are independent. *)
-let parallel_loops (t : Driver.t) : (Ir.Loops.loop * bool) list =
+let parallel_loops (t : Pipeline.analysis) : (Ir.Loops.loop * bool) list =
   let edges = Dep_graph.build t in
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   List.map
     (fun (lp : Ir.Loops.loop) ->
       (lp, carried_edges edges lp.Ir.Loops.id = []))

@@ -12,6 +12,6 @@ val carried_edges :
   Dependence.Dep_graph.edge list -> int -> Dependence.Dep_graph.edge list
 
 (** [parallel_loops t] decides for every loop of the program. *)
-val parallel_loops : Analysis.Driver.t -> (Ir.Loops.loop * bool) list
+val parallel_loops : Analysis.Pipeline.analysis -> (Ir.Loops.loop * bool) list
 
-val report : Analysis.Driver.t -> string
+val report : Analysis.Pipeline.analysis -> string

@@ -18,7 +18,7 @@
 
 module Sym = Analysis.Sym
 module Ivclass = Analysis.Ivclass
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 type reduction = {
   original : Ir.Instr.Id.t; (* the multiply that was replaced *)
@@ -35,12 +35,12 @@ let preheader_of cfg (loop : Ir.Loops.loop) =
 
 (* [reduce_loop t loop_id] strength-reduces one loop; returns the list of
    reductions performed. The CFG is modified in place. *)
-let reduce_loop (t : Driver.t) loop_id : reduction list =
-  let ssa = Driver.ssa t in
+let reduce_loop (t : Pipeline.analysis) loop_id : reduction list =
+  let ssa = t.Pipeline.ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let loops = Ir.Ssa.loops ssa in
   let loop = Ir.Loops.loop loops loop_id in
-  match (Driver.loop_result t loop_id, preheader_of cfg loop) with
+  match (t.Pipeline.by_loop.(loop_id), preheader_of cfg loop) with
   | Some r, Some preheader ->
     (* Candidate multiplies: classified linear, with integral base and
        step, and genuinely varying (non-invariant). *)
@@ -49,14 +49,14 @@ let reduce_loop (t : Driver.t) loop_id : reduction list =
         (fun (instr : Ir.Instr.t) ->
           match instr.Ir.Instr.op with
           | Ir.Instr.Binop Ir.Ops.Mul -> (
-            match Ir.Instr.Id.Table.find_opt r.Driver.table instr.Ir.Instr.id with
+            match Ir.Instr.Id.Table.find_opt r.Pipeline.table instr.Ir.Instr.id with
             | Some (Ivclass.Linear { base = Ivclass.Invariant b; step; loop = l })
               when l = loop_id && Codegen.integral b && Codegen.integral step
                    && not (Sym.is_zero step) ->
               Some (instr, b, step)
             | _ -> None)
           | _ -> None)
-        (Analysis.Ssa_graph.nodes r.Driver.graph)
+        (Analysis.Ssa_graph.nodes r.Pipeline.graph)
     in
     List.filter_map
       (fun ((instr : Ir.Instr.t), b, step) ->
@@ -100,8 +100,8 @@ let reduce_loop (t : Driver.t) loop_id : reduction list =
 (* [reduce t] strength-reduces every loop (inner loops first); returns
    all reductions. Note: [t]'s classification tables refer to the CFG
    before rewriting; re-analyze if classifications are needed after. *)
-let reduce (t : Driver.t) : reduction list =
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+let reduce (t : Pipeline.analysis) : reduction list =
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   List.concat_map
     (fun (lp : Ir.Loops.loop) -> reduce_loop t lp.Ir.Loops.id)
     (Ir.Loops.postorder loops)

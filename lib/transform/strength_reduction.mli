@@ -11,8 +11,8 @@ type reduction = {
 }
 
 (** [reduce_loop t loop_id] rewrites one loop. *)
-val reduce_loop : Analysis.Driver.t -> int -> reduction list
+val reduce_loop : Analysis.Pipeline.analysis -> int -> reduction list
 
 (** [reduce t] rewrites every loop, inner first. The analysis in [t]
     refers to the pre-rewrite CFG; re-analyze for further passes. *)
-val reduce : Analysis.Driver.t -> reduction list
+val reduce : Analysis.Pipeline.analysis -> reduction list

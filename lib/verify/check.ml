@@ -47,7 +47,7 @@ let oracle_runs =
     ("run-b", (fun x -> valuation ~base:2 ~modulus:5 x), 23);
   ]
 
-let oracle_part ?(iters = 100) (t : Analysis.Driver.t) : part =
+let oracle_part ?(iters = 100) (t : Analysis.Pipeline.analysis) : part =
   let results =
     List.map
       (fun (tag, params, seed) ->
@@ -71,8 +71,8 @@ let oracle_part ?(iters = 100) (t : Analysis.Driver.t) : part =
   in
   { family = "oracle"; note; checks = checked; diags }
 
-let ranges_part ?(iters = 100) (t : Analysis.Driver.t) (r : Analysis.Range.t) :
-    part =
+let ranges_part ?(iters = 100) (t : Analysis.Pipeline.analysis)
+    (r : Analysis.Range.t) : part =
   let results =
     List.map
       (fun (tag, params, seed) ->
@@ -140,35 +140,19 @@ let to_text r =
   ^ Printf.sprintf "check: %d errors, %d warnings, %d checks\n" (errors r)
       (warnings r) (checks r)
 
-(* -- JSON (hand-rendered; lib/obs ships only a parser) -- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* -- JSON (hand-rendered; strings escape through Obs.Json) -- *)
 
 let diag_to_json (d : Diag.t) =
   Printf.sprintf
-    {|{"severity":"%s","code":"%s","origin":"%s","loc":"%s","message":"%s"}|}
+    {|{"severity":"%s","code":%s,"origin":%s,"loc":%s,"message":%s}|}
     (Diag.severity_to_string d.Diag.severity)
-    (json_escape d.Diag.code) (json_escape d.Diag.origin)
-    (json_escape (Diag.location_to_string d.Diag.loc))
-    (json_escape d.Diag.message)
+    (Obs.Json.escape d.Diag.code) (Obs.Json.escape d.Diag.origin)
+    (Obs.Json.escape (Diag.location_to_string d.Diag.loc))
+    (Obs.Json.escape d.Diag.message)
 
 let part_to_json p =
-  Printf.sprintf {|{"family":"%s","note":"%s","checks":%d,"diagnostics":[%s]}|}
-    (json_escape p.family) (json_escape p.note) p.checks
+  Printf.sprintf {|{"family":%s,"note":%s,"checks":%d,"diagnostics":[%s]}|}
+    (Obs.Json.escape p.family) (Obs.Json.escape p.note) p.checks
     (String.concat "," (List.map diag_to_json p.diags))
 
 let to_json r =
@@ -188,8 +172,8 @@ let run ?iters src =
     if List.exists Diag.is_error structural.diags then
       Ok { parts = [ structural ] }
     else
-      let t = Analysis.Driver.analyze ssa in
-      let r = Analysis.Driver.ranges t in
+      let t = Analysis.Pipeline.analyze ssa in
+      let r = Analysis.Pipeline.range_of t in
       Ok
         {
           parts =

@@ -25,12 +25,13 @@ type report = { parts : part list }
     iterations at [iters]. *)
 val structural_part : ?lower:Ir.Cfg.t -> Ir.Ssa.t -> part
 
-val oracle_part : ?iters:int -> Analysis.Driver.t -> part
+val oracle_part : ?iters:int -> Analysis.Pipeline.analysis -> part
 
 (** [ranges_part t r] checks every concrete valuation of every def
     against its reported interval ({!Range_oracle}), under the same two
     fixed runs as the classification oracle. *)
-val ranges_part : ?iters:int -> Analysis.Driver.t -> Analysis.Range.t -> part
+val ranges_part :
+  ?iters:int -> Analysis.Pipeline.analysis -> Analysis.Range.t -> part
 
 val transform_part : ?fuel:int -> Ir.Ast.program -> part
 

@@ -7,7 +7,7 @@
    symbolic atoms — atoms are invariant in the loop, so their current
    values are the activation's values. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Ivclass = Analysis.Ivclass
 module Sym = Analysis.Sym
 module Diag = Ir.Diag
@@ -24,8 +24,8 @@ type mono_state = { mutable last_act : int; mutable last_v : int option }
 
 let check ?(iters = max_int) ?(fuel = 50_000) ?(max_diags = 16)
     ?(params = fun _ -> 0) ?(rand = fun () -> false) ?(arrays = []) ?(tag = "")
-    (t : Driver.t) : result =
-  let ssa = Driver.ssa t in
+    (t : Pipeline.analysis) : result =
+  let ssa = t.Pipeline.ssa in
   let loops = Ir.Ssa.loops ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let suffix = if tag = "" then "" else Printf.sprintf " [%s]" tag in
@@ -54,7 +54,7 @@ let check ?(iters = max_int) ?(fuel = 50_000) ?(max_diags = 16)
             Some (Bignum.Rat.of_int (Ir.Interp.value st (Ir.Instr.Def d)))
         in
         let name () = Ir.Ssa.primary_name ssa id in
-        let cls = Driver.class_of t id in
+        let cls = Pipeline.class_of t id in
         match cls with
         | Ivclass.Unknown -> ()
         | Ivclass.Monotonic m ->

@@ -42,5 +42,5 @@ val check :
   ?rand:(unit -> bool) ->
   ?arrays:((Ir.Ident.t * int list) * int) list ->
   ?tag:string ->
-  Analysis.Driver.t ->
+  Analysis.Pipeline.analysis ->
   result

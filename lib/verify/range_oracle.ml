@@ -7,7 +7,7 @@
    own block (RNG002). Only non-top intervals count as checks, so the
    note distinguishes "clean" from "vacuous". *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Range = Analysis.Range
 module Interval = Analysis.Interval
 module Diag = Ir.Diag
@@ -22,8 +22,8 @@ type result = {
 
 let check ?(iters = max_int) ?(fuel = 50_000) ?(max_diags = 16)
     ?(params = fun _ -> 0) ?(rand = fun () -> false) ?(arrays = []) ?(tag = "")
-    (t : Driver.t) (r : Range.t) : result =
-  let ssa = Driver.ssa t in
+    (t : Pipeline.analysis) (r : Range.t) : result =
+  let ssa = t.Pipeline.ssa in
   let loops = Ir.Ssa.loops ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let suffix = if tag = "" then "" else Printf.sprintf " [%s]" tag in

@@ -23,6 +23,6 @@ val check :
   ?rand:(unit -> bool) ->
   ?arrays:((Ir.Ident.t * int list) * int) list ->
   ?tag:string ->
-  Analysis.Driver.t ->
+  Analysis.Pipeline.analysis ->
   Analysis.Range.t ->
   result

@@ -86,9 +86,9 @@ let check ?(fuel = 200_000) ?(seed = 7) ?(params = fun _ -> 0)
   in
   validate "dce" (fun ssa -> ignore (Transform.Dce.run (Ir.Ssa.cfg ssa)));
   validate "licm" (fun ssa ->
-      ignore (Transform.Licm.hoist (Analysis.Driver.analyze ssa)));
+      ignore (Transform.Licm.hoist (Analysis.Pipeline.analyze ssa)));
   validate "strength" (fun ssa ->
-      ignore (Transform.Strength_reduction.reduce (Analysis.Driver.analyze ssa)));
+      ignore (Transform.Strength_reduction.reduce (Analysis.Pipeline.analyze ssa)));
   (* Normalization rewrites the AST, not the CFG; a body assigning its
      own index is documented to be rejected, which is not a finding. *)
   incr transforms;
@@ -114,8 +114,8 @@ let check ?(fuel = 200_000) ?(seed = 7) ?(params = fun _ -> 0)
   incr transforms;
   (match
      let ssa = Ir.Ssa.of_program p in
-     let t = Analysis.Driver.analyze ssa in
-     let r = Analysis.Driver.ranges t in
+     let t = Analysis.Pipeline.analyze ssa in
+     let r = Analysis.Pipeline.range_of t in
      let full = Transform.Bounds_elim.instrument p in
      let opt = Transform.Bounds_elim.optimize r ssa p in
      (full, opt)

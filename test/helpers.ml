@@ -1,14 +1,14 @@
 (* Shared helpers for the test suites. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Ivclass = Analysis.Ivclass
 module Sym = Analysis.Sym
 
-let analyze src = Driver.analyze_source src
+let analyze src = Pipeline.analyze (Ir.Ssa.of_source src)
 
 let class_str t name =
-  match Driver.class_of_name t name with
-  | Some c -> Driver.class_to_string t c
+  match Pipeline.class_of_name t name with
+  | Some c -> Pipeline.class_to_string t c
   | None -> "<no such name>"
 
 (* [check_class t name expected] compares a classification's rendered
@@ -34,7 +34,7 @@ let oracle_check ?fuel ?params ?rand ?arrays src =
    | errs ->
      Alcotest.failf "SSA invariant violations: %s"
        (String.concat "; " (List.map Ir.Diag.to_string errs)));
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   let r =
     Verify.Oracle.check ~max_diags:max_int ?fuel ?params ?rand ?arrays t
   in

@@ -8,8 +8,8 @@ let show title src =
    | errs ->
      List.iter (fun d -> print_endline (Ir.Diag.to_string d)) errs;
      failwith "SSA check failed");
-  let t = Analysis.Driver.analyze ssa in
-  print_endline (Analysis.Driver.report t)
+  let t = Analysis.Pipeline.analyze ssa in
+  print_endline (Analysis.Pipeline.report_of t)
 
 let () =
   show "Fig 1 (L7)" {|
@@ -143,7 +143,7 @@ endloop
 
 let show_deps title src =
   Printf.printf "=== deps: %s ===\n" title;
-  let t = Analysis.Driver.analyze_source src in
+  let t = Analysis.Pipeline.analyze (Ir.Ssa.of_source src) in
   let g = Dependence.Dep_graph.build ~include_input:false t in
   print_endline (Dependence.Dep_graph.to_string t g)
 

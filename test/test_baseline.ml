@@ -47,7 +47,7 @@ let test_misses_mutual_pair () =
   let r = result_for src "T" in
   Alcotest.(check int) "classical finds nothing" 0 (Baseline.iv_count r);
   let t = Helpers.analyze src in
-  match Analysis.Driver.class_of_name t "j2" with
+  match Analysis.Pipeline.class_of_name t "j2" with
   | Some (Analysis.Ivclass.Linear _) -> ()
   | _ -> Alcotest.fail "SSA classifier should find the pair"
 
@@ -59,7 +59,7 @@ let test_misses_conditional_same_offset () =
   let r = result_for src "T" in
   Alcotest.(check bool) "classical misses i" false (has_basic r "i");
   let t = Helpers.analyze src in
-  match Analysis.Driver.class_of_name t "i2" with
+  match Analysis.Pipeline.class_of_name t "i2" with
   | Some (Analysis.Ivclass.Linear _) -> ()
   | _ -> Alcotest.fail "SSA classifier should find Fig 3"
 
@@ -136,10 +136,10 @@ endloop
   let r = result_for src "T" in
   let classical = Baseline.iv_count r in
   let t = Helpers.analyze src in
-  let ssa = Analysis.Driver.ssa t in
+  let ssa = t.Analysis.Pipeline.ssa in
   let ours = ref 0 in
   Ir.Cfg.iter_instrs (Ir.Ssa.cfg ssa) (fun _ (ins : Ir.Instr.t) ->
-      match Analysis.Driver.class_of t ins.Ir.Instr.id with
+      match Analysis.Pipeline.class_of t ins.Ir.Instr.id with
       | Analysis.Ivclass.Linear _ | Analysis.Ivclass.Wrap _ -> incr ours
       | _ -> ());
   Alcotest.(check int) "classical finds none here" 0 classical;

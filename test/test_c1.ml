@@ -41,8 +41,7 @@ let measure nests =
     allocated (fun () ->
         let a = get (Pipeline.promoted p) in
         let ranges = get (Pipeline.ranges p) in
-        let d = Analysis.Driver.of_analysis a in
-        ignore (Dependence.Dep_graph.build ~ranges d))
+        ignore (Dependence.Dep_graph.build ~ranges a))
   in
   let nodes = Ir.Cfg.num_instrs (Ir.Ssa.cfg (get (Pipeline.ssa p))) in
   List.map

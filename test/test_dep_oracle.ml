@@ -4,7 +4,7 @@
    dependence graph to cover every one of them — including the observed
    direction on the outermost common loop. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Dep_graph = Dependence.Dep_graph
 module Deptest = Dependence.Deptest
 
@@ -65,7 +65,7 @@ let outer_direction (e1 : event) (e2 : event) common =
 
 let check_program ?(rand = fun () -> false) src =
   let ssa = Ir.Ssa.of_source src in
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   let outcome, events = trace ~rand ssa in
   if outcome <> Ir.Interp.Halted then []
   else begin

@@ -4,7 +4,7 @@
 
 module Deptest = Dependence.Deptest
 module Dep_graph = Dependence.Dep_graph
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 let edges src = Dep_graph.build (Helpers.analyze src)
 
@@ -199,13 +199,13 @@ L15: for i = 1 to n loop
 endloop
 |} in
   let t = Helpers.analyze src in
-  let ssa = Driver.ssa t in
+  let ssa = t.Pipeline.ssa in
   let loops = Ir.Ssa.loops ssa in
   let lp = Option.get (Ir.Loops.find_by_name loops "L15") in
   (* Find the monotonic family (the header phi). *)
   let family = ref None in
   Ir.Cfg.iter_instrs (Ir.Ssa.cfg ssa) (fun _ (i : Ir.Instr.t) ->
-      match Driver.class_of t i.Ir.Instr.id with
+      match Pipeline.class_of t i.Ir.Instr.id with
       | Analysis.Ivclass.Monotonic m -> family := Some m.Analysis.Ivclass.family
       | _ -> ());
   match !family with

@@ -2,7 +2,7 @@
    direction-vector enumeration, multi-exit maximum trip counts, and the
    DOT renderers. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Trip_count = Analysis.Trip_count
 module Deptest = Dependence.Deptest
 module Dep_graph = Dependence.Dep_graph
@@ -37,7 +37,7 @@ let footprint ssa =
 let test_materialize_fig8 () =
   let before = footprint (Ir.Ssa.of_source fig78) in
   let ssa = Ir.Ssa.of_source fig78 in
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   let ms = Transform.Exit_values.materialize t in
   (* The inner loop's k and i have outside uses; at least k must be
      materialized (the paper's k6 = k2 + 202). *)
@@ -46,10 +46,10 @@ let test_materialize_fig8 () =
   Alcotest.(check bool) "semantics preserved" true (footprint ssa = before);
   (* After the rewrite, the outer loop's uses of the inner k are gone:
      re-analysis still classifies the outer accumulation. *)
-  let t2 = Driver.analyze ssa in
+  let t2 = Pipeline.analyze ssa in
   let found_outer_linear = ref false in
   Ir.Cfg.iter_instrs (Ir.Ssa.cfg ssa) (fun _ (i : Ir.Instr.t) ->
-      match Driver.class_of t2 i.Ir.Instr.id with
+      match Pipeline.class_of t2 i.Ir.Instr.id with
       | Analysis.Ivclass.Linear { step; _ } -> (
         match Analysis.Sym.const_int step with
         | Some 204 -> found_outer_linear := true
@@ -61,7 +61,7 @@ let test_materialize_simple_sum () =
   let src = "s = 0\nL1: for i = 1 to 10 loop\n  s = s + 2\nendloop\nA(s) = 1" in
   let before = footprint (Ir.Ssa.of_source src) in
   let ssa = Ir.Ssa.of_source src in
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   let ms = Transform.Exit_values.materialize t in
   Alcotest.(check bool) "materialized" true (ms <> []);
   Alcotest.(check bool) "semantics" true (footprint ssa = before);
@@ -89,7 +89,7 @@ let prop_materialize_preserves =
       in
       let before = run (Ir.Ssa.of_source src) in
       let ssa = Ir.Ssa.of_source src in
-      let t = Driver.analyze ssa in
+      let t = Pipeline.analyze ssa in
       let _ = Transform.Exit_values.materialize t in
       Ir.Ssa.check ssa = [] && run ssa = before)
 
@@ -98,7 +98,7 @@ let prop_materialize_preserves =
 let vectors src =
   let t = Helpers.analyze src in
   let edges = Dep_graph.build t in
-  let bounds l = Trip_count.count_int (Driver.trip_count t l) in
+  let bounds l = Trip_count.count_int (Pipeline.trip_count t l) in
   (* Self-output edges legitimately enumerate the all-equal vector (it is
      excluded at the edge level, not by the enumerator); look at proper
      pairs only. *)
@@ -145,9 +145,9 @@ let test_max_trip_count () =
     "i = 0\nT: loop\n  i = i + 1\n  if i > 100 exit\n  if ?? exit\nendloop\nA(i) = 1"
   in
   let t = Helpers.analyze src in
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   let lp = Option.get (Ir.Loops.find_by_name loops "T") in
-  let trip = Driver.trip_count t lp.Ir.Loops.id in
+  let trip = Pipeline.trip_count t lp.Ir.Loops.id in
   Alcotest.(check (option int)) "exact unknown" None (Trip_count.count_int trip);
   Alcotest.(check (option int)) "bounded by the counted exit" (Some 100)
     (Trip_count.max_count_int trip)

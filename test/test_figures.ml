@@ -32,11 +32,11 @@ L3: loop
   if ?? exit
 endloop
 |} in
-  match Analysis.Driver.class_of_name t "j3" with
+  match Analysis.Pipeline.class_of_name t "j3" with
   | Some (Analysis.Ivclass.Linear { step; _ }) ->
     Alcotest.(check bool) "symbolic step" true (not (Analysis.Sym.is_const step))
   | Some c ->
-    Alcotest.failf "expected linear, got %s" (Analysis.Driver.class_to_string t c)
+    Alcotest.failf "expected linear, got %s" (Analysis.Pipeline.class_to_string t c)
   | None -> Alcotest.fail "j3 not found"
 
 let test_fig1 () =
@@ -55,11 +55,11 @@ let test_fig3_different_offsets_not_linear () =
     Helpers.analyze
       "i = 1\nL8: loop\n  if ?? then\n    i = i + 2\n  else\n    i = i + 3\n  endif\nendloop\nA(i) = 1"
   in
-  match Analysis.Driver.class_of_name t "i2" with
+  match Analysis.Pipeline.class_of_name t "i2" with
   | Some (Analysis.Ivclass.Monotonic m) ->
     Alcotest.(check bool) "increasing" true (m.Analysis.Ivclass.dir = Analysis.Ivclass.Increasing);
     Alcotest.(check bool) "strict" true m.Analysis.Ivclass.strict
-  | Some c -> Alcotest.failf "expected monotonic, got %s" (Analysis.Driver.class_to_string t c)
+  | Some c -> Alcotest.failf "expected monotonic, got %s" (Analysis.Pipeline.class_to_string t c)
   | None -> Alcotest.fail "i2 not found"
 
 let test_fig4_wraparound () =
@@ -94,9 +94,9 @@ let test_fig5_wrap_of_periodic () =
     Helpers.analyze
       "t = 0\nj = 1\nk = 2\nl = 3\nL13: loop\n  A(t) = 1\n  t = j\n  j = k\n  k = l\n  l = t\nendloop"
   in
-  match Analysis.Driver.class_of_name t "t2" with
+  match Analysis.Pipeline.class_of_name t "t2" with
   | Some (Analysis.Ivclass.Wrap { order = 1; inner = Analysis.Ivclass.Periodic _; _ }) -> ()
-  | Some c -> Alcotest.failf "expected wrap of periodic, got %s" (Analysis.Driver.class_to_string t c)
+  | Some c -> Alcotest.failf "expected wrap of periodic, got %s" (Analysis.Pipeline.class_to_string t c)
   | None -> Alcotest.fail "t2 not found"
 
 let test_fig6_monotonic_strict () =
@@ -106,12 +106,12 @@ let test_fig6_monotonic_strict () =
   in
   List.iter
     (fun name ->
-      match Analysis.Driver.class_of_name t name with
+      match Analysis.Pipeline.class_of_name t name with
       | Some (Analysis.Ivclass.Monotonic m) ->
         Alcotest.(check bool) (name ^ " increasing") true
           (m.Analysis.Ivclass.dir = Analysis.Ivclass.Increasing);
         Alcotest.(check bool) (name ^ " strict") true m.Analysis.Ivclass.strict
-      | Some c -> Alcotest.failf "%s: expected monotonic, got %s" name (Analysis.Driver.class_to_string t c)
+      | Some c -> Alcotest.failf "%s: expected monotonic, got %s" name (Analysis.Pipeline.class_to_string t c)
       | None -> Alcotest.failf "%s not found" name)
     [ "k2"; "k3"; "k4"; "k5" ]
 
@@ -131,7 +131,7 @@ endloop
 |}
   in
   let strictness name =
-    match Analysis.Driver.class_of_name t name with
+    match Analysis.Pipeline.class_of_name t name with
     | Some (Analysis.Ivclass.Monotonic m) -> Some m.Analysis.Ivclass.strict
     | _ -> None
   in
@@ -144,11 +144,11 @@ let test_monotonic_decreasing () =
     Helpers.analyze
       "k = 100\nL1: loop\n  if ?? then\n    k = k - 1\n  else\n    k = k - 3\n  endif\nendloop\nA(k) = 1"
   in
-  match Analysis.Driver.class_of_name t "k2" with
+  match Analysis.Pipeline.class_of_name t "k2" with
   | Some (Analysis.Ivclass.Monotonic m) ->
     Alcotest.(check bool) "decreasing" true (m.Analysis.Ivclass.dir = Analysis.Ivclass.Decreasing);
     Alcotest.(check bool) "strict" true m.Analysis.Ivclass.strict
-  | Some c -> Alcotest.failf "expected monotonic, got %s" (Analysis.Driver.class_to_string t c)
+  | Some c -> Alcotest.failf "expected monotonic, got %s" (Analysis.Pipeline.class_to_string t c)
   | None -> Alcotest.fail "k2 not found"
 
 let test_mixed_sign_not_monotonic () =
@@ -157,7 +157,7 @@ let test_mixed_sign_not_monotonic () =
       "k = 0\nL1: loop\n  if ?? then\n    k = k + 1\n  else\n    k = k - 1\n  endif\nendloop\nA(k) = 1"
   in
   Alcotest.(check (option string)) "unknown" (Some "unknown")
-    (Option.map (Analysis.Driver.class_to_string t) (Analysis.Driver.class_of_name t "k2"))
+    (Option.map (Analysis.Pipeline.class_to_string t) (Analysis.Pipeline.class_of_name t "k2"))
 
 let test_l14_polynomials () =
   (* Loop L14 with the paper's initial values: the table of closed
@@ -202,36 +202,36 @@ let test_geometric_exponent () =
   (* 2^i for linear i is a geometric induction variable (our EX rule);
      the loop-carried phi for p is then a wrap-around of it. *)
   let t = Helpers.analyze "p = 0\nL1: for i = 0 to n loop\n  p = 2 ^ i\nendloop\nA(p) = 1" in
-  (match Analysis.Driver.class_of_name t "p3" with
+  (match Analysis.Pipeline.class_of_name t "p3" with
    | Some (Analysis.Ivclass.Geometric g) ->
      Alcotest.(check string) "ratio" "2" (Bignum.Rat.to_string g.Analysis.Ivclass.ratio)
-   | Some c -> Alcotest.failf "expected geometric, got %s" (Analysis.Driver.class_to_string t c)
+   | Some c -> Alcotest.failf "expected geometric, got %s" (Analysis.Pipeline.class_to_string t c)
    | None -> Alcotest.fail "p3 not found");
-  match Analysis.Driver.class_of_name t "p2" with
+  match Analysis.Pipeline.class_of_name t "p2" with
   | Some (Analysis.Ivclass.Wrap { inner = Analysis.Ivclass.Geometric _; order = 1; _ }) -> ()
-  | Some c -> Alcotest.failf "expected wrap of geometric, got %s" (Analysis.Driver.class_to_string t c)
+  | Some c -> Alcotest.failf "expected wrap of geometric, got %s" (Analysis.Pipeline.class_to_string t c)
   | None -> Alcotest.fail "p2 not found"
 
 let test_division_invariant_only () =
   (* Integer division of an IV is classified only when provably exact. *)
   let t1 = Helpers.analyze "L1: for i = 0 to n loop\n  x = i * 4 / 2\n  A(x) = 1\nendloop" in
   Alcotest.(check (option string)) "exact division halves the step" (Some "(L1, 0, 2)")
-    (Option.map (Analysis.Driver.class_to_string t1) (Analysis.Driver.class_of_name t1 "x1"));
+    (Option.map (Analysis.Pipeline.class_to_string t1) (Analysis.Pipeline.class_of_name t1 "x1"));
   let t2 = Helpers.analyze "L1: for i = 0 to n loop\n  x = i / 2\n  A(x) = 1\nendloop" in
   Alcotest.(check (option string)) "inexact division unknown" (Some "unknown")
-    (Option.map (Analysis.Driver.class_to_string t2) (Analysis.Driver.class_of_name t2 "x1"))
+    (Option.map (Analysis.Pipeline.class_to_string t2) (Analysis.Pipeline.class_of_name t2 "x1"))
 
 let test_invariant_classification () =
   let t = Helpers.analyze "c = n + 1\nL1: loop\n  x = c * 2\n  A(x) = 1\n  if ?? exit\nendloop" in
-  match Analysis.Driver.class_of_name t "x1" with
+  match Analysis.Pipeline.class_of_name t "x1" with
   | Some (Analysis.Ivclass.Invariant _) -> ()
-  | Some c -> Alcotest.failf "expected invariant, got %s" (Analysis.Driver.class_to_string t c)
+  | Some c -> Alcotest.failf "expected invariant, got %s" (Analysis.Pipeline.class_to_string t c)
   | None -> Alcotest.fail "x1 not found"
 
 let test_aload_unknown () =
   let t = Helpers.analyze "L1: for i = 1 to n loop\n  x = A(i)\n  B(x) = 1\nendloop" in
   Alcotest.(check (option string)) "array load unknown" (Some "unknown")
-    (Option.map (Analysis.Driver.class_to_string t) (Analysis.Driver.class_of_name t "x1"))
+    (Option.map (Analysis.Pipeline.class_to_string t) (Analysis.Pipeline.class_of_name t "x1"))
 
 let test_step_zero_collapses () =
   (* An SCC whose net increment is zero is invariant after entry. *)

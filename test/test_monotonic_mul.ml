@@ -1,11 +1,11 @@
 (* The §4.4 multiplication extension: "Multiply operations can also be
    allowed, such as 2*i+i, as long as the initial value of i is known." *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Ivclass = Analysis.Ivclass
 
 let mono t name =
-  match Driver.class_of_name t name with
+  match Pipeline.class_of_name t name with
   | Some (Ivclass.Monotonic m) -> Some (m.Ivclass.dir, m.Ivclass.strict)
   | _ -> None
 
@@ -36,9 +36,9 @@ let test_doubling_strict_inside () =
   let t =
     Helpers.analyze "k = 1\nL1: for i = 1 to 9 loop\n  k = k * 3 + 1\nendloop\nA(k) = 1"
   in
-  match Driver.class_of_name t "k2" with
+  match Pipeline.class_of_name t "k2" with
   | Some (Ivclass.Geometric _) -> ()
-  | Some c -> Alcotest.failf "expected geometric, got %s" (Driver.class_to_string t c)
+  | Some c -> Alcotest.failf "expected geometric, got %s" (Pipeline.class_to_string t c)
   | None -> Alcotest.fail "k2 missing"
 
 let test_mul_with_add () =
@@ -69,7 +69,7 @@ let test_negative_init_rejected () =
       "k = 0 - 5\nL1: loop\n  if ?? then\n    k = k * 2\n  else\n    k = k + 1\n  endif\n  A(k) = 1\n  if ?? exit\nendloop"
   in
   Alcotest.(check (option string)) "negative init" (Some "unknown")
-    (Option.map (Driver.class_to_string t) (Driver.class_of_name t "k2"))
+    (Option.map (Pipeline.class_to_string t) (Pipeline.class_of_name t "k2"))
 
 let test_negative_multiplier_rejected () =
   let t =
@@ -77,7 +77,7 @@ let test_negative_multiplier_rejected () =
       "k = 1\nL1: loop\n  if ?? then\n    k = k * -2\n  else\n    k = k + 1\n  endif\n  A(k) = 1\n  if ?? exit\nendloop"
   in
   Alcotest.(check (option string)) "negative multiplier" (Some "unknown")
-    (Option.map (Driver.class_to_string t) (Driver.class_of_name t "k2"))
+    (Option.map (Pipeline.class_to_string t) (Pipeline.class_of_name t "k2"))
 
 let test_oracle_validates () =
   (* The interpreter confirms the monotonicity claims on real runs. *)

@@ -1,7 +1,7 @@
 (* Nested loops (paper §5.3): exit values, multiloop induction variables,
    and the triangular example of Figure 9. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Ivclass = Analysis.Ivclass
 
 let fig78 = {|
@@ -33,17 +33,17 @@ let test_fig78_classification () =
 
 let test_fig78_trip_and_exit_values () =
   let t = Helpers.analyze fig78 in
-  let ssa = Driver.ssa t in
+  let ssa = t.Pipeline.ssa in
   let loops = Ir.Ssa.loops ssa in
   let l18 = Option.get (Ir.Loops.find_by_name loops "L18") in
   (* Trip count 100 (the exit test is below k's increment). *)
   Alcotest.(check (option int)) "trip count" (Some 100)
-    (Analysis.Trip_count.count_int (Driver.trip_count t l18.Ir.Loops.id));
+    (Analysis.Trip_count.count_int (Pipeline.trip_count t l18.Ir.Loops.id));
   (* Exit value of k4 is k2 + 202 (k4 executes 101 times, paper's kG);
      exit value of i3 is 101. *)
   let exit_of name =
     match Ir.Ssa.def_of_name ssa name with
-    | Some id -> Option.map Analysis.Sym.to_string (Driver.exit_value t id)
+    | Some id -> Option.map Analysis.Sym.to_string (Pipeline.exit_value t id)
     | None -> None
   in
   (match Ir.Ssa.def_of_name ssa "k2" with
@@ -78,9 +78,9 @@ let test_fig9_quadratic () =
 
 let test_fig9_symbolic_trip () =
   let t = Helpers.analyze fig9 in
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   let l20 = Option.get (Ir.Loops.find_by_name loops "L20") in
-  let trip = Driver.trip_count t l20.Ir.Loops.id in
+  let trip = Pipeline.trip_count t l20.Ir.Loops.id in
   (match trip.Analysis.Trip_count.count with
    | Analysis.Trip_count.Symbolic _ -> ()
    | _ -> Alcotest.fail "expected symbolic trip count");
@@ -105,9 +105,9 @@ A(0) = s
      outer classification (L1, 0, 6). *)
   Helpers.check_class t "s2" "(L1, 0, 6)";
   (* And the innermost phi is a multiloop IV nested two deep. *)
-  match Driver.class_of_name t "s4" with
+  match Pipeline.class_of_name t "s4" with
   | Some (Ivclass.Linear { base = Ivclass.Linear { base = Ivclass.Linear _; _ }; _ }) -> ()
-  | Some c -> Alcotest.failf "expected doubly nested linear, got %s" (Driver.class_to_string t c)
+  | Some c -> Alcotest.failf "expected doubly nested linear, got %s" (Pipeline.class_to_string t c)
   | None -> Alcotest.fail "s4 not found"
 
 let test_inner_unknown_poisons_outer () =
@@ -125,7 +125,7 @@ endloop
 |} in
   let t = Helpers.analyze src in
   Alcotest.(check (option string)) "outer k unknown" (Some "unknown")
-    (Option.map (Driver.class_to_string t) (Driver.class_of_name t "k2"))
+    (Option.map (Pipeline.class_to_string t) (Pipeline.class_of_name t "k2"))
 
 let test_countable_inner_with_outer_invariant_bound () =
   let src = {|
@@ -154,7 +154,7 @@ L1: loop
 endloop
 |} in
   let t = Helpers.analyze src in
-  let ssa = Driver.ssa t in
+  let ssa = t.Pipeline.ssa in
   (* The store inside the conditional is classified (it is i*2, linear in
      L2) but executes on some iterations only: no exit value. *)
   let conditional_def =
@@ -167,10 +167,10 @@ endloop
   in
   match conditional_def with
   | Some id ->
-    (match Driver.class_of t id with
+    (match Pipeline.class_of t id with
      | Ivclass.Linear _ -> ()
-     | c -> Alcotest.failf "expected linear, got %s" (Driver.class_to_string t c));
-    Alcotest.(check bool) "no exit value" true (Driver.exit_value t id = None)
+     | c -> Alcotest.failf "expected linear, got %s" (Pipeline.class_to_string t c));
+    Alcotest.(check bool) "no exit value" true (Pipeline.exit_value t id = None)
   | None -> Alcotest.fail "multiply not found"
 
 let suite =

@@ -2,8 +2,6 @@
    SSA-based classification is identical before and after — the paper's
    point that this framework "implicitly normalizes all loops". *)
 
-module Driver = Analysis.Driver
-
 let l23_l24 = {|
 L23: for i = 1 to n loop
   L24: for j = i + 1 to n loop

@@ -1,7 +1,7 @@
 (* First-iteration peeling (paper §4.1) and the wrap-around promotion it
    enables. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 let l9 = "iml = n\nL9: for i = 1 to n loop\n  A(i) = A(iml) + 1\n  iml = i\nendloop"
 
@@ -36,22 +36,22 @@ let test_promotion_after_peel () =
   (* Before peeling iml is a wrap-around; after, it is promoted to a
      plain IV in the remaining loop (the paper's standard trick). *)
   let t = Helpers.analyze l9 in
-  (match Driver.class_of_name t "iml2" with
+  (match Pipeline.class_of_name t "iml2" with
    | Some (Analysis.Ivclass.Wrap { order = 1; _ }) -> ()
-   | Some c -> Alcotest.failf "expected wrap before peel, got %s" (Driver.class_to_string t c)
+   | Some c -> Alcotest.failf "expected wrap before peel, got %s" (Pipeline.class_to_string t c)
    | None -> Alcotest.fail "iml2 missing");
   let peeled = Transform.Peel.peel_named "L9" (Ir.Parser.parse l9) in
-  let t' = Driver.analyze (Ir.Ssa.of_program peeled) in
+  let t' = Pipeline.analyze (Ir.Ssa.of_program peeled) in
   (* In the peeled program the remaining loop's iml phi is linear. *)
   let found_linear = ref false in
-  let ssa = Driver.ssa t' in
+  let ssa = t'.Pipeline.ssa in
   Ir.Cfg.iter_instrs (Ir.Ssa.cfg ssa) (fun _ (i : Ir.Instr.t) ->
       if
         Ir.Ssa.phi_var ssa i.Ir.Instr.id
         |> Option.map Ir.Ident.name
         |> ( = ) (Some "iml")
       then
-        match Driver.class_of t' i.Ir.Instr.id with
+        match Pipeline.class_of t' i.Ir.Instr.id with
         | Analysis.Ivclass.Linear _ -> found_linear := true
         | _ -> ());
   Alcotest.(check bool) "iml promoted to linear IV" true !found_linear

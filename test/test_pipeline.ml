@@ -5,7 +5,6 @@
    worker pool. *)
 
 module Pipeline = Analysis.Pipeline
-module Driver = Analysis.Driver
 module Engine = Service.Engine
 module Pool = Service.Pool
 
@@ -35,14 +34,14 @@ let corpus () =
 (* The seed rendering of the trip report, reimplemented over the
    driver's public query surface so the staged path is checked against
    an independent renderer. *)
-let seed_trip_report (d : Driver.t) =
-  let ssa = Driver.ssa d in
+let seed_trip_report (d : Pipeline.analysis) =
+  let ssa = d.Pipeline.ssa in
   let loops = Ir.Ssa.loops ssa in
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
   List.iter
     (fun (lp : Ir.Loops.loop) ->
-      let trip = Driver.trip_count d lp.Ir.Loops.id in
+      let trip = Pipeline.trip_count d lp.Ir.Loops.id in
       Format.fprintf fmt "loop %-8s trips: %a" lp.Ir.Loops.name
         (Analysis.Trip_count.pp_with (fun id -> Ir.Ssa.primary_name ssa id))
         trip;
@@ -55,10 +54,10 @@ let seed_trip_report (d : Driver.t) =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-let seed_deps_report (d : Driver.t) =
+let seed_deps_report (d : Pipeline.analysis) =
   (* The engine defaults to range-sharpened dependence testing; the
      monolithic reference must match. *)
-  let g = Dependence.Dep_graph.build ~ranges:(Driver.ranges d) d in
+  let g = Dependence.Dep_graph.build ~ranges:(Pipeline.range_of d) d in
   if g = [] then "no dependences\n" else Dependence.Dep_graph.to_string d g
 
 let ok = function
@@ -73,9 +72,9 @@ let test_golden_equivalence () =
   List.iter
     (fun (name, src) ->
       let engine = Engine.create () in
-      let d = Driver.analyze_source src in
+      let d = Helpers.analyze src in
       Alcotest.(check string)
-        (name ^ ": classify") (Driver.report d)
+        (name ^ ": classify") (Pipeline.report_of d)
         (ok (Engine.classify engine src));
       Alcotest.(check string)
         (name ^ ": trip") (seed_trip_report d)
@@ -342,6 +341,19 @@ let test_deferred_digests () =
         expected)
     (corpus ())
 
+(* The whole-forest walk ([Pipeline.analyze], what SSA-only callers
+   run) and a pipeline instance's unit walk render the same
+   classification and trip reports, over random programs. *)
+let prop_forest_walk_matches_unit_walk =
+  Helpers.qtest ~count:100 "whole-forest walk equals the unit walk"
+    Gen.gen_program (fun prog ->
+      let src = Ir.Ast.to_string prog in
+      let a = Helpers.analyze src in
+      let p = Pipeline.create src in
+      (Pipeline.report_of a, Pipeline.trip_report_of a)
+      = (ok (Pipeline.report p), ok (Pipeline.trip_report p))
+      || QCheck2.Test.fail_reportf "walks differ for:\n%s" src)
+
 let suite =
   ( "pipeline",
     [
@@ -356,4 +368,5 @@ let suite =
       Helpers.case "persistent pool reuses workers" test_persistent_pool;
       Helpers.case "batch over a pool matches spawning" test_batch_over_pool_matches_spawning;
       Helpers.case "parse/ssa/looptree digests are rendered when read" test_deferred_digests;
+      prop_forest_walk_matches_unit_walk;
     ] )

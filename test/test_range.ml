@@ -3,14 +3,14 @@
    testing and bounds-check elimination), and the array-declaration
    syntax they lean on. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Range = Analysis.Range
 module Interval = Analysis.Interval
 module Extint = Analysis.Extint
 
 let ranges_of src =
-  let t = Driver.analyze_source src in
-  (t, Driver.ranges t)
+  let t = Helpers.analyze src in
+  (t, Pipeline.range_of t)
 
 (* ---------- the paper-style demo: branch join + loop body ---------- *)
 
@@ -25,7 +25,7 @@ let demo_src =
    endloop\n"
 
 let interval_str t r name =
-  match Ir.Ssa.def_of_name (Driver.ssa t) name with
+  match Ir.Ssa.def_of_name t.Pipeline.ssa name with
   | None -> "<no such name>"
   | Some id -> Interval.to_string (Range.interval_of r id)
 
@@ -40,7 +40,7 @@ let test_demo_intervals () =
    test) the index never carries its exit value. *)
 let test_body_refinement () =
   let t, r = ranges_of demo_src in
-  let ssa = Driver.ssa t in
+  let ssa = t.Pipeline.ssa in
   match Ir.Ssa.def_of_name ssa "i2" with
   | None -> Alcotest.fail "no i2"
   | Some id ->
@@ -62,8 +62,8 @@ let test_body_refinement () =
 (* ---------- range-sharpened dependence testing ---------- *)
 
 let edges ?ranges src =
-  let t = Driver.analyze_source src in
-  let ranges = if ranges = Some true then Some (Driver.ranges t) else None in
+  let t = Helpers.analyze src in
+  let ranges = if ranges = Some true then Some (Pipeline.range_of t) else None in
   Dependence.Dep_graph.build ?ranges t
 
 let test_deps_sharpened () =
@@ -80,8 +80,8 @@ let bounds_summary src =
   match Ir.Parser.parse_result src with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok prog ->
-    let t = Driver.analyze_source src in
-    (prog, t, Transform.Bounds_elim.analyze (Driver.ranges t) (Driver.ssa t) prog)
+    let t = Helpers.analyze src in
+    (prog, t, Transform.Bounds_elim.analyze (Pipeline.range_of t) t.Pipeline.ssa prog)
 
 let test_bounds_elim () =
   let _, _, s = bounds_summary demo_src in
@@ -115,7 +115,7 @@ let test_bounds_undeclared_skipped () =
 let test_instrument_optimize_agree () =
   let prog, t, s = bounds_summary demo_src in
   let full = Transform.Bounds_elim.instrument prog in
-  let opt = Transform.Bounds_elim.optimize (Driver.ranges t) (Driver.ssa t) prog in
+  let opt = Transform.Bounds_elim.optimize (Pipeline.range_of t) t.Pipeline.ssa prog in
   Alcotest.(check bool) "same footprint" true
     (Helpers.array_footprint full = Helpers.array_footprint opt);
   let rec count_ifs stmts =
@@ -165,10 +165,10 @@ let prop_fixpoint_bounded =
   Helpers.qtest ~count:150 "range fixpoint is bounded" Gen.gen_program
     (fun p ->
       let src = Ir.Ast.to_string p in
-      let t = Driver.analyze_source src in
-      let r = Driver.ranges t in
+      let t = Helpers.analyze src in
+      let r = Pipeline.range_of t in
       let cap =
-        3 + Ir.Cfg.num_instrs (Ir.Ssa.cfg (Driver.ssa t)) + 8
+        3 + Ir.Cfg.num_instrs (Ir.Ssa.cfg t.Pipeline.ssa) + 8
       in
       if Range.iterations r > cap then
         QCheck2.Test.fail_reportf "program:\n%s\n%d rounds > cap %d" src
@@ -181,8 +181,8 @@ let prop_ranges_sound =
   Helpers.qtest ~count:150 "random programs satisfy the range oracle"
     Gen.gen_program (fun p ->
       let src = Ir.Ast.to_string p in
-      let t = Driver.analyze_source src in
-      let r = Driver.ranges t in
+      let t = Helpers.analyze src in
+      let r = Pipeline.range_of t in
       let state = Random.State.make [| Hashtbl.hash src |] in
       let result =
         Verify.Range_oracle.check ~fuel:200_000 ~max_diags:4

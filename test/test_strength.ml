@@ -1,6 +1,6 @@
 (* Strength reduction driven by the classification. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module SR = Transform.Strength_reduction
 
 let count_muls ssa =
@@ -24,7 +24,7 @@ let footprint_of_ssa ?(params = fun _ -> 0) ssa =
 let reduce_and_compare ?(params = fun _ -> 0) src =
   let before = footprint_of_ssa ~params (Ir.Ssa.of_source src) in
   let ssa = Ir.Ssa.of_source src in
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   let reductions = SR.reduce t in
   (* The rewritten CFG must still be valid SSA. *)
   (match Ir.Ssa.check ssa with
@@ -85,7 +85,7 @@ let test_conditional_multiply () =
     Hashtbl.length st.Ir.Interp.arrays
   in
   let ssa = Ir.Ssa.of_source src in
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   let _ = SR.reduce t in
   let after =
     let state = Random.State.make [| 3 |] in
@@ -109,7 +109,7 @@ let prop_reduction_preserves_random_programs =
       in
       let before = footprint (Ir.Ssa.of_source src) in
       let ssa = Ir.Ssa.of_source src in
-      let t = Driver.analyze ssa in
+      let t = Pipeline.analyze ssa in
       let _ = SR.reduce t in
       match Ir.Ssa.check ssa with
       | [] -> footprint ssa = before

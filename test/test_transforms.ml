@@ -1,7 +1,7 @@
 (* The transformation clients: DCE, LICM, loop interchange, unimodular
    legality, and parallelization legality. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 
 let footprint_of_ssa ?(params = fun _ -> 0) ?(seed = 0) ssa =
   let state = Random.State.make [| seed |] in
@@ -55,7 +55,7 @@ let test_licm_hoists () =
   let params v = if Ir.Ident.name v = "n" then 3 else 0 in
   let before = footprint_of_ssa ~params (Ir.Ssa.of_source src) in
   let ssa = Ir.Ssa.of_source src in
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   let hoisted = Transform.Licm.hoist t in
   Alcotest.(check bool) "hoisted the invariant chain" true (List.length hoisted >= 2);
   Alcotest.(check bool) "valid SSA" true (Ir.Ssa.check ssa = []);
@@ -72,7 +72,7 @@ let test_licm_hoists () =
 let test_licm_leaves_variant () =
   let src = "L1: for i = 1 to 9 loop\n  A(i) = i * 2\nendloop" in
   let ssa = Ir.Ssa.of_source src in
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   Alcotest.(check int) "nothing hoisted" 0 (List.length (Transform.Licm.hoist t))
 
 let test_licm_no_division () =
@@ -81,7 +81,7 @@ let test_licm_no_division () =
     "L1: for i = 1 to 9 loop\n  if n != 0 then\n    x = 100 / n\n    A(i) = x\n  endif\nendloop"
   in
   let ssa = Ir.Ssa.of_source src in
-  let t = Driver.analyze ssa in
+  let t = Pipeline.analyze ssa in
   let hoisted = Transform.Licm.hoist t in
   (* With n = 0 the division must never execute. *)
   let _ = footprint_of_ssa ~params:(fun _ -> 0) ssa in
@@ -98,7 +98,7 @@ let prop_licm_preserves =
       let seed = Hashtbl.hash src in
       let before = footprint_of_ssa ~seed (Ir.Ssa.of_source src) in
       let ssa = Ir.Ssa.of_source src in
-      let t = Driver.analyze ssa in
+      let t = Pipeline.analyze ssa in
       let _ = Transform.Licm.hoist t in
       Ir.Ssa.check ssa = [] && footprint_of_ssa ~seed ssa = before)
 
@@ -184,8 +184,8 @@ let test_unimodular_legality () =
 let test_unimodular_from_dependences () =
   (* End-to-end: distance vectors from the dependence graph of the
      triangular nest feed the unimodular search. *)
-  let t = Driver.analyze_source triangular in
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+  let t = Helpers.analyze triangular in
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   let o = Option.get (Ir.Loops.find_by_name loops "L23") in
   let i = Option.get (Ir.Loops.find_by_name loops "L24") in
   let edges = Dependence.Dep_graph.build t in
@@ -217,7 +217,7 @@ L11: for iter = 1 to n loop
   j = jtemp
 endloop
 |} in
-  let t = Driver.analyze_source src in
+  let t = Helpers.analyze src in
   let results = Transform.Parallelize.parallel_loops t in
   let status name =
     List.find_map
@@ -233,7 +233,7 @@ let test_parallel_pack () =
      subscript; A only read. The loop still has the write-read order on
      B in the same iteration, but no carried dependence. *)
   let src = "k = 0\nL15: for i = 1 to n loop\n  if A(i) > 0 then\n    k = k + 1\n    B(k) = A(i)\n  endif\nendloop" in
-  let t = Driver.analyze_source src in
+  let t = Helpers.analyze src in
   let results = Transform.Parallelize.parallel_loops t in
   match results with
   | [ (_, ok) ] -> Alcotest.(check bool) "pack loop parallel" true ok
@@ -241,7 +241,7 @@ let test_parallel_pack () =
 
 let test_serial_recurrence () =
   let src = "L1: for i = 1 to n loop\n  A(i) = A(i - 1) + 1\nendloop" in
-  let t = Driver.analyze_source src in
+  let t = Helpers.analyze src in
   match Transform.Parallelize.parallel_loops t with
   | [ (_, ok) ] -> Alcotest.(check bool) "true recurrence is serial" false ok
   | _ -> Alcotest.fail "expected one loop"

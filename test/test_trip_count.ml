@@ -1,14 +1,14 @@
 (* Trip counts (paper §5.2): the relop normalization table, the
    three-case count formula, and agreement with the interpreter. *)
 
-module Driver = Analysis.Driver
+module Pipeline = Analysis.Pipeline
 module Trip_count = Analysis.Trip_count
 
 let trip_of src name =
   let t = Helpers.analyze src in
-  let loops = Ir.Ssa.loops (Driver.ssa t) in
+  let loops = Ir.Ssa.loops t.Pipeline.ssa in
   match Ir.Loops.find_by_name loops name with
-  | Some lp -> Driver.trip_count t lp.Ir.Loops.id
+  | Some lp -> Pipeline.trip_count t lp.Ir.Loops.id
   | None -> Alcotest.failf "loop %s not found" name
 
 let check_count src name expected =

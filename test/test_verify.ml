@@ -148,7 +148,7 @@ let test_oracle_depth () =
   (* The acceptance bar: closed forms hold for at least 64 iterations.
      oracle_stress.iv runs its outer loop 120 times, so the oracle must
      get at least that deep before fuel runs out. *)
-  let t = Analysis.Driver.analyze_source (stress ()) in
+  let t = Helpers.analyze (stress ()) in
   let r = Oracle.check ~fuel:200_000 t in
   Alcotest.(check (list string)) "no failures" []
     (List.map Diag.to_string r.Oracle.diags);
