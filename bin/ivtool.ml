@@ -317,13 +317,20 @@ let cmd_check no_sccp no_ranges json iters werror dump_cfg inject trace_file
     match Verify.Inject.apply kind ssa with
     | Error msg -> fatal 2 "cannot inject %s: %s" kind_name msg
     | Ok desc ->
-      Printf.eprintf "injected fault (%s): %s\n%!" kind_name desc;
       let diags = Verify.Structural.check_ir ssa in
-      List.iter (fun d -> print_endline (Ir.Diag.to_string d)) diags;
       let expected = Verify.Inject.expected_code kind in
-      if
-        List.exists (fun (d : Ir.Diag.t) -> d.Ir.Diag.code = expected) diags
-      then fatal 2 "verification failed as expected (%s)" expected
+      let caught = List.exists (fun (d : Ir.Diag.t) -> d.Ir.Diag.code = expected) diags in
+      if json then
+        Printf.printf
+          "{\"fault\":%s,\"description\":%s,\"diagnostics\":[%s],\"expected\":%s,\"caught\":%b}\n"
+          (Obs.Json.escape kind_name) (Obs.Json.escape desc)
+          (String.concat "," (List.map Verify.Check.diag_to_json diags))
+          (Obs.Json.escape expected) caught
+      else begin
+        Printf.eprintf "injected fault (%s): %s\n%!" kind_name desc;
+        List.iter (fun d -> print_endline (Ir.Diag.to_string d)) diags
+      end;
+      if caught then fatal 2 "verification failed as expected (%s)" expected
       else fatal 125 "fault injected but %s was not reported" expected)
   | None ->
     let engine = engine_of ~no_sccp ~check_iters:iters ~use_ranges:(not no_ranges) () in
@@ -642,7 +649,11 @@ let classify_cmd =
 
 let check_cmd =
   let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
+    Arg.(value & flag
+         & info [ "json" ]
+             ~doc:"Emit the report as JSON (with $(b,--inject): one object with the \
+                   fault, its description, the diagnostics, the expected code and \
+                   whether it was caught).")
   in
   let iters =
     Arg.(value & opt int 100

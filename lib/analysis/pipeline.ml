@@ -684,18 +684,21 @@ type t = {
   mutable v_looptree : (Ir.Loops.t, string) result option;
   mutable v_sccp : (Sccp.result option, string) result option;
   mutable v_units : (unit_info list, string) result option;
-  (* The promoted analysis and its rendered classification report. *)
-  mutable v_classify : (analysis * string, string) result option;
+  mutable v_classify : (analysis rendered, string) result option;
   mutable v_trip : (string, string) result option;
-  mutable v_range : (Range.t * string, string) result option;
+  mutable v_range : (Range.t rendered, string) result option;
   digests : (pass, digest_slot) Hashtbl.t;
 }
 
-(* A forced pass's digest. The Parse, Ssa and Looptree digests hash a
-   full rendering of their result, which nothing on the analysis path
-   reads, so they stay [Deferred] until the first [digest] call renders
-   them (under [lock]: [Lazy] is not domain-safe). The results they
-   render are never mutated after forcing, so the value is the same
+(* A forced pass's result and its report, rendered on the first read
+   (under [lock]) and kept. *)
+and 'a rendered = { value : 'a; mutable text : string option }
+
+(* A forced pass's digest. The Parse, Lower, Ssa, Looptree, Classify and
+   Ranges digests hash a full rendering of their result, which no cache
+   key reads, so they stay [Deferred] until the first [digest] call
+   renders them (under [lock]: [Lazy] is not domain-safe). The results
+   they render are never mutated after forcing, so the value is the same
    whenever it is computed. *)
 and digest_slot = Ready of Hash.Fnv.t | Deferred of (unit -> string)
 
@@ -754,7 +757,7 @@ let ensure_lower t =
       | Error e -> Error e
       | Ok prog ->
         let cfg = staged Lower (fun () -> Ir.Lower.lower prog) in
-        set_digest t Lower (Ir.Cfg.to_string cfg);
+        defer_digest t Lower (fun () -> Ir.Cfg.to_string cfg);
         Ok cfg
     in
     t.v_lower <- Some v;
@@ -861,13 +864,24 @@ let ensure_units t =
     t.v_units <- Some v;
     v
 
+let rendered value = { value; text = None }
+
+(* [text_of render r] is [r]'s report. Callers hold [t.lock]. *)
+let text_of render r =
+  match r.text with
+  | Some text -> text
+  | None ->
+    let text = render r.value in
+    r.text <- Some text;
+    text
+
 (* The Classify pass: the unit walk. Probe [lookup] with each nest
    unit's digest, run [analyze_unit] for the misses (fanned out through
    [pool_run] when given and more than one unit missed), [store] the
-   fresh artifacts, and install the merged analysis with its rendered
-   report. A bare pipeline passes no cache; the engine passes its shared
-   unit-artifact cache. Returns one outcome per nest unit (none when
-   Classify was already forced). Callers hold [t.lock]. *)
+   fresh artifacts, and install the merged analysis. A bare pipeline
+   passes no cache; the engine passes its shared unit-artifact cache.
+   Returns one outcome per nest unit (none when Classify was already
+   forced). Callers hold [t.lock]. *)
 let classify_units ?pool_run ~lookup ~store t =
   match t.v_classify with
   | Some (Error e) -> Error e
@@ -922,9 +936,10 @@ let classify_units ?pool_run ~lookup ~store t =
           let merged =
             merge_units ?sccp ssa (List.map (fun (_, a, _) -> a) results)
           in
-          let rendered = report_of merged in
-          t.v_classify <- Some (Ok (merged, rendered));
-          set_digest t Classify (rendered ^ "\x00" ^ trip_report_of merged);
+          let r = rendered merged in
+          t.v_classify <- Some (Ok r);
+          defer_digest t Classify (fun () ->
+              text_of report_of r ^ "\x00" ^ trip_report_of merged);
           set_digest_hash t Unitclassify
             (Hash.Fnv.of_strings
                ("unit_classify"
@@ -954,8 +969,8 @@ let ensure_trip t =
     let v =
       match ensure_classify t with
       | Error e -> Error e
-      | Ok (a, _) ->
-        let text = staged Trip (fun () -> trip_report_of a) in
+      | Ok a ->
+        let text = staged Trip (fun () -> trip_report_of a.value) in
         set_digest t Trip text;
         Ok text
     in
@@ -981,14 +996,10 @@ let ensure_range t =
     let v =
       match ensure_classify t with
       | Error e -> Error e
-      | Ok (a, _) ->
-        let r, text =
-          staged Ranges (fun () ->
-              let r = range_of a in
-              (r, Range.report r))
-        in
-        set_digest t Ranges text;
-        Ok (r, text)
+      | Ok a ->
+        let r = rendered (staged Ranges (fun () -> range_of a.value)) in
+        defer_digest t Ranges (fun () -> text_of Range.report r);
+        Ok r
     in
     t.v_range <- Some v;
     v
@@ -1003,11 +1014,11 @@ let ssa t = locked t (fun () -> ensure_ssa t)
 let looptree t = locked t (fun () -> ensure_looptree t)
 let sccp t = locked t (fun () -> ensure_sccp t)
 let trip_report t = locked t (fun () -> ensure_trip t)
-let promoted t = locked t (fun () -> Result.map fst (ensure_classify t))
-let report t = locked t (fun () -> Result.map snd (ensure_classify t))
+let promoted t = locked t (fun () -> Result.map (fun r -> r.value) (ensure_classify t))
+let report t = locked t (fun () -> Result.map (text_of report_of) (ensure_classify t))
 let units t = locked t (fun () -> ensure_units t)
-let ranges t = locked t (fun () -> Result.map fst (ensure_range t))
-let range_report t = locked t (fun () -> Result.map snd (ensure_range t))
+let ranges t = locked t (fun () -> Result.map (fun r -> r.value) (ensure_range t))
+let range_report t = locked t (fun () -> Result.map (text_of Range.report) (ensure_range t))
 
 let classify_with_units ?pool_run ~lookup ~store t =
   locked t (fun () -> classify_units ?pool_run ~lookup ~store t)

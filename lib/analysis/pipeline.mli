@@ -7,8 +7,8 @@
     This module makes the staging explicit: a {!pass} is a typed node of
     a static DAG; a pipeline instance ({!t}) forces passes lazily on
     demand, remembers each forced pass's value, and exposes a stable
-    {!Hash.Fnv} digest of every result so downstream cache keys compose
-    (the service engine keys its per-pass artifacts off these digests).
+    {!Hash.Fnv} digest of every result ([ivtool passes] lists them; the
+    service engine keys its artifacts off the source digest alone).
 
     Two layers:
 
@@ -230,7 +230,8 @@ val trip_report : t -> (string, string) result
     same program. *)
 val promoted : t -> (analysis, string) result
 
-(** The rendered classification report (forces through [Classify]). *)
+(** The rendered classification report (forces through [Classify]),
+    rendered on the first call and kept. *)
 val report : t -> (string, string) result
 
 (** The analysis-unit partition with per-unit digests. Every root of
@@ -242,7 +243,8 @@ val units : t -> (unit_info list, string) result
     through [Ranges]). *)
 val ranges : t -> (Range.t, string) result
 
-(** The rendered range table (the [Ranges] digest source). *)
+(** The rendered range table (the [Ranges] digest source), rendered on
+    the first call and kept. *)
 val range_report : t -> (string, string) result
 
 (** [classify_with_units ?pool_run ~lookup ~store t] forces [Classify]
@@ -273,8 +275,8 @@ val forced : t -> pass -> bool
 (** [digest t pass] is the stable digest of the pass's result, once
     forced. Digests are content hashes of a canonical rendering, so
     they are reproducible across instances and processes. The Parse,
-    Ssa and Looptree digests are rendered on the first call for that
-    pass, not when the pass runs. *)
+    Lower, Ssa, Looptree, Classify and Ranges digests are rendered on
+    the first call for that pass, not when the pass runs. *)
 val digest : t -> pass -> Hash.Fnv.t option
 
 (** [note t pass d] records an externally-computed pass (the service

@@ -28,7 +28,7 @@ module Table = Ir.Instr.Id.Table
 
 type t = {
   ssa : Ir.Ssa.t;
-  full : Interval.t Table.t;
+  full : Interval.t option array;  (** indexed by def id *)
   body : (int * Ir.Label.t * Interval.t) Table.t;
       (** def -> (loop, counted exit block, below-the-test interval) *)
   iterations : int;  (** fixpoint rounds used *)
@@ -104,155 +104,163 @@ let rec class_interval ~trip_of ~sub1_loop (cls : Ivclass.t) :
 
 (* --- the fixpoint --- *)
 
+let some_top = Some Interval.top
+let some_bool = Some Interval.bool_range
+
+(* SSA ids and block labels are dense, so the per-def and per-block
+   state lives in arrays indexed by them. *)
 let compute ?(sccp : Sccp.result option)
     ~(class_of : Ir.Instr.Id.t -> Ivclass.t option)
     ~(trip_of : int -> Trip_count.t option) (ssa : Ir.Ssa.t) : t =
   let cfg = Ir.Ssa.cfg ssa in
   let loops = Ir.Ssa.loops ssa in
-  let preds = Ir.Cfg.pred_table cfg in
-  let executable l =
-    match sccp with
-    | Some r -> Sccp.block_executable r l
-    | None -> true
+  let nblocks = Ir.Cfg.num_blocks cfg in
+  let executable =
+    Array.init nblocks (fun l ->
+        match sccp with
+        | Some r -> Sccp.block_executable r l
+        | None -> true)
   in
-  let headers =
-    List.fold_left
-      (fun s lp -> Ir.Label.Set.add lp.Ir.Loops.header s)
-      Ir.Label.Set.empty (Ir.Loops.all loops)
-  in
-  (* Exact constants and closed-form clamps, computed once. *)
-  let exact = Table.create 64 in
-  let seeds = Table.create 64 in
+  let header = Array.make nblocks false in
+  List.iter (fun lp -> header.(lp.Ir.Loops.header) <- true) (Ir.Loops.all loops);
+  let size = ref 0 and num_defs = ref 0 in
+  Ir.Cfg.iter_instrs cfg (fun _ instr ->
+      size := max !size (instr.Ir.Instr.id + 1);
+      incr num_defs);
+  let size = !size in
+  (* Per def: its current interval (exact constants start there and are
+     never recomputed) and its closed-form clamp, computed once. *)
+  let full = Array.make size None in
+  let exact = Array.make size false in
+  let seeds = Array.make size None in
   Ir.Cfg.iter_instrs cfg (fun _ instr ->
       let id = instr.Ir.Instr.id in
       (match sccp with
       | Some r -> (
         match Sccp.const_of r id with
-        | Some n -> Table.replace exact id (Interval.const n)
+        | Some n ->
+          exact.(id) <- true;
+          full.(id) <- Some (Interval.const n)
         | None -> ())
       | None -> ());
       match class_of id with
-      | Some cls -> (
-        match class_interval ~trip_of ~sub1_loop:None cls with
-        | Some iv -> Table.replace seeds id iv
-        | None -> ())
+      | Some cls -> seeds.(id) <- class_interval ~trip_of ~sub1_loop:None cls
       | None -> ());
-  let full = Table.create 64 in
-  Table.iter (fun id iv -> Table.replace full id iv) exact;
   let clamp id iv =
-    match Table.find_opt seeds id with
+    match seeds.(id) with
     | Some seed -> (
       match Interval.meet iv seed with Some m -> m | None -> iv)
     | None -> iv
   in
   let value_iv = function
     | Ir.Instr.Const n -> Some (Interval.const n)
-    | Ir.Instr.Param _ -> Some Interval.top
-    | Ir.Instr.Def id -> Table.find_opt full id
+    | Ir.Instr.Param _ -> some_top
+    | Ir.Instr.Def id -> if id < size then full.(id) else None
+  in
+  (* The interval of an operand already known to be visited. *)
+  let known_iv = function
+    | Ir.Instr.Const n -> Interval.const n
+    | Ir.Instr.Param _ -> Interval.top
+    | Ir.Instr.Def id -> Option.get full.(id)
+  in
+  let visited = function
+    | Ir.Instr.Const _ | Ir.Instr.Param _ -> true
+    | Ir.Instr.Def id -> id < size && Option.is_some full.(id)
   in
   let transfer label (instr : Ir.Instr.t) : Interval.t option =
     let args = instr.Ir.Instr.args in
-    let all_args f =
-      let rec go i acc =
-        if i >= Array.length args then Some (List.rev acc)
-        else
-          match value_iv args.(i) with
-          | Some iv -> go (i + 1) (iv :: acc)
-          | None -> None
-      in
-      Option.map f (go 0 [])
-    in
+    let n = Array.length args in
     match instr.Ir.Instr.op with
     | Ir.Instr.Phi ->
       (* Join the arguments flowing along executable edges; a bottom
          (unvisited) argument contributes nothing yet. *)
-      let ps = preds.(label) in
-      let acc = ref None in
-      List.iteri
-        (fun i p ->
-          if executable p && i < Array.length args then
-            match value_iv args.(i) with
-            | Some iv ->
-              acc :=
-                Some
-                  (match !acc with
-                  | Some a -> Interval.join a iv
-                  | None -> iv)
-            | None -> ())
-        ps;
-      !acc
+      let rec join i ps acc =
+        match ps with
+        | [] -> acc
+        | p :: rest ->
+          let acc =
+            if executable.(p) && i < n then
+              match (value_iv args.(i), acc) with
+              | Some iv, Some a -> Some (Interval.join a iv)
+              | (Some _ as v), None -> v
+              | None, _ -> acc
+            else acc
+          in
+          join (i + 1) rest acc
+      in
+      join 0 (Ir.Ssa.preds ssa label) None
+    | _ when not (Array.for_all visited args) -> (
+      match instr.Ir.Instr.op with
+      | Ir.Instr.Rand -> some_bool
+      | Ir.Instr.Load _ | Ir.Instr.Store _ -> some_top
+      | Ir.Instr.Astore _ when n > 0 -> value_iv args.(n - 1)
+      | _ -> None)
     | Ir.Instr.Binop op ->
-      all_args (function
-        | [ a; b ] -> (
-          match op with
+      if n <> 2 then some_top
+      else
+        let a = known_iv args.(0) and b = known_iv args.(1) in
+        Some
+          (match op with
           | Ir.Ops.Add -> Interval.add a b
           | Ir.Ops.Sub -> Interval.sub a b
           | Ir.Ops.Mul -> Interval.mul a b
           | Ir.Ops.Div -> Interval.div a b
           | Ir.Ops.Exp -> Interval.top)
-        | _ -> Interval.top)
-    | Ir.Instr.Relop _ -> all_args (fun _ -> Interval.bool_range)
-    | Ir.Instr.Neg ->
-      all_args (function [ a ] -> Interval.neg a | _ -> Interval.top)
-    | Ir.Instr.Rand -> Some Interval.bool_range
-    | Ir.Instr.Aload _ -> all_args (fun _ -> Interval.top)
+    | Ir.Instr.Relop _ | Ir.Instr.Rand -> some_bool
+    | Ir.Instr.Neg -> if n = 1 then Some (Interval.neg (known_iv args.(0))) else some_top
+    | Ir.Instr.Aload _ | Ir.Instr.Load _ | Ir.Instr.Store _ -> some_top
     | Ir.Instr.Astore _ ->
       (* The instruction's value is the stored operand (last arg). *)
-      if Array.length args = 0 then Some Interval.top
-      else value_iv args.(Array.length args - 1)
-    | Ir.Instr.Load _ | Ir.Instr.Store _ -> Some Interval.top
+      if n = 0 then some_top else value_iv args.(n - 1)
   in
-  let order =
-    List.filter executable (Ir.Cfg.reverse_postorder cfg)
-  in
-  let num_defs = Ir.Cfg.num_instrs cfg in
-  let cap = widen_start + num_defs + 8 in
+  let order = List.filter (fun l -> executable.(l)) (Ir.Cfg.reverse_postorder cfg) in
+  let cap = widen_start + !num_defs + 8 in
   let rounds = ref 0 in
   let changed = ref true in
+  let step label (instr : Ir.Instr.t) =
+    let id = instr.Ir.Instr.id in
+    if not exact.(id) then
+      match transfer label instr with
+      | None -> ()
+      | Some cand -> (
+        let cand = clamp id cand in
+        match full.(id) with
+        | None ->
+          full.(id) <- Some cand;
+          changed := true
+        | Some old ->
+          let next = Interval.join old cand in
+          let next =
+            if
+              instr.Ir.Instr.op = Ir.Instr.Phi
+              && header.(label)
+              && !rounds > widen_start
+              && not (Interval.equal old next)
+            then clamp id (Interval.widen ~old ~next)
+            else next
+          in
+          if not (Interval.equal old next) then begin
+            full.(id) <- Some next;
+            changed := true
+          end)
+  in
+  let rec visit label = function
+    | [] -> ()
+    | instr :: rest ->
+      step label instr;
+      visit label rest
+  in
   while !changed && !rounds < cap do
     incr rounds;
     changed := false;
-    List.iter
-      (fun label ->
-        let block = Ir.Cfg.block cfg label in
-        List.iter
-          (fun (instr : Ir.Instr.t) ->
-            let id = instr.Ir.Instr.id in
-            if not (Table.mem exact id) then begin
-              match transfer label instr with
-              | None -> ()
-              | Some cand -> (
-                let cand = clamp id cand in
-                match Table.find_opt full id with
-                | None ->
-                  Table.replace full id cand;
-                  changed := true
-                | Some old ->
-                  let next = Interval.join old cand in
-                  let next =
-                    if
-                      instr.Ir.Instr.op = Ir.Instr.Phi
-                      && Ir.Label.Set.mem label headers
-                      && !rounds > widen_start
-                      && not (Interval.equal old next)
-                    then clamp id (Interval.widen ~old ~next)
-                    else next
-                  in
-                  if not (Interval.equal old next) then begin
-                    Table.replace full id next;
-                    changed := true
-                  end)
-            end)
-          block.Ir.Cfg.instrs)
-      order
+    List.iter (fun label -> visit label (Ir.Cfg.block cfg label).Ir.Cfg.instrs) order
   done;
   if !changed then
     (* Safety net (never expected): discard the unconverged dataflow and
        keep only the independently sound seeds. *)
     Ir.Cfg.iter_instrs cfg (fun _ instr ->
         let id = instr.Ir.Instr.id in
-        if not (Table.mem exact id) then
-          Table.replace full id (clamp id Interval.top));
+        if not exact.(id) then full.(id) <- Some (clamp id Interval.top));
   (* Below-the-exit-test refinements: recompute classified defs with the
      def's own loop capped at U - 1, valid where the counted exit block
      dominates the use. *)
@@ -269,9 +277,7 @@ let compute ?(sccp : Sccp.result option)
             | Some exit_block, Some _ -> (
               match class_interval ~trip_of ~sub1_loop:(Some l) cls with
               | Some seed -> (
-                let fl =
-                  Option.value ~default:Interval.top (Table.find_opt full id)
-                in
+                let fl = Option.value ~default:Interval.top full.(id) in
                 let iv =
                   match Interval.meet fl seed with Some m -> m | None -> fl
                 in
@@ -289,7 +295,9 @@ let compute ?(sccp : Sccp.result option)
 let iterations t = t.iterations
 
 let interval_of t id =
-  Option.value ~default:Interval.top (Table.find_opt t.full id)
+  if id >= 0 && id < Array.length t.full then
+    Option.value ~default:Interval.top t.full.(id)
+  else Interval.top
 
 (* [interval_at t ~block id] refines the def's interval at a use site:
    inside the def's loop and dominated by the counted exit block, the

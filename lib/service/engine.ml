@@ -5,10 +5,11 @@
    request) to an Analysis.Pipeline instance whose stages force lazily,
    so a trip-count request never runs range analysis or dependence
    testing. The dependence report — the one artifact computed above
-   lib/analysis — is cached under a key derived from the classify
-   pass's result digest, so it survives pipeline eviction and is shared
-   by any source that classifies the same way. *)
+   lib/analysis — and the verify parts are properties of the program,
+   so they are cached under keys derived from that same source digest:
+   they survive pipeline eviction, and no two programs share one. *)
 
+module Fnv = Hash.Fnv
 module Pipeline = Analysis.Pipeline
 module Instrument = Obs.Instrument
 
@@ -63,7 +64,7 @@ let served_metric a tier =
 
 type t = {
   options : options;
-  cache : (Digest.t, entry) Cache.t;
+  cache : (Fnv.t, entry) Cache.t;
   metrics : Instrument.t;
   (* Handles into [metrics], resolved once by [create] (every pass and
      tier up front, so zero rows export too): per pass its (hits,
@@ -75,10 +76,10 @@ type t = {
   (* (base key, pass) pairs whose artifact was served from the disk
      store in this process — the `store` owner tier of `ivtool
      passes`. *)
-  store_served : (Digest.t * Pipeline.pass, unit) Hashtbl.t;
+  store_served : (Fnv.t * Pipeline.pass, unit) Hashtbl.t;
   (* Render keys this process already knows the store holds: published
      or served from it. *)
-  stored : (Digest.t, unit) Hashtbl.t;
+  stored : (Fnv.t, unit) Hashtbl.t;
 }
 
 let create ?(capacity = 256) ?(options = default_options) ?store () =
@@ -113,13 +114,13 @@ let set_store t s =
 (* -- keys: the source text is digested exactly once per request; every
    key below derives from that digest -- *)
 
-let base_key t src = Digest.feed_bool (Digest.of_strings [ src ]) t.options.use_sccp
-let pipeline_key base = Digest.feed_string base "pipeline"
-let deps_key classify_digest = Digest.feed_string classify_digest "text.deps"
+let base_key t src = Fnv.feed_bool (Fnv.of_strings [ src ]) t.options.use_sccp
+let pipeline_key base = Fnv.feed_string base "pipeline"
+let deps_key base = Fnv.feed_string base "text.deps"
 
 (* Unit artifacts key off the unit digest alone (not the source): two
    sources sharing an unchanged loop nest share its artifact. *)
-let unit_key udigest = Digest.feed_string udigest "unit.artifact"
+let unit_key udigest = Fnv.feed_string udigest "unit.artifact"
 
 (* -- the disk tier (lib/store) --
 
@@ -136,16 +137,16 @@ let store_schema = 2
 
 let render_key t base artifact =
   let k =
-    Digest.feed_int
-      (Digest.feed_string base ("render." ^ artifact_to_string artifact))
+    Fnv.feed_int
+      (Fnv.feed_string base ("render." ^ artifact_to_string artifact))
       store_schema
   in
   (* The rendered check report depends on the oracle's iteration bound;
      two processes with different --iters must not share it. The deps
      and check reports also depend on whether range sharpening is on. *)
   match artifact with
-  | Check -> Digest.feed_bool (Digest.feed_int k t.options.check_iters) t.options.use_ranges
-  | Deps -> Digest.feed_bool k t.options.use_ranges
+  | Check -> Fnv.feed_bool (Fnv.feed_int k t.options.check_iters) t.options.use_ranges
+  | Deps -> Fnv.feed_bool k t.options.use_ranges
   | Classify | Trip | Ranges -> k
 
 let count_served t artifact tier =
@@ -320,7 +321,7 @@ let analyze ?pool t src : (Analysis.Pipeline.analysis, string) result =
 
 (* -- the dependence report (the service layer's own pass) -- *)
 
-let deps_text ?pool t p : (string, string) result =
+let deps_text ?pool t base p : (string, string) result =
   let chain = if t.options.use_ranges then ranges_chain else classify_chain in
   match ensure_chain ?pool t p chain with
   | Error e -> Error e
@@ -328,28 +329,14 @@ let deps_text ?pool t p : (string, string) result =
     match Pipeline.promoted p with
     | Error e -> Error e
     | Ok a ->
-      let cd =
-        match Pipeline.digest p Pipeline.Classify with
-        | Some d -> d
-        | None -> assert false (* classify just succeeded *)
-      in
-      (* Range sharpening changes the report, so the ranges digest joins
-         the key: a source that classifies identically but ranges
-         differently (it cannot today — ranges derive from classify —
-         but schema honesty is cheap) never shares the text. *)
       let ranges =
         if t.options.use_ranges then
           match Pipeline.ranges p with Ok r -> Some r | Error _ -> None
         else None
       in
-      let key =
-        match (ranges, Pipeline.digest p Pipeline.Ranges) with
-        | Some _, Some rd -> Digest.feed_string (deps_key cd) (Digest.to_hex rd)
-        | _ -> deps_key cd
-      in
       let computed = ref false in
       let entry =
-        Cache.find_or_add t.cache key (fun () ->
+        Cache.find_or_add t.cache (deps_key base) (fun () ->
             computed := true;
             Pool.tick ();
             Obs.Prof.time t.metrics "phase.deps" (fun () ->
@@ -361,56 +348,32 @@ let deps_text ?pool t p : (string, string) result =
       count_pass t Pipeline.Depgraph ~hit:(not !computed);
       (match entry with
        | E_text text ->
-         Pipeline.note p Pipeline.Depgraph (Digest.of_strings [ text ]);
+         Pipeline.note p Pipeline.Depgraph (Fnv.of_strings [ text ]);
          Ok text
        | E_pipeline _ | E_part _ | E_unit _ -> assert false))
 
 (* -- checked mode: the three verify passes (lib/verify) --
 
-   Each part is cached on its own key, derived from the digests of the
-   passes it actually reads — the structural part from Lower + Ssa (this
-   is the consumer the Lower pass never had), the oracle from Classify
-   plus the iteration bound, the transform validators from the source
-   digest (they re-lower their own fresh copies, and their footprints
-   depend on the program text, not on what it classified to). Completed
-   parts are recorded on the pipeline with [Pipeline.note], so `ivtool
-   passes` and STATS show checked mode like any other pass. *)
+   Each part is cached on its own key, derived from the source digest
+   like every other artifact of the program (the two oracle parts also
+   from the iteration bound). Completed parts are recorded on the
+   pipeline with [Pipeline.note], so `ivtool passes` and STATS show
+   checked mode like any other pass. *)
 
-let verify_key tag digests =
-  List.fold_left
-    (fun acc d -> Digest.feed_string acc (Digest.to_hex d))
-    (Digest.of_strings [ tag ]) digests
+let verify_passes = Pipeline.[ VerifyIr; VerifyClass; VerifyRanges; VerifyTrans ]
 
-let verify_ir_key p =
-  match (Pipeline.digest p Pipeline.Lower, Pipeline.digest p Pipeline.Ssa) with
-  | Some dl, Some ds -> Some (verify_key "part.verify_ir" [ dl; ds ])
-  | _ -> None
-
-let verify_class_key t p =
-  match Pipeline.digest p Pipeline.Classify with
-  | Some dc ->
-    Some (Digest.feed_int (verify_key "part.verify_class" [ dc ]) t.options.check_iters)
-  | None -> None
-
-let verify_trans_key base = Digest.feed_string base "part.verify_trans"
-
-let verify_ranges_key t p =
-  match
-    (Pipeline.digest p Pipeline.Classify, Pipeline.digest p Pipeline.Ranges)
-  with
-  | Some dc, Some dr ->
-    Some
-      (Digest.feed_int
-         (verify_key "part.verify_ranges" [ dc; dr ])
-         t.options.check_iters)
-  | _ -> None
+let part_key t base pass =
+  let k = Fnv.feed_string base ("part." ^ Pipeline.name pass) in
+  match pass with
+  | Pipeline.VerifyClass | Pipeline.VerifyRanges -> Fnv.feed_int k t.options.check_iters
+  | _ -> k
 
 (* Force one verify pass through the part cache, with the same hit/miss
    accounting, timeout tick and phase timing as any other pass. *)
-let ensure_part t p pass key compute : Verify.Check.part =
+let ensure_part t base p pass compute : Verify.Check.part =
   let computed = ref false in
   let entry =
-    Cache.find_or_add t.cache key (fun () ->
+    Cache.find_or_add t.cache (part_key t base pass) (fun () ->
         computed := true;
         Pool.tick ();
         Obs.Prof.time t.metrics (phase_metric pass) (fun () -> E_part (compute ())))
@@ -418,7 +381,7 @@ let ensure_part t p pass key compute : Verify.Check.part =
   count_pass t pass ~hit:(not !computed);
   match entry with
   | E_part part ->
-    Pipeline.note p pass (Digest.of_strings [ Verify.Check.part_to_text part ]);
+    Pipeline.note p pass (Fnv.of_strings [ Verify.Check.part_to_text part ]);
     part
   | E_pipeline _ | E_text _ | E_unit _ -> assert false
 
@@ -436,11 +399,8 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
     let ssa = get (Pipeline.ssa p) in
     let a = get (Pipeline.promoted p) in
     let structural =
-      match verify_ir_key p with
-      | Some key ->
-        ensure_part t p Pipeline.VerifyIr key (fun () ->
-            Verify.Check.structural_part ~lower ssa)
-      | None -> Verify.Check.structural_part ~lower ssa
+      ensure_part t base p Pipeline.VerifyIr (fun () ->
+          Verify.Check.structural_part ~lower ssa)
     in
     (* A structurally broken program cannot be meaningfully interpreted
        or transformed; report the structural findings alone. *)
@@ -448,11 +408,8 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
       Ok { Verify.Check.parts = [ structural ] }
     else begin
       let oracle =
-        match verify_class_key t p with
-        | Some key ->
-          ensure_part t p Pipeline.VerifyClass key (fun () ->
-              Verify.Check.oracle_part ~iters:t.options.check_iters a)
-        | None -> Verify.Check.oracle_part ~iters:t.options.check_iters a
+        ensure_part t base p Pipeline.VerifyClass (fun () ->
+            Verify.Check.oracle_part ~iters:t.options.check_iters a)
       in
       let ranges_part =
         if not t.options.use_ranges then []
@@ -463,19 +420,14 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
             match Pipeline.ranges p with
             | Error _ -> []
             | Ok r ->
-              let part =
-                match verify_ranges_key t p with
-                | Some key ->
-                  ensure_part t p Pipeline.VerifyRanges key (fun () ->
-                      Verify.Check.ranges_part ~iters:t.options.check_iters a r)
-                | None ->
-                  Verify.Check.ranges_part ~iters:t.options.check_iters a r
-              in
-              [ part ])
+              [
+                ensure_part t base p Pipeline.VerifyRanges (fun () ->
+                    Verify.Check.ranges_part ~iters:t.options.check_iters a r);
+              ])
         end
       in
       let trans =
-        ensure_part t p Pipeline.VerifyTrans (verify_trans_key base) (fun () ->
+        ensure_part t base p Pipeline.VerifyTrans (fun () ->
             Verify.Check.transform_part prog)
       in
       Ok { Verify.Check.parts = [ structural; oracle ] @ ranges_part @ [ trans ] }
@@ -543,7 +495,7 @@ let render ?pool t artifact src : (string, string) result =
         match ensure_chain ?pool t p trip_chain with
         | Error e -> Error e
         | Ok () -> Pipeline.trip_report p)
-      | Deps -> deps_text ?pool t p
+      | Deps -> deps_text ?pool t base p
       | Check -> Result.map Verify.Check.to_text (check_parts ?pool t base p)
       | Ranges -> (
         match ensure_chain ?pool t p ranges_chain with
@@ -617,7 +569,7 @@ let diff ?pool t old_src new_src : (string, string) result =
   | Ok _ -> (
     let old_hex =
       match Pipeline.units (pipeline t old_src) with
-      | Ok us -> List.map (fun u -> Digest.to_hex u.Pipeline.udigest) us
+      | Ok us -> List.map (fun u -> Fnv.to_hex u.Pipeline.udigest) us
       | Error _ -> []
     in
     match classify_with_outcomes ?pool t new_src with
@@ -645,7 +597,7 @@ let diff ?pool t old_src new_src : (string, string) result =
                 | None -> []
               in
               let unchanged =
-                List.mem (Digest.to_hex i.Pipeline.udigest) old_hex
+                List.mem (Fnv.to_hex i.Pipeline.udigest) old_hex
               in
               let status =
                 if i.Pipeline.uroots = [] then
@@ -711,35 +663,10 @@ let reanalyze ?pool t src : (string, string) result =
 
 let invalidate t src =
   let base = base_key t src in
-  let pk = pipeline_key base in
-  (* Drop the dependence report first: its key derives from the classify
-     digest, reachable only while the pipeline entry is alive. *)
-  let removed_derived =
-    match Cache.peek t.cache pk with
-    | Some (E_pipeline p) ->
-      let drop = function
-        | Some key -> if Cache.invalidate t.cache key then 1 else 0
-        | None -> 0
-      in
-      drop
-        (match Pipeline.digest p Pipeline.Classify with
-         | Some cd -> (
-           let base_deps = deps_key cd in
-           match Pipeline.digest p Pipeline.Ranges with
-           | Some rd when t.options.use_ranges ->
-             Some (Digest.feed_string base_deps (Digest.to_hex rd))
-           | _ -> Some base_deps)
-         | None -> None)
-      + drop (verify_ir_key p)
-      + drop (verify_class_key t p)
-      + drop (verify_ranges_key t p)
-      + drop
-          (if Pipeline.forced p Pipeline.VerifyTrans then
-             Some (verify_trans_key base)
-           else None)
-    | _ -> 0
-  in
-  removed_derived + (if Cache.invalidate t.cache pk then 1 else 0)
+  List.fold_left
+    (fun n key -> if Cache.invalidate t.cache key then n + 1 else n)
+    0
+    (pipeline_key base :: deps_key base :: List.map (part_key t base) verify_passes)
 
 let clear t =
   Cache.clear t.cache;
@@ -867,7 +794,7 @@ let passes_report t src =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "source %s  (sccp=%b)\n"
-       (Digest.to_hex (Pipeline.source_digest p))
+       (Fnv.to_hex (Pipeline.source_digest p))
        t.options.use_sccp);
   List.iter
     (fun pass ->
@@ -883,7 +810,7 @@ let passes_report t src =
       in
       let digest =
         match Pipeline.digest p pass with
-        | Some d -> Digest.to_hex d
+        | Some d -> Fnv.to_hex d
         | None -> "-"
       in
       let inputs =

@@ -12,12 +12,11 @@
     {!create} (see {!pass_stats}, {!artifact_stats}).
 
     The dependence report — the one pass computed above [lib/analysis]
-    — is cached under a key derived from the classify pass's result
-    digest (and the ranges digest when range sharpening is on), so it
-    is shared by any source (under any options) whose classification
-    renders identically. Checked mode ({!check}) works the same way:
-    each verify part is cached under the digests of the passes it
-    actually reads.
+    — is cached under a key derived from the request's source digest:
+    it is a property of the program, so it survives pipeline eviction
+    and no two programs share one. Checked mode ({!check}) works the
+    same way: each verify part is cached under the source digest (the
+    oracle parts with the iteration bound too).
 
     Phase timings ([phase.parse], [phase.ssa], [phase.classify],
     [phase.deps], …) are recorded in the registry on the miss path, and
@@ -114,16 +113,17 @@ val reanalyze : ?pool:Pool.pool -> t -> string -> (string, string) result
 
 (** [check t src] is checked mode as a structured report: the three
     verify passes ([verify_ir], [verify_class], [verify_trans]) forced
-    through the part cache — each keyed off the digests of the passes it
-    reads, each recorded on the pipeline so [passes]/STATS show it. The
+    through the part cache — each keyed off the source digest, each
+    recorded on the pipeline so [passes]/STATS show it. The
     rendered equivalent is [render t Check src]. When the structural
     part finds errors the report carries only that part: a broken IR is
     not interpreted or transformed. *)
 val check : t -> string -> (Verify.Check.report, string) result
 
 (** [invalidate t src] drops the pipeline entry for [src] (under the
-    engine's options) and its derived dependence report; returns how
-    many entries were removed. *)
+    engine's options), its dependence report and its verify parts;
+    returns how many entries were removed. Every key derives from the
+    source digest, so this works after the pipeline entry was evicted. *)
 val invalidate : t -> string -> int
 
 (** Drop every cache entry and reset the cache statistics and every

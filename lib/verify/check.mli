@@ -48,6 +48,10 @@ val to_text : report -> string
 (** JSON object: [{"errors":..,"warnings":..,"checks":..,"parts":[..]}]. *)
 val to_json : report -> string
 
+(** One diagnostic as a JSON object (severity, code, origin, loc,
+    message), as {!to_json} renders it. *)
+val diag_to_json : Ir.Diag.t -> string
+
 (** [run src] is the whole standalone check — parse, build SSA, analyze,
     all three parts — without a service engine. *)
 val run : ?iters:int -> string -> (report, string) result

@@ -3,7 +3,7 @@
    different entries). *)
 
 module Cache = Service.Cache
-module Digest = Service.Digest
+module Fnv = Hash.Fnv
 module Engine = Service.Engine
 
 let test_hit_miss () =
@@ -61,11 +61,11 @@ let test_find_or_add () =
 
 let test_digest_framing () =
   (* Length framing: re-splitting the same bytes must change the key. *)
-  let a = Digest.of_strings [ "ab"; "c" ] in
-  let b = Digest.of_strings [ "a"; "bc" ] in
-  Alcotest.(check bool) "no concat collision" false (Digest.equal a b);
+  let a = Fnv.of_strings [ "ab"; "c" ] in
+  let b = Fnv.of_strings [ "a"; "bc" ] in
+  Alcotest.(check bool) "no concat collision" false (Fnv.equal a b);
   Alcotest.(check bool) "deterministic" true
-    (Digest.equal (Digest.of_strings [ "x"; "y" ]) (Digest.of_strings [ "x"; "y" ]))
+    (Fnv.equal (Fnv.of_strings [ "x"; "y" ]) (Fnv.of_strings [ "x"; "y" ]))
 
 let fig1 = "j = n\nL7: loop\n  i = j + c\n  j = i + k\nendloop\n"
 
@@ -101,8 +101,8 @@ let test_same_source_different_options () =
   Alcotest.(check int) "off engine missed" 0 (Engine.cache_stats off).Cache.hits;
   (* Directly: the per-request base digest differs even over identical
      text, so every derived per-pass key differs too. *)
-  let k b = Digest.feed_bool (Digest.of_strings [ src ]) b in
-  Alcotest.(check bool) "keys differ" false (Digest.equal (k true) (k false))
+  let k b = Fnv.feed_bool (Fnv.of_strings [ src ]) b in
+  Alcotest.(check bool) "keys differ" false (Fnv.equal (k true) (k false))
 
 let test_engine_caches_errors () =
   let e = Engine.create () in
@@ -126,6 +126,40 @@ let test_engine_invalidate () =
   Alcotest.(check int) "pipeline entry dropped" 1 removed;
   Alcotest.(check int) "unit artifact survives" 1 (Engine.cache_stats e).Cache.size
 
+(* Two programs that classify, count and range identically but differ
+   in what they read: [a1] carries an anti dependence, [a2] none. Every
+   derived artifact is a property of its own program, so one engine
+   serving both, in either order, answers each as a fresh engine would. *)
+let test_colliding_sources_keep_their_reports () =
+  let a1 = "L1: for i = 1 to 10 loop\n  A(i) = A(i) + 1\nendloop\n" in
+  let a2 = "L1: for i = 1 to 10 loop\n  A(i) = B(i) + 1\nendloop\n" in
+  let fresh artifact src = Engine.render (Engine.create ()) artifact src in
+  List.iter
+    (fun artifact ->
+      let name = Engine.artifact_to_string artifact in
+      List.iter
+        (fun order ->
+          let e = Engine.create () in
+          List.iter
+            (fun src ->
+              Alcotest.(check (result string string))
+                (name ^ " equals a fresh engine's")
+                (fresh artifact src) (Engine.render e artifact src))
+            order)
+        [ [ a1; a2 ]; [ a2; a1 ] ])
+    Engine.[ Deps; Check ];
+  Alcotest.(check bool) "the two dependence reports differ" true
+    (fresh Engine.Deps a1 <> fresh Engine.Deps a2);
+  (* Invalidation drops each program's own entries: the pipeline, the
+     dependence report and the four verify parts. *)
+  let e = Engine.create () in
+  List.iter
+    (fun src ->
+      List.iter (fun a -> ignore (Engine.render e a src)) Engine.[ Deps; Check ])
+    [ a1; a2 ];
+  Alcotest.(check int) "a1's entries" 6 (Engine.invalidate e a1);
+  Alcotest.(check int) "a2's entries" 6 (Engine.invalidate e a2)
+
 let suite =
   ( "service-cache",
     [
@@ -139,4 +173,6 @@ let suite =
       Helpers.case "options are part of the key" test_same_source_different_options;
       Helpers.case "parse errors are cached" test_engine_caches_errors;
       Helpers.case "per-source invalidation" test_engine_invalidate;
+      Helpers.case "colliding sources keep their reports"
+        test_colliding_sources_keep_their_reports;
     ] )

@@ -354,6 +354,52 @@ let prop_forest_walk_matches_unit_walk =
       = (ok (Pipeline.report p), ok (Pipeline.trip_report p))
       || QCheck2.Test.fail_reportf "walks differ for:\n%s" src)
 
+(* The Lower, Classify and Ranges digests are rendered on first read,
+   as the Parse, Ssa and Looptree ones are: forcing the passes renders
+   no report. Each value must be the hash of the rendering the pass used
+   to digest eagerly — the lowered CFG, the classification report and
+   trip report joined by a NUL, the range table — and reading a digest
+   first must leave the reports the pipeline serves unchanged. *)
+let test_deferred_analysis_digests () =
+  List.iter
+    (fun (file, src) ->
+      let p = Pipeline.create src in
+      let get = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" file e in
+      List.iter
+        (fun pass -> get (Pipeline.force p pass))
+        Pipeline.[ Lower; Classify; Ranges ];
+      let hex pass = Option.map Hash.Fnv.to_hex (Pipeline.digest p pass) in
+      let read = List.map (fun pass -> (pass, hex pass)) Pipeline.[ Lower; Classify; Ranges ] in
+      let a = get (Pipeline.promoted p) in
+      let r = get (Pipeline.ranges p) in
+      let report = Pipeline.report_of a and table = Analysis.Range.report r in
+      let expected =
+        [
+          (Pipeline.Lower, Ir.Cfg.to_string (get (Pipeline.lower p)));
+          (Pipeline.Classify, report ^ "\x00" ^ Pipeline.trip_report_of a);
+          (Pipeline.Ranges, table);
+        ]
+      in
+      List.iter2
+        (fun (pass, rendering) (_, got) ->
+          Alcotest.(check (option string))
+            (file ^ " " ^ Pipeline.name pass)
+            (Some (Hash.Fnv.to_hex (Hash.Fnv.of_strings [ rendering ])))
+            got)
+        expected read;
+      Alcotest.(check string) (file ^ " report") report (get (Pipeline.report p));
+      Alcotest.(check string) (file ^ " range report") table (get (Pipeline.range_report p)))
+    (corpus ())
+
+(* The range table of the shared 64-nest program, pinned to its digest:
+   every interval, body refinement and the fixpoint's round count. *)
+let test_range_report_pinned () =
+  let ssa = Lazy.force Helpers.nest_ssa in
+  let r = Pipeline.range_of (Pipeline.analyze ssa) in
+  Alcotest.(check int) "fixpoint rounds" 8 (Analysis.Range.iterations r);
+  Alcotest.(check string) "64-nest range report digest" "ba9b348c2c6a534c"
+    (Hash.Fnv.to_hex (Hash.Fnv.of_strings [ Analysis.Range.report r ]))
+
 let suite =
   ( "pipeline",
     [
@@ -369,4 +415,7 @@ let suite =
       Helpers.case "batch over a pool matches spawning" test_batch_over_pool_matches_spawning;
       Helpers.case "parse/ssa/looptree digests are rendered when read" test_deferred_digests;
       prop_forest_walk_matches_unit_walk;
+      Helpers.case "lower/classify/ranges digests are rendered when read"
+        test_deferred_analysis_digests;
+      Helpers.case "64-nest range report is pinned" test_range_report_pinned;
     ] )
