@@ -575,22 +575,27 @@ let experiment_b1 () =
 
 (* One program of [b2_nests] independent top-level loop nests; edit
    exactly one nest and re-analyze. The full run classifies every nest;
-   the incremental run reuses the unit cache for the untouched nests and
-   recomputes only the edited one. Both must render byte-identical
-   classify/trip/deps reports. *)
+   the incremental runs reuse the unit cache for the untouched nests and
+   recompute only the edited one, whether the edit keeps every id
+   ([edited]: an operator flips) or shifts them ([inserted]: one more
+   statement, so every later id and every phi id moves). All must
+   render byte-identical classify/trip/deps reports. *)
 
 let b2_nests = 24
 
-let b2_program ?edited n =
+let b2_program ?edited ?inserted n =
   String.concat "\n"
     (List.init n (fun i ->
          let body =
            if edited = Some i then Printf.sprintf "s%d - i%d" i i
            else Printf.sprintf "s%d + i%d" i i
          in
+         let extra =
+           if inserted = Some i then Printf.sprintf "  s%d = s%d + 1\n" i i else ""
+         in
          Printf.sprintf
-           "s%d = 0\nN%d: for i%d = 1 to n loop\n  s%d = %s\n  A%d(i%d) = s%d\nendloop"
-           i i i i body i i i))
+           "s%d = 0\nN%d: for i%d = 1 to n loop\n  s%d = %s\n%s  A%d(i%d) = s%d\nendloop"
+           i i i i body extra i i i))
   ^ "\n"
 
 let b2_artifacts = [ Service.Engine.Classify; Service.Engine.Trip; Service.Engine.Deps ]
@@ -613,20 +618,28 @@ let b2_unit_stat engine =
 
 let b2_rows () =
   let old_src = b2_program b2_nests in
-  let new_src = b2_program ~edited:(b2_nests / 2) b2_nests in
   let full = Service.Engine.create ~capacity:4096 () in
-  let cold = b2_render full new_src in
-  (* The incremental engine primes on [old_src] first: the serve-mode
+  (* Each incremental engine primes on [old_src] first: the serve-mode
      REANALYZE shape. *)
-  let inc = Service.Engine.create ~capacity:4096 () in
-  ignore (b2_render inc old_src);
-  let h0, m0 = b2_unit_stat inc in
-  let merged = b2_render inc new_src in
-  let h1, m1 = b2_unit_stat inc in
-  (* Byte-identity is part of the experiment's claim: check it on every
-     harness run, not only in the test suite. *)
-  if merged <> cold then failwith "B2: incremental reports diverge from cold run";
-  [ ("full", b2_unit_stat full); ("incremental", (h1 - h0, m1 - m0)) ]
+  let incremental new_src =
+    let cold = b2_render (Service.Engine.create ~capacity:4096 ()) new_src in
+    let inc = Service.Engine.create ~capacity:4096 () in
+    ignore (b2_render inc old_src);
+    let h0, m0 = b2_unit_stat inc in
+    let merged = b2_render inc new_src in
+    let h1, m1 = b2_unit_stat inc in
+    (* Byte-identity is part of the experiment's claim: check it on every
+       harness run, not only in the test suite. *)
+    if merged <> cold then failwith "B2: incremental reports diverge from cold run";
+    (h1 - h0, m1 - m0)
+  in
+  ignore (b2_render full (b2_program ~edited:(b2_nests / 2) b2_nests));
+  [
+    ("full", b2_unit_stat full);
+    ("incremental", incremental (b2_program ~edited:(b2_nests / 2) b2_nests));
+    ( "incremental-size-changing",
+      incremental (b2_program ~inserted:(b2_nests / 2) b2_nests) );
+  ]
 
 let experiment_b2 () =
   print_endline "== Experiment B2: incremental re-analysis (region units) ==";

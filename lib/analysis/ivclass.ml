@@ -94,6 +94,37 @@ let rec equal a b =
       _ ) ->
     false
 
+(* [rename ~loop ~sym ~def c] maps every loop id through [loop], every
+   symbolic value through [sym] and a monotonic family's phi id through
+   [def]. The shape is kept as is: a renaming changes no coefficient, so
+   no smart constructor has anything to normalise. *)
+let rec rename ~loop ~sym ~def c =
+  match c with
+  | Unknown -> Unknown
+  | Invariant s -> Invariant (sym s)
+  | Linear l ->
+    Linear { loop = loop l.loop; base = rename ~loop ~sym ~def l.base; step = sym l.step }
+  | Poly p -> Poly { loop = loop p.loop; coeffs = Array.map sym p.coeffs }
+  | Geometric g ->
+    Geometric
+      { g with loop = loop g.loop; gcoeffs = Array.map sym g.gcoeffs; gcoeff = sym g.gcoeff }
+  | Wrap w ->
+    Wrap
+      {
+        w with
+        loop = loop w.loop;
+        inner = rename ~loop ~sym ~def w.inner;
+        initials = List.map sym w.initials;
+      }
+  | Periodic p -> Periodic { p with loop = loop p.loop; values = Array.map sym p.values }
+  | Monotonic m ->
+    Monotonic
+      {
+        m with
+        loop = loop m.loop;
+        family = (if m.family = no_family then no_family else def m.family);
+      }
+
 (* [linear loop base step] smart-constructs a linear IV; a zero step over
    an invariant base collapses to that invariant. *)
 let linear loop base step =

@@ -68,6 +68,13 @@ val no_family : int
 (** Structural equality (symbolic equality of coefficients). *)
 val equal : t -> t -> bool
 
+(** [rename ~loop ~sym ~def c] relabels [c] for another numbering of
+    the same program: loop ids through [loop], symbolic values through
+    [sym] (which re-normalises, e.g. {!Sym.rename}) and a monotonic
+    family's phi id through [def]. *)
+val rename :
+  loop:(int -> int) -> sym:(Sym.t -> Sym.t) -> def:(Ir.Instr.Id.t -> Ir.Instr.Id.t) -> t -> t
+
 (** Smart constructors (normalizing): {!linear} collapses zero steps,
     {!poly} strips trailing zero coefficients and demotes low degrees,
     {!geometric} folds ratio 1 and strips trailing zeros, {!wrap}

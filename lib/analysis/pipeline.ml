@@ -500,22 +500,34 @@ let trip_report_of (t : analysis) =
 
 (* -- analysis units (incremental re-analysis) -- *)
 
+(* A unit's canonical numbering: the program's instruction id, block
+   label and loop id at each canonical index. Two programs that share a
+   unit key number that unit alike up to these vectors. *)
+type canon = {
+  c_defs : Ir.Instr.Id.t array;
+  c_labels : Ir.Label.t array;
+  c_loops : int array;
+}
+
 type unit_info = {
   region : Ir.Region.unit_;
   uroots : int list; (* root loop ids of the unit's nests, program order *)
   uloops : int list; (* every loop id of the unit, inner-to-outer *)
-  udigest : Hash.Fnv.t; (* exact key over the unit's slice of the program *)
+  udigest : Hash.Fnv.t; (* exact key, in the unit's own numbering *)
+  ucanon : canon; (* this program's numbering of the unit *)
 }
 
 type unit_artifact = {
   ua_results : loop_result list; (* promoted; aligned with [uloops] *)
   ua_exits : (Ir.Instr.Id.t * Sym.t) list; (* the unit's exit values *)
+  ua_canon : canon; (* the numbering of the program that computed it *)
 }
 
 type unit_outcome = {
   u_index : int; (* Region unit index *)
   u_loops : string list; (* the unit's outermost loop names *)
   u_hit : bool; (* the artifact came from the unit cache *)
+  u_relocated : bool; (* ... from a differently numbered program *)
 }
 
 (* Each loop-forest root belongs to the unit whose top-level statement
@@ -547,10 +559,107 @@ let map_units ssa (regions : Ir.Region.unit_ list) =
   in
   List.map (fun region -> (region, take region [])) regions
 
-let feed_value d (v : Ir.Instr.value) =
+(* A unit's statements, fed structurally: the facts of their canonical
+   text (so textually different but structurally identical slices key
+   alike) without rendering it. Declarations are left out: they never
+   affect a nest's classification. *)
+let rec feed_expr d (e : Ir.Ast.expr) =
+  let str = Hash.Fnv.feed_string in
+  match e with
+  | Ir.Ast.Int n -> Hash.Fnv.feed_int (str d "int") n
+  | Ir.Ast.Var x -> str (str d "var") (Ir.Ident.name x)
+  | Ir.Ast.Aref (a, idx) ->
+    List.fold_left feed_expr
+      (Hash.Fnv.feed_int (str (str d "aref") (Ir.Ident.name a)) (List.length idx))
+      idx
+  | Ir.Ast.Binop (op, a, b) -> feed_expr (feed_expr (str d (Ir.Ops.binop_to_string op)) a) b
+  | Ir.Ast.Neg a -> feed_expr (str d "neg") a
+
+let feed_cond d (c : Ir.Ast.cond) =
+  match c with
+  | Ir.Ast.Cmp (r, a, b) ->
+    feed_expr (feed_expr (Hash.Fnv.feed_string d (Ir.Ops.relop_to_string r)) a) b
+  | Ir.Ast.Unknown -> Hash.Fnv.feed_string d "??"
+
+let rec feed_stmt d (s : Ir.Ast.stmt) =
+  let str = Hash.Fnv.feed_string in
+  match s with
+  | Ir.Ast.Assign (x, e) -> feed_expr (str (str d "assign") (Ir.Ident.name x)) e
+  | Ir.Ast.Astore (a, idx, e) ->
+    feed_expr
+      (List.fold_left feed_expr
+         (Hash.Fnv.feed_int (str (str d "astore") (Ir.Ident.name a)) (List.length idx))
+         idx)
+      e
+  | Ir.Ast.If (c, t, e) -> feed_stmts (feed_stmts (feed_cond (str d "if") c) t) e
+  | Ir.Ast.Loop (name, body) -> feed_stmts (str (str d "loop") name) body
+  | Ir.Ast.For f ->
+    let d = str (str (str d "for") f.Ir.Ast.name) (Ir.Ident.name f.Ir.Ast.var) in
+    let d = feed_expr (feed_expr d f.Ir.Ast.lo) f.Ir.Ast.hi in
+    feed_stmts (Hash.Fnv.feed_int d f.Ir.Ast.step) f.Ir.Ast.body
+  | Ir.Ast.Exit_if c -> feed_cond (str d "exit") c
+
+and feed_stmts d stmts = List.fold_left feed_stmt (Hash.Fnv.feed_int d (List.length stmts)) stmts
+
+(* Per-program scratch for [unit_digest]: the canonical index of each
+   instruction id and label, valid where its stamp is the current
+   unit's, and the inverse vectors. One set of arrays serves every unit
+   of a program. *)
+type numbering = {
+  mutable stamp : int;
+  def_stamp : int array;
+  def_index : int array;
+  defs : Ir.Instr.Id.t array;
+  mutable ndefs : int;
+  label_stamp : int array;
+  label_index : int array;
+  labels : Ir.Label.t array;
+  mutable nlabels : int;
+  loop_index : int array; (* units own disjoint loops: no stamp needed *)
+}
+
+let numbering ssa =
+  let cfg = Ir.Ssa.cfg ssa in
+  let ni = Ir.Cfg.instr_id_bound cfg and nl = Ir.Cfg.num_blocks cfg in
+  {
+    stamp = -1;
+    def_stamp = Array.make ni (-1);
+    def_index = Array.make ni 0;
+    defs = Array.make ni 0;
+    ndefs = 0;
+    label_stamp = Array.make nl (-1);
+    label_index = Array.make nl 0;
+    labels = Array.make nl 0;
+    nlabels = 0;
+    loop_index = Array.make (Ir.Loops.num_loops (Ir.Ssa.loops ssa)) (-1);
+  }
+
+let canon_def nb id =
+  if nb.def_stamp.(id) = nb.stamp then nb.def_index.(id)
+  else begin
+    let k = nb.ndefs in
+    nb.def_stamp.(id) <- nb.stamp;
+    nb.def_index.(id) <- k;
+    nb.defs.(k) <- id;
+    nb.ndefs <- k + 1;
+    k
+  end
+
+let canon_label nb l =
+  if nb.label_stamp.(l) = nb.stamp then nb.label_index.(l)
+  else begin
+    let k = nb.nlabels in
+    nb.label_stamp.(l) <- nb.stamp;
+    nb.label_index.(l) <- k;
+    nb.labels.(k) <- l;
+    nb.nlabels <- k + 1;
+    k
+  end
+
+let feed_value nb d (v : Ir.Instr.value) =
   match v with
   | Ir.Instr.Const n -> Hash.Fnv.feed_int (Hash.Fnv.feed_string d "c") n
-  | Ir.Instr.Def id -> Hash.Fnv.feed_int (Hash.Fnv.feed_string d "d") id
+  | Ir.Instr.Def id -> Hash.Fnv.feed_int (Hash.Fnv.feed_string d "d") (canon_def nb id)
   | Ir.Instr.Param x ->
     Hash.Fnv.feed_string (Hash.Fnv.feed_string d "p") (Ir.Ident.name x)
 
@@ -564,78 +673,99 @@ let feed_op d (op : Ir.Instr.op) =
   | Ir.Instr.Rand ->
     d
 
-let feed_term d (term : Ir.Cfg.terminator) =
+let feed_term nb d (term : Ir.Cfg.terminator) =
   match term with
-  | Ir.Cfg.Jump l -> Hash.Fnv.feed_int (Hash.Fnv.feed_string d "jmp") l
+  | Ir.Cfg.Jump l -> Hash.Fnv.feed_int (Hash.Fnv.feed_string d "jmp") (canon_label nb l)
   | Ir.Cfg.Branch (v, a, b) ->
-    Hash.Fnv.feed_int
-      (Hash.Fnv.feed_int (feed_value (Hash.Fnv.feed_string d "br") v) a)
-      b
+    let d = feed_value nb (Hash.Fnv.feed_string d "br") v in
+    let d = Hash.Fnv.feed_int d (canon_label nb a) in
+    Hash.Fnv.feed_int d (canon_label nb b)
   | Ir.Cfg.Halt -> Hash.Fnv.feed_string d "halt"
 
 (* The unit key: an exact digest of everything the per-unit walk can
-   observe. The canonical source slice and options; the unit's loops
-   (ids, headers, forest shape); every in-loop instruction with its id,
-   operation and operands; block terminators (in-nest control flow
-   determines dominance and exit structure); and, for every def the
-   unit defines or reads, its SSA primary name and SCCP constant fact
-   (this covers defs flowing in from outside the unit, such as
-   initializers). A key hit therefore guarantees the cached
-   instruction-id-keyed tables are valid verbatim in the new program. *)
-let unit_digest ~use_sccp ssa sccp (region : Ir.Region.unit_) uloops =
+   observe, in the unit's own numbering, so it does not depend on where
+   the unit sits in the program. Instruction ids, block labels (exit
+   targets and outside predecessors included) are numbered by first
+   appearance in the unit's block order (each root's blocks in label
+   order), loops by position in [uloops]. The key feeds the unit's
+   statements ([feed_stmts]) and options; per loop its header, depth, parent,
+   children and latches; per block its innermost loop, source label,
+   predecessors (their order is the phi argument order), every
+   instruction's index, operation and operands, and the terminator.
+   The walk also reads the relative order of the unit's own ids (a
+   periodic cycle anchors at its lowest-id phi, and inner exit values
+   are visited in atom order), so the canonical indices of the unit's
+   instructions are fed once more, sorted by id. Last, each def the
+   unit defines or reads gets its SCCP constant fact: this is how a
+   value flowing *into* the nest takes part in the key. SSA version
+   names are left out: only renderers read them. A key hit means the
+   cached artifact is valid once mapped through the two numberings
+   ([relocate]). *)
+let unit_digest ~use_sccp ssa sccp nb (region : Ir.Region.unit_) uroots uloops =
   let loops = Ir.Ssa.loops ssa in
   let cfg = Ir.Ssa.cfg ssa in
-  let d = ref (Hash.Fnv.of_strings [ "unit"; Ir.Region.source_slice region ]) in
-  let feed f x = d := f !d x in
+  nb.stamp <- region.Ir.Region.index;
+  nb.ndefs <- 0;
+  nb.nlabels <- 0;
+  let d = ref (feed_stmts (Hash.Fnv.of_strings [ "unit" ]) region.Ir.Region.stmts) in
+  let feed_int n = d := Hash.Fnv.feed_int !d n in
   d := Hash.Fnv.feed_bool !d use_sccp;
-  let mentioned = ref Ir.Instr.Id.Set.empty in
-  let mention id = mentioned := Ir.Instr.Id.Set.add id !mentioned in
-  let blocks = ref Ir.Label.Set.empty in
+  List.iter
+    (fun r ->
+      Ir.Label.Set.iter
+        (fun l -> ignore (canon_label nb l))
+        (Ir.Loops.loop loops r).Ir.Loops.blocks)
+    uroots;
+  let nblocks = nb.nlabels in
+  List.iteri (fun k lid -> nb.loop_index.(lid) <- k) uloops;
+  let canon_loop lid = nb.loop_index.(lid) in
   List.iter
     (fun lid ->
       let lp = Ir.Loops.loop loops lid in
-      feed Hash.Fnv.feed_int lp.Ir.Loops.id;
-      feed Hash.Fnv.feed_string lp.Ir.Loops.name;
-      feed Hash.Fnv.feed_int lp.Ir.Loops.header;
-      feed Hash.Fnv.feed_int lp.Ir.Loops.depth;
-      feed Hash.Fnv.feed_int (Option.value ~default:(-1) lp.Ir.Loops.parent);
-      List.iter (feed Hash.Fnv.feed_int) lp.Ir.Loops.loop_children;
-      List.iter (feed Hash.Fnv.feed_int) lp.Ir.Loops.latches;
-      blocks := Ir.Label.Set.union !blocks lp.Ir.Loops.blocks)
+      feed_int (canon_label nb lp.Ir.Loops.header);
+      feed_int lp.Ir.Loops.depth;
+      feed_int (match lp.Ir.Loops.parent with Some p -> canon_loop p | None -> -1);
+      feed_int (List.length lp.Ir.Loops.loop_children);
+      List.iter (fun c -> feed_int (canon_loop c)) lp.Ir.Loops.loop_children;
+      feed_int (List.length lp.Ir.Loops.latches);
+      List.iter (fun l -> feed_int (canon_label nb l)) lp.Ir.Loops.latches)
     uloops;
-  Ir.Label.Set.iter
-    (fun label ->
-      let b = Ir.Cfg.block cfg label in
-      feed Hash.Fnv.feed_int label;
-      (match b.Ir.Cfg.loop_name with
-       | Some n -> feed Hash.Fnv.feed_string n
-       | None -> ());
-      List.iter
-        (fun (instr : Ir.Instr.t) ->
-          mention instr.Ir.Instr.id;
-          feed Hash.Fnv.feed_int instr.Ir.Instr.id;
-          d := feed_op !d instr.Ir.Instr.op;
-          Array.iter
-            (fun v ->
-              (match v with Ir.Instr.Def id -> mention id | _ -> ());
-              d := feed_value !d v)
-            instr.Ir.Instr.args)
-        b.Ir.Cfg.instrs;
-      (match b.Ir.Cfg.term with
-       | Ir.Cfg.Branch (Ir.Instr.Def id, _, _) -> mention id
-       | _ -> ());
-      d := feed_term !d b.Ir.Cfg.term)
-    !blocks;
-  Ir.Instr.Id.Set.iter
-    (fun id ->
-      feed Hash.Fnv.feed_int id;
-      feed Hash.Fnv.feed_string (Ir.Ssa.primary_name ssa id);
-      feed Hash.Fnv.feed_int
-        (match sccp with
-         | Some r -> Option.value ~default:min_int (Sccp.const_of r id)
-         | None -> min_int))
-    !mentioned;
-  !d
+  let own = ref [] in
+  for k = 0 to nblocks - 1 do
+    let label = nb.labels.(k) in
+    let b = Ir.Cfg.block cfg label in
+    feed_int
+      (match Ir.Loops.innermost loops label with Some l -> canon_loop l | None -> -1);
+    d := Hash.Fnv.feed_string !d (Option.value ~default:"" b.Ir.Cfg.loop_name);
+    let preds = Ir.Ssa.preds ssa label in
+    feed_int (List.length preds);
+    List.iter (fun p -> feed_int (canon_label nb p)) preds;
+    feed_int (List.length b.Ir.Cfg.instrs);
+    List.iter
+      (fun (instr : Ir.Instr.t) ->
+        own := instr.Ir.Instr.id :: !own;
+        feed_int (canon_def nb instr.Ir.Instr.id);
+        d := feed_op !d instr.Ir.Instr.op;
+        feed_int (Array.length instr.Ir.Instr.args);
+        Array.iter (fun v -> d := feed_value nb !d v) instr.Ir.Instr.args)
+      b.Ir.Cfg.instrs;
+    d := feed_term nb !d b.Ir.Cfg.term
+  done;
+  let own = Array.of_list !own in
+  Array.sort Int.compare own;
+  Array.iter (fun id -> feed_int nb.def_index.(id)) own;
+  for k = 0 to nb.ndefs - 1 do
+    feed_int
+      (match sccp with
+       | Some r -> Option.value ~default:min_int (Sccp.const_of r nb.defs.(k))
+       | None -> min_int)
+  done;
+  ( !d,
+    {
+      c_defs = Array.sub nb.defs 0 nb.ndefs;
+      c_labels = Array.sub nb.labels 0 nb.nlabels;
+      c_loops = Array.of_list uloops;
+    } )
 
 (* Analyze one unit in isolation (see [classify_one] and
    [promote_roots] for why the restriction to its nests is
@@ -652,7 +782,69 @@ let analyze_unit ?sccp (ssa : Ir.Ssa.t) (info : unit_info) : unit_artifact =
     ua_results = List.filter_map (fun id -> t.by_loop.(id)) info.uloops;
     ua_exits =
       Ir.Instr.Id.Table.fold (fun d s acc -> (d, s) :: acc) t.exit_values [];
+    ua_canon = info.ucanon;
   }
+
+exception Unmapped
+
+(* [relocate ssa c a] maps artifact [a], stored by a program that
+   numbers the same unit differently, into the program [ssa], whose
+   numbering is [c]: loop records come from [ssa]'s forest, and table
+   keys, class atoms, loop ids, families, exit blocks, graph nodes and
+   exit values go through the two numberings. [None] when [a] names an
+   id the numberings do not cover, so the caller recomputes. *)
+let relocate ssa (c : canon) (a : unit_artifact) : unit_artifact option =
+  let s = a.ua_canon in
+  if
+    Array.length s.c_defs <> Array.length c.c_defs
+    || Array.length s.c_labels <> Array.length c.c_labels
+    || Array.length s.c_loops <> Array.length c.c_loops
+  then None
+  else begin
+    let defs = Ir.Instr.Id.Table.create (Array.length s.c_defs) in
+    Array.iteri (fun k id -> Ir.Instr.Id.Table.replace defs id c.c_defs.(k)) s.c_defs;
+    let def id =
+      match Ir.Instr.Id.Table.find_opt defs id with
+      | Some id' -> id'
+      | None -> raise Unmapped
+    in
+    let through from into x =
+      let rec go k =
+        if k = Array.length from then raise Unmapped
+        else if from.(k) = x then into.(k)
+        else go (k + 1)
+      in
+      go 0
+    in
+    let label = through s.c_labels c.c_labels in
+    let loop = through s.c_loops c.c_loops in
+    let sym = Sym.rename (function Sym.Def d -> Sym.Def (def d) | a -> a) in
+    let loops = Ir.Ssa.loops ssa in
+    let result r =
+      let lp = Ir.Loops.loop loops (loop r.loop.Ir.Loops.id) in
+      (* Sized like [Classify.classify_loop]'s tables, so lookups in a
+         relocated table cost what they cost in a computed one. *)
+      let table = Ir.Instr.Id.Table.create 64 in
+      Ir.Instr.Id.Table.iter
+        (fun id cl ->
+          Ir.Instr.Id.Table.replace table (def id) (Ivclass.rename ~loop ~sym ~def cl))
+        r.table;
+      {
+        loop = lp;
+        table;
+        graph = Ssa_graph.relocate ssa lp ~def r.graph;
+        trip = Trip_count.rename ~sym ~label r.trip;
+      }
+    in
+    try
+      Some
+        {
+          ua_results = List.map result a.ua_results;
+          ua_exits = List.map (fun (d, x) -> (def d, sym x)) a.ua_exits;
+          ua_canon = c;
+        }
+    with Unmapped -> None
+  end
 
 (* Reassemble the whole-program analysis from per-unit artifacts. The
    report renderers and the dependence pass run on the merged record
@@ -839,18 +1031,16 @@ let ensure_units t =
       with
       | Ok prog, Ok loops, Ok sccp, Ok ssa ->
         staged Units (fun () ->
+            let nb = numbering ssa in
             let infos =
               List.map
                 (fun ((region : Ir.Region.unit_), uroots) ->
                   let uloops = unit_loop_ids loops uroots in
-                  {
-                    region;
-                    uroots;
-                    uloops;
-                    udigest =
-                      unit_digest ~use_sccp:t.opts.use_sccp ssa sccp region
-                        uloops;
-                  })
+                  let udigest, ucanon =
+                    unit_digest ~use_sccp:t.opts.use_sccp ssa sccp nb region
+                      uroots uloops
+                  in
+                  { region; uroots; uloops; udigest; ucanon })
                 (map_units ssa (Ir.Region.partition prog))
             in
             set_digest_hash t Units
@@ -876,9 +1066,11 @@ let text_of render r =
     text
 
 (* The Classify pass: the unit walk. Probe [lookup] with each nest
-   unit's digest, run [analyze_unit] for the misses (fanned out through
-   [pool_run] when given and more than one unit missed), [store] the
-   fresh artifacts, and install the merged analysis. A bare pipeline
+   unit's digest, [relocate] each hit stored by a differently numbered
+   program and run [analyze_unit] for the misses (together fanned out
+   through [pool_run] when given and more than one unit needs either),
+   [store] the relocated and fresh artifacts, and install the merged
+   analysis. A bare pipeline
    passes no cache; the engine passes its shared unit-artifact cache.
    Returns one outcome per nest unit (none when Classify was already
    forced). Callers hold [t.lock]. *)
@@ -896,25 +1088,37 @@ let classify_units ?pool_run ~lookup ~store t =
           let loops = Ir.Ssa.loops ssa in
           let probed =
             List.filter_map
-              (fun i ->
-                if i.uroots = [] then None else Some (i, lookup i.udigest))
+              (fun i -> if i.uroots = [] then None else Some (i, lookup i.udigest))
               infos
           in
-          let misses =
-            List.filter_map
-              (fun (i, probe) -> if probe = None then Some i else None)
-              probed
+          (* A hit stored in this numbering is reused as is. The rest
+             are relocated (a hit from a differently numbered program)
+             or computed (a miss, or a hit that does not map), in one
+             fan-out. *)
+          let current i = function
+            | Some a -> a.ua_canon = i.ucanon
+            | None -> false
+          in
+          let work =
+            Array.of_list (List.filter (fun (i, probe) -> not (current i probe)) probed)
           in
           (* Lazily built per-SSA state (dominators, the instruction
              index) must exist before a parallel walk can share it. *)
-          if misses <> [] then begin
+          if work <> [||] then begin
             ignore (Ir.Ssa.dom ssa);
             ignore (Ir.Cfg.find_instr_opt (Ir.Ssa.cfg ssa) 0)
           end;
-          let computed =
+          let relocated = Array.make (Array.length work) false in
+          let finished =
             let thunks =
-              Array.of_list
-                (List.map (fun i () -> analyze_unit ?sccp ssa i) misses)
+              Array.mapi
+                (fun k (i, probe) () ->
+                  match Option.bind probe (relocate ssa i.ucanon) with
+                  | Some a ->
+                    relocated.(k) <- true;
+                    a
+                  | None -> analyze_unit ?sccp ssa i)
+                work
             in
             match pool_run with
             | Some run when Array.length thunks > 1 -> run thunks
@@ -925,16 +1129,20 @@ let classify_units ?pool_run ~lookup ~store t =
             List.map
               (fun (i, probe) ->
                 match probe with
-                | Some a -> (i, a, true)
-                | None ->
-                  let a = computed.(!next) in
+                | Some a when current i probe -> (i, a, true, false)
+                | _ ->
+                  let k = !next in
                   incr next;
+                  let a = finished.(k) in
+                  (* A relocated artifact replaces the one it came from,
+                     so the next request in this numbering (the common
+                     case: the same file again) reuses it as is. *)
                   store i.udigest a;
-                  (i, a, false))
+                  (i, a, relocated.(k), relocated.(k)))
               probed
           in
           let merged =
-            merge_units ?sccp ssa (List.map (fun (_, a, _) -> a) results)
+            merge_units ?sccp ssa (List.map (fun (_, a, _, _) -> a) results)
           in
           let r = rendered merged in
           t.v_classify <- Some (Ok r);
@@ -943,10 +1151,10 @@ let classify_units ?pool_run ~lookup ~store t =
           set_digest_hash t Unitclassify
             (Hash.Fnv.of_strings
                ("unit_classify"
-               :: List.map (fun (i, _, _) -> Hash.Fnv.to_hex i.udigest) results));
+               :: List.map (fun (i, _, _, _) -> Hash.Fnv.to_hex i.udigest) results));
           Ok
             (List.map
-               (fun (i, _, hit) ->
+               (fun (i, _, hit, relocated) ->
                  {
                    u_index = i.region.Ir.Region.index;
                    u_loops =
@@ -954,6 +1162,7 @@ let classify_units ?pool_run ~lookup ~store t =
                        (fun id -> (Ir.Loops.loop loops id).Ir.Loops.name)
                        i.uroots;
                    u_hit = hit;
+                   u_relocated = relocated;
                  })
                results)))
 

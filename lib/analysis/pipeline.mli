@@ -150,29 +150,42 @@ val analyze : ?use_sccp:bool -> Ir.Ssa.t -> analysis
 
 (* -- analysis units (incremental re-analysis) -- *)
 
+(** A unit's canonical numbering: this program's instruction id, block
+    label and loop id at each canonical index (first appearance in the
+    unit's block order; loops in [uloops] order). *)
+type canon = {
+  c_defs : Ir.Instr.Id.t array;
+  c_labels : Ir.Label.t array;
+  c_loops : int array;
+}
+
 (** One analysis unit, mapped onto the loop forest. Nest units carry
     their root loop ids ([uroots], program order) and every descendant
     loop inner-to-outer ([uloops]); straight-line units have both
     empty. [udigest] is an exact digest of everything the per-unit walk
-    can observe — the unit's canonical source slice, options, loop
-    forest shape, in-loop instructions and terminators (with ids), and
-    the SSA name + SCCP constant fact of every def the unit defines or
-    reads — so a digest hit guarantees a cached artifact's
-    instruction-id-keyed tables are valid verbatim. *)
+    can observe, in the unit's canonical numbering — the unit's
+    statements, options, loop forest shape, in-loop
+    instructions, predecessors and terminators, the relative order of
+    the unit's own ids, and the SCCP constant fact of every def the unit
+    defines or reads — so it does not depend on where the unit sits in
+    the program. [ucanon] is this program's numbering of the unit. *)
 type unit_info = {
   region : Ir.Region.unit_;
   uroots : int list;
   uloops : int list;
   udigest : Hash.Fnv.t;
+  ucanon : canon;
 }
 
 (** The cached per-unit result: promoted per-loop classification
-    results (aligned with [uloops]) and the unit's exit values.
-    Artifacts are shared across pipeline instances and domains — never
-    mutated after creation. *)
+    results (aligned with [uloops]), the unit's exit values, and the
+    numbering of the program that computed them. Artifacts are shared
+    across pipeline instances and domains — never mutated after
+    creation. *)
 type unit_artifact = {
   ua_results : loop_result list;
   ua_exits : (Ir.Instr.Id.t * Sym.t) list;
+  ua_canon : canon;
 }
 
 (** What happened to one nest unit during {!classify_with_units}. *)
@@ -180,6 +193,9 @@ type unit_outcome = {
   u_index : int;  (** {!Ir.Region.unit_} index *)
   u_loops : string list;  (** the unit's outermost loop names *)
   u_hit : bool;  (** the artifact came from the unit cache *)
+  u_relocated : bool;
+      (** a hit computed in a differently numbered program, mapped into
+          this one *)
 }
 
 (* -- report renderers -- *)
@@ -249,9 +265,11 @@ val range_report : t -> (string, string) result
 
 (** [classify_with_units ?pool_run ~lookup ~store t] forces [Classify]
     through a unit-artifact cache: probe [lookup] with each nest unit's
-    digest, run the classification walk over each missing unit (fanned out
-    through [pool_run] when given and more than one unit missed),
-    [store] the fresh artifacts, and install the merged analysis (the
+    digest, relocate each hit stored by a differently numbered program
+    into this one, run the classification walk over each missing unit
+    (relocations and walks fanned out through [pool_run] when given and
+    more than one unit needs either), [store] the relocated and fresh
+    artifacts, and install the merged analysis (the
     renderers and the dependence pass run on it unchanged, so
     incremental reports are byte-identical to a cold run). Returns one
     {!unit_outcome} per nest unit (empty when [Classify] was already

@@ -199,6 +199,25 @@ let subst (lookup : atom -> t option) (t : t) : t =
       add acc term)
     zero t
 
+(* [rename f t] replaces every atom [a] of [t] by [f a] and re-sorts
+   the factors and terms into canonical form: [f] need not preserve the
+   atom order. [f] must be injective, so no two factors or terms merge. *)
+let rename (f : atom -> atom) (t : t) : t =
+  let rec sorted cmp = function
+    | a :: (b :: _ as rest) -> cmp a b < 0 && sorted cmp rest
+    | _ -> true
+  in
+  let resort cmp l = if sorted cmp l then l else List.sort cmp l in
+  let by_atom (a, _) (b, _) = atom_compare a b in
+  let by_mono (m1, _) (m2, _) = mono_compare m1 m2 in
+  List.map
+    (fun (m, c) ->
+      match m with
+      | [] -> (m, c)
+      | m -> (resort by_atom (List.map (fun (a, p) -> (f a, p)) m), c))
+    t
+  |> resort by_mono
+
 (* [degree_in a t] is the highest power of atom [a] in [t]. *)
 let degree_in a (t : t) =
   List.fold_left

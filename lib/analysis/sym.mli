@@ -70,6 +70,10 @@ val eval : (atom -> Rat.t option) -> t -> Rat.t option
 (** [subst lookup t] replaces atoms by symbolic values where provided. *)
 val subst : (atom -> t option) -> t -> t
 
+(** [rename f t] replaces each atom [a] by [f a] and re-normalises, so
+    [f] need not preserve the atom order. [f] must be injective. *)
+val rename : (atom -> atom) -> t -> t
+
 (** [degree_in a t] is the highest power of [a] in [t]. *)
 val degree_in : atom -> t -> int
 

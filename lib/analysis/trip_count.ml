@@ -28,6 +28,17 @@ let unknown =
   { count = Unknown_count; max_count = Unknown_count; exit_block = None;
     assumes_positive = false }
 
+(* [rename ~sym ~label t] relabels a trip count for another numbering
+   of the same program. *)
+let rename ~sym ~label t =
+  let count = function Symbolic s -> Symbolic (sym s) | c -> c in
+  {
+    t with
+    count = count t.count;
+    max_count = count t.max_count;
+    exit_block = Option.map label t.exit_block;
+  }
+
 let pp_count fmt = function
   | Finite n -> Bigint.pp fmt n
   | Symbolic s -> Sym.pp fmt s

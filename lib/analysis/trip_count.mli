@@ -22,6 +22,11 @@ type t = {
 }
 
 val unknown : t
+
+(** [rename ~sym ~label t] relabels [t] for another numbering of the
+    same program: symbolic counts through [sym], the exit block through
+    [label]. *)
+val rename : sym:(Sym.t -> Sym.t) -> label:(Ir.Label.t -> Ir.Label.t) -> t -> t
 val pp_count : Format.formatter -> count -> unit
 val pp : Format.formatter -> t -> unit
 

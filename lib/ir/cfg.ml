@@ -78,6 +78,8 @@ let fresh_instr_id t =
   t.next_instr <- id + 1;
   id
 
+let instr_id_bound t = t.next_instr
+
 (* [append t label op args] creates an instruction at the end of [label]. *)
 let append t label op args =
   let id = fresh_instr_id t in

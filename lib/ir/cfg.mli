@@ -41,6 +41,9 @@ val add_block : t -> Label.t
 
 val fresh_instr_id : t -> Instr.Id.t
 
+(** [instr_id_bound t] exceeds every instruction id allocated so far. *)
+val instr_id_bound : t -> int
+
 (** [append t label op args] creates an instruction at the end of the
     block (before its terminator). *)
 val append : t -> Label.t -> Instr.op -> Instr.value array -> Instr.t

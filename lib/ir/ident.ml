@@ -23,6 +23,13 @@ let equal a b = a.id = b.id
 let hash t = t.id
 let pp fmt t = Format.pp_print_string fmt t.name
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 module Map = Map.Make (struct
   type nonrec t = t
 

@@ -17,5 +17,8 @@ val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
+(** Tables keyed by the interned id (no string hashing). *)
+module Tbl : Hashtbl.S with type key = t
+
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

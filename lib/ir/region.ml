@@ -152,13 +152,6 @@ let partition (p : Ast.program) : unit_ list =
   flush_straight ();
   List.rev !units
 
-(* The unit's slice of the source, in the parser's canonical rendering
-   (parse–print–parse stable), so two textually different but
-   structurally identical slices digest equally. *)
-(* Unit digests exclude declarations: they never affect a nest's
-   classification. *)
-let source_slice u = Ast.to_string { Ast.decls = []; stmts = u.stmts }
-
 let pp fmt u =
   Format.fprintf fmt "unit %d %-8s stmts %d-%d" u.index
     (kind_to_string u.kind) u.first u.last;

@@ -29,9 +29,5 @@ val kind_to_string : kind -> string
     program order. Every statement belongs to exactly one unit. *)
 val partition : Ast.program -> unit_ list
 
-(** The unit's slice of the source in the parser's canonical rendering
-    (parse–print–parse stable). *)
-val source_slice : unit_ -> string
-
 val pp : Format.formatter -> unit_ -> unit
 val to_string : unit_ -> string

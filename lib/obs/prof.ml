@@ -61,23 +61,59 @@ let delta before after =
     d_heap_words = after.heap_words;
   }
 
-let fields d =
-  [
-    ("minor_words", d.d_minor_words);
-    ("promoted_words", d.d_promoted_words);
-    ("major_words", d.d_major_words);
-    ("minor_gcs", d.d_minor_gcs);
-    ("major_gcs", d.d_major_gcs);
-  ]
+let field_names =
+  [| "minor_words"; "promoted_words"; "major_words"; "minor_gcs"; "major_gcs" |]
 
-let record ?(labels = []) m ~prefix d =
-  List.iter
-    (fun (field, v) ->
-      if v <> 0 then
-        Instrument.incr ~by:v
-          (Instrument.counter m (Instrument.labeled (prefix ^ "." ^ field) labels)))
-    (fields d);
-  Instrument.set_gauge (Instrument.gauge m "gc.heap_words") d.d_heap_words
+let field_values d =
+  [| d.d_minor_words; d.d_promoted_words; d.d_major_words; d.d_minor_gcs; d.d_major_gcs |]
+
+let fields d = Array.to_list (Array.map2 (fun f v -> (f, v)) field_names (field_values d))
+
+(* The handles [record] writes, in [field_names] order. Each is registered
+   on its first use (a counter on its first nonzero delta), so the
+   registry holds the same rows as if every call looked it up by name —
+   but the names are built once, and the registry lock is taken once per
+   handle rather than once per field per call. *)
+type recorder = {
+  r_metrics : Instrument.t;
+  r_names : string array;
+  r_counters : Instrument.counter option array;
+  mutable r_heap : Instrument.gauge option;
+}
+
+let recorder ?(labels = []) m ~prefix =
+  {
+    r_metrics = m;
+    r_names =
+      Array.map (fun field -> Instrument.labeled (prefix ^ "." ^ field) labels) field_names;
+    r_counters = Array.make (Array.length field_names) None;
+    r_heap = None;
+  }
+
+let record r d =
+  Array.iteri
+    (fun i v ->
+      if v <> 0 then begin
+        let c =
+          match r.r_counters.(i) with
+          | Some c -> c
+          | None ->
+            let c = Instrument.counter r.r_metrics r.r_names.(i) in
+            r.r_counters.(i) <- Some c;
+            c
+        in
+        Instrument.incr ~by:v c
+      end)
+    (field_values d);
+  let g =
+    match r.r_heap with
+    | Some g -> g
+    | None ->
+      let g = Instrument.gauge r.r_metrics "gc.heap_words" in
+      r.r_heap <- Some g;
+      g
+  in
+  Instrument.set_gauge g d.d_heap_words
 
 let attrs d =
   List.filter_map
@@ -91,7 +127,7 @@ let time m name f =
   Fun.protect
     ~finally:(fun () ->
       Instrument.observe h (Unix.gettimeofday () -. t0);
-      record m ~prefix:name (delta before (sample ())))
+      record (recorder m ~prefix:name) (delta before (sample ())))
     f
 
 (* --- the --profile per-pass table --- *)

@@ -39,11 +39,20 @@ type delta = {
 (** [delta before after] — component-wise difference, clamped at 0. *)
 val delta : sample -> sample -> delta
 
-(** Bump [<prefix>.<field>] counters (zero deltas are skipped) and set
-    the [gc.heap_words] gauge. [labels] are appended to each counter
-    name via {!Instrument.labeled}. *)
-val record :
-  ?labels:(string * string) list -> Instrument.t -> prefix:string -> delta -> unit
+(** The registry handles {!record} writes: the [<prefix>.<field>]
+    counters, with [labels] appended to each name via
+    {!Instrument.labeled}, and the [gc.heap_words] gauge. Names are
+    built once; each handle is registered on its first use (a counter
+    on its first nonzero delta), so the registry's rows are those of a
+    by-name lookup per call. *)
+type recorder
+
+val recorder :
+  ?labels:(string * string) list -> Instrument.t -> prefix:string -> recorder
+
+(** Bump the recorder's counters (zero deltas are skipped) and set the
+    [gc.heap_words] gauge. *)
+val record : recorder -> delta -> unit
 
 (** The nonzero fields of a delta as span attributes
     ([minor_words], [promoted_words], [major_words], [minor_gcs],

@@ -256,6 +256,14 @@ let classify_units ?pool t p : (Pipeline.unit_outcome list, string) result =
   with
   | Error e -> Error e
   | Ok outcomes ->
+    (* Hits that had to be mapped from another program's numbering.
+       Registered on the first one, so engines that never relocate
+       export no row. *)
+    (match List.filter (fun o -> o.Pipeline.u_relocated) outcomes with
+     | [] -> ()
+     | relocated ->
+       Instrument.incr ~by:(List.length relocated)
+         (Instrument.counter t.metrics "unit.relocations"));
     List.iter
       (fun (o : Pipeline.unit_outcome) ->
         count_pass t Pipeline.Unitclassify ~hit:o.Pipeline.u_hit;
@@ -264,7 +272,8 @@ let classify_units ?pool t p : (Pipeline.unit_outcome list, string) result =
             ~attrs:
               [ ("unit", Obs.Trace.Int o.Pipeline.u_index);
                 ("loops", Obs.Trace.Str (String.concat "," o.Pipeline.u_loops));
-                ("hit", Obs.Trace.Bool o.Pipeline.u_hit) ]
+                ("hit", Obs.Trace.Bool o.Pipeline.u_hit);
+                ("relocated", Obs.Trace.Bool o.Pipeline.u_relocated) ]
             "engine.unit")
       outcomes;
     Ok outcomes
@@ -612,7 +621,9 @@ let diff ?pool t old_src new_src : (string, string) result =
                   with
                   | Some o when o.Pipeline.u_hit ->
                     incr reused;
-                    "reused (unit cache hit)"
+                    if o.Pipeline.u_relocated then
+                      "reused (unit cache hit, relocated)"
+                    else "reused (unit cache hit)"
                   | Some _ ->
                     incr reran;
                     if unchanged then "reanalyzed (evicted)"

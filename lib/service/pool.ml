@@ -83,14 +83,13 @@ type instr = {
   h_wait : Obs.Instrument.histogram;
   c_steals : Obs.Instrument.counter;
   c_parks : Obs.Instrument.counter;
+  r_gc : Obs.Prof.recorder;
 }
 
 type wctx = {
   sched : sched;
   wid : int;
   traced : bool;
-  metrics : Obs.Instrument.t option;
-  labels : (string * string) list;
   instr : instr option;
   queue_depth : (int -> unit) option;
   measured : bool;
@@ -149,6 +148,7 @@ let register_instr m labels =
       Obs.Instrument.counter m (Obs.Instrument.labeled "pool.steals" labels);
     c_parks =
       Obs.Instrument.counter m (Obs.Instrument.labeled "pool.parks" labels);
+    r_gc = Obs.Prof.recorder ~labels m ~prefix:"pool.gc";
   }
 
 (* Execute one node with the PR 7 telemetry envelope: per-domain task
@@ -156,10 +156,10 @@ let register_instr m labels =
    [pool.gc.*{domain=N}] counters ([Gc.quick_stat] minor-heap counters
    are domain-local on OCaml 5, so the attribution is exact), and the
    same GC delta as span attributes when traced. *)
-let exec_node ~traced ~metrics ~instr ~labels ~wid node ~wait_ns =
+let exec_node ~traced ~instr ~wid node ~wait_ns =
   let exec () =
-    match (metrics, instr) with
-    | Some m, Some i ->
+    match instr with
+    | Some i ->
       let before = Obs.Prof.sample () in
       let t0 = Obs.Clock.now_ns () in
       Fun.protect
@@ -169,10 +169,10 @@ let exec_node ~traced ~metrics ~instr ~labels ~wid node ~wait_ns =
           Obs.Instrument.observe i.h_latency
             (Obs.Clock.ns_to_us (Int64.sub (Obs.Clock.now_ns ()) t0) *. 1e-6);
           Obs.Instrument.observe i.h_wait (Obs.Clock.ns_to_us wait_ns *. 1e-6);
-          Obs.Prof.record ~labels m ~prefix:"pool.gc" d;
+          Obs.Prof.record i.r_gc d;
           if traced then Obs.Trace.add_attrs (Obs.Prof.attrs d))
         node.run
-    | _ -> node.run ()
+    | None -> node.run ()
   in
   if traced then
     Obs.Trace.with_span ~cat:"pool"
@@ -183,8 +183,7 @@ let exec_node ~traced ~metrics ~instr ~labels ~wid node ~wait_ns =
   else exec ()
 
 let exec_ctx ctx node ~wait_ns =
-  exec_node ~traced:ctx.traced ~metrics:ctx.metrics ~instr:ctx.instr
-    ~labels:ctx.labels ~wid:ctx.wid node ~wait_ns
+  exec_node ~traced:ctx.traced ~instr:ctx.instr ~wid:ctx.wid node ~wait_ns
 
 (* Scan victims round-robin from our own id. A [Retry] means someone
    claimed the top while we looked — re-read the same victim, it
@@ -320,8 +319,6 @@ let job_worker ?timeout_s ?queue_depth ?metrics ~traced ~sched f tasks results
       sched;
       wid;
       traced;
-      metrics;
-      labels;
       instr;
       queue_depth;
       measured = traced || Option.is_some metrics;
@@ -359,7 +356,7 @@ let seq_run ?timeout_s ?queue_depth ?metrics ~traced f tasks results =
   let instr = Option.map (fun m -> register_instr m labels) metrics in
   for i = 0 to n - 1 do
     (match queue_depth with Some g -> g (max 0 (n - i - 1)) | None -> ());
-    exec_node ~traced ~metrics ~instr ~labels ~wid:0
+    exec_node ~traced ~instr ~wid:0
       {
         scope = None;
         run = (fun () -> results.(i) <- run_task ?timeout_s f tasks.(i));

@@ -85,7 +85,48 @@ let reports engine src =
     (fun a -> ok (Engine.render engine a src))
     [ Engine.Classify; Engine.Trip; Engine.Deps ]
 
-let check_identical ?(expect_reuse = true) ~edited old_src new_src =
+(* Where [warm] (merged from relocated artifacts) and [cold] differ as
+   records, not as reports: a trip count's exit block, say, reaches no
+   report when it only sharpens a range that was already tight. *)
+let analysis_mismatch (warm : Pipeline.analysis) (cold : Pipeline.analysis) =
+  let module T = Ir.Instr.Id.Table in
+  let same_table eq a b =
+    T.length a = T.length b
+    && T.fold (fun id x ok -> ok && match T.find_opt b id with Some y -> eq x y | None -> false) a true
+  in
+  let trip_text (t : Analysis.Trip_count.t) =
+    Format.asprintf "%a/%a exit=%s positive=%b" Analysis.Trip_count.pp_count
+      t.Analysis.Trip_count.count Analysis.Trip_count.pp_count t.max_count
+      (match t.exit_block with Some l -> string_of_int l | None -> "-")
+      t.assumes_positive
+  in
+  let ids (r : Pipeline.loop_result) =
+    List.map (fun (i : Ir.Instr.t) -> i.Ir.Instr.id) (Analysis.Ssa_graph.nodes r.graph)
+  in
+  if not (same_table Analysis.Sym.equal warm.exit_values cold.exit_values) then Some "exit values"
+  else
+    Array.to_list (Array.mapi (fun l r -> (l, r, cold.by_loop.(l))) warm.by_loop)
+    |> List.find_map (fun (l, w, c) ->
+           match (w, c) with
+           | None, None -> None
+           | Some (w : Pipeline.loop_result), Some (c : Pipeline.loop_result) ->
+             let lw = w.loop and lc = Ir.Loops.loop (Ir.Ssa.loops warm.ssa) l in
+             if
+               not
+                 (lw.Ir.Loops.id = l && lw.header = lc.header && lw.name = lc.name
+                 && Ir.Label.Set.equal lw.blocks lc.blocks
+                 && lw.latches = lc.latches && lw.parent = lc.parent
+                 && lw.loop_children = lc.loop_children && lw.depth = lc.depth)
+             then Some (Printf.sprintf "loop %d: another program's loop record" l)
+             else if trip_text w.trip <> trip_text c.trip then
+               Some (Printf.sprintf "loop %d: trip %s, cold %s" l (trip_text w.trip) (trip_text c.trip))
+             else if not (same_table Analysis.Ivclass.equal w.table c.table) then
+               Some (Printf.sprintf "loop %d: class table" l)
+             else if ids w <> ids c then Some (Printf.sprintf "loop %d: graph nodes" l)
+             else None
+           | _ -> Some (Printf.sprintf "loop %d: present in one analysis only" l))
+
+let check_identical ?(expect_reuse = true) ?hits ~edited old_src new_src =
   let warm = Engine.create () in
   ignore (ok (Engine.classify warm old_src));
   let incremental = reports warm new_src in
@@ -94,11 +135,16 @@ let check_identical ?(expect_reuse = true) ~edited old_src new_src =
     (fun a b ->
       Alcotest.(check string) ("incremental = cold after " ^ edited) a b)
     cold incremental;
+  Option.iter
+    (fun what -> Alcotest.failf "merged analysis differs from cold after %s: %s" edited what)
+    (analysis_mismatch (ok (Engine.analyze warm new_src))
+       (Pipeline.analyze (Ir.Ssa.of_source new_src)));
   if expect_reuse then begin
     (* Some nest really was reused, so the equality above is a
        statement about merged-from-cache output, not a trivial re-run. *)
-    let hits, _ = stat warm "unit_classify" in
-    Alcotest.(check bool) "some units were reused" true (hits > 0)
+    let h, _ = stat warm "unit_classify" in
+    Alcotest.(check bool) "some units were reused" true (h > 0);
+    Option.iter (fun n -> Alcotest.(check int) "units reused" n h) hits
   end
 
 let test_merged_byte_identity () = check_identical ~edited:"a mid-nest edit" old_src new_src
@@ -110,12 +156,26 @@ let test_first_nest_edit () =
   check_identical ~edited:"a first-nest edit" old_src (base ~body1:"s - i" ())
 
 let test_size_changing_edit () =
-  (* An edit that inserts an instruction shifts every downstream SSA id,
-     so the digests of later units change and their artifacts are not
-     reused — correctness over cleverness. The merged output must still
-     be byte-identical to a cold run. *)
-  check_identical ~expect_reuse:false ~edited:"a size-changing edit" old_src
+  (* An edit that inserts an instruction shifts every later SSA id (and
+     every phi id, which are numbered after lowering). Unit keys are
+     canonical, so the two untouched nests still hit, and their
+     artifacts are relocated into the new numbering. *)
+  check_identical ~hits:2 ~edited:"a size-changing edit" old_src
     (base ~body1:"s + 2 * i" ())
+
+(* Deleting [a]'s first definition moves [a] after [b] in
+   first-definition order, so L0's exit phis, which M reads, swap ids.
+   M's key is unchanged, and its relocated classes must re-sort their
+   terms: "inv(b2 + a1)", as a cold run prints them. *)
+let test_live_in_reorder () =
+  let src ~init_a =
+    (if init_a then "a = 0\n" else "")
+    ^ "b = 0\nL0: for i = 1 to n loop\n  b = b + 1\n  a = a + i\nendloop\n\
+       M: for j = 1 to 10 loop\n  C(j) = a + b\nendloop\n"
+  in
+  check_identical ~hits:1 ~edited:"a live-in reorder" (src ~init_a:true) (src ~init_a:false);
+  Alcotest.(check bool) "terms in the new id order" true
+    (Helpers.contains (ok (Engine.classify (Engine.create ()) (src ~init_a:false))) "inv(b2 + a1)")
 
 let test_parallel_merge_identical () =
   (* Unit fan-out across domains must not perturb merged output. *)
@@ -152,6 +212,19 @@ let test_diff_report () =
     (Helpers.contains text "reused (unit cache hit)");
   Alcotest.(check bool) "the edited nest is re-analyzed" true
     (Helpers.contains text "reanalyzed (changed)")
+
+let test_relocations_reported () =
+  let e = Engine.create () in
+  let size_preserving = ok (Engine.diff e old_src new_src) in
+  Alcotest.(check bool) "no relocation when the numbering holds" false
+    (Helpers.contains size_preserving "relocated"
+    || Helpers.contains (Engine.prometheus_report e) "iv_unit_relocations_total");
+  let text = ok (Engine.diff e old_src (base ~body1:"s + 2 * i" ())) in
+  Alcotest.(check bool) "relocated hits are marked" true
+    (Helpers.contains text "diff: 5 units, 2 reused, 1 reanalyzed"
+    && Helpers.contains text "reused (unit cache hit, relocated)");
+  Alcotest.(check bool) "and counted" true
+    (Helpers.contains (Engine.prometheus_report e) "iv_unit_relocations_total 2\n")
 
 let with_temp_program src f =
   let path = Filename.temp_file "ivtool_incr" ".iv" in
@@ -309,6 +382,182 @@ let prop_units_partition_roots =
       roots_partitioned src
       || QCheck2.Test.fail_reportf "roots not partitioned for:\n%s" src)
 
+(* --- relocation: edits that renumber the program --- *)
+
+type edit =
+  | Insert_or_delete
+    (* one statement at the head of a nest's outer loop; an inserted one
+       stores a constant, so no other nest's inputs change (a read of a
+       scalar could keep alive a phi in the nest before) *)
+  | Add_loop (* a new nest before a program: later loop ids shift *)
+  | Drop_first_def (* a variable's first definition: phi order changes *)
+  | Change_constant (* a constant flowing into a later nest: must miss *)
+
+let edit_name = function
+  | Insert_or_delete -> "insert or delete a statement"
+  | Add_loop -> "add a loop"
+  | Drop_first_def -> "drop a first definition"
+  | Change_constant -> "change a constant"
+
+(* A generated program's leading assignments (its initialising
+   prelude) and the rest. *)
+let split_prelude stmts =
+  let rec go acc = function
+    | (Ir.Ast.Assign _ as s) :: rest -> go (s :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go [] stmts
+
+let on_outer_body f =
+  List.map (function
+    | Ir.Ast.For l -> Ir.Ast.For { l with Ir.Ast.body = f l.Ir.Ast.body }
+    | s -> s)
+
+(* [k] generated programs joined into one file. Programs after the
+   first drop their prelude when [keep] says so, and always when the
+   edit drops a first definition: their nest then reads live-in defs
+   from the nest before, and that edit permutes those defs' ids (phis
+   are numbered in first-definition order). Returns (old, new,
+   top-level index of the [target]th program's nest in new). *)
+let edited_pair (seeds, keep, edit, target, choice) =
+  let progs =
+    List.mapi
+      (fun i seed ->
+        let p = Corpus.Gen.program (Random.State.make [| seed |]) in
+        let pre, rest = split_prelude p.Ir.Ast.stmts in
+        ((if i = 0 || (List.nth keep i && edit <> Drop_first_def) then pre else []), rest))
+      seeds
+  in
+  let flows = Change_constant = edit in
+  (* For a constant edit, both versions define [vk] in the first
+     prelude and store it in the target nest, so the constant reaches
+     that nest's instructions. *)
+  let vk c = Ir.Ast.assign "vk" (Ir.Ast.i c) in
+  let for_ name x body = Ir.Ast.for_ name x (Ir.Ast.i 1) (Ir.Ast.i 3) body in
+  let store_at x e = Ir.Ast.astore "arr" [ Ir.Ast.v x ] e in
+  (* When a first definition is dropped, both versions also read every
+     variable after each program in a nest that leaves them alone, so
+     a class sums the live-in defs whose ids the edit reorders. *)
+  let reader = for_ "GR" "gr" [ store_at "gr" Ir.Ast.(v "va" + v "vb" + v "vc" + v "vd") ] in
+  let old_progs =
+    List.mapi
+      (fun i (pre, rest) ->
+        let pre = if flows && i = 0 then vk 1 :: pre else pre in
+        let rest =
+          if flows && i = target then
+            on_outer_body (fun body -> store_at "vk" (Ir.Ast.v "vk") :: body) rest
+          else rest
+        in
+        (pre, if edit = Drop_first_def then rest @ [ reader ] else rest))
+      progs
+  in
+  let new_progs =
+    List.mapi
+      (fun i (pre, rest) ->
+        match edit with
+        | Insert_or_delete when i = target ->
+          ( pre,
+            on_outer_body
+              (fun body ->
+                match body with
+                | _ :: (_ :: _ as tail) when choice mod 2 = 1 -> tail
+                | body -> store_at "go" (Ir.Ast.i 1) :: body)
+              rest )
+        | Add_loop when i = target -> (for_ "GNEW" "gn" [ store_at "gn" (Ir.Ast.v "gn") ] :: pre, rest)
+        | Drop_first_def when i = 0 ->
+          let x = List.nth [ "va"; "vb"; "vc"; "vd" ] (choice mod 4) in
+          ( List.filter
+              (function Ir.Ast.Assign (y, _) -> Ir.Ident.name y <> x | _ -> true)
+              pre,
+            rest )
+        | Change_constant when i = 0 -> (
+          match pre with
+          | _ :: pre -> (vk 2 :: pre, rest)
+          | [] -> (pre, rest))
+        | _ -> (pre, rest))
+      old_progs
+  in
+  let join ps =
+    Ir.Ast.to_string
+      { Ir.Ast.decls = []; stmts = List.concat_map (fun (pre, rest) -> pre @ rest) ps }
+  in
+  let nest_at =
+    List.fold_left ( + ) 0
+      (List.filteri (fun i _ -> i < target)
+         (List.map (fun (pre, rest) -> List.length pre + List.length rest) new_progs))
+    + List.length (fst (List.nth new_progs target))
+  in
+  (join old_progs, join new_progs, nest_at)
+
+let gen_edited =
+  let open QCheck2.Gen in
+  let* k = int_range 2 4 in
+  let* seeds = list_repeat k (int_bound 1_000_000) in
+  let* keep = list_repeat k bool in
+  let* edit = oneofl [ Insert_or_delete; Add_loop; Drop_first_def; Change_constant ] in
+  let* target = int_bound (k - 1) in
+  let* choice = int_bound 1000 in
+  return (seeds, keep, edit, target, choice)
+
+let print_edited ((_, _, edit, target, _) as case) =
+  let old_src, new_src, _ = edited_pair case in
+  Printf.sprintf "%s in program %d\n--- old\n%s--- new\n%s" (edit_name edit) target old_src
+    new_src
+
+(* After each edit, a warm engine's merged analysis and its classify,
+   trip, deps and range reports equal a cold run's, and checked mode
+   passes on the merged analysis. Inserting a statement reuses every other nest; a constant
+   that reaches the target nest's instructions makes it miss. *)
+let prop_renumbering_edits =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~name:"renumbering edits match a cold run"
+       ~print:print_edited gen_edited (fun ((_, _, edit, _, choice) as case) ->
+         let old_src, new_src, nest_at = edited_pair case in
+         let warm = Engine.create () in
+         let diff = ok (Engine.diff warm old_src new_src) in
+         let artifacts = [ Engine.Classify; Engine.Trip; Engine.Deps; Engine.Ranges ] in
+         let cold = Engine.create () in
+         List.iter
+           (fun a ->
+             let w = ok (Engine.render warm a new_src) in
+             let c = ok (Engine.render cold a new_src) in
+             if w <> c then
+               QCheck2.Test.fail_reportf "%s: warm differs from cold\n--- warm\n%s--- cold\n%s"
+                 (Engine.artifact_to_string a) w c)
+           artifacts;
+         (match
+            analysis_mismatch (ok (Engine.analyze warm new_src))
+              (Pipeline.analyze (Ir.Ssa.of_source new_src))
+          with
+          | Some what -> QCheck2.Test.fail_reportf "merged analysis differs from cold: %s" what
+          | None -> ());
+         let report = ok (Engine.check warm new_src) in
+         if Verify.Check.errors report > 0 then
+           QCheck2.Test.fail_reportf "checked mode on the merged analysis:\n%s"
+             (Verify.Check.to_text report);
+         let reused, reran =
+           Scanf.sscanf diff "diff: %d units, %d reused, %d reanalyzed" (fun _ r c -> (r, c))
+         in
+         (match edit with
+          | Insert_or_delete when choice mod 2 = 0 && reran <> 1 ->
+            QCheck2.Test.fail_reportf "insertion: %d reused, %d reanalyzed\n%s" reused reran
+              diff
+          | Change_constant -> (
+            let nest_unit =
+              List.find
+                (fun (u : Region.unit_) -> u.Region.first <= nest_at && nest_at <= u.Region.last)
+                (Region.partition (Ir.Parser.parse new_src))
+            in
+            let line =
+              List.find
+                (String.starts_with ~prefix:(Printf.sprintf "unit %-3d " nest_unit.Region.index))
+                (String.split_on_char '\n' diff)
+            in
+            if not (Helpers.contains line "reanalyzed") then
+              QCheck2.Test.fail_reportf "the constant's nest was not recomputed:\n%s" diff)
+          | _ -> ());
+         true))
+
 let suite =
   ( "incremental",
     [
@@ -317,13 +566,16 @@ let suite =
       Helpers.case "merged reports byte-identical" test_merged_byte_identity;
       Helpers.case "first-nest edit byte-identical" test_first_nest_edit;
       Helpers.case "size-changing edit byte-identical" test_size_changing_edit;
+      Helpers.case "live-in reorder byte-identical" test_live_in_reorder;
       Helpers.case "parallel merge byte-identical" test_parallel_merge_identical;
       Helpers.case "checked mode passes on merged" test_check_after_merge;
       Helpers.case "diff report" test_diff_report;
+      Helpers.case "relocated hits reported" test_relocations_reported;
       Helpers.case "REANALYZE serve verb" test_reanalyze_verb;
       Helpers.case "unreachable tail maps every root" test_unreachable_tail;
       Helpers.case "exit before an inner loop maps its root" test_exit_before_inner;
       Helpers.case "two nests with the same label" test_same_label;
       prop_units_partition_roots;
       Helpers.case "array store in a dropped nest: deps" test_unreachable_array_store;
+      prop_renumbering_edits;
     ] )
