@@ -82,6 +82,19 @@ let prov ctx (scc : Ir.Instr.t list) ~shape ~rule =
 let in_loop ctx id =
   Ir.Label.Set.mem (Ir.Cfg.block_of_instr (Ir.Ssa.cfg ctx.ssa) id) ctx.loop.Ir.Loops.blocks
 
+(* Entry and back arguments of a header phi, determined by whether the
+   corresponding predecessor is inside the loop. *)
+let split_phi_args ctx (phi : Ir.Instr.t) =
+  let preds = Ir.Ssa.preds ctx.ssa ctx.loop.Ir.Loops.header in
+  let entry = ref [] and back = ref [] in
+  List.iteri
+    (fun i p ->
+      let v = phi.Ir.Instr.args.(i) in
+      if Ir.Label.Set.mem p ctx.loop.Ir.Loops.blocks then back := v :: !back
+      else entry := v :: !entry)
+    preds;
+  (List.rev !entry, List.rev !back)
+
 (* --- classification of operand values (non-cycle path) --- *)
 
 let rec class_of_value ctx (v : Ir.Instr.value) : Ivclass.t =
@@ -440,16 +453,7 @@ let monotonic_analysis ctx scc header_phi =
           u.Ir.Instr.args)
     scc;
   (* Which members feed the header phi's back edges directly? *)
-  let back_args =
-    let preds = Ir.Ssa.preds ctx.ssa ctx.loop.Ir.Loops.header in
-    let phi = Ir.Cfg.find_instr cfg header_phi in
-    List.concat
-      (List.mapi
-         (fun i p ->
-           if Ir.Label.Set.mem p ctx.loop.Ir.Loops.blocks then [ phi.Ir.Instr.args.(i) ]
-           else [])
-         preds)
-  in
+  let _, back_args = split_phi_args ctx (Ir.Cfg.find_instr cfg header_phi) in
   let is_back_arg d =
     List.exists
       (fun (v : Ir.Instr.value) ->
@@ -549,16 +553,10 @@ let monotonic_mul_analysis ctx scc header_phi =
       (fun acc (i : Ir.Instr.t) -> Ir.Instr.Id.Set.add i.Ir.Instr.id acc)
       Ir.Instr.Id.Set.empty scc
   in
-  let phi = Ir.Cfg.find_instr cfg header_phi in
+  let entry, back_args = split_phi_args ctx (Ir.Cfg.find_instr cfg header_phi) in
   (* Initial value: a known constant >= 0 (> 0 enables strictness under
      multiplication). *)
   let init_positive =
-    let entry =
-      let preds = Ir.Ssa.preds ctx.ssa ctx.loop.Ir.Loops.header in
-      List.filteri
-        (fun i _ -> not (Ir.Label.Set.mem (List.nth preds i) ctx.loop.Ir.Loops.blocks))
-        (Array.to_list phi.Ir.Instr.args)
-    in
     List.fold_left
       (fun acc v ->
         match (acc, class_of_value ctx v) with
@@ -572,16 +570,6 @@ let monotonic_mul_analysis ctx scc header_phi =
   in
   (* Every loop-carried value must be a checked member of the region —
      a phi fed through e.g. an inner loop's exit value is not. *)
-  let back_args =
-    let preds = Ir.Ssa.preds ctx.ssa ctx.loop.Ir.Loops.header in
-    List.concat
-      (List.mapi
-         (fun i p ->
-           if Ir.Label.Set.mem p ctx.loop.Ir.Loops.blocks then
-             [ phi.Ir.Instr.args.(i) ]
-           else [])
-         preds)
-  in
   List.iter
     (fun (v : Ir.Instr.value) ->
       match v with
@@ -709,19 +697,6 @@ let monotonic_mul_analysis ctx scc header_phi =
       scc
 
 (* --- cycle classification --- *)
-
-(* Entry and back arguments of a header phi, determined by whether the
-   corresponding predecessor is inside the loop. *)
-let split_phi_args ctx (phi : Ir.Instr.t) =
-  let preds = Ir.Ssa.preds ctx.ssa ctx.loop.Ir.Loops.header in
-  let entry = ref [] and back = ref [] in
-  List.iteri
-    (fun i p ->
-      let v = phi.Ir.Instr.args.(i) in
-      if Ir.Label.Set.mem p ctx.loop.Ir.Loops.blocks then back := v :: !back
-      else entry := v :: !entry)
-    preds;
-  (List.rev !entry, List.rev !back)
 
 (* The invariant initial value flowing into a header phi from outside. *)
 let init_sym ctx (phi : Ir.Instr.t) : Sym.t option =

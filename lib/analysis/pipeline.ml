@@ -139,10 +139,9 @@ let default_options = { use_sccp = true }
 (* -- the analysis payload -- *)
 
 type loop_result = {
-  loop : Ir.Loops.loop;
   table : Ivclass.t Ir.Instr.Id.Table.t;
-  graph : Ssa_graph.t;
   trip : Trip_count.t;
+  nodes : Ir.Instr.Id.t array; (* the loop's direct instructions, program order *)
 }
 
 type analysis = {
@@ -240,7 +239,7 @@ and global_class_of_sym t (s : Sym.t) : Ivclass.t =
 
 (* -- exit values (paper §5.3) -- *)
 
-let compute_exit_values (t : analysis) (r : loop_result) =
+let compute_exit_values (t : analysis) (lp : Ir.Loops.loop) (r : loop_result) =
   match (Trip_count.count_sym r.trip, r.trip.Trip_count.exit_block) with
   | Some tc, Some exit_block ->
     let cfg = Ir.Ssa.cfg t.ssa in
@@ -248,9 +247,8 @@ let compute_exit_values (t : analysis) (r : loop_result) =
     let tc_int =
       match Trip_count.count_int r.trip with Some n -> Some n | None -> None
     in
-    List.iter
-      (fun (instr : Ir.Instr.t) ->
-        let d = instr.Ir.Instr.id in
+    Array.iter
+      (fun d ->
         match Ir.Instr.Id.Table.find_opt r.table d with
         | None | Some Ivclass.Unknown | Some (Ivclass.Monotonic _) -> ()
         | Some c ->
@@ -264,7 +262,7 @@ let compute_exit_values (t : analysis) (r : loop_result) =
             && Ir.Dom.dominates dom exit_block block
             && List.for_all
                  (fun latch -> Ir.Dom.dominates dom block latch)
-                 r.loop.Ir.Loops.latches
+                 lp.Ir.Loops.latches
           in
           let h_sym =
             if above then Some tc
@@ -293,7 +291,7 @@ let compute_exit_values (t : analysis) (r : loop_result) =
           (match exit_sym with
            | Some s -> Ir.Instr.Id.Table.replace t.exit_values d s
            | None -> ()))
-      (Ssa_graph.nodes r.graph)
+      r.nodes
   | _ -> ()
 
 (* -- the inner-to-outer classification walk (§5.2–5.3) -- *)
@@ -311,7 +309,8 @@ let empty_analysis ?sccp (ssa : Ir.Ssa.t) =
     exit_values = Ir.Instr.Id.Table.create 64;
   }
 
-(* Classify one loop (its SCRs, trip count and exit values) into [t].
+(* Classify one loop (its SCRs, trip count and exit values) into [t]
+   and return its SSA graph, which promotion reads and nothing keeps.
    Inner loops of the same nest must already be classified — nothing
    else: exit values never cross a nest boundary (the [inner_exit]
    lookup is guarded by loop membership in [Classify.class_of_def]), so
@@ -335,19 +334,23 @@ let classify_one (t : analysis) ~outer_const ~inner_exit (lp : Ir.Loops.loop) =
       "pipeline.trip_count"
       (fun () -> Trip_count.compute ctx)
   in
-  let r = { loop = lp; table; graph; trip } in
+  let nodes =
+    Array.of_list (List.map (fun (i : Ir.Instr.t) -> i.Ir.Instr.id) (Ssa_graph.nodes graph))
+  in
+  let r = { table; trip; nodes } in
   t.by_loop.(lp.Ir.Loops.id) <- Some r;
   Obs.Trace.with_span ~cat:"pipeline"
     ~attrs:[ ("loop", Obs.Trace.Str lp.Ir.Loops.name) ]
     "pipeline.exit_values"
-    (fun () -> compute_exit_values t r)
+    (fun () -> compute_exit_values t lp r);
+  graph
 
 (* -- multiloop promotion (§5.3 and Figs 8-9) -- *)
 
 (* Promotion relates a loop only to its ancestors in the same nest, so
    promoting one nest's roots at a time is equivalent to the whole
-   forest. *)
-let promote_roots (t : analysis) roots =
+   forest. [graphs] holds the walk's SSA graphs by loop id. *)
+let promote_roots (t : analysis) graphs roots =
   let loops = Ir.Ssa.loops t.ssa in
   (* Outer loops first, so inner promotions can nest through them. *)
   let rec preorder id acc =
@@ -360,14 +363,14 @@ let promote_roots (t : analysis) roots =
       let lp = Ir.Loops.loop loops id in
       match (lp.Ir.Loops.parent, t.by_loop.(id)) with
       | Some parent_id, Some r -> (
-        match t.by_loop.(parent_id) with
-        | None -> ()
-        | Some parent_r ->
+        match (t.by_loop.(parent_id), graphs.(parent_id)) with
+        | None, _ | _, None -> ()
+        | Some parent_r, Some graph ->
           let parent_ctx =
             {
               Classify.ssa = t.ssa;
-              loop = parent_r.loop;
-              graph = parent_r.graph;
+              loop = Ir.Loops.loop loops parent_id;
+              graph;
               table = parent_r.table;
               outer_const = (fun _ -> None);
               inner_exit = (fun d -> Ir.Instr.Id.Table.find_opt t.exit_values d);
@@ -409,16 +412,20 @@ let unit_loop_ids loops uroots =
 
 (* The classification walk: classify every loop of the nests rooted at
    [roots] inner-to-outer into a fresh analysis, then promote within
-   those nests. *)
+   those nests. The loops' SSA graphs live only until promotion is
+   done. *)
 let analyze_nests ?sccp (ssa : Ir.Ssa.t) roots : analysis =
   let t = empty_analysis ?sccp ssa in
   let outer_const = outer_const_of sccp in
   let inner_exit d = Ir.Instr.Id.Table.find_opt t.exit_values d in
   let loops = Ir.Ssa.loops ssa in
+  let graphs = Array.make (Array.length t.by_loop) None in
   List.iter
-    (fun id -> classify_one t ~outer_const ~inner_exit (Ir.Loops.loop loops id))
+    (fun id ->
+      graphs.(id) <-
+        Some (classify_one t ~outer_const ~inner_exit (Ir.Loops.loop loops id)))
     (unit_loop_ids loops roots);
-  promote_roots t roots;
+  promote_roots t graphs roots;
   t
 
 (* The walk over the whole loop forest, for callers that hold only SSA
@@ -464,15 +471,14 @@ let pp_report fmt (t : analysis) =
           lp.Ir.Loops.name lp.Ir.Loops.depth
           (Trip_count.pp_with (fun id -> Ir.Ssa.primary_name t.ssa id))
           r.trip;
-        List.iter
-          (fun (instr : Ir.Instr.t) ->
-            let name = Ir.Ssa.primary_name t.ssa instr.Ir.Instr.id in
+        Array.iter
+          (fun id ->
             let c =
-              Option.value ~default:Ivclass.Unknown
-                (Ir.Instr.Id.Table.find_opt r.table instr.Ir.Instr.id)
+              Option.value ~default:Ivclass.Unknown (Ir.Instr.Id.Table.find_opt r.table id)
             in
-            Format.fprintf fmt "%-8s %a@," name (Ivclass.pp_with nm) c)
-          (Ssa_graph.nodes r.graph);
+            Format.fprintf fmt "%-8s %a@," (Ir.Ssa.primary_name t.ssa id)
+              (Ivclass.pp_with nm) c)
+          r.nodes;
         Format.fprintf fmt "@]@,")
     (Ir.Loops.postorder loops);
   Format.fprintf fmt "@]"
@@ -779,7 +785,7 @@ let analyze_unit ?sccp (ssa : Ir.Ssa.t) (info : unit_info) : unit_artifact =
   @@ fun () ->
   let t = analyze_nests ?sccp ssa info.uroots in
   {
-    ua_results = List.filter_map (fun id -> t.by_loop.(id)) info.uloops;
+    ua_results = List.map (fun id -> Option.get t.by_loop.(id)) info.uloops;
     ua_exits =
       Ir.Instr.Id.Table.fold (fun d s acc -> (d, s) :: acc) t.exit_values [];
     ua_canon = info.ucanon;
@@ -787,13 +793,12 @@ let analyze_unit ?sccp (ssa : Ir.Ssa.t) (info : unit_info) : unit_artifact =
 
 exception Unmapped
 
-(* [relocate ssa c a] maps artifact [a], stored by a program that
-   numbers the same unit differently, into the program [ssa], whose
-   numbering is [c]: loop records come from [ssa]'s forest, and table
-   keys, class atoms, loop ids, families, exit blocks, graph nodes and
+(* [relocate c a] maps artifact [a], stored by a program that numbers
+   the same unit differently, into the program whose numbering is [c]:
+   table keys, class atoms, loop ids, families, exit blocks, nodes and
    exit values go through the two numberings. [None] when [a] names an
    id the numberings do not cover, so the caller recomputes. *)
-let relocate ssa (c : canon) (a : unit_artifact) : unit_artifact option =
+let relocate (c : canon) (a : unit_artifact) : unit_artifact option =
   let s = a.ua_canon in
   if
     Array.length s.c_defs <> Array.length c.c_defs
@@ -819,9 +824,7 @@ let relocate ssa (c : canon) (a : unit_artifact) : unit_artifact option =
     let label = through s.c_labels c.c_labels in
     let loop = through s.c_loops c.c_loops in
     let sym = Sym.rename (function Sym.Def d -> Sym.Def (def d) | a -> a) in
-    let loops = Ir.Ssa.loops ssa in
     let result r =
-      let lp = Ir.Loops.loop loops (loop r.loop.Ir.Loops.id) in
       (* Sized like [Classify.classify_loop]'s tables, so lookups in a
          relocated table cost what they cost in a computed one. *)
       let table = Ir.Instr.Id.Table.create 64 in
@@ -829,12 +832,7 @@ let relocate ssa (c : canon) (a : unit_artifact) : unit_artifact option =
         (fun id cl ->
           Ir.Instr.Id.Table.replace table (def id) (Ivclass.rename ~loop ~sym ~def cl))
         r.table;
-      {
-        loop = lp;
-        table;
-        graph = Ssa_graph.relocate ssa lp ~def r.graph;
-        trip = Trip_count.rename ~sym ~label r.trip;
-      }
+      { table; trip = Trip_count.rename ~sym ~label r.trip; nodes = Array.map def r.nodes }
     in
     try
       Some
@@ -846,21 +844,20 @@ let relocate ssa (c : canon) (a : unit_artifact) : unit_artifact option =
     with Unmapped -> None
   end
 
-(* Reassemble the whole-program analysis from per-unit artifacts. The
-   report renderers and the dependence pass run on the merged record
-   unchanged, so incremental output is byte-identical to a cold run by
-   construction. *)
-let merge_units ?sccp ssa (artifacts : unit_artifact list) : analysis =
+(* Reassemble the whole-program analysis from per-unit artifacts, each
+   with the unit it was found for (its results are aligned with the
+   unit's [uloops]). The report renderers and the dependence pass run on
+   the merged record unchanged, so incremental output is byte-identical
+   to a cold run by construction. *)
+let merge_units ?sccp ssa (units : (unit_info * unit_artifact) list) : analysis =
   let t = empty_analysis ?sccp ssa in
   List.iter
-    (fun ua ->
-      List.iter
-        (fun r -> t.by_loop.(r.loop.Ir.Loops.id) <- Some r)
-        ua.ua_results;
+    (fun (info, ua) ->
+      List.iter2 (fun id r -> t.by_loop.(id) <- Some r) info.uloops ua.ua_results;
       List.iter
         (fun (d, s) -> Ir.Instr.Id.Table.replace t.exit_values d s)
         ua.ua_exits)
-    artifacts;
+    units;
   t
 
 (* -- the lazy per-source instance -- *)
@@ -1113,7 +1110,7 @@ let classify_units ?pool_run ~lookup ~store t =
             let thunks =
               Array.mapi
                 (fun k (i, probe) () ->
-                  match Option.bind probe (relocate ssa i.ucanon) with
+                  match Option.bind probe (relocate i.ucanon) with
                   | Some a ->
                     relocated.(k) <- true;
                     a
@@ -1142,7 +1139,7 @@ let classify_units ?pool_run ~lookup ~store t =
               probed
           in
           let merged =
-            merge_units ?sccp ssa (List.map (fun (_, a, _, _) -> a) results)
+            merge_units ?sccp ssa (List.map (fun (i, a, _, _) -> (i, a)) results)
           in
           let r = rendered merged in
           t.v_classify <- Some (Ok r);

@@ -95,11 +95,15 @@ val default_options : options
 
 (* -- the analysis record -- *)
 
+(** One loop's results, as plain data: the class of each direct
+    instruction, the trip count, and the ids of those instructions in
+    program order ([nodes], the report's row order). Nothing here points
+    into a program: the loop record comes from the analysis's own
+    forest, and the §3 SSA graph lives only while the walk runs. *)
 type loop_result = {
-  loop : Ir.Loops.loop;
   table : Ivclass.t Ir.Instr.Id.Table.t;
-  graph : Ssa_graph.t;
   trip : Trip_count.t;
+  nodes : Ir.Instr.Id.t array;
 }
 
 type analysis = {
@@ -179,9 +183,10 @@ type unit_info = {
 
 (** The cached per-unit result: promoted per-loop classification
     results (aligned with [uloops]), the unit's exit values, and the
-    numbering of the program that computed them. Artifacts are shared
-    across pipeline instances and domains — never mutated after
-    creation. *)
+    numbering of the program that computed them. An artifact holds only
+    ids, classes and counts, so caching it keeps no program alive.
+    Artifacts are shared across pipeline instances and domains — never
+    mutated after creation. *)
 type unit_artifact = {
   ua_results : loop_result list;
   ua_exits : (Ir.Instr.Id.t * Sym.t) list;

@@ -70,26 +70,6 @@ let build ?(expand = fun _ -> None) (ssa : Ir.Ssa.t) (loop : Ir.Loops.loop) : t 
     nodes;
   { ssa; loop; nodes; node_set; succs }
 
-(* [relocate ssa loop ~def t] is [t] re-pointed at another numbering of
-   the same loop: [loop] is that numbering's record, and [def] maps each
-   node id to its id there. Node and successor order are kept. *)
-let relocate (ssa : Ir.Ssa.t) (loop : Ir.Loops.loop) ~def t =
-  let cfg = Ir.Ssa.cfg ssa in
-  let nodes =
-    List.map (fun (i : Ir.Instr.t) -> Ir.Cfg.find_instr cfg (def i.Ir.Instr.id)) t.nodes
-  in
-  let succs = Ir.Instr.Id.Table.create (Ir.Instr.Id.Table.length t.succs) in
-  Ir.Instr.Id.Table.iter
-    (fun id out -> Ir.Instr.Id.Table.replace succs (def id) (List.map def out))
-    t.succs;
-  {
-    ssa;
-    loop;
-    nodes;
-    node_set = Ir.Instr.Id.Set.map def t.node_set;
-    succs;
-  }
-
 let nodes t = t.nodes
 let mem t id = Ir.Instr.Id.Set.mem id t.node_set
 

@@ -13,12 +13,6 @@ val direct_blocks : Ir.Ssa.t -> Ir.Loops.loop -> Ir.Label.Set.t
     cycles through inner loops (Fig 9) stay strongly connected. *)
 val build : ?expand:(Ir.Instr.Id.t -> Sym.t option) -> Ir.Ssa.t -> Ir.Loops.loop -> t
 
-(** [relocate ssa loop ~def t] re-points [t] at another numbering of
-    the same loop: [ssa] and [loop] are that numbering's, [def] maps a
-    node id of [t] to its id there. *)
-val relocate :
-  Ir.Ssa.t -> Ir.Loops.loop -> def:(Ir.Instr.Id.t -> Ir.Instr.Id.t) -> t -> t
-
 (** Nodes in program order. *)
 val nodes : t -> Ir.Instr.t list
 

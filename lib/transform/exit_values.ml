@@ -84,8 +84,7 @@ let materialize_loop (t : Pipeline.analysis) loop_id : materialization list =
         | None -> []
         | Some r ->
           List.filter_map
-            (fun (instr : Ir.Instr.t) ->
-              let d = instr.Ir.Instr.id in
+            (fun d ->
               match Pipeline.exit_value t d with
               | Some sym
                 when Codegen.integral sym
@@ -103,7 +102,7 @@ let materialize_loop (t : Pipeline.analysis) loop_id : materialization list =
                           (Sym.atoms sym) ->
                 Some (d, sym)
               | _ -> None)
-            (Analysis.Ssa_graph.nodes r.Pipeline.graph)
+            (Array.to_list r.Pipeline.nodes)
       in
       List.filter_map
         (fun (d, sym) ->

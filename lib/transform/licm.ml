@@ -47,6 +47,9 @@ let hoist_loop (t : Pipeline.analysis) loop_id : Ir.Instr.Id.t list =
         || not (Ir.Label.Set.mem (Ir.Cfg.block_of_instr cfg d) loop.Ir.Loops.blocks)
     in
     let moved = ref [] in
+    (* Resolved before the first hoist: each hoist drops the CFG's
+       instruction index. *)
+    let instrs = List.map (Ir.Cfg.find_instr cfg) (Array.to_list r.Pipeline.nodes) in
     (* Process in program order so operand chains hoist together. *)
     List.iter
       (fun (instr : Ir.Instr.t) ->
@@ -71,7 +74,7 @@ let hoist_loop (t : Pipeline.analysis) loop_id : Ir.Instr.Id.t list =
           Ir.Instr.Id.Table.replace hoisted instr.Ir.Instr.id ();
           moved := instr.Ir.Instr.id :: !moved
         end)
-      (Analysis.Ssa_graph.nodes r.Pipeline.graph);
+      instrs;
     List.rev !moved
   | _ -> []
 

@@ -56,7 +56,7 @@ let reduce_loop (t : Pipeline.analysis) loop_id : reduction list =
               Some (instr, b, step)
             | _ -> None)
           | _ -> None)
-        (Analysis.Ssa_graph.nodes r.Pipeline.graph)
+        (List.map (Ir.Cfg.find_instr cfg) (Array.to_list r.Pipeline.nodes))
     in
     List.filter_map
       (fun ((instr : Ir.Instr.t), b, step) ->

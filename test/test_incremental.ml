@@ -100,9 +100,6 @@ let analysis_mismatch (warm : Pipeline.analysis) (cold : Pipeline.analysis) =
       (match t.exit_block with Some l -> string_of_int l | None -> "-")
       t.assumes_positive
   in
-  let ids (r : Pipeline.loop_result) =
-    List.map (fun (i : Ir.Instr.t) -> i.Ir.Instr.id) (Analysis.Ssa_graph.nodes r.graph)
-  in
   if not (same_table Analysis.Sym.equal warm.exit_values cold.exit_values) then Some "exit values"
   else
     Array.to_list (Array.mapi (fun l r -> (l, r, cold.by_loop.(l))) warm.by_loop)
@@ -110,19 +107,11 @@ let analysis_mismatch (warm : Pipeline.analysis) (cold : Pipeline.analysis) =
            match (w, c) with
            | None, None -> None
            | Some (w : Pipeline.loop_result), Some (c : Pipeline.loop_result) ->
-             let lw = w.loop and lc = Ir.Loops.loop (Ir.Ssa.loops warm.ssa) l in
-             if
-               not
-                 (lw.Ir.Loops.id = l && lw.header = lc.header && lw.name = lc.name
-                 && Ir.Label.Set.equal lw.blocks lc.blocks
-                 && lw.latches = lc.latches && lw.parent = lc.parent
-                 && lw.loop_children = lc.loop_children && lw.depth = lc.depth)
-             then Some (Printf.sprintf "loop %d: another program's loop record" l)
+             if w.nodes <> c.nodes then Some (Printf.sprintf "loop %d: nodes" l)
              else if trip_text w.trip <> trip_text c.trip then
                Some (Printf.sprintf "loop %d: trip %s, cold %s" l (trip_text w.trip) (trip_text c.trip))
              else if not (same_table Analysis.Ivclass.equal w.table c.table) then
                Some (Printf.sprintf "loop %d: class table" l)
-             else if ids w <> ids c then Some (Printf.sprintf "loop %d: graph nodes" l)
              else None
            | _ -> Some (Printf.sprintf "loop %d: present in one analysis only" l))
 
@@ -257,6 +246,27 @@ let test_reanalyze_verb () =
     (match Server.handle e "REANALYZE" with
      | Server.Err msg -> Helpers.contains msg "file argument"
      | _ -> false)
+
+(* Cached unit artifacts hold ids, classes and counts only: once a
+   version is invalidated, nothing cached keeps its SSA alive, and its
+   artifacts still serve the next REANALYZE of the same text. *)
+let test_artifacts_release_program () =
+  let e = Engine.create () in
+  with_temp_program old_src (fun path ->
+      let request verb = payload (Server.handle e (verb ^ " " ^ path)) in
+      ignore (request "REANALYZE");
+      let held = Weak.create 1 in
+      (* Not inlined, so no register or stack slot of this frame keeps
+         the SSA reachable. *)
+      let[@inline never] hold () =
+        Weak.set held 0 (Some (ok (Engine.analyze e old_src)).Pipeline.ssa)
+      in
+      hold ();
+      ignore (request "INVALIDATE");
+      Gc.full_major ();
+      Alcotest.(check bool) "alive after invalidate" false (Weak.check held 0);
+      Alcotest.(check bool) "every unit still cached" true
+        (Helpers.contains (request "REANALYZE") "reanalyze: 3 units, 3 reused, 0 computed"))
 
 (* --- unit mapping: every loop-forest root lands in exactly one unit --- *)
 
@@ -572,6 +582,7 @@ let suite =
       Helpers.case "diff report" test_diff_report;
       Helpers.case "relocated hits reported" test_relocations_reported;
       Helpers.case "REANALYZE serve verb" test_reanalyze_verb;
+      Helpers.case "artifacts release the program" test_artifacts_release_program;
       Helpers.case "unreachable tail maps every root" test_unreachable_tail;
       Helpers.case "exit before an inner loop maps its root" test_exit_before_inner;
       Helpers.case "two nests with the same label" test_same_label;
