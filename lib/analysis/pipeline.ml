@@ -6,8 +6,8 @@
    record it returns is the one analysis result; the queries below it
    (classification by def, by SSA name, in the whole nest's frame) are
    what the transforms, dependence testing and verification read. The
-   lazy instance adds per-pass memoization with stable result digests
-   for the service layer's cache keys. *)
+   lazy instance adds per-pass memoization and records which passes
+   have run. *)
 
 (* -- the pass DAG -- *)
 
@@ -64,24 +64,6 @@ let name = function
   | VerifyRanges -> "verify_ranges"
   | VerifyTrans -> "verify_trans"
 
-let of_name = function
-  | "parse" -> Some Parse
-  | "lower" -> Some Lower
-  | "ssa" -> Some Ssa
-  | "looptree" -> Some Looptree
-  | "sccp" -> Some Sccp
-  | "units" -> Some Units
-  | "unit_classify" -> Some Unitclassify
-  | "classify" -> Some Classify
-  | "trip" -> Some Trip
-  | "range" -> Some Ranges
-  | "depgraph" -> Some Depgraph
-  | "verify_ir" -> Some VerifyIr
-  | "verify_class" -> Some VerifyClass
-  | "verify_ranges" -> Some VerifyRanges
-  | "verify_trans" -> Some VerifyTrans
-  | _ -> None
-
 (* Ssa depends on Parse, not Lower: SSA conversion mutates the CFG it
    consumes, so the Lower pass keeps the pristine pre-SSA view and the
    SSA pass lowers its own copy from the AST. *)
@@ -101,23 +83,6 @@ let inputs = function
   | VerifyClass -> [ Classify ]
   | VerifyRanges -> [ Ranges ]
   | VerifyTrans -> [ Parse; Classify ]
-
-let description = function
-  | Parse -> "source text -> AST"
-  | Lower -> "AST -> pre-SSA control-flow graph"
-  | Ssa -> "AST -> SSA form (CFG, dominators, loop forest)"
-  | Looptree -> "SSA -> loop-nesting forest"
-  | Sccp -> "conditional constant propagation"
-  | Units -> "analysis-unit partition: loop nests + straight runs, per-unit digests"
-  | Unitclassify -> "per-unit classification walk through the unit cache (service layer)"
-  | Classify -> "per-nest IV classification, trip counts, exit values, multiloop promotion"
-  | Trip -> "trip-count report"
-  | Ranges -> "per-def value intervals (classification + SCCP seeds, widened fixpoint)"
-  | Depgraph -> "dependence graph (service layer)"
-  | VerifyIr -> "structural IR verification: CFG, SSA, looptree (service layer)"
-  | VerifyClass -> "classification oracle vs the interpreter (service layer)"
-  | VerifyRanges -> "range-interval oracle vs the interpreter (service layer)"
-  | VerifyTrans -> "transform validation, structural + differential (service layer)"
 
 (* Passes whose results the pipeline cannot compute itself: the engine
    forces them (dependence testing lives in lib/dependence, checked mode
@@ -865,7 +830,6 @@ let merge_units ?sccp ssa (units : (unit_info * unit_artifact) list) : analysis 
 type t = {
   src : string;
   opts : options;
-  base : Hash.Fnv.t;
   lock : Mutex.t;
   mutable v_parse : (Ir.Ast.program, string) result option;
   mutable v_lower : (Ir.Cfg.t, string) result option;
@@ -876,26 +840,17 @@ type t = {
   mutable v_classify : (analysis rendered, string) result option;
   mutable v_trip : (string, string) result option;
   mutable v_range : (Range.t rendered, string) result option;
-  digests : (pass, digest_slot) Hashtbl.t;
+  mutable noted : pass list; (* the engine-forced passes that have run *)
 }
 
 (* A forced pass's result and its report, rendered on the first read
    (under [lock]) and kept. *)
 and 'a rendered = { value : 'a; mutable text : string option }
 
-(* A forced pass's digest. The Parse, Lower, Ssa, Looptree, Classify and
-   Ranges digests hash a full rendering of their result, which no cache
-   key reads, so they stay [Deferred] until the first [digest] call
-   renders them (under [lock]: [Lazy] is not domain-safe). The results
-   they render are never mutated after forcing, so the value is the same
-   whenever it is computed. *)
-and digest_slot = Ready of Hash.Fnv.t | Deferred of (unit -> string)
-
 let create ?(options = default_options) src =
   {
     src;
     opts = options;
-    base = Hash.Fnv.feed_bool (Hash.Fnv.of_strings [ src ]) options.use_sccp;
     lock = Mutex.create ();
     v_parse = None;
     v_lower = None;
@@ -906,15 +861,13 @@ let create ?(options = default_options) src =
     v_classify = None;
     v_trip = None;
     v_range = None;
-    digests = Hashtbl.create 11;
+    noted = [];
   }
 
 let options t = t.opts
-let source_digest t = t.base
 
-let set_digest_hash t pass d = Hashtbl.replace t.digests pass (Ready d)
-let set_digest t pass s = set_digest_hash t pass (Hash.Fnv.of_strings [ s ])
-let defer_digest t pass render = Hashtbl.replace t.digests pass (Deferred render)
+(* Callers hold [t.lock]. *)
+let note_pass t pass = if not (List.mem pass t.noted) then t.noted <- pass :: t.noted
 
 (* Each stage runs under a "pipeline.<pass>" span on first forcing.
    Callers hold [t.lock]. *)
@@ -928,12 +881,7 @@ let ensure_parse t =
   match t.v_parse with
   | Some v -> v
   | None ->
-    let v =
-      staged Parse (fun () -> Ir.Parser.parse_result t.src)
-    in
-    (match v with
-     | Ok prog -> defer_digest t Parse (fun () -> Ir.Ast.to_string prog)
-     | Error _ -> ());
+    let v = staged Parse (fun () -> Ir.Parser.parse_result t.src) in
     t.v_parse <- Some v;
     v
 
@@ -944,10 +892,7 @@ let ensure_lower t =
     let v =
       match ensure_parse t with
       | Error e -> Error e
-      | Ok prog ->
-        let cfg = staged Lower (fun () -> Ir.Lower.lower prog) in
-        defer_digest t Lower (fun () -> Ir.Cfg.to_string cfg);
-        Ok cfg
+      | Ok prog -> Ok (staged Lower (fun () -> Ir.Lower.lower prog))
     in
     t.v_lower <- Some v;
     v
@@ -962,9 +907,7 @@ let ensure_ssa t =
       | Ok prog -> (
         let ssa = staged Ssa (fun () -> Ir.Ssa.of_program prog) in
         match Ir.Ssa.check ssa with
-        | [] ->
-          defer_digest t Ssa (fun () -> Ir.Ssa.to_string ssa);
-          Ok ssa
+        | [] -> Ok ssa
         | errs ->
           Error (String.concat "\n" (List.map Ir.Diag.to_string errs)))
     in
@@ -978,24 +921,10 @@ let ensure_looptree t =
     let v =
       match ensure_ssa t with
       | Error e -> Error e
-      | Ok ssa ->
-        let loops = staged Looptree (fun () -> Ir.Ssa.loops ssa) in
-        defer_digest t Looptree (fun () -> Format.asprintf "%a" Ir.Loops.pp loops);
-        Ok loops
+      | Ok ssa -> Ok (staged Looptree (fun () -> Ir.Ssa.loops ssa))
     in
     t.v_looptree <- Some v;
     v
-
-(* The SCCP digest feeds every def's proven constant (in instruction
-   order), so two sources with the same constant facts share a digest. *)
-let sccp_digest ssa (r : Sccp.result) =
-  let d = ref (Hash.Fnv.of_strings [ "sccp" ]) in
-  Ir.Cfg.iter_instrs (Ir.Ssa.cfg ssa) (fun _ instr ->
-      let id = instr.Ir.Instr.id in
-      match Sccp.const_of r id with
-      | Some c -> d := Hash.Fnv.feed_int (Hash.Fnv.feed_int !d id) c
-      | None -> ());
-  !d
 
 let ensure_sccp t =
   match t.v_sccp with
@@ -1005,15 +934,8 @@ let ensure_sccp t =
       match ensure_ssa t with
       | Error e -> Error e
       | Ok ssa ->
-        if not t.opts.use_sccp then begin
-          set_digest t Sccp "sccp:off";
-          Ok None
-        end
-        else begin
-          let r = staged Sccp (fun () -> Sccp.run ssa) in
-          set_digest_hash t Sccp (sccp_digest ssa r);
-          Ok (Some r)
-        end
+        if not t.opts.use_sccp then Ok None
+        else Ok (Some (staged Sccp (fun () -> Sccp.run ssa)))
     in
     t.v_sccp <- Some v;
     v
@@ -1029,21 +951,16 @@ let ensure_units t =
       | Ok prog, Ok loops, Ok sccp, Ok ssa ->
         staged Units (fun () ->
             let nb = numbering ssa in
-            let infos =
-              List.map
-                (fun ((region : Ir.Region.unit_), uroots) ->
-                  let uloops = unit_loop_ids loops uroots in
-                  let udigest, ucanon =
-                    unit_digest ~use_sccp:t.opts.use_sccp ssa sccp nb region
-                      uroots uloops
-                  in
-                  { region; uroots; uloops; udigest; ucanon })
-                (map_units ssa (Ir.Region.partition prog))
-            in
-            set_digest_hash t Units
-              (Hash.Fnv.of_strings
-                 ("units" :: List.map (fun i -> Hash.Fnv.to_hex i.udigest) infos));
-            Ok infos)
+            Ok
+              (List.map
+                 (fun ((region : Ir.Region.unit_), uroots) ->
+                   let uloops = unit_loop_ids loops uroots in
+                   let udigest, ucanon =
+                     unit_digest ~use_sccp:t.opts.use_sccp ssa sccp nb region
+                       uroots uloops
+                   in
+                   { region; uroots; uloops; udigest; ucanon })
+                 (map_units ssa (Ir.Region.partition prog))))
       | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e
         ->
         Error e
@@ -1141,14 +1058,8 @@ let classify_units ?pool_run ~lookup ~store t =
           let merged =
             merge_units ?sccp ssa (List.map (fun (i, a, _, _) -> (i, a)) results)
           in
-          let r = rendered merged in
-          t.v_classify <- Some (Ok r);
-          defer_digest t Classify (fun () ->
-              text_of report_of r ^ "\x00" ^ trip_report_of merged);
-          set_digest_hash t Unitclassify
-            (Hash.Fnv.of_strings
-               ("unit_classify"
-               :: List.map (fun (i, _, _, _) -> Hash.Fnv.to_hex i.udigest) results));
+          t.v_classify <- Some (Ok (rendered merged));
+          note_pass t Unitclassify;
           Ok
             (List.map
                (fun (i, _, hit, relocated) ->
@@ -1175,10 +1086,7 @@ let ensure_trip t =
     let v =
       match ensure_classify t with
       | Error e -> Error e
-      | Ok a ->
-        let text = staged Trip (fun () -> trip_report_of a.value) in
-        set_digest t Trip text;
-        Ok text
+      | Ok a -> Ok (staged Trip (fun () -> trip_report_of a.value))
     in
     t.v_trip <- Some v;
     v
@@ -1202,10 +1110,7 @@ let ensure_range t =
     let v =
       match ensure_classify t with
       | Error e -> Error e
-      | Ok a ->
-        let r = rendered (staged Ranges (fun () -> range_of a.value)) in
-        defer_digest t Ranges (fun () -> text_of Range.report r);
-        Ok r
+      | Ok a -> Ok (rendered (staged Ranges (fun () -> range_of a.value)))
     in
     t.v_range <- Some v;
     v
@@ -1263,16 +1168,6 @@ let forced t pass =
       | Ranges -> Option.is_some t.v_range
       | ( Depgraph | Unitclassify | VerifyIr | VerifyClass | VerifyRanges
         | VerifyTrans ) as p ->
-        Hashtbl.mem t.digests p)
+        List.mem p t.noted)
 
-let digest t pass =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.digests pass with
-      | Some (Ready d) -> Some d
-      | Some (Deferred render) ->
-        let d = Hash.Fnv.of_strings [ render () ] in
-        set_digest_hash t pass d;
-        Some d
-      | None -> None)
-
-let note t pass d = locked t (fun () -> set_digest_hash t pass d)
+let note t pass = locked t (fun () -> note_pass t pass)

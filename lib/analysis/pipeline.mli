@@ -6,9 +6,9 @@
     multiloop promotion, §5.2–5.3), and finally dependence testing (§6).
     This module makes the staging explicit: a {!pass} is a typed node of
     a static DAG; a pipeline instance ({!t}) forces passes lazily on
-    demand, remembers each forced pass's value, and exposes a stable
-    {!Hash.Fnv} digest of every result ([ivtool passes] lists them; the
-    service engine keys its artifacts off the source digest alone).
+    demand, remembers each forced pass's value, and records which passes
+    have run ([ivtool passes] lists them; the service engine keys its
+    artifacts off a digest of the source text alone).
 
     Two layers:
 
@@ -21,8 +21,8 @@
       one pipeline per source text, thread-safe (a mutex serializes
       stage forcing per instance; distinct sources never contend).
 
-    The [Depgraph] pass is declared in the DAG (so the pass listing and
-    key composition cover it) but is {e forced} by the service layer:
+    The [Depgraph] pass is declared in the DAG (so the pass listing
+    covers it) but is {e forced} by the service layer:
     dependence testing lives in [lib/dependence], above this library.
     The engine records its completion with {!note}. The three verify
     passes ([VerifyIr], [VerifyClass], [VerifyTrans]) follow the same
@@ -71,15 +71,12 @@ type pass =
 val all : pass list
 
 val name : pass -> string
-val of_name : string -> pass option
 
 (** Direct inputs of a pass (the static DAG). [Ssa] declares [Parse],
     not [Lower]: SSA conversion consumes (mutates) the CFG it lowers,
     so the [Lower] pass keeps the pristine pre-SSA view and the SSA
     pass lowers its own copy. *)
 val inputs : pass -> pass list
-
-val description : pass -> string
 
 (** Passes the pipeline cannot compute by itself — the service layer
     forces them and records completion with {!note}: [Depgraph] (lives
@@ -229,10 +226,6 @@ val create : ?options:options -> string -> t
 
 val options : t -> options
 
-(** Digest of the raw source text plus the options — the base cache
-    key. Computed once at {!create}. *)
-val source_digest : t -> Hash.Fnv.t
-
 (** Per-pass accessors: each forces its pass (and, transitively, the
     pass's inputs) on first use and returns the memoized result after.
     [Error] carries the parse / SSA-construction diagnostic. *)
@@ -264,8 +257,7 @@ val units : t -> (unit_info list, string) result
     through [Ranges]). *)
 val ranges : t -> (Range.t, string) result
 
-(** The rendered range table (the [Ranges] digest source), rendered on
-    the first call and kept. *)
+(** The rendered range table, rendered on the first call and kept. *)
 val range_report : t -> (string, string) result
 
 (** [classify_with_units ?pool_run ~lookup ~store t] forces [Classify]
@@ -291,17 +283,10 @@ val classify_with_units :
     forced here (it lives above this library) and returns [Error]. *)
 val force : t -> pass -> (unit, string) result
 
-(** [forced t pass] — has the pass run (or, for [Depgraph], been
-    {!note}d)? Never forces anything. *)
+(** [forced t pass] — has the pass run (or, for an {!engine_forced}
+    pass, been {!note}d)? Never forces anything. *)
 val forced : t -> pass -> bool
 
-(** [digest t pass] is the stable digest of the pass's result, once
-    forced. Digests are content hashes of a canonical rendering, so
-    they are reproducible across instances and processes. The Parse,
-    Lower, Ssa, Looptree, Classify and Ranges digests are rendered on
-    the first call for that pass, not when the pass runs. *)
-val digest : t -> pass -> Hash.Fnv.t option
-
-(** [note t pass d] records an externally-computed pass (the service
-    layer's dependence graph) as forced with result digest [d]. *)
-val note : t -> pass -> Hash.Fnv.t -> unit
+(** [note t pass] records an externally-computed pass (the service
+    layer's dependence graph, or a verify pass) as forced. *)
+val note : t -> pass -> unit

@@ -90,16 +90,3 @@ let size t =
     List.fold_left (fun acc (i : Ir.Instr.t) -> acc + List.length (successors t i.Ir.Instr.id)) 0 t.nodes
   in
   (List.length t.nodes, edges)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (i : Ir.Instr.t) ->
-      Format.fprintf fmt "%s -> {%a}@,"
-        (Ir.Ssa.primary_name t.ssa i.Ir.Instr.id)
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-           (fun fmt d -> Format.pp_print_string fmt (Ir.Ssa.primary_name t.ssa d)))
-        (successors t i.Ir.Instr.id))
-    t.nodes;
-  Format.fprintf fmt "@]"

@@ -4,9 +4,6 @@
 
 type t
 
-(** [direct_blocks ssa loop] is the loop's blocks outside any inner loop. *)
-val direct_blocks : Ir.Ssa.t -> Ir.Loops.loop -> Ir.Label.Set.t
-
 (** [build ssa loop ~expand] constructs the graph. [expand] supplies the
     symbolic exit value of inner-loop defs (§5.3): an operand edge into a
     collapsed inner loop is redirected to its exit value's atoms, so
@@ -25,5 +22,3 @@ val is_header_phi : t -> Ir.Instr.t -> bool
 
 (** (vertices, edges), for the complexity benchmarks. *)
 val size : t -> int * int
-
-val pp : Format.formatter -> t -> unit

@@ -9,9 +9,13 @@ let prime = 0x100000001b3L
 let feed_byte h b =
   Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
 
+(* A plain loop: a closure over the accumulator would box every
+   intermediate hash. *)
 let feed_bytes h s =
   let h = ref h in
-  String.iter (fun c -> h := feed_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h := feed_byte !h (Char.code s.[i])
+  done;
   !h
 
 let feed_int h n =

@@ -5,17 +5,27 @@
 
 type t = { name : string; id : int }
 
+(* The intern table is shared by every domain that parses (a batch
+   parses its files in parallel), so it is read and grown under [lock]:
+   an unguarded race can intern one name twice, and the program that got
+   the second id then has two distinct variables of that name. *)
 let table : (string, t) Hashtbl.t = Hashtbl.create 64
 let next = ref 0
+let lock = Mutex.create ()
 
 let of_string name =
-  match Hashtbl.find_opt table name with
-  | Some t -> t
-  | None ->
-    let t = { name; id = !next } in
-    incr next;
-    Hashtbl.add table name t;
-    t
+  Mutex.lock lock;
+  let t =
+    match Hashtbl.find_opt table name with
+    | Some t -> t
+    | None ->
+      let t = { name; id = !next } in
+      incr next;
+      Hashtbl.add table name t;
+      t
+  in
+  Mutex.unlock lock;
+  t
 
 let name t = t.name
 let compare a b = Stdlib.compare a.id b.id

@@ -2,7 +2,8 @@
 
     Identifiers are interned: [of_string] returns the same value for the
     same name, so comparisons are integer comparisons. The intern table
-    is process-global, which suits a single-compilation tool. *)
+    is process-global and domain-safe: parallel parses of different
+    programs share it. *)
 
 type t
 

@@ -203,22 +203,9 @@ let count_pass t pass ~hit =
   let hits, misses = List.assq pass t.passes in
   Instrument.incr (if hit then hits else misses)
 
-let phase_metric = function
-  | Pipeline.Parse -> "phase.parse"
-  | Pipeline.Lower -> "phase.lower"
-  | Pipeline.Ssa -> "phase.ssa"
-  | Pipeline.Looptree -> "phase.looptree"
-  | Pipeline.Sccp -> "phase.sccp"
-  | Pipeline.Units -> "phase.units"
-  | Pipeline.Unitclassify -> "phase.unit_classify"
-  | Pipeline.Classify -> "phase.classify"
-  | Pipeline.Trip -> "phase.trip"
-  | Pipeline.Ranges -> "phase.range"
-  | Pipeline.Depgraph -> "phase.deps"
-  | Pipeline.VerifyIr -> "phase.verify_ir"
-  | Pipeline.VerifyClass -> "phase.verify_class"
-  | Pipeline.VerifyRanges -> "phase.verify_ranges"
-  | Pipeline.VerifyTrans -> "phase.verify_trans"
+(* A pass miss is timed under "phase.<pass>". The dependence report is
+   timed as "phase.deps" by [deps_text] itself, never through here. *)
+let phase_metric pass = "phase." ^ Pipeline.name pass
 
 (* The unit-artifact cache interface handed to the pipeline's unit
    walk. [Cache.find] (not [peek]) so reused artifacts stay warm in the
@@ -357,7 +344,7 @@ let deps_text ?pool t base p : (string, string) result =
       count_pass t Pipeline.Depgraph ~hit:(not !computed);
       (match entry with
        | E_text text ->
-         Pipeline.note p Pipeline.Depgraph (Fnv.of_strings [ text ]);
+         Pipeline.note p Pipeline.Depgraph;
          Ok text
        | E_pipeline _ | E_part _ | E_unit _ -> assert false))
 
@@ -390,7 +377,7 @@ let ensure_part t base p pass compute : Verify.Check.part =
   count_pass t pass ~hit:(not !computed);
   match entry with
   | E_part part ->
-    Pipeline.note p pass (Fnv.of_strings [ Verify.Check.part_to_text part ]);
+    Pipeline.note p pass;
     part
   | E_pipeline _ | E_text _ | E_unit _ -> assert false
 
@@ -804,9 +791,7 @@ let passes_report t src =
   let p = pipeline_for t base src in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "source %s  (sccp=%b)\n"
-       (Fnv.to_hex (Pipeline.source_digest p))
-       t.options.use_sccp);
+    (Printf.sprintf "source %s  (sccp=%b)\n" (Fnv.to_hex base) t.options.use_sccp);
   List.iter
     (fun pass ->
       let forced = Pipeline.forced p pass in
@@ -819,18 +804,13 @@ let passes_report t src =
         else if Pipeline.engine_forced pass then "engine"
         else "pipeline"
       in
-      let digest =
-        match Pipeline.digest p pass with
-        | Some d -> Fnv.to_hex d
-        | None -> "-"
-      in
       let inputs =
         match Pipeline.inputs pass with
         | [] -> "(source)"
         | l -> String.concat ", " (List.map Pipeline.name l)
       in
       Buffer.add_string buf
-        (Printf.sprintf "%-14s %-6s %-8s %-16s <- %s\n" (Pipeline.name pass)
-           status owner digest inputs))
+        (Printf.sprintf "%-14s %-6s %-8s <- %s\n" (Pipeline.name pass) status
+           owner inputs))
     Pipeline.all;
   Buffer.contents buf

@@ -160,5 +160,6 @@ val prometheus_report : t -> string
     when the pass's artifact was served from the disk tier and the
     pass was therefore never run, [engine] for
     {!Analysis.Pipeline.engine_forced} passes, [pipeline] otherwise),
-    result digest, inputs. *)
+    inputs. The header line shows the source digest, the engine's base
+    cache key. *)
 val passes_report : t -> string -> string

@@ -77,21 +77,19 @@ let scrs_to_json ?var events =
   "[" ^ String.concat "," (List.map scr selected) ^ "]"
 
 (* The ranges section: interval table plus, when the program declares
-   array extents, the bounds-check classification. *)
-let ranges_parts engine src =
-  match Engine.analyze engine src with
-  | Error _ -> None
-  | Ok t ->
-    let r = Analysis.Pipeline.range_of t in
+   array extents, the bounds-check classification. The range analysis
+   and the AST are read from the engine's pipeline [p] for [src]. *)
+let ranges_parts engine p src =
+  match
+    (Engine.analyze engine src, Analysis.Pipeline.ranges p, Analysis.Pipeline.parse p)
+  with
+  | Ok t, Ok r, Ok prog ->
     let bounds =
-      match Ir.Parser.parse_result src with
-      | Error _ -> None
-      | Ok prog ->
-        if prog.Ir.Ast.decls = [] then None
-        else
-          Some (Transform.Bounds_elim.analyze r t.Analysis.Pipeline.ssa prog)
+      if prog.Ir.Ast.decls = [] then None
+      else Some (Transform.Bounds_elim.analyze r t.Analysis.Pipeline.ssa prog)
     in
     Some (r, bounds)
+  | Error _, _, _ | _, Error _, _ | _, _, Error _ -> None
 
 (* [run ?var ?json engine src] — classify [src] (through the engine, so
    cache options apply) and return the provenance report with the
@@ -114,7 +112,7 @@ let run ?var ?(json = false) engine src =
     | Some v when not (List.exists (mentions v) (provenance_events events)) ->
       Error (Printf.sprintf "no classification event mentions %S" v)
     | _ ->
-      let ranges = ranges_parts engine src in
+      let ranges = ranges_parts engine p src in
       if json then begin
         let buf = Buffer.create 512 in
         Buffer.add_string buf "{\"scrs\":";

@@ -98,3 +98,10 @@ let rewrite_uses_outside cfg (loop : Ir.Loops.loop) old_id new_v =
         | _ -> ()
       end)
     (Ir.Cfg.labels cfg)
+
+(* The unique block outside the loop jumping to its header. *)
+let preheader_of cfg (loop : Ir.Loops.loop) =
+  let preds = Ir.Cfg.predecessors cfg loop.Ir.Loops.header in
+  match List.filter (fun p -> not (Ir.Label.Set.mem p loop.Ir.Loops.blocks)) preds with
+  | [ p ] -> Some p
+  | _ -> None

@@ -18,3 +18,7 @@ val rewrite_uses : Ir.Cfg.t -> Ir.Instr.Id.t -> Ir.Instr.value -> unit
     outside [loop]. *)
 val rewrite_uses_outside :
   Ir.Cfg.t -> Ir.Loops.loop -> Ir.Instr.Id.t -> Ir.Instr.value -> unit
+
+(** [preheader_of cfg loop] is the unique block outside [loop] that
+    jumps to its header, if there is exactly one. *)
+val preheader_of : Ir.Cfg.t -> Ir.Loops.loop -> Ir.Label.t option

@@ -24,19 +24,13 @@ let hoistable_op (op : Ir.Instr.op) =
   | Ir.Instr.Load _ | Ir.Instr.Store _ ->
     false
 
-let preheader_of cfg (loop : Ir.Loops.loop) =
-  let preds = Ir.Cfg.predecessors cfg loop.Ir.Loops.header in
-  match List.filter (fun p -> not (Ir.Label.Set.mem p loop.Ir.Loops.blocks)) preds with
-  | [ p ] -> Some p
-  | _ -> None
-
 (* [hoist_loop t loop_id] moves invariant instructions of one loop to its
    preheader; returns the hoisted instruction ids. *)
 let hoist_loop (t : Pipeline.analysis) loop_id : Ir.Instr.Id.t list =
   let ssa = t.Pipeline.ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let loop = Ir.Loops.loop (Ir.Ssa.loops ssa) loop_id in
-  match (t.Pipeline.by_loop.(loop_id), preheader_of cfg loop) with
+  match (t.Pipeline.by_loop.(loop_id), Codegen.preheader_of cfg loop) with
   | Some r, Some preheader ->
     let hoisted : unit Ir.Instr.Id.Table.t = Ir.Instr.Id.Table.create 8 in
     let available (v : Ir.Instr.value) =

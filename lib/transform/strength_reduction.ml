@@ -26,13 +26,6 @@ type reduction = {
   loop : int;
 }
 
-(* The unique block outside the loop jumping to its header. *)
-let preheader_of cfg (loop : Ir.Loops.loop) =
-  let preds = Ir.Cfg.predecessors cfg loop.Ir.Loops.header in
-  match List.filter (fun p -> not (Ir.Label.Set.mem p loop.Ir.Loops.blocks)) preds with
-  | [ p ] -> Some p
-  | _ -> None
-
 (* [reduce_loop t loop_id] strength-reduces one loop; returns the list of
    reductions performed. The CFG is modified in place. *)
 let reduce_loop (t : Pipeline.analysis) loop_id : reduction list =
@@ -40,7 +33,7 @@ let reduce_loop (t : Pipeline.analysis) loop_id : reduction list =
   let cfg = Ir.Ssa.cfg ssa in
   let loops = Ir.Ssa.loops ssa in
   let loop = Ir.Loops.loop loops loop_id in
-  match (t.Pipeline.by_loop.(loop_id), preheader_of cfg loop) with
+  match (t.Pipeline.by_loop.(loop_id), Codegen.preheader_of cfg loop) with
   | Some r, Some preheader ->
     (* Candidate multiplies: classified linear, with integral base and
        step, and genuinely varying (non-invariant). *)

@@ -65,7 +65,9 @@ let test_digest_framing () =
   let b = Fnv.of_strings [ "a"; "bc" ] in
   Alcotest.(check bool) "no concat collision" false (Fnv.equal a b);
   Alcotest.(check bool) "deterministic" true
-    (Fnv.equal (Fnv.of_strings [ "x"; "y" ]) (Fnv.of_strings [ "x"; "y" ]))
+    (Fnv.equal (Fnv.of_strings [ "x"; "y" ]) (Fnv.of_strings [ "x"; "y" ]));
+  (* The value itself is pinned: on-disk store keys are built from it. *)
+  Alcotest.(check string) "pinned value" "7e60470bf599cad6" (Fnv.to_hex a)
 
 let fig1 = "j = n\nL7: loop\n  i = j + c\n  j = i + k\nendloop\n"
 

@@ -160,6 +160,21 @@ let prop_token_soup =
       | exception Lexer.Lex_error _ -> true
       | exception Parser.Parse_error _ -> true)
 
+(* Batch parses files on several domains at once, and they all intern
+   into one table: each name must still get exactly one identity. *)
+let test_intern_across_domains () =
+  let names = Array.init 20_000 (Printf.sprintf "intern_race_%d") in
+  let intern () = Array.map Ir.Ident.of_string names in
+  let other = Domain.spawn intern in
+  let mine = intern () in
+  let theirs = Domain.join other in
+  Array.iteri
+    (fun i name ->
+      let id = Ir.Ident.of_string name in
+      if not (Ir.Ident.equal mine.(i) id && Ir.Ident.equal theirs.(i) id) then
+        Alcotest.failf "%s interned twice" name)
+    names
+
 let suite =
   ( "lexer-parser",
     [
@@ -171,6 +186,7 @@ let suite =
       Helpers.case "for loop forms" test_for_forms;
       Helpers.case "parse errors" test_parse_errors;
       Helpers.case "print/parse roundtrip" test_roundtrip;
+      Helpers.case "identifiers intern once across domains" test_intern_across_domains;
       prop_parser_total;
       prop_token_soup;
     ] )

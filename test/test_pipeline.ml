@@ -1,7 +1,7 @@
 (* The demand-driven pipeline: golden equivalence against the
    monolithic driver path over the whole examples corpus, lazy forcing
    (a trip request must not run range analysis or dependence testing),
-   per-pass cache accounting, digest stability, and the persistent
+   per-pass cache accounting, the pass listing, and the persistent
    worker pool. *)
 
 module Pipeline = Analysis.Pipeline
@@ -163,51 +163,50 @@ let test_deps_invalidate_drops_both () =
   Alcotest.(check int) "unit artifact survives" 1
     (Engine.cache_stats engine).Service.Cache.size
 
-let test_digests_are_stable () =
-  let a = Pipeline.create fig9 in
-  let b = Pipeline.create fig9 in
-  ignore (ok (Pipeline.report a));
-  ignore (ok (Pipeline.report b));
-  ignore (ok (Pipeline.trip_report a));
-  ignore (ok (Pipeline.trip_report b));
-  Alcotest.(check bool) "same source digest" true
-    (Hash.Fnv.equal (Pipeline.source_digest a) (Pipeline.source_digest b));
-  List.iter
-    (fun pass ->
-      match (Pipeline.digest a pass, Pipeline.digest b pass) with
-      | Some da, Some db ->
-        Alcotest.(check bool)
-          ("digest " ^ Pipeline.name pass ^ " reproducible")
-          true (Hash.Fnv.equal da db)
-      | None, None -> ()
-      | _ ->
-        Alcotest.fail
-          ("pass " ^ Pipeline.name pass ^ " forced on one instance only"))
-    Pipeline.all
-
 (* A bare pipeline and the engine run the same unit walk (one without a
-   unit cache, one through it), so every pass both force digests the
-   same, for every example program. *)
-let test_bare_digests_match_engine () =
+   unit cache, one through it), so they render the same classification,
+   trip and range reports, for every example program. *)
+let test_bare_reports_match_engine () =
   List.iter
     (fun (name, src) ->
       let bare = Pipeline.create src in
-      List.iter
-        (fun pass -> ignore (ok (Pipeline.force bare pass)))
-        Pipeline.[ Classify; Trip; Ranges ];
       let engine = Engine.create () in
       List.iter
-        (fun a -> ignore (ok (Engine.render engine a src)))
-        Engine.[ Classify; Trip; Ranges ];
-      let served = Engine.pipeline engine src in
-      List.iter
-        (fun pass ->
-          let hex p = Option.map Hash.Fnv.to_hex (Pipeline.digest p pass) in
-          let label = name ^ ": " ^ Pipeline.name pass in
-          Alcotest.(check bool) (label ^ " forced") true (hex bare <> None);
-          Alcotest.(check (option string)) (label ^ " digest") (hex served) (hex bare))
-        Pipeline.[ Units; Unitclassify; Classify; Trip; Ranges ])
+        (fun (label, bare_report, artifact) ->
+          Alcotest.(check string) (name ^ ": " ^ label)
+            (ok (Engine.render engine artifact src))
+            (ok (bare_report bare)))
+        [
+          ("classify", Pipeline.report, Engine.Classify);
+          ("trip", Pipeline.trip_report, Engine.Trip);
+          ("range", Pipeline.range_report, Engine.Ranges);
+        ])
     (corpus ())
+
+(* The pass listing after a trip request: which passes ran, who owns
+   each, and the source digest (the engine's base key) in the header. *)
+let test_passes_report_golden () =
+  let src = List.assoc "fig9_triangular.iv" (corpus ()) in
+  let engine = Engine.create () in
+  ignore (ok (Engine.trip engine src));
+  Alcotest.(check string) "fig9_triangular.iv after trip"
+    "source 20acf8e8e5f8464c  (sccp=true)\n\
+     parse          forced pipeline <- (source)\n\
+     lower          lazy   pipeline <- parse\n\
+     ssa            forced pipeline <- parse\n\
+     verify_ir      lazy   engine   <- lower, ssa\n\
+     looptree       forced pipeline <- ssa\n\
+     sccp           forced pipeline <- ssa\n\
+     units          forced pipeline <- looptree, sccp\n\
+     unit_classify  forced engine   <- units\n\
+     classify       forced pipeline <- units\n\
+     trip           forced pipeline <- classify\n\
+     range          lazy   pipeline <- classify\n\
+     depgraph       lazy   engine   <- classify\n\
+     verify_class   lazy   engine   <- classify\n\
+     verify_ranges  lazy   engine   <- range\n\
+     verify_trans   lazy   engine   <- parse, classify\n"
+    (Engine.passes_report engine src)
 
 let test_pipeline_errors () =
   let p = Pipeline.create "x = = 1\n" in
@@ -216,8 +215,6 @@ let test_pipeline_errors () =
     (Pipeline.report p = Pipeline.trip_report p);
   Alcotest.(check bool) "parse forced (error cached)" true
     (Pipeline.forced p Pipeline.Parse);
-  Alcotest.(check (option string)) "no digest for a failed pass" None
-    (Option.map Hash.Fnv.to_hex (Pipeline.digest p Pipeline.Parse));
   (* Depgraph can only be noted by the service layer. *)
   let good = Pipeline.create fig9 in
   Alcotest.(check bool) "depgraph cannot be forced here" true
@@ -235,12 +232,6 @@ let test_dag_shape () =
             true
             (index input < index pass))
         (Pipeline.inputs pass))
-    Pipeline.all;
-  List.iter
-    (fun pass ->
-      Alcotest.(check (option string)) ("name round-trips " ^ Pipeline.name pass)
-        (Some (Pipeline.name pass))
-        (Option.map Pipeline.name (Pipeline.of_name (Pipeline.name pass))))
     Pipeline.all
 
 let test_persistent_pool () =
@@ -311,36 +302,6 @@ let test_batch_over_pool_matches_spawning () =
         (ra = rb))
     spawned pooled
 
-(* The Parse, Ssa and Looptree digests are rendered on first read, not
-   when the pass runs; the value must be the hash of the same rendering
-   the pass used to digest eagerly. *)
-let test_deferred_digests () =
-  List.iter
-    (fun (file, src) ->
-      let p = Pipeline.create src in
-      List.iter
-        (fun pass ->
-          match Pipeline.force p pass with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s: %s" file e)
-        Pipeline.[ Parse; Ssa; Looptree; Classify ];
-      let get = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" file e in
-      let expected =
-        [
-          (Pipeline.Parse, Ir.Ast.to_string (get (Pipeline.parse p)));
-          (Pipeline.Ssa, Ir.Ssa.to_string (get (Pipeline.ssa p)));
-          (Pipeline.Looptree, Format.asprintf "%a" Ir.Loops.pp (get (Pipeline.looptree p)));
-        ]
-      in
-      List.iter
-        (fun (pass, rendering) ->
-          Alcotest.(check (option string))
-            (file ^ " " ^ Pipeline.name pass)
-            (Some (Hash.Fnv.to_hex (Hash.Fnv.of_strings [ rendering ])))
-            (Option.map Hash.Fnv.to_hex (Pipeline.digest p pass)))
-        expected)
-    (corpus ())
-
 (* The whole-forest walk ([Pipeline.analyze], what SSA-only callers
    run) and a pipeline instance's unit walk render the same
    classification and trip reports, over random programs. *)
@@ -353,43 +314,6 @@ let prop_forest_walk_matches_unit_walk =
       (Pipeline.report_of a, Pipeline.trip_report_of a)
       = (ok (Pipeline.report p), ok (Pipeline.trip_report p))
       || QCheck2.Test.fail_reportf "walks differ for:\n%s" src)
-
-(* The Lower, Classify and Ranges digests are rendered on first read,
-   as the Parse, Ssa and Looptree ones are: forcing the passes renders
-   no report. Each value must be the hash of the rendering the pass used
-   to digest eagerly — the lowered CFG, the classification report and
-   trip report joined by a NUL, the range table — and reading a digest
-   first must leave the reports the pipeline serves unchanged. *)
-let test_deferred_analysis_digests () =
-  List.iter
-    (fun (file, src) ->
-      let p = Pipeline.create src in
-      let get = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" file e in
-      List.iter
-        (fun pass -> get (Pipeline.force p pass))
-        Pipeline.[ Lower; Classify; Ranges ];
-      let hex pass = Option.map Hash.Fnv.to_hex (Pipeline.digest p pass) in
-      let read = List.map (fun pass -> (pass, hex pass)) Pipeline.[ Lower; Classify; Ranges ] in
-      let a = get (Pipeline.promoted p) in
-      let r = get (Pipeline.ranges p) in
-      let report = Pipeline.report_of a and table = Analysis.Range.report r in
-      let expected =
-        [
-          (Pipeline.Lower, Ir.Cfg.to_string (get (Pipeline.lower p)));
-          (Pipeline.Classify, report ^ "\x00" ^ Pipeline.trip_report_of a);
-          (Pipeline.Ranges, table);
-        ]
-      in
-      List.iter2
-        (fun (pass, rendering) (_, got) ->
-          Alcotest.(check (option string))
-            (file ^ " " ^ Pipeline.name pass)
-            (Some (Hash.Fnv.to_hex (Hash.Fnv.of_strings [ rendering ])))
-            got)
-        expected read;
-      Alcotest.(check string) (file ^ " report") report (get (Pipeline.report p));
-      Alcotest.(check string) (file ^ " range report") table (get (Pipeline.range_report p)))
-    (corpus ())
 
 (* The range table of the shared 64-nest program, pinned to its digest:
    every interval, body refinement and the fixpoint's round count. *)
@@ -407,15 +331,12 @@ let suite =
       Helpers.case "trip forces no pass beyond trip" test_trip_is_lazy;
       Helpers.case "per-pass hit/miss accounting" test_per_pass_accounting;
       Helpers.case "invalidate drops pipeline and deps" test_deps_invalidate_drops_both;
-      Helpers.case "pass digests are reproducible" test_digests_are_stable;
-      Helpers.case "bare pipeline digests equal the engine's" test_bare_digests_match_engine;
+      Helpers.case "bare pipeline reports equal the engine's" test_bare_reports_match_engine;
+      Helpers.case "passes report after trip is pinned" test_passes_report_golden;
       Helpers.case "errors cache and propagate" test_pipeline_errors;
       Helpers.case "pass DAG is topologically ordered" test_dag_shape;
       Helpers.case "persistent pool reuses workers" test_persistent_pool;
       Helpers.case "batch over a pool matches spawning" test_batch_over_pool_matches_spawning;
-      Helpers.case "parse/ssa/looptree digests are rendered when read" test_deferred_digests;
       prop_forest_walk_matches_unit_walk;
-      Helpers.case "lower/classify/ranges digests are rendered when read"
-        test_deferred_analysis_digests;
       Helpers.case "64-nest range report is pinned" test_range_report_pinned;
     ] )
