@@ -570,7 +570,7 @@ let experiment_b1 () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Experiment B2: incremental re-analysis (region-based units)          *)
+(* Experiment B2: incremental re-analysis (per-nest units)             *)
 (* ------------------------------------------------------------------ *)
 
 (* One program of [b2_nests] independent top-level loop nests; edit
@@ -642,7 +642,7 @@ let b2_rows () =
   ]
 
 let experiment_b2 () =
-  print_endline "== Experiment B2: incremental re-analysis (region units) ==";
+  print_endline "== Experiment B2: incremental re-analysis (per-nest units) ==";
   let rows = b2_rows () in
   Printf.printf
     "   program: %d top-level nests; edit one nest, re-render classify+trip+deps\n"

@@ -233,9 +233,12 @@ let cmd_interchange outer inner file =
   with_source file (fun p ->
       let src = Ir.Ast.to_string p in
       match Transform.Interchange.legal_for_source src ~outer_name:outer ~inner_name:inner with
-      | Some true ->
-        print_endline "interchange: legal";
-        print_endline (Ir.Ast.to_string (Transform.Interchange.apply p ~outer_name:outer))
+      | Some true -> (
+        match Transform.Interchange.apply p ~outer_name:outer with
+        | swapped ->
+          print_endline "interchange: legal";
+          print_endline (Ir.Ast.to_string swapped)
+        | exception Invalid_argument msg -> fatal 2 "interchange: legal, not applied: %s" msg)
       | Some false -> print_endline "interchange: illegal (blocking dependence)"
       | None -> fatal 2 "interchange: loops %s/%s not found" outer inner)
 

@@ -1,13 +1,13 @@
 (* The demand-driven analysis pipeline.
 
-   The classification walk runs one set of loop nests at a time
-   ([analyze_nests]): per analysis unit in a pipeline instance, over the
-   whole loop forest for SSA-only callers ([analyze]). The [analysis]
-   record it returns is the one analysis result; the queries below it
-   (classification by def, by SSA name, in the whole nest's frame) are
-   what the transforms, dependence testing and verification read. The
-   lazy instance adds per-pass memoization and records which passes
-   have run. *)
+   The classification walk runs one loop-forest root at a time ([walk])
+   and returns that unit's artifact; [merge_units] assembles artifacts
+   into the [analysis] record, for a pipeline instance's Classify pass
+   and for SSA-only callers ([analyze]) alike. That record is the one
+   analysis result; the queries below it (classification by def, by SSA
+   name, in the whole nest's frame) are what the transforms, dependence
+   testing and verification read. The lazy instance adds per-pass
+   memoization and records which passes have run. *)
 
 (* -- the pass DAG -- *)
 
@@ -202,13 +202,51 @@ and global_class_of_sym t (s : Sym.t) : Ivclass.t =
     (Ivclass.Invariant Sym.zero)
     (s : (Sym.mono * Bignum.Rat.t) list)
 
+(* -- analysis units -- *)
+
+(* A unit's canonical numbering: the program's instruction id, block
+   label and loop id at each canonical index. Two programs that share a
+   unit key number that unit alike up to these vectors. [c_loops] is
+   the unit's loops inner-to-outer, the order the walk visits them. *)
+type canon = {
+  c_defs : Ir.Instr.Id.t array;
+  c_labels : Ir.Label.t array;
+  c_loops : int array;
+}
+
+type unit_info = {
+  uroot : int; (* the unit's loop-forest root *)
+  udigest : Hash.Fnv.t; (* exact key, in the unit's own numbering *)
+  ucanon : canon; (* this program's numbering of the unit *)
+}
+
+type unit_artifact = {
+  ua_results : loop_result list; (* promoted; aligned with [c_loops] *)
+  ua_exits : (Ir.Instr.Id.t * Sym.t) list; (* the unit's exit values *)
+  ua_canon : canon; (* the numbering of the program that computed it *)
+}
+
+type unit_outcome = {
+  u_index : int; (* position in [units] *)
+  u_loop : string; (* the root loop's name *)
+  u_hit : bool; (* the artifact came from the unit cache *)
+  u_relocated : bool; (* ... from a differently numbered program *)
+}
+
+(* All loops of the nest rooted at [root], inner-to-outer (postorder). *)
+let nest_loops loops root =
+  let rec visit acc id =
+    id :: List.fold_left visit acc (Ir.Loops.loop loops id).Ir.Loops.loop_children
+  in
+  Array.of_list (List.rev (visit [] root))
+
 (* -- exit values (paper §5.3) -- *)
 
-let compute_exit_values (t : analysis) (lp : Ir.Loops.loop) (r : loop_result) =
+let compute_exit_values ssa exits (lp : Ir.Loops.loop) (r : loop_result) =
   match (Trip_count.count_sym r.trip, r.trip.Trip_count.exit_block) with
   | Some tc, Some exit_block ->
-    let cfg = Ir.Ssa.cfg t.ssa in
-    let dom = Ir.Ssa.dom t.ssa in
+    let cfg = Ir.Ssa.cfg ssa in
+    let dom = Ir.Ssa.dom ssa in
     let tc_int =
       match Trip_count.count_int r.trip with Some n -> Some n | None -> None
     in
@@ -254,7 +292,7 @@ let compute_exit_values (t : analysis) (lp : Ir.Loops.loop) (r : loop_result) =
                 | None -> None))
           in
           (match exit_sym with
-           | Some s -> Ir.Instr.Id.Table.replace t.exit_values d s
+           | Some s -> Ir.Instr.Id.Table.replace exits d s
            | None -> ()))
       r.nodes
   | _ -> ()
@@ -266,33 +304,22 @@ let outer_const_of sccp =
   | Some r -> fun d -> Option.map Sym.of_int (Sccp.const_of r d)
   | None -> fun _ -> None
 
-let empty_analysis ?sccp (ssa : Ir.Ssa.t) =
-  {
-    ssa;
-    sccp;
-    by_loop = Array.make (Ir.Loops.num_loops (Ir.Ssa.loops ssa)) None;
-    exit_values = Ir.Instr.Id.Table.create 64;
-  }
-
-(* Classify one loop (its SCRs, trip count and exit values) into [t]
-   and return its SSA graph, which promotion reads and nothing keeps.
-   Inner loops of the same nest must already be classified — nothing
-   else: exit values never cross a nest boundary (the [inner_exit]
-   lookup is guarded by loop membership in [Classify.class_of_def]), so
-   walking one nest at a time is equivalent to walking the forest. *)
-let classify_one (t : analysis) ~outer_const ~inner_exit (lp : Ir.Loops.loop) =
+(* Classify one loop (its SCRs, trip count and exit values, added to
+   [exits]) and return its result with its SSA graph, which promotion
+   reads and nothing keeps. Inner loops of the same nest must already
+   be classified — nothing else: exit values never cross a nest
+   boundary (the [inner_exit] lookup is guarded by loop membership in
+   [Classify.class_of_def]), so walking one nest at a time is
+   equivalent to walking the forest. *)
+let classify_one ssa exits ~outer_const ~inner_exit (lp : Ir.Loops.loop) =
   Obs.Trace.with_span ~cat:"pipeline"
     ~attrs:
       [ ("loop", Obs.Trace.Str lp.Ir.Loops.name);
         ("depth", Obs.Trace.Int lp.Ir.Loops.depth) ]
     "pipeline.classify_loop"
   @@ fun () ->
-  let table, graph =
-    Classify.classify_loop ~outer_const ~inner_exit t.ssa lp
-  in
-  let ctx =
-    { Classify.ssa = t.ssa; loop = lp; graph; table; outer_const; inner_exit }
-  in
+  let table, graph = Classify.classify_loop ~outer_const ~inner_exit ssa lp in
+  let ctx = { Classify.ssa; loop = lp; graph; table; outer_const; inner_exit } in
   let trip =
     Obs.Trace.with_span ~cat:"pipeline"
       ~attrs:[ ("loop", Obs.Trace.Str lp.Ir.Loops.name) ]
@@ -303,98 +330,101 @@ let classify_one (t : analysis) ~outer_const ~inner_exit (lp : Ir.Loops.loop) =
     Array.of_list (List.map (fun (i : Ir.Instr.t) -> i.Ir.Instr.id) (Ssa_graph.nodes graph))
   in
   let r = { table; trip; nodes } in
-  t.by_loop.(lp.Ir.Loops.id) <- Some r;
   Obs.Trace.with_span ~cat:"pipeline"
     ~attrs:[ ("loop", Obs.Trace.Str lp.Ir.Loops.name) ]
     "pipeline.exit_values"
-    (fun () -> compute_exit_values t lp r);
-  graph
+    (fun () -> compute_exit_values ssa exits lp r);
+  (r, graph)
 
-(* -- multiloop promotion (§5.3 and Figs 8-9) -- *)
-
-(* Promotion relates a loop only to its ancestors in the same nest, so
-   promoting one nest's roots at a time is equivalent to the whole
-   forest. [graphs] holds the walk's SSA graphs by loop id. *)
-let promote_roots (t : analysis) graphs roots =
-  let loops = Ir.Ssa.loops t.ssa in
-  (* Outer loops first, so inner promotions can nest through them. *)
-  let rec preorder id acc =
-    let lp = Ir.Loops.loop loops id in
-    List.fold_left (fun acc c -> preorder c acc) (id :: acc) lp.Ir.Loops.loop_children
+(* Multiloop promotion (§5.3 and Figs 8-9) of loop result [r] against its
+   parent's result and SSA graph: an inner initial value that is an
+   outer-loop IV becomes a nested tuple. *)
+let promote ssa exits r (parent : Ir.Loops.loop) (parent_r, graph) =
+  let parent_ctx =
+    {
+      Classify.ssa;
+      loop = parent;
+      graph;
+      table = parent_r.table;
+      outer_const = (fun _ -> None);
+      inner_exit = (fun d -> Ir.Instr.Id.Table.find_opt exits d);
+    }
   in
-  let order = List.rev (List.fold_left (fun acc r -> preorder r acc) [] roots) in
+  let entries = Ir.Instr.Id.Table.fold (fun d c acc -> (d, c) :: acc) r.table [] in
   List.iter
-    (fun id ->
-      let lp = Ir.Loops.loop loops id in
-      match (lp.Ir.Loops.parent, t.by_loop.(id)) with
-      | Some parent_id, Some r -> (
-        match (t.by_loop.(parent_id), graphs.(parent_id)) with
-        | None, _ | _, None -> ()
-        | Some parent_r, Some graph ->
-          let parent_ctx =
-            {
-              Classify.ssa = t.ssa;
-              loop = Ir.Loops.loop loops parent_id;
-              graph;
-              table = parent_r.table;
-              outer_const = (fun _ -> None);
-              inner_exit = (fun d -> Ir.Instr.Id.Table.find_opt t.exit_values d);
-            }
-          in
-          let entries =
-            Ir.Instr.Id.Table.fold (fun d c acc -> (d, c) :: acc) r.table []
-          in
-          List.iter
-            (fun (d, c) ->
-              match c with
-              | Ivclass.Linear { loop; base = Ivclass.Invariant s; step }
-                when not (Sym.is_const s) -> (
-                let base_class = Classify.class_of_sym parent_ctx s in
-                let step_inv =
-                  match Classify.class_of_sym parent_ctx step with
-                  | Ivclass.Invariant _ -> true
-                  | _ -> false
-                in
-                match base_class with
-                | Ivclass.Linear _ | Ivclass.Poly _ | Ivclass.Geometric _
-                  when step_inv ->
-                  Ir.Instr.Id.Table.replace r.table d
-                    (Ivclass.Linear { loop; base = base_class; step })
-                | _ -> ())
-              | _ -> ())
-            entries)
+    (fun (d, c) ->
+      match c with
+      | Ivclass.Linear { loop; base = Ivclass.Invariant s; step } when not (Sym.is_const s)
+        -> (
+        let base_class = Classify.class_of_sym parent_ctx s in
+        let step_inv =
+          match Classify.class_of_sym parent_ctx step with
+          | Ivclass.Invariant _ -> true
+          | _ -> false
+        in
+        match base_class with
+        | (Ivclass.Linear _ | Ivclass.Poly _ | Ivclass.Geometric _) when step_inv ->
+          Ir.Instr.Id.Table.replace r.table d (Ivclass.Linear { loop; base = base_class; step })
+        | _ -> ())
       | _ -> ())
-    order
+    entries
 
-(* All loops of the given nests, inner-to-outer: the postorder of each
-   root's subtree in turn, which for roots in forest order is the
-   forest's postorder restricted to the nests' descendants. *)
-let unit_loop_ids loops uroots =
-  let rec visit acc id =
-    id :: List.fold_left visit acc (Ir.Loops.loop loops id).Ir.Loops.loop_children
-  in
-  List.rev (List.fold_left visit [] uroots)
-
-(* The classification walk: classify every loop of the nests rooted at
-   [roots] inner-to-outer into a fresh analysis, then promote within
-   those nests. The loops' SSA graphs live only until promotion is
-   done. *)
-let analyze_nests ?sccp (ssa : Ir.Ssa.t) roots : analysis =
-  let t = empty_analysis ?sccp ssa in
-  let outer_const = outer_const_of sccp in
-  let inner_exit d = Ir.Instr.Id.Table.find_opt t.exit_values d in
+(* The classification walk over one unit: classify the loops of
+   [c.c_loops] inner-to-outer, then promote outer loops first (so inner
+   promotions nest through them; a loop relates only to its ancestors,
+   which all lie in the unit). Promotion happens here, before the
+   artifact can reach a shared cache: a cached table is never mutated
+   again. The loops' SSA graphs live only until the walk returns. *)
+let walk ?sccp ssa (c : canon) : unit_artifact =
   let loops = Ir.Ssa.loops ssa in
-  let graphs = Array.make (Array.length t.by_loop) None in
-  List.iter
+  let exits = Ir.Instr.Id.Table.create 64 in
+  let outer_const = outer_const_of sccp in
+  let inner_exit d = Ir.Instr.Id.Table.find_opt exits d in
+  let walked = Hashtbl.create (Array.length c.c_loops) in
+  Array.iter
     (fun id ->
-      graphs.(id) <-
-        Some (classify_one t ~outer_const ~inner_exit (Ir.Loops.loop loops id)))
-    (unit_loop_ids loops roots);
-  promote_roots t graphs roots;
+      Hashtbl.replace walked id
+        (classify_one ssa exits ~outer_const ~inner_exit (Ir.Loops.loop loops id)))
+    c.c_loops;
+  for k = Array.length c.c_loops - 1 downto 0 do
+    let lp = Ir.Loops.loop loops c.c_loops.(k) in
+    Option.iter
+      (fun p ->
+        promote ssa exits
+          (fst (Hashtbl.find walked lp.Ir.Loops.id))
+          (Ir.Loops.loop loops p) (Hashtbl.find walked p))
+      lp.Ir.Loops.parent
+  done;
+  {
+    ua_results = Array.to_list (Array.map (fun id -> fst (Hashtbl.find walked id)) c.c_loops);
+    ua_exits = Ir.Instr.Id.Table.fold (fun d s acc -> (d, s) :: acc) exits [];
+    ua_canon = c;
+  }
+
+(* The one assembler of an [analysis]: each artifact's results land at
+   its loops ([c_loops]) and its exit values are added. The report
+   renderers and the dependence pass run on the merged record, so
+   output assembled from cached artifacts is byte-identical to a cold
+   run by construction. *)
+let merge_units ?sccp ssa (artifacts : unit_artifact list) : analysis =
+  let t =
+    {
+      ssa;
+      sccp;
+      by_loop = Array.make (Ir.Loops.num_loops (Ir.Ssa.loops ssa)) None;
+      exit_values = Ir.Instr.Id.Table.create 64;
+    }
+  in
+  List.iter
+    (fun ua ->
+      List.iteri (fun k r -> t.by_loop.(ua.ua_canon.c_loops.(k)) <- Some r) ua.ua_results;
+      List.iter (fun (d, s) -> Ir.Instr.Id.Table.replace t.exit_values d s) ua.ua_exits)
+    artifacts;
   t
 
-(* The walk over the whole loop forest, for callers that hold only SSA
-   (an SSA-only caller has no AST to partition into units). *)
+(* The walk for callers that hold only SSA: SCCP, then each root walked
+   and merged as the Classify pass does, without unit keys (only the
+   loops of the numbering are filled in). *)
 let analyze ?(use_sccp = true) (ssa : Ir.Ssa.t) : analysis =
   Obs.Trace.with_span ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
   let sccp =
@@ -402,7 +432,12 @@ let analyze ?(use_sccp = true) (ssa : Ir.Ssa.t) : analysis =
       Some (Obs.Trace.with_span ~cat:"pipeline" "pipeline.sccp" (fun () -> Sccp.run ssa))
     else None
   in
-  analyze_nests ?sccp ssa (Ir.Loops.roots (Ir.Ssa.loops ssa))
+  let loops = Ir.Ssa.loops ssa in
+  merge_units ?sccp ssa
+    (List.map
+       (fun root ->
+         walk ?sccp ssa { c_defs = [||]; c_labels = [||]; c_loops = nest_loops loops root })
+       (Ir.Loops.roots loops))
 
 (* -- report renderers -- *)
 
@@ -469,108 +504,7 @@ let trip_report_of (t : analysis) =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-(* -- analysis units (incremental re-analysis) -- *)
-
-(* A unit's canonical numbering: the program's instruction id, block
-   label and loop id at each canonical index. Two programs that share a
-   unit key number that unit alike up to these vectors. *)
-type canon = {
-  c_defs : Ir.Instr.Id.t array;
-  c_labels : Ir.Label.t array;
-  c_loops : int array;
-}
-
-type unit_info = {
-  region : Ir.Region.unit_;
-  uroots : int list; (* root loop ids of the unit's nests, program order *)
-  uloops : int list; (* every loop id of the unit, inner-to-outer *)
-  udigest : Hash.Fnv.t; (* exact key, in the unit's own numbering *)
-  ucanon : canon; (* this program's numbering of the unit *)
-}
-
-type unit_artifact = {
-  ua_results : loop_result list; (* promoted; aligned with [uloops] *)
-  ua_exits : (Ir.Instr.Id.t * Sym.t) list; (* the unit's exit values *)
-  ua_canon : canon; (* the numbering of the program that computed it *)
-}
-
-type unit_outcome = {
-  u_index : int; (* Region unit index *)
-  u_loops : string list; (* the unit's outermost loop names *)
-  u_hit : bool; (* the artifact came from the unit cache *)
-  u_relocated : bool; (* ... from a differently numbered program *)
-}
-
-(* Each loop-forest root belongs to the unit whose top-level statement
-   lowered its header: lowering allocates labels in statement order, so
-   the owner is the last statement starting at or before the header
-   ([Ir.Cfg.stmt_starts]). Loops the CFG drops as unreachable are not in
-   the forest, so every root lands in exactly one unit, and a nest unit
-   may own none. Roots come in header order (loop ids follow it), and
-   statements and units in program order, so one merged walk over the
-   three assigns every root. *)
-let map_units ssa (regions : Ir.Region.unit_ list) =
-  let loops = Ir.Ssa.loops ssa in
-  let starts = Ir.Cfg.stmt_starts (Ir.Ssa.cfg ssa) in
-  let stmt = ref 0 in
-  let pending = ref (Ir.Loops.roots loops) in
-  let rec take (region : Ir.Region.unit_) acc =
-    match !pending with
-    | r :: rest ->
-      let header = (Ir.Loops.loop loops r).Ir.Loops.header in
-      while !stmt + 1 < Array.length starts && starts.(!stmt + 1) <= header do
-        incr stmt
-      done;
-      if !stmt <= region.Ir.Region.last then begin
-        pending := rest;
-        take region (r :: acc)
-      end
-      else List.rev acc
-    | [] -> List.rev acc
-  in
-  List.map (fun region -> (region, take region [])) regions
-
-(* A unit's statements, fed structurally: the facts of their canonical
-   text (so textually different but structurally identical slices key
-   alike) without rendering it. Declarations are left out: they never
-   affect a nest's classification. *)
-let rec feed_expr d (e : Ir.Ast.expr) =
-  let str = Hash.Fnv.feed_string in
-  match e with
-  | Ir.Ast.Int n -> Hash.Fnv.feed_int (str d "int") n
-  | Ir.Ast.Var x -> str (str d "var") (Ir.Ident.name x)
-  | Ir.Ast.Aref (a, idx) ->
-    List.fold_left feed_expr
-      (Hash.Fnv.feed_int (str (str d "aref") (Ir.Ident.name a)) (List.length idx))
-      idx
-  | Ir.Ast.Binop (op, a, b) -> feed_expr (feed_expr (str d (Ir.Ops.binop_to_string op)) a) b
-  | Ir.Ast.Neg a -> feed_expr (str d "neg") a
-
-let feed_cond d (c : Ir.Ast.cond) =
-  match c with
-  | Ir.Ast.Cmp (r, a, b) ->
-    feed_expr (feed_expr (Hash.Fnv.feed_string d (Ir.Ops.relop_to_string r)) a) b
-  | Ir.Ast.Unknown -> Hash.Fnv.feed_string d "??"
-
-let rec feed_stmt d (s : Ir.Ast.stmt) =
-  let str = Hash.Fnv.feed_string in
-  match s with
-  | Ir.Ast.Assign (x, e) -> feed_expr (str (str d "assign") (Ir.Ident.name x)) e
-  | Ir.Ast.Astore (a, idx, e) ->
-    feed_expr
-      (List.fold_left feed_expr
-         (Hash.Fnv.feed_int (str (str d "astore") (Ir.Ident.name a)) (List.length idx))
-         idx)
-      e
-  | Ir.Ast.If (c, t, e) -> feed_stmts (feed_stmts (feed_cond (str d "if") c) t) e
-  | Ir.Ast.Loop (name, body) -> feed_stmts (str (str d "loop") name) body
-  | Ir.Ast.For f ->
-    let d = str (str (str d "for") f.Ir.Ast.name) (Ir.Ident.name f.Ir.Ast.var) in
-    let d = feed_expr (feed_expr d f.Ir.Ast.lo) f.Ir.Ast.hi in
-    feed_stmts (Hash.Fnv.feed_int d f.Ir.Ast.step) f.Ir.Ast.body
-  | Ir.Ast.Exit_if c -> feed_cond (str d "exit") c
-
-and feed_stmts d stmts = List.fold_left feed_stmt (Hash.Fnv.feed_int d (List.length stmts)) stmts
+(* -- unit keys (incremental re-analysis) -- *)
 
 (* Per-program scratch for [unit_digest]: the canonical index of each
    instruction id and label, valid where its stamp is the current
@@ -653,44 +587,41 @@ let feed_term nb d (term : Ir.Cfg.terminator) =
     Hash.Fnv.feed_int d (canon_label nb b)
   | Ir.Cfg.Halt -> Hash.Fnv.feed_string d "halt"
 
-(* The unit key: an exact digest of everything the per-unit walk can
-   observe, in the unit's own numbering, so it does not depend on where
-   the unit sits in the program. Instruction ids, block labels (exit
-   targets and outside predecessors included) are numbered by first
-   appearance in the unit's block order (each root's blocks in label
-   order), loops by position in [uloops]. The key feeds the unit's
-   statements ([feed_stmts]) and options; per loop its header, depth, parent,
-   children and latches; per block its innermost loop, source label,
-   predecessors (their order is the phi argument order), every
-   instruction's index, operation and operands, and the terminator.
-   The walk also reads the relative order of the unit's own ids (a
-   periodic cycle anchors at its lowest-id phi, and inner exit values
-   are visited in atom order), so the canonical indices of the unit's
-   instructions are fed once more, sorted by id. Last, each def the
-   unit defines or reads gets its SCCP constant fact: this is how a
-   value flowing *into* the nest takes part in the key. SSA version
-   names are left out: only renderers read them. A key hit means the
-   cached artifact is valid once mapped through the two numberings
-   ([relocate]). *)
-let unit_digest ~use_sccp ssa sccp nb (region : Ir.Region.unit_) uroots uloops =
+(* The unit key: an exact digest of everything the walk over the nest
+   rooted at [root] can observe, in the unit's own numbering, so it
+   does not depend on where the nest sits in the program. Instruction
+   ids, block labels (exit targets and outside predecessors included)
+   are numbered by first appearance in the nest's block order (label
+   order), loops by position in [c_loops]. The key feeds the options;
+   per loop its header, depth, parent, children and latches; per block
+   its innermost loop, source label, predecessors (their order is the
+   phi argument order), every instruction's index, operation and
+   operands, and the terminator. The walk also reads the relative order
+   of the unit's own ids (a periodic cycle anchors at its lowest-id
+   phi, and inner exit values are visited in atom order), so the
+   canonical indices of the unit's instructions are fed once more,
+   sorted by id. Last, each def the unit defines or reads gets its SCCP
+   constant fact: this is how a value flowing *into* the nest takes
+   part in the key. SSA version names are left out: only renderers
+   read them. A key hit means the cached artifact is valid once mapped
+   through the two numberings ([relocate]). [index] is the unit's
+   position, which stamps its numbering. *)
+let unit_digest ~use_sccp ssa sccp nb ~index root =
   let loops = Ir.Ssa.loops ssa in
   let cfg = Ir.Ssa.cfg ssa in
-  nb.stamp <- region.Ir.Region.index;
+  nb.stamp <- index;
   nb.ndefs <- 0;
   nb.nlabels <- 0;
-  let d = ref (feed_stmts (Hash.Fnv.of_strings [ "unit" ]) region.Ir.Region.stmts) in
+  let d = ref (Hash.Fnv.feed_bool (Hash.Fnv.of_strings [ "unit" ]) use_sccp) in
   let feed_int n = d := Hash.Fnv.feed_int !d n in
-  d := Hash.Fnv.feed_bool !d use_sccp;
-  List.iter
-    (fun r ->
-      Ir.Label.Set.iter
-        (fun l -> ignore (canon_label nb l))
-        (Ir.Loops.loop loops r).Ir.Loops.blocks)
-    uroots;
+  Ir.Label.Set.iter
+    (fun l -> ignore (canon_label nb l))
+    (Ir.Loops.loop loops root).Ir.Loops.blocks;
   let nblocks = nb.nlabels in
-  List.iteri (fun k lid -> nb.loop_index.(lid) <- k) uloops;
+  let uloops = nest_loops loops root in
+  Array.iteri (fun k lid -> nb.loop_index.(lid) <- k) uloops;
   let canon_loop lid = nb.loop_index.(lid) in
-  List.iter
+  Array.iter
     (fun lid ->
       let lp = Ir.Loops.loop loops lid in
       feed_int (canon_label nb lp.Ir.Loops.header);
@@ -735,26 +666,8 @@ let unit_digest ~use_sccp ssa sccp nb (region : Ir.Region.unit_) uroots uloops =
     {
       c_defs = Array.sub nb.defs 0 nb.ndefs;
       c_labels = Array.sub nb.labels 0 nb.nlabels;
-      c_loops = Array.of_list uloops;
+      c_loops = uloops;
     } )
-
-(* Analyze one unit in isolation (see [classify_one] and
-   [promote_roots] for why the restriction to its nests is
-   equivalence-preserving). Promotion happens here, before the artifact
-   reaches the shared cache: a cached table must never be mutated
-   again. *)
-let analyze_unit ?sccp (ssa : Ir.Ssa.t) (info : unit_info) : unit_artifact =
-  Obs.Trace.with_span ~cat:"pipeline"
-    ~attrs:[ ("unit", Obs.Trace.Int info.region.Ir.Region.index) ]
-    "pipeline.unit"
-  @@ fun () ->
-  let t = analyze_nests ?sccp ssa info.uroots in
-  {
-    ua_results = List.map (fun id -> Option.get t.by_loop.(id)) info.uloops;
-    ua_exits =
-      Ir.Instr.Id.Table.fold (fun d s acc -> (d, s) :: acc) t.exit_values [];
-    ua_canon = info.ucanon;
-  }
 
 exception Unmapped
 
@@ -808,22 +721,6 @@ let relocate (c : canon) (a : unit_artifact) : unit_artifact option =
         }
     with Unmapped -> None
   end
-
-(* Reassemble the whole-program analysis from per-unit artifacts, each
-   with the unit it was found for (its results are aligned with the
-   unit's [uloops]). The report renderers and the dependence pass run on
-   the merged record unchanged, so incremental output is byte-identical
-   to a cold run by construction. *)
-let merge_units ?sccp ssa (units : (unit_info * unit_artifact) list) : analysis =
-  let t = empty_analysis ?sccp ssa in
-  List.iter
-    (fun (info, ua) ->
-      List.iter2 (fun id r -> t.by_loop.(id) <- Some r) info.uloops ua.ua_results;
-      List.iter
-        (fun (d, s) -> Ir.Instr.Id.Table.replace t.exit_values d s)
-        ua.ua_exits)
-    units;
-  t
 
 (* -- the lazy per-source instance -- *)
 
@@ -945,25 +842,19 @@ let ensure_units t =
   | Some v -> v
   | None ->
     let v =
-      match
-        (ensure_parse t, ensure_looptree t, ensure_sccp t, ensure_ssa t)
-      with
-      | Ok prog, Ok loops, Ok sccp, Ok ssa ->
+      match (ensure_looptree t, ensure_sccp t, ensure_ssa t) with
+      | Ok loops, Ok sccp, Ok ssa ->
         staged Units (fun () ->
             let nb = numbering ssa in
             Ok
-              (List.map
-                 (fun ((region : Ir.Region.unit_), uroots) ->
-                   let uloops = unit_loop_ids loops uroots in
+              (List.mapi
+                 (fun index uroot ->
                    let udigest, ucanon =
-                     unit_digest ~use_sccp:t.opts.use_sccp ssa sccp nb region
-                       uroots uloops
+                     unit_digest ~use_sccp:t.opts.use_sccp ssa sccp nb ~index uroot
                    in
-                   { region; uroots; uloops; udigest; ucanon })
-                 (map_units ssa (Ir.Region.partition prog))))
-      | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e
-        ->
-        Error e
+                   { uroot; udigest; ucanon })
+                 (Ir.Loops.roots loops)))
+      | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
     in
     t.v_units <- Some v;
     v
@@ -979,14 +870,13 @@ let text_of render r =
     r.text <- Some text;
     text
 
-(* The Classify pass: the unit walk. Probe [lookup] with each nest
-   unit's digest, [relocate] each hit stored by a differently numbered
-   program and run [analyze_unit] for the misses (together fanned out
-   through [pool_run] when given and more than one unit needs either),
-   [store] the relocated and fresh artifacts, and install the merged
-   analysis. A bare pipeline
+(* The Classify pass: probe [lookup] with each unit's digest,
+   [relocate] each hit stored by a differently numbered program and
+   [walk] the misses (together fanned out through [pool_run] when given
+   and more than one unit needs either), [store] the relocated and
+   fresh artifacts, and install the merged analysis. A bare pipeline
    passes no cache; the engine passes its shared unit-artifact cache.
-   Returns one outcome per nest unit (none when Classify was already
+   Returns one outcome per unit (none when Classify was already
    forced). Callers hold [t.lock]. *)
 let classify_units ?pool_run ~lookup ~store t =
   match t.v_classify with
@@ -1000,11 +890,7 @@ let classify_units ?pool_run ~lookup ~store t =
     | Ok infos, Ok sccp, Ok ssa ->
       staged Unitclassify (fun () ->
           let loops = Ir.Ssa.loops ssa in
-          let probed =
-            List.filter_map
-              (fun i -> if i.uroots = [] then None else Some (i, lookup i.udigest))
-              infos
-          in
+          let probed = List.mapi (fun k i -> (k, i, lookup i.udigest)) infos in
           (* A hit stored in this numbering is reused as is. The rest
              are relocated (a hit from a differently numbered program)
              or computed (a miss, or a hit that does not map), in one
@@ -1014,7 +900,7 @@ let classify_units ?pool_run ~lookup ~store t =
             | None -> false
           in
           let work =
-            Array.of_list (List.filter (fun (i, probe) -> not (current i probe)) probed)
+            Array.of_list (List.filter (fun (_, i, probe) -> not (current i probe)) probed)
           in
           (* Lazily built per-SSA state (dominators, the instruction
              index) must exist before a parallel walk can share it. *)
@@ -1026,53 +912,53 @@ let classify_units ?pool_run ~lookup ~store t =
           let finished =
             let thunks =
               Array.mapi
-                (fun k (i, probe) () ->
+                (fun k (index, i, probe) () ->
                   match Option.bind probe (relocate i.ucanon) with
                   | Some a ->
                     relocated.(k) <- true;
                     a
-                  | None -> analyze_unit ?sccp ssa i)
+                  | None ->
+                    Obs.Trace.with_span ~cat:"pipeline"
+                      ~attrs:[ ("unit", Obs.Trace.Int index) ]
+                      "pipeline.unit"
+                      (fun () -> walk ?sccp ssa i.ucanon))
                 work
             in
             match pool_run with
             | Some run when Array.length thunks > 1 -> run thunks
             | _ -> Array.map (fun f -> f ()) thunks
           in
-          let results =
-            let next = ref 0 in
-            List.map
-              (fun (i, probe) ->
-                match probe with
-                | Some a when current i probe -> (i, a, true, false)
-                | _ ->
-                  let k = !next in
-                  incr next;
-                  let a = finished.(k) in
-                  (* A relocated artifact replaces the one it came from,
-                     so the next request in this numbering (the common
-                     case: the same file again) reuses it as is. *)
-                  store i.udigest a;
-                  (i, a, relocated.(k), relocated.(k)))
-              probed
+          let next = ref 0 in
+          let outcomes, artifacts =
+            List.split
+              (List.map
+                 (fun (index, i, probe) ->
+                   let a, hit, relocated =
+                     match probe with
+                     | Some a when current i probe -> (a, true, false)
+                     | _ ->
+                       let k = !next in
+                       incr next;
+                       let a = finished.(k) in
+                       (* A relocated artifact replaces the one it came
+                          from, so the next request in this numbering
+                          (the common case: the same file again) reuses
+                          it as is. *)
+                       store i.udigest a;
+                       (a, relocated.(k), relocated.(k))
+                   in
+                   ( {
+                       u_index = index;
+                       u_loop = (Ir.Loops.loop loops i.uroot).Ir.Loops.name;
+                       u_hit = hit;
+                       u_relocated = relocated;
+                     },
+                     a ))
+                 probed)
           in
-          let merged =
-            merge_units ?sccp ssa (List.map (fun (i, a, _, _) -> (i, a)) results)
-          in
-          t.v_classify <- Some (Ok (rendered merged));
+          t.v_classify <- Some (Ok (rendered (merge_units ?sccp ssa artifacts)));
           note_pass t Unitclassify;
-          Ok
-            (List.map
-               (fun (i, _, hit, relocated) ->
-                 {
-                   u_index = i.region.Ir.Region.index;
-                   u_loops =
-                     List.map
-                       (fun id -> (Ir.Loops.loop loops id).Ir.Loops.name)
-                       i.uroots;
-                   u_hit = hit;
-                   u_relocated = relocated;
-                 })
-               results)))
+          Ok outcomes))
 
 let ensure_classify t =
   match classify_units ~lookup:(fun _ -> None) ~store:(fun _ _ -> ()) t with

@@ -12,11 +12,12 @@
 
     Two layers:
 
-    - {e the classification walk} — one walk, run per analysis unit by
-      the lazy instance and over the whole loop forest by SSA-only
-      callers ({!analyze}). Both produce an {!analysis}, the one
-      analysis record, which the queries ({!class_of},
-      {!global_class_of}, …) and the report renderers read.
+    - {e the classification walk} — one walk per loop-forest root (an
+      analysis unit), whose artifacts one assembler merges into an
+      {!analysis}, the one analysis record, for the lazy instance and
+      for SSA-only callers ({!analyze}) alike. The queries
+      ({!class_of}, {!global_class_of}, …) and the report renderers
+      read it.
     - {e the lazy instance} ({!create} and the per-pass accessors) —
       one pipeline per source text, thread-safe (a mutex serializes
       stage forcing per instance; distinct sources never contend).
@@ -38,9 +39,8 @@ type pass =
   | Looptree  (** SSA → the loop-nesting forest *)
   | Sccp  (** SSA → conditional constant propagation (per options) *)
   | Units
-      (** the analysis-unit partition: top-level loop nests plus
-          residual straight-line runs ({!Ir.Region}), each with an
-          exact per-unit digest — the incremental cache key *)
+      (** the analysis units: one per loop-forest root, each with an
+          exact digest of its SSA — the incremental cache key *)
   | Unitclassify
       (** the per-unit hit/miss record of the Classify walk — counted by
           the service layer, which owns the shared unit-artifact cache
@@ -143,43 +143,40 @@ val resolve_global : analysis -> Ivclass.t -> Ivclass.t
     (§5.2–5.3, Figs 8–9). [use_sccp] (default true) feeds
     conditional-constant-propagation results into initial values. This
     is the entry point for callers that hold only SSA (transform
-    validation, [ivtool optimize]); the lazy instance runs the same walk
-    on one analysis unit's nests at a time — equivalent, since exit
-    values never cross a nest boundary and promotion relates only loops
-    of one nest. *)
+    validation, [ivtool optimize]). It walks each loop-forest root and
+    merges the results exactly as the [Classify] pass does, without
+    computing unit keys — walking one nest at a time is the whole walk,
+    since exit values never cross a nest boundary and promotion relates
+    only loops of one nest. *)
 val analyze : ?use_sccp:bool -> Ir.Ssa.t -> analysis
 
 (* -- analysis units (incremental re-analysis) -- *)
 
 (** A unit's canonical numbering: this program's instruction id, block
     label and loop id at each canonical index (first appearance in the
-    unit's block order; loops in [uloops] order). *)
+    unit's block order; [c_loops] lists the unit's loops inner-to-outer,
+    the order the walk visits them). *)
 type canon = {
   c_defs : Ir.Instr.Id.t array;
   c_labels : Ir.Label.t array;
   c_loops : int array;
 }
 
-(** One analysis unit, mapped onto the loop forest. Nest units carry
-    their root loop ids ([uroots], program order) and every descendant
-    loop inner-to-outer ([uloops]); straight-line units have both
-    empty. [udigest] is an exact digest of everything the per-unit walk
-    can observe, in the unit's canonical numbering — the unit's
-    statements, options, loop forest shape, in-loop
+(** One analysis unit: a loop-forest root and its nest. [udigest] is an
+    exact digest of everything the walk over the nest can observe, in
+    the unit's canonical numbering — options, loop shape, in-loop
     instructions, predecessors and terminators, the relative order of
     the unit's own ids, and the SCCP constant fact of every def the unit
-    defines or reads — so it does not depend on where the unit sits in
+    defines or reads — so it does not depend on where the nest sits in
     the program. [ucanon] is this program's numbering of the unit. *)
 type unit_info = {
-  region : Ir.Region.unit_;
-  uroots : int list;
-  uloops : int list;
+  uroot : int;
   udigest : Hash.Fnv.t;
   ucanon : canon;
 }
 
 (** The cached per-unit result: promoted per-loop classification
-    results (aligned with [uloops]), the unit's exit values, and the
+    results (aligned with [c_loops]), the unit's exit values, and the
     numbering of the program that computed them. An artifact holds only
     ids, classes and counts, so caching it keeps no program alive.
     Artifacts are shared across pipeline instances and domains — never
@@ -190,10 +187,10 @@ type unit_artifact = {
   ua_canon : canon;
 }
 
-(** What happened to one nest unit during {!classify_with_units}. *)
+(** What happened to one unit during {!classify_with_units}. *)
 type unit_outcome = {
-  u_index : int;  (** {!Ir.Region.unit_} index *)
-  u_loops : string list;  (** the unit's outermost loop names *)
+  u_index : int;  (** position in {!units} *)
+  u_loop : string;  (** the root loop's name *)
   u_hit : bool;  (** the artifact came from the unit cache *)
   u_relocated : bool;
       (** a hit computed in a differently numbered program, mapped into
@@ -248,9 +245,8 @@ val promoted : t -> (analysis, string) result
     rendered on the first call and kept. *)
 val report : t -> (string, string) result
 
-(** The analysis-unit partition with per-unit digests. Every root of
-    the loop forest belongs to exactly one unit; loops the CFG drops as
-    unreachable belong to none. *)
+(** The analysis units with their digests: one per loop-forest root, in
+    forest order. Loops the CFG drops as unreachable belong to none. *)
 val units : t -> (unit_info list, string) result
 
 (** The value-range analysis over the promoted classification (forces
@@ -261,7 +257,7 @@ val ranges : t -> (Range.t, string) result
 val range_report : t -> (string, string) result
 
 (** [classify_with_units ?pool_run ~lookup ~store t] forces [Classify]
-    through a unit-artifact cache: probe [lookup] with each nest unit's
+    through a unit-artifact cache: probe [lookup] with each unit's
     digest, relocate each hit stored by a differently numbered program
     into this one, run the classification walk over each missing unit
     (relocations and walks fanned out through [pool_run] when given and
@@ -269,7 +265,7 @@ val range_report : t -> (string, string) result
     artifacts, and install the merged analysis (the
     renderers and the dependence pass run on it unchanged, so
     incremental reports are byte-identical to a cold run). Returns one
-    {!unit_outcome} per nest unit (empty when [Classify] was already
+    {!unit_outcome} per unit (empty when [Classify] was already
     forced). Forcing [Classify] any other way runs the same walk with
     no cache; the service engine passes its shared one. *)
 val classify_with_units :

@@ -27,9 +27,6 @@ type t = {
   mutable next_instr : int;
   (* Cache: instruction id -> (block, instr); rebuilt on demand. *)
   mutable index : (Label.t * Instr.t) Instr.Id.Table.t option;
-  (* Set by [Lower]: per top-level statement, the first label its
-     lowering allocated. *)
-  mutable stmt_starts : Label.t array;
 }
 
 let create () =
@@ -40,7 +37,6 @@ let create () =
     entry = 0;
     next_instr = 0;
     index = None;
-    stmt_starts = [||];
   }
 
 let entry t = t.entry
@@ -58,8 +54,6 @@ let iter_blocks t f =
 let labels t = List.init (num_blocks t) (fun i -> i)
 
 let invalidate t = t.index <- None
-let stmt_starts t = t.stmt_starts
-let set_stmt_starts t starts = t.stmt_starts <- starts
 
 let add_block t =
   let label = t.count in

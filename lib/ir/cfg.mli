@@ -27,15 +27,6 @@ val block : t -> Label.t -> block
 val num_blocks : t -> int
 val labels : t -> Label.t list
 
-(** Per top-level statement of the lowered program, the first label its
-    lowering allocated (labels are allocated in statement order, so the
-    statement that allocated label [l] is the last one starting at or
-    before [l]). Empty for a CFG not built by {!Lower.lower}. *)
-val stmt_starts : t -> Label.t array
-
-(** Records {!stmt_starts}; called by {!Lower.lower}. *)
-val set_stmt_starts : t -> Label.t array -> unit
-
 (** [add_block t] appends a fresh empty block and returns its label. *)
 val add_block : t -> Label.t
 

@@ -130,18 +130,11 @@ let rec lower_stmt ctx (s : Ast.stmt) =
 
 and lower_stmts ctx stmts = List.iter (lower_stmt ctx) stmts
 
-(* [lower program] builds the CFG for a whole program, recording the
-   first label of each top-level statement ([Cfg.stmt_starts]). *)
+(* [lower program] builds the CFG for a whole program. *)
 let lower (p : Ast.program) : Cfg.t =
   let cfg = Cfg.create () in
   let ctx = { cfg; current = Some (Cfg.entry cfg); exits = []; limits = 0 } in
-  let starts = Array.make (List.length p.Ast.stmts) 0 in
-  List.iteri
-    (fun i s ->
-      starts.(i) <- Cfg.num_blocks cfg;
-      lower_stmt ctx s)
-    p.Ast.stmts;
-  Cfg.set_stmt_starts cfg starts;
+  lower_stmts ctx p.Ast.stmts;
   terminate ctx Cfg.Halt;
   cfg
 

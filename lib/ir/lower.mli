@@ -5,8 +5,7 @@
     the top of the body, the increment at the bottom. Loop-header blocks
     carry their source label for the analyses' reports. *)
 
-(** [lower p] builds the CFG of a program and records each top-level
-    statement's first label ({!Cfg.stmt_starts}).
+(** [lower p] builds the CFG of a program.
     @raise Failure on an 'exit' outside any loop. *)
 val lower : Ast.program -> Cfg.t
 

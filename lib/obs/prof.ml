@@ -69,16 +69,16 @@ let field_values d =
 
 let fields d = Array.to_list (Array.map2 (fun f v -> (f, v)) field_names (field_values d))
 
-(* The handles [record] writes, in [field_names] order. Each is registered
-   on its first use (a counter on its first nonzero delta), so the
-   registry holds the same rows as if every call looked it up by name —
-   but the names are built once, and the registry lock is taken once per
-   handle rather than once per field per call. *)
+(* The handles [record] writes: the counters in [field_names] order
+   and the heap gauge. All are registered together on the first record,
+   so a recorder exports every series of its prefix from then on, at
+   zero where no delta reached it yet. Names are built once, and the
+   registry lock is taken once per handle rather than once per field
+   per call. *)
 type recorder = {
   r_metrics : Instrument.t;
   r_names : string array;
-  r_counters : Instrument.counter option array;
-  mutable r_heap : Instrument.gauge option;
+  mutable r_handles : (Instrument.counter array * Instrument.gauge) option;
 }
 
 let recorder ?(labels = []) m ~prefix =
@@ -86,34 +86,23 @@ let recorder ?(labels = []) m ~prefix =
     r_metrics = m;
     r_names =
       Array.map (fun field -> Instrument.labeled (prefix ^ "." ^ field) labels) field_names;
-    r_counters = Array.make (Array.length field_names) None;
-    r_heap = None;
+    r_handles = None;
   }
 
 let record r d =
-  Array.iteri
-    (fun i v ->
-      if v <> 0 then begin
-        let c =
-          match r.r_counters.(i) with
-          | Some c -> c
-          | None ->
-            let c = Instrument.counter r.r_metrics r.r_names.(i) in
-            r.r_counters.(i) <- Some c;
-            c
-        in
-        Instrument.incr ~by:v c
-      end)
-    (field_values d);
-  let g =
-    match r.r_heap with
-    | Some g -> g
+  let counters, heap =
+    match r.r_handles with
+    | Some h -> h
     | None ->
-      let g = Instrument.gauge r.r_metrics "gc.heap_words" in
-      r.r_heap <- Some g;
-      g
+      let h =
+        ( Array.map (Instrument.counter r.r_metrics) r.r_names,
+          Instrument.gauge r.r_metrics "gc.heap_words" )
+      in
+      r.r_handles <- Some h;
+      h
   in
-  Instrument.set_gauge g d.d_heap_words
+  Array.iteri (fun i v -> if v <> 0 then Instrument.incr ~by:v counters.(i)) (field_values d);
+  Instrument.set_gauge heap d.d_heap_words
 
 let attrs d =
   List.filter_map

@@ -42,15 +42,15 @@ val delta : sample -> sample -> delta
 (** The registry handles {!record} writes: the [<prefix>.<field>]
     counters, with [labels] appended to each name via
     {!Instrument.labeled}, and the [gc.heap_words] gauge. Names are
-    built once; each handle is registered on its first use (a counter
-    on its first nonzero delta), so the registry's rows are those of a
-    by-name lookup per call. *)
+    built once; all five counters and the gauge are registered on the
+    first {!record}, so every series of the prefix exists from then on
+    (at zero until a delta reaches it). *)
 type recorder
 
 val recorder :
   ?labels:(string * string) list -> Instrument.t -> prefix:string -> recorder
 
-(** Bump the recorder's counters (zero deltas are skipped) and set the
+(** Bump the recorder's counters by the delta's fields and set the
     [gc.heap_words] gauge. *)
 val record : recorder -> delta -> unit
 

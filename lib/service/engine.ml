@@ -219,7 +219,7 @@ let unit_store t d a = Cache.add t.cache (unit_key d) (E_unit a)
 
 (* A Classify miss runs through the unit layer: probe the shared unit
    cache, analyze only the units that missed, merge, and count one
-   Unitclassify hit/miss per nest unit — the per-unit incremental
+   Unitclassify hit/miss per unit — the per-unit incremental
    signal STATS and traces expose. The missing units always go through
    [Pool.fork_all]: inside a pool task they become stealable scheduler
    nodes on the calling worker's deque, on a coordinator they borrow
@@ -258,7 +258,7 @@ let classify_units ?pool t p : (Pipeline.unit_outcome list, string) result =
           Obs.Trace.event ~cat:"engine"
             ~attrs:
               [ ("unit", Obs.Trace.Int o.Pipeline.u_index);
-                ("loops", Obs.Trace.Str (String.concat "," o.Pipeline.u_loops));
+                ("loop", Obs.Trace.Str o.Pipeline.u_loop);
                 ("hit", Obs.Trace.Bool o.Pipeline.u_hit);
                 ("relocated", Obs.Trace.Bool o.Pipeline.u_relocated) ]
             "engine.unit")
@@ -571,71 +571,41 @@ let diff ?pool t old_src new_src : (string, string) result =
     match classify_with_outcomes ?pool t new_src with
     | Error e -> Error e
     | Ok (p_new, outcomes) -> (
-      match Pipeline.units p_new with
-      | Error e -> Error e
-      | Ok infos ->
-        let buf = Buffer.create 256 in
+      match (Pipeline.units p_new, Pipeline.looptree p_new) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok infos, Ok loops ->
         let reused = ref 0 and reran = ref 0 in
         let lines =
-          List.map
-            (fun (i : Pipeline.unit_info) ->
-              let idx = i.Pipeline.region.Ir.Region.index in
-              let kind =
-                Ir.Region.kind_to_string i.Pipeline.region.Ir.Region.kind
-              in
-              let loops =
-                match
-                  List.find_opt
-                    (fun o -> o.Pipeline.u_index = idx)
-                    outcomes
-                with
-                | Some o -> o.Pipeline.u_loops
-                | None -> []
-              in
-              let unchanged =
-                List.mem (Fnv.to_hex i.Pipeline.udigest) old_hex
-              in
+          List.mapi
+            (fun idx (i : Pipeline.unit_info) ->
+              let unchanged = List.mem (Fnv.to_hex i.Pipeline.udigest) old_hex in
               let status =
-                if i.Pipeline.uroots = [] then
-                  (* no loop work to reuse either way *)
-                  if unchanged then "unchanged (no loop work)"
-                  else "changed (no loop work)"
-                else
-                  match
-                    List.find_opt
-                      (fun o -> o.Pipeline.u_index = idx)
-                      outcomes
-                  with
-                  | Some o when o.Pipeline.u_hit ->
-                    incr reused;
-                    if o.Pipeline.u_relocated then
-                      "reused (unit cache hit, relocated)"
-                    else "reused (unit cache hit)"
-                  | Some _ ->
-                    incr reran;
-                    if unchanged then "reanalyzed (evicted)"
-                    else "reanalyzed (changed)"
-                  | None ->
-                    (* NEW was already classified before this diff *)
-                    if unchanged then begin
-                      incr reused;
-                      "reused (pipeline cached)"
-                    end
-                    else begin
-                      incr reran;
-                      "changed (pipeline cached)"
-                    end
+                match List.find_opt (fun o -> o.Pipeline.u_index = idx) outcomes with
+                | Some o when o.Pipeline.u_hit ->
+                  incr reused;
+                  if o.Pipeline.u_relocated then "reused (unit cache hit, relocated)"
+                  else "reused (unit cache hit)"
+                | Some _ ->
+                  incr reran;
+                  if unchanged then "reanalyzed (evicted)" else "reanalyzed (changed)"
+                | None when unchanged ->
+                  (* NEW was already classified before this diff *)
+                  incr reused;
+                  "reused (pipeline cached)"
+                | None ->
+                  incr reran;
+                  "changed (pipeline cached)"
               in
-              Printf.sprintf "unit %-3d %-8s %-12s %s\n" idx kind
-                (match loops with [] -> "-" | l -> String.concat "," l)
+              Printf.sprintf "unit %-3d %-12s %s\n" idx
+                (Ir.Loops.loop loops i.Pipeline.uroot).Ir.Loops.name
                 status)
             infos
         in
-        Buffer.add_string buf
-          (Printf.sprintf "diff: %d units, %d reused, %d reanalyzed\n"
-             (List.length infos) !reused !reran);
-        List.iter (Buffer.add_string buf) lines;
-        Ok (Buffer.contents buf)))
+        Ok
+          (String.concat ""
+             (Printf.sprintf "diff: %d units, %d reused, %d reanalyzed\n" (List.length infos)
+                !reused !reran
+             :: lines))))
 
 (* [reanalyze t src] — the serve-mode REANALYZE verb: classify through
    the unit layer and prepend a reuse summary to the classification

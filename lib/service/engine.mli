@@ -88,7 +88,7 @@ val analyze :
     the passes the artifact needs. A Classify miss runs unit-at-a-time
     through the shared unit-artifact cache: unchanged units (keyed by
     their exact {!Analysis.Pipeline.unit_info} digest) are reused, and
-    each nest unit counts one [unit_classify] hit or miss in
+    each unit counts one [unit_classify] hit or miss in
     {!pass_stats}. *)
 val render : ?pool:Pool.pool -> t -> artifact -> string -> (string, string) result
 
@@ -101,7 +101,7 @@ val ranges : t -> string -> (string, string) result
 
 (** [diff t old_src new_src] analyzes [old_src] (warming the unit
     cache), then [new_src] through it, and renders one line per
-    analysis unit saying whether its artifact was reused or
+    analysis unit (loop-forest root) saying whether its artifact was reused or
     re-analyzed, and why ([ivtool diff]). *)
 val diff : ?pool:Pool.pool -> t -> string -> string -> (string, string) result
 

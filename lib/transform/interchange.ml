@@ -31,8 +31,8 @@ let legal (edges : Dep_graph.edge list) ~outer ~inner =
   not (List.exists (edge_blocks_interchange ~outer ~inner) edges)
 
 (* [apply p ~outer_name] swaps the named perfect nest in the AST.
-   @raise Invalid_argument if the nest is not perfect or its bounds are
-   not independent of each other's index. *)
+   @raise Invalid_argument if no loop of that name is a perfect 2-deep
+   nest or its bounds are not independent of each other's index. *)
 let apply (p : Ir.Ast.program) ~outer_name : Ir.Ast.program =
   let rec uses_var var (e : Ir.Ast.expr) =
     match e with
@@ -42,6 +42,10 @@ let apply (p : Ir.Ast.program) ~outer_name : Ir.Ast.program =
     | Ir.Ast.Binop (_, a, b) -> uses_var var a || uses_var var b
     | Ir.Ast.Neg a -> uses_var var a
   in
+  let not_perfect () =
+    invalid_arg ("Interchange.apply: " ^ outer_name ^ " is not a perfect 2-deep nest")
+  in
+  let swapped = ref false in
   let rec stmt (s : Ir.Ast.stmt) : Ir.Ast.stmt =
     match s with
     | Ir.Ast.For ({ name; body = [ Ir.Ast.For inner ]; _ } as outer)
@@ -52,18 +56,22 @@ let apply (p : Ir.Ast.program) ~outer_name : Ir.Ast.program =
       then
         invalid_arg
           "Interchange.apply: inner bounds depend on the outer index (skew first)";
+      swapped := true;
       Ir.Ast.For
         {
           inner with
           Ir.Ast.body =
             [ Ir.Ast.For { outer with Ir.Ast.body = inner.Ir.Ast.body } ];
         }
+    | Ir.Ast.For { name; _ } when String.equal name outer_name -> not_perfect ()
     | Ir.Ast.For f -> Ir.Ast.For { f with Ir.Ast.body = List.map stmt f.Ir.Ast.body }
     | Ir.Ast.Loop (n, body) -> Ir.Ast.Loop (n, List.map stmt body)
     | Ir.Ast.If (c, t, e) -> Ir.Ast.If (c, List.map stmt t, List.map stmt e)
     | Ir.Ast.Assign _ | Ir.Ast.Astore _ | Ir.Ast.Exit_if _ -> s
   in
-  { p with Ir.Ast.stmts = List.map stmt p.Ir.Ast.stmts }
+  let p = { p with Ir.Ast.stmts = List.map stmt p.Ir.Ast.stmts } in
+  if not !swapped then not_perfect ();
+  p
 
 (* [legal_for_program src ~outer_name ~inner_name] is the whole check:
    analyze, build the dependence graph, decide. *)

@@ -10,8 +10,9 @@ val edge_blocks_interchange :
 val legal : Dependence.Dep_graph.edge list -> outer:int -> inner:int -> bool
 
 (** [apply p ~outer_name] swaps the named perfect nest.
-    @raise Invalid_argument if the nest is not perfect or the inner
-    bounds depend on the outer index (skew first). *)
+    @raise Invalid_argument if no loop of that name is a perfect 2-deep
+    nest (a statement beside the inner loop, say) or the inner bounds
+    depend on the outer index (skew first). *)
 val apply : Ir.Ast.program -> outer_name:string -> Ir.Ast.program
 
 (** [legal_for_source src ~outer_name ~inner_name] is the whole check;

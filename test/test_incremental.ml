@@ -1,11 +1,11 @@
-(* Region-based incremental re-analysis: the per-unit cache must make
-   an edit to one loop nest cheap (every other unit is a cache hit)
-   without ever changing a byte of the merged whole-program reports. *)
+(* Per-root incremental re-analysis: each loop-forest root is one
+   analysis unit, and the per-unit cache must make an edit to one loop
+   nest cheap (every other unit is a cache hit) without ever changing a
+   byte of the merged whole-program reports. *)
 
 module Engine = Service.Engine
 module Server = Service.Server
 module Pipeline = Analysis.Pipeline
-module Region = Ir.Region
 
 let ok = function
   | Ok v -> v
@@ -41,29 +41,22 @@ let stat engine name =
   | Some (_, hits, misses) -> (hits, misses)
   | None -> Alcotest.failf "no pass named %s in pass_stats" name
 
-(* --- the partition itself --- *)
+(* --- the units themselves --- *)
 
-let test_partition () =
-  let infos = ok (Pipeline.units (Pipeline.create old_src)) in
-  Alcotest.(check int) "five units" 5 (List.length infos);
-  let kinds =
-    List.map
-      (fun (i : Pipeline.unit_info) -> Region.kind_to_string i.region.kind)
-      infos
-  in
+let root_names p =
+  let loops = ok (Pipeline.looptree p) in
+  List.map (fun r -> (Ir.Loops.loop loops r).Ir.Loops.name)
+
+let test_one_unit_per_root () =
+  let p = Pipeline.create old_src in
+  let infos = ok (Pipeline.units p) in
+  Alcotest.(check (list int))
+    "one unit per loop-forest root, in forest order"
+    (Ir.Loops.roots (ok (Pipeline.looptree p)))
+    (List.map (fun (i : Pipeline.unit_info) -> i.uroot) infos);
   Alcotest.(check (list string))
-    "straight / nest interleaving"
-    [ "straight"; "nest"; "straight"; "nest"; "nest" ]
-    kinds;
-  List.iter
-    (fun (i : Pipeline.unit_info) ->
-      match i.region.kind with
-      | Region.Nest ->
-        Alcotest.(check bool) "nest unit owns loops" true (i.uroots <> [])
-      | Region.Straight ->
-        Alcotest.(check bool) "straight unit owns no loops" true
-          (i.uroots = []))
-    infos
+    "the three nests" [ "L1"; "L2"; "L3" ]
+    (root_names p (List.map (fun (i : Pipeline.unit_info) -> i.uroot) infos))
 
 (* --- cache behaviour across an edit --- *)
 
@@ -196,7 +189,7 @@ let test_diff_report () =
   let e = Engine.create () in
   let text = ok (Engine.diff e old_src new_src) in
   Alcotest.(check bool) "counts the units" true
-    (Helpers.contains text "diff: 5 units");
+    (Helpers.contains text "diff: 3 units");
   Alcotest.(check bool) "reused nests are visible" true
     (Helpers.contains text "reused (unit cache hit)");
   Alcotest.(check bool) "the edited nest is re-analyzed" true
@@ -210,7 +203,7 @@ let test_relocations_reported () =
     || Helpers.contains (Engine.prometheus_report e) "iv_unit_relocations_total");
   let text = ok (Engine.diff e old_src (base ~body1:"s + 2 * i" ())) in
   Alcotest.(check bool) "relocated hits are marked" true
-    (Helpers.contains text "diff: 5 units, 2 reused, 1 reanalyzed"
+    (Helpers.contains text "diff: 3 units, 2 reused, 1 reanalyzed"
     && Helpers.contains text "reused (unit cache hit, relocated)");
   Alcotest.(check bool) "and counted" true
     (Helpers.contains (Engine.prometheus_report e) "iv_unit_relocations_total 2\n")
@@ -236,8 +229,7 @@ let test_reanalyze_verb () =
       ignore (payload (Server.handle e ("CLASSIFY " ^ path))));
   with_temp_program new_src (fun path ->
       let reply = payload (Server.handle e ("REANALYZE " ^ path)) in
-      (* The summary counts nest units (straight-line units carry no
-         cached loop work): two of the three nests are reused. *)
+      (* One unit per nest: two of the three are reused. *)
       Alcotest.(check bool) "summarises reuse" true
         (Helpers.contains reply "reanalyze: 3 units, 2 reused, 1 computed");
       Alcotest.(check bool) "carries the classify report" true
@@ -268,10 +260,10 @@ let test_artifacts_release_program () =
       Alcotest.(check bool) "every unit still cached" true
         (Helpers.contains (request "REANALYZE") "reanalyze: 3 units, 3 reused, 0 computed"))
 
-(* --- unit mapping: every loop-forest root lands in exactly one unit --- *)
+(* --- units: every loop-forest root is exactly one unit --- *)
 
 (* A countable nest after an infinite loop: the CFG drops the nest as
-   unreachable, so its unit owns no root. *)
+   unreachable, so it is no unit. *)
 let unreachable_tail ?(body = "s + j") () =
   Printf.sprintf
     "i = 0\nL: loop\n  i = i + 1\nendloop\nM: for j = 1 to 10 loop\n  s = %s\nendloop\n"
@@ -293,21 +285,15 @@ let same_label ?(body = "t + 2") () =
 
 let roots_partitioned src =
   let p = Pipeline.create src in
-  let infos = ok (Pipeline.units p) in
-  let roots = Ir.Loops.roots (ok (Pipeline.looptree p)) in
-  List.sort compare (List.concat_map (fun (i : Pipeline.unit_info) -> i.uroots) infos)
-  = List.sort compare roots
+  List.map (fun (i : Pipeline.unit_info) -> i.uroot) (ok (Pipeline.units p))
+  = Ir.Loops.roots (ok (Pipeline.looptree p))
 
-(* The unit (index) owning each loop-forest root, by loop name. *)
+(* Each unit's root loop name, with the unit's index. *)
 let owners src =
   let p = Pipeline.create src in
-  let loops = ok (Pipeline.looptree p) in
-  List.concat_map
-    (fun (i : Pipeline.unit_info) ->
-      List.map
-        (fun r -> ((Ir.Loops.loop loops r).Ir.Loops.name, i.region.Region.index))
-        i.uroots)
-    (ok (Pipeline.units p))
+  List.mapi
+    (fun k name -> (name, k))
+    (root_names p (List.map (fun (i : Pipeline.unit_info) -> i.uroot) (ok (Pipeline.units p))))
 
 (* [src]'s roots map onto [owners] and its reports match the goldens;
    [edited] changes one of its two nests, so a warm engine reuses the
@@ -327,12 +313,12 @@ let check_mapping ~src ~edited ~owners:expected ~classify ~trip ~deps =
 let test_unreachable_tail () =
   check_mapping ~src:(unreachable_tail ())
     ~edited:(unreachable_tail ~body:"s - j" ())
-    ~owners:[ ("L", 1) ]
+    ~owners:[ ("L", 0) ]
     ~classify:"loop L (depth 1, trip count infinite):\n  i2       (L, 0, 1)\n  i3       (L, 1, 1)\n  \n"
     ~trip:"loop L        trips: infinite\n" ~deps:"no dependences\n";
   let text = ok (Engine.diff (Engine.create ()) (unreachable_tail ()) (unreachable_tail ~body:"s - j" ())) in
   Alcotest.(check bool) "diff maps every unit" true
-    (Helpers.contains text "diff: 3 units, 1 reused, 0 reanalyzed")
+    (Helpers.contains text "diff: 1 units, 1 reused, 0 reanalyzed")
 
 (* examples/incremental/unreachable_tail_{old,new}.iv: the dropped nest
    M stores to the array K writes. Dependence testing skips code the CFG
@@ -361,10 +347,33 @@ let test_unreachable_array_store () =
     [ old_src; new_src ];
   check_identical ~edited:"the reachable nest" old_src new_src
 
+(* examples/incremental/if_pair_{old,new}.iv: two loops under one
+   top-level [if] are two units, so an edit to one reuses the other. *)
+let test_if_pair () =
+  let old_src = incremental_example "if_pair_old.iv" in
+  let new_src = incremental_example "if_pair_new.iv" in
+  check_identical ~hits:1 ~edited:"one of two loops under an if" old_src new_src;
+  Alcotest.(check bool) "diff counts two units" true
+    (Helpers.contains
+       (ok (Engine.diff (Engine.create ()) old_src new_src))
+       "diff: 2 units, 1 reused, 1 reanalyzed")
+
+(* A unit is keyed on its SSA alone: the same nest with its scalars
+   renamed, or behind extra straight-line statements, hits the
+   original's artifact. *)
+let sum_nest ~s ~i =
+  Printf.sprintf "%s = 0\nL: for %s = 1 to n loop\n  %s = %s + %s\n  A(%s) = %s\nendloop\n" s i
+    s s i i s
+
+let test_renamed_or_moved_nest () =
+  let nest = sum_nest ~s:"s" ~i:"i" in
+  check_identical ~hits:1 ~edited:"renamed scalars" nest (sum_nest ~s:"acc" ~i:"k");
+  check_identical ~hits:1 ~edited:"straight statements in front" nest ("x = 1\ny = x * 2\n" ^ nest)
+
 let test_exit_before_inner () =
   check_mapping ~src:(exit_before_inner ())
     ~edited:(exit_before_inner ~body:"k - i" ())
-    ~owners:[ ("M", 1); ("N", 2) ]
+    ~owners:[ ("M", 0); ("N", 1) ]
     ~classify:
       "loop M (depth 1, trip count infinite):\n  k2       (M, 0, 1)\n  k3       (M, 1, 1)\n  \n\
        loop N (depth 1, trip count n):\n  i2       (N, 1, 1)\n  %10      unknown\n\
@@ -375,7 +384,7 @@ let test_exit_before_inner () =
 let test_same_label () =
   check_mapping ~src:(same_label ())
     ~edited:(same_label ~body:"t + 3" ())
-    ~owners:[ ("L", 1); ("L", 3) ]
+    ~owners:[ ("L", 0); ("L", 1) ]
     ~classify:
       "loop L (depth 1, trip count n):\n  i2       (L, 1, 1)\n  s2       (L, 0, 1/2, 1/2)\n\
       \  %6       unknown\n  s3       (L, 1, 3/2, 1/2)\n  %13      (L, 1, 3/2, 1/2)\n\
@@ -427,8 +436,9 @@ let on_outer_body f =
    first drop their prelude when [keep] says so, and always when the
    edit drops a first definition: their nest then reads live-in defs
    from the nest before, and that edit permutes those defs' ids (phis
-   are numbered in first-definition order). Returns (old, new,
-   top-level index of the [target]th program's nest in new). *)
+   are numbered in first-definition order). Returns (old, new, the
+   number of top-level loops before the [target]th program's nest in
+   new: the nest's unit index). *)
 let edited_pair (seeds, keep, edit, target, choice) =
   let progs =
     List.mapi
@@ -491,13 +501,14 @@ let edited_pair (seeds, keep, edit, target, choice) =
     Ir.Ast.to_string
       { Ir.Ast.decls = []; stmts = List.concat_map (fun (pre, rest) -> pre @ rest) ps }
   in
-  let nest_at =
+  let loops_in stmts = List.length (List.filter (function Ir.Ast.For _ -> true | _ -> false) stmts) in
+  let nest_unit =
     List.fold_left ( + ) 0
       (List.filteri (fun i _ -> i < target)
-         (List.map (fun (pre, rest) -> List.length pre + List.length rest) new_progs))
-    + List.length (fst (List.nth new_progs target))
+         (List.map (fun (pre, rest) -> loops_in pre + loops_in rest) new_progs))
+    + loops_in (fst (List.nth new_progs target))
   in
-  (join old_progs, join new_progs, nest_at)
+  (join old_progs, join new_progs, nest_unit)
 
 let gen_edited =
   let open QCheck2.Gen in
@@ -522,7 +533,7 @@ let prop_renumbering_edits =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:100 ~name:"renumbering edits match a cold run"
        ~print:print_edited gen_edited (fun ((_, _, edit, _, choice) as case) ->
-         let old_src, new_src, nest_at = edited_pair case in
+         let old_src, new_src, nest_unit = edited_pair case in
          let warm = Engine.create () in
          let diff = ok (Engine.diff warm old_src new_src) in
          let artifacts = [ Engine.Classify; Engine.Trip; Engine.Deps; Engine.Ranges ] in
@@ -553,14 +564,9 @@ let prop_renumbering_edits =
             QCheck2.Test.fail_reportf "insertion: %d reused, %d reanalyzed\n%s" reused reran
               diff
           | Change_constant -> (
-            let nest_unit =
-              List.find
-                (fun (u : Region.unit_) -> u.Region.first <= nest_at && nest_at <= u.Region.last)
-                (Region.partition (Ir.Parser.parse new_src))
-            in
             let line =
               List.find
-                (String.starts_with ~prefix:(Printf.sprintf "unit %-3d " nest_unit.Region.index))
+                (String.starts_with ~prefix:(Printf.sprintf "unit %-3d " nest_unit))
                 (String.split_on_char '\n' diff)
             in
             if not (Helpers.contains line "reanalyzed") then
@@ -571,7 +577,7 @@ let prop_renumbering_edits =
 let suite =
   ( "incremental",
     [
-      Helpers.case "partition into units" test_partition;
+      Helpers.case "one unit per loop-forest root" test_one_unit_per_root;
       Helpers.case "edit reuses untouched units" test_unit_reuse;
       Helpers.case "merged reports byte-identical" test_merged_byte_identity;
       Helpers.case "first-nest edit byte-identical" test_first_nest_edit;
@@ -589,4 +595,6 @@ let suite =
       prop_units_partition_roots;
       Helpers.case "array store in a dropped nest: deps" test_unreachable_array_store;
       prop_renumbering_edits;
+      Helpers.case "two loops under one if" test_if_pair;
+      Helpers.case "renamed or moved nest hits" test_renamed_or_moved_nest;
     ] )

@@ -128,7 +128,7 @@ let test_per_pass_accounting () =
         Alcotest.(check int) (pass ^ " misses once") 1 misses;
         Alcotest.(check int) (pass ^ " hits once") 1 hits
       | "unit_classify" ->
-        (* fig9 is one nest unit: a cold miss, then the second request
+        (* fig9 is one unit: a cold miss, then the second request
            is a Classify-level hit and never probes the unit cache. *)
         Alcotest.(check int) "one unit computed" 1 misses;
         Alcotest.(check int) "no unit reuse yet" 0 hits

@@ -199,6 +199,22 @@ let test_prof_delta_clamps () =
   Alcotest.(check int) "zero gcs" 0 d.Obs.Prof.d_minor_gcs;
   Alcotest.(check bool) "attrs drop zeros" true (Obs.Prof.attrs d = [])
 
+(* A recorder registers all five counters of its prefix on its first
+   record, so a field whose delta is zero still has a series. *)
+let test_prof_record_registers_all () =
+  let m = I.create () in
+  let s = Obs.Prof.sample () in
+  let d = { (Obs.Prof.delta s s) with Obs.Prof.d_minor_words = 7; d_major_words = 0 } in
+  Obs.Prof.record (Obs.Prof.recorder m ~prefix:"phase.x") d;
+  let snap = I.snapshot m in
+  List.iter
+    (fun (field, want) ->
+      match List.assoc_opt ("phase.x." ^ field) snap with
+      | Some (I.V_counter v) -> Alcotest.(check int) field want v
+      | _ -> Alcotest.failf "no phase.x.%s counter" field)
+    [ ("minor_words", 7); ("promoted_words", 0); ("major_words", 0); ("minor_gcs", 0);
+      ("major_gcs", 0) ]
+
 (* --- folded stacks --- *)
 
 let span ~sid ~parent ~name ~tid ~start_us ~stop_us =
@@ -416,4 +432,5 @@ let suite =
       Helpers.case "pool per-domain telemetry" test_pool_telemetry;
       Helpers.case "engine prometheus report" test_engine_prometheus_report;
       Helpers.case "concurrent increments" test_concurrent_incr;
+      Helpers.case "prof record registers all" test_prof_record_registers_all;
     ] )

@@ -160,6 +160,25 @@ let test_interchange_rejects_triangular_bounds () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* A statement beside the inner loop makes the nest imperfect: [apply]
+   refuses it instead of returning the program unchanged. *)
+let test_interchange_rejects_imperfect () =
+  let ast =
+    Ir.Parser.parse
+      {|
+L23: for i = 1 to n loop
+  B(i) = 0
+  L24: for j = 1 to n loop
+    A(i, j) = A(i - 1, j)
+  endloop
+endloop
+|}
+  in
+  Alcotest.(check bool) "refuses an imperfect nest" true
+    (match Transform.Interchange.apply ast ~outer_name:"L23" with
+     | exception Invalid_argument _ -> true
+     | _ -> false)
+
 (* --- unimodular --- *)
 
 let test_unimodular_legality () =
@@ -265,4 +284,5 @@ let suite =
       Helpers.case "parallel relaxation sweep" test_parallel_relaxation;
       Helpers.case "parallel pack loop" test_parallel_pack;
       Helpers.case "serial recurrence" test_serial_recurrence;
+      Helpers.case "interchange imperfect nest" test_interchange_rejects_imperfect;
     ] )
