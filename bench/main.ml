@@ -532,7 +532,30 @@ let b1_rows () =
         failwith "B1: the disk pass missed the store";
       [ ("cold", cold); ("disk", disk); ("warm", warm) ])
 
-let write_json file lines =
+(* Every BENCH_*.json has one shape: the experiment's name, its
+   description and its header fields one per line, then its rows, one
+   object per line under [rows_key]. bench-diff reads them as JSON; the
+   one-row-per-line layout and the ["key": value] spacing are what line
+   tools (CI's gate-bite edit) rely on. *)
+type json = Int of int | Str of string | Bool of bool | Strs of string list
+
+let json_value = function
+  | Int n -> string_of_int n
+  | Str s -> Printf.sprintf "\"%s\"" s
+  | Bool b -> string_of_bool b
+  | Strs l -> "[" ^ String.concat ", " (List.map (Printf.sprintf "\"%s\"") l) ^ "]"
+
+let json_field (k, v) = Printf.sprintf "\"%s\": %s" k (json_value v)
+
+let write_bench file ~experiment ~description header rows_key rows =
+  let field f = "  " ^ json_field f ^ "," in
+  let row fields = "    {" ^ String.concat ", " (List.map json_field fields) ^ "}" in
+  let header = ("experiment", Str experiment) :: ("description", Str description) :: header in
+  let lines =
+    ("{" :: List.map field header)
+    @ [ Printf.sprintf "  \"%s\": [" rows_key; String.concat ",\n" (List.map row rows) ]
+    @ [ "  ]"; "}" ]
+  in
   let oc = open_out file in
   output_string oc (String.concat "\n" lines ^ "\n");
   close_out oc;
@@ -549,24 +572,16 @@ let experiment_b1 () =
         (String.concat " "
            (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) fields)))
     rows;
-  write_json "BENCH_service.json"
-    [
-      "{";
-      "  \"experiment\": \"B1\",";
-      "  \"description\": \"service batch reuse at 1 domain: cold vs disk-warm (persistent store, fresh engine) vs memory-warm cache\",";
-      Printf.sprintf "  \"corpus_files\": %d," b1_files;
-      "  \"artifacts\": [\"classify\", \"deps\", \"trip\"],";
-      "  \"runs\": [";
-      String.concat ",\n"
-        (List.map
-           (fun (cache, fields) ->
-             Printf.sprintf "    {\"cache\": \"%s\", %s}" cache
-               (String.concat ", "
-                  (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) fields)))
-           rows);
-      "  ]";
-      "}";
-    ];
+  write_bench "BENCH_service.json" ~experiment:"B1"
+    ~description:
+      "service batch reuse at 1 domain: cold vs disk-warm (persistent store, fresh \
+       engine) vs memory-warm cache"
+    [ ("corpus_files", Int b1_files); ("artifacts", Strs [ "classify"; "deps"; "trip" ]) ]
+    "runs"
+    (List.map
+       (fun (cache, fields) ->
+         ("cache", Str cache) :: List.map (fun (k, v) -> (k, Int v)) fields)
+       rows);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -652,24 +667,20 @@ let experiment_b2 () =
       Printf.printf "  %-12s unit hits=%d misses=%d\n" mode hits misses)
     rows;
   print_endline "   merged reports byte-identical";
-  write_json "BENCH_incremental.json"
+  write_bench "BENCH_incremental.json" ~experiment:"B2"
+    ~description:
+      "incremental re-analysis: edit one of N top-level loop nests, reuse per-unit \
+       artifacts for the rest"
     [
-      "{";
-      "  \"experiment\": \"B2\",";
-      "  \"description\": \"incremental re-analysis: edit one of N top-level loop nests, reuse per-unit artifacts for the rest\",";
-      Printf.sprintf "  \"nests\": %d," b2_nests;
-      "  \"artifacts\": [\"classify\", \"trip\", \"deps\"],";
-      "  \"byte_identical\": true,";
-      "  \"runs\": [";
-      String.concat ",\n"
-        (List.map
-           (fun (mode, (hits, misses)) ->
-             Printf.sprintf "    {\"mode\": \"%s\", \"unit_hits\": %d, \"unit_misses\": %d}"
-               mode hits misses)
-           rows);
-      "  ]";
-      "}";
-    ];
+      ("nests", Int b2_nests);
+      ("artifacts", Strs [ "classify"; "trip"; "deps" ]);
+      ("byte_identical", Bool true);
+    ]
+    "runs"
+    (List.map
+       (fun (mode, (hits, misses)) ->
+         [ ("mode", Str mode); ("unit_hits", Int hits); ("unit_misses", Int misses) ])
+       rows);
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -764,27 +775,27 @@ let experiment_b4 () =
      consumers, checked on every harness run. *)
   if independent <= 0 then failwith "B4: range sharpening proved nothing";
   if eliminated <= 0 then failwith "B4: no bounds check eliminated";
-  write_json "BENCH_ranges.json"
+  write_bench "BENCH_ranges.json" ~experiment:"B4"
+    ~description:
+      "value-range precision: dependence edges with/without range sharpening, and \
+       bounds checks eliminated, over the examples corpus"
     [
-      "{";
-      "  \"experiment\": \"B4\",";
-      "  \"description\": \"value-range precision: dependence edges with/without range sharpening, and bounds checks eliminated, over the examples corpus\",";
-      Printf.sprintf "  \"corpus_files\": %d," (List.length rows);
-      Printf.sprintf "  \"pairs_proven_independent\": %d," independent;
-      Printf.sprintf "  \"checks_eliminated\": %d," eliminated;
-      Printf.sprintf "  \"checks_retained\": %d," (total (fun r -> r.b4_retained));
-      "  \"rows\": [";
-      String.concat ",\n"
-        (List.map
-           (fun r ->
-             Printf.sprintf
-               "    {\"file\": \"%s\", \"baseline_edges\": %d, \"ranged_edges\": %d, \"checks_eliminated\": %d, \"checks_retained\": %d}"
-               r.b4_name r.b4_baseline_edges r.b4_ranged_edges r.b4_eliminated
-               r.b4_retained)
-           rows);
-      "  ]";
-      "}";
-    ];
+      ("corpus_files", Int (List.length rows));
+      ("pairs_proven_independent", Int independent);
+      ("checks_eliminated", Int eliminated);
+      ("checks_retained", Int (total (fun r -> r.b4_retained)));
+    ]
+    "rows"
+    (List.map
+       (fun r ->
+         [
+           ("file", Str r.b4_name);
+           ("baseline_edges", Int r.b4_baseline_edges);
+           ("ranged_edges", Int r.b4_ranged_edges);
+           ("checks_eliminated", Int r.b4_eliminated);
+           ("checks_retained", Int r.b4_retained);
+         ])
+       rows);
   print_newline ()
 
 let () =

@@ -302,6 +302,22 @@ let rec ensure_chain ?pool t p = function
     | Ok () -> ensure_chain ?pool t p rest
     | Error e -> Error e)
 
+(* Force a pass the engine computes itself (the dependence report and
+   the verify parts) through the memory cache under [key]: a miss runs
+   [compute] with a timeout tick, timed under [metric]; either way the
+   pass is counted and recorded on the pipeline with [Pipeline.note]. *)
+let cached_pass t p pass ~metric key compute =
+  let computed = ref false in
+  let entry =
+    Cache.find_or_add t.cache key (fun () ->
+        computed := true;
+        Pool.tick ();
+        Obs.Prof.time t.metrics metric compute)
+  in
+  count_pass t pass ~hit:(not !computed);
+  Pipeline.note p pass;
+  entry
+
 (* Lower is absent from every chain but the check chain: nothing else
    needs the pristine pre-SSA CFG. *)
 let classify_chain = Pipeline.[ Parse; Ssa; Looptree; Sccp; Units; Classify ]
@@ -324,31 +340,22 @@ let deps_text ?pool t base p : (string, string) result =
   | Ok () -> (
     match Pipeline.promoted p with
     | Error e -> Error e
-    | Ok a ->
+    | Ok a -> (
       let ranges =
         if t.options.use_ranges then
           match Pipeline.ranges p with Ok r -> Some r | Error _ -> None
         else None
       in
-      let computed = ref false in
-      let entry =
-        Cache.find_or_add t.cache (deps_key base) (fun () ->
-            computed := true;
-            Pool.tick ();
-            Obs.Prof.time t.metrics "phase.deps" (fun () ->
-                let g = Dependence.Dep_graph.build ?ranges a in
-                E_text
-                  (if g = [] then "no dependences\n"
-                   else Dependence.Dep_graph.to_string a g)))
+      let render () =
+        let g = Dependence.Dep_graph.build ?ranges a in
+        E_text (if g = [] then "no dependences\n" else Dependence.Dep_graph.to_string a g)
       in
-      count_pass t Pipeline.Depgraph ~hit:(not !computed);
-      (match entry with
-       | E_text text ->
-         Pipeline.note p Pipeline.Depgraph;
-         Ok text
-       | E_pipeline _ | E_part _ | E_unit _ -> assert false))
+      let key = deps_key base in
+      match cached_pass t p Pipeline.Depgraph ~metric:"phase.deps" key render with
+      | E_text text -> Ok text
+      | E_pipeline _ | E_part _ | E_unit _ -> assert false))
 
-(* -- checked mode: the three verify passes (lib/verify) --
+(* -- checked mode: the four verify passes (lib/verify) --
 
    Each part is cached on its own key, derived from the source digest
    like every other artifact of the program (the two oracle parts also
@@ -366,19 +373,10 @@ let part_key t base pass =
 
 (* Force one verify pass through the part cache, with the same hit/miss
    accounting, timeout tick and phase timing as any other pass. *)
-let ensure_part t base p pass compute : Verify.Check.part =
-  let computed = ref false in
-  let entry =
-    Cache.find_or_add t.cache (part_key t base pass) (fun () ->
-        computed := true;
-        Pool.tick ();
-        Obs.Prof.time t.metrics (phase_metric pass) (fun () -> E_part (compute ())))
-  in
-  count_pass t pass ~hit:(not !computed);
-  match entry with
-  | E_part part ->
-    Pipeline.note p pass;
-    part
+let ensure_part t base p pass compute () : Verify.Check.part =
+  let metric = phase_metric pass and key = part_key t base pass in
+  match cached_pass t p pass ~metric key (fun () -> E_part (compute ())) with
+  | E_part part -> part
   | E_pipeline _ | E_text _ | E_unit _ -> assert false
 
 (* The check chain forces Lower (unlike every other artifact): the
@@ -394,40 +392,30 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
     let lower = get (Pipeline.lower p) in
     let ssa = get (Pipeline.ssa p) in
     let a = get (Pipeline.promoted p) in
-    let structural =
-      ensure_part t base p Pipeline.VerifyIr (fun () ->
-          Verify.Check.structural_part ~lower ssa)
+    let iters = t.options.check_iters in
+    let part = ensure_part t base p in
+    let ranges () =
+      if not t.options.use_ranges then None
+      else
+        match Result.bind (ensure ?pool t p Pipeline.Ranges) (fun () -> Pipeline.ranges p)
+        with
+        | Error _ -> None
+        | Ok r ->
+          Some
+            (part Pipeline.VerifyRanges
+               (fun () -> Verify.Check.oracle_part ~iters (Verify.Oracle.Ranges r) a)
+               ())
     in
-    (* A structurally broken program cannot be meaningfully interpreted
-       or transformed; report the structural findings alone. *)
-    if List.exists Ir.Diag.is_error structural.Verify.Check.diags then
-      Ok { Verify.Check.parts = [ structural ] }
-    else begin
-      let oracle =
-        ensure_part t base p Pipeline.VerifyClass (fun () ->
-            Verify.Check.oracle_part ~iters:t.options.check_iters a)
-      in
-      let ranges_part =
-        if not t.options.use_ranges then []
-        else begin
-          match ensure ?pool t p Pipeline.Ranges with
-          | Error _ -> []
-          | Ok () -> (
-            match Pipeline.ranges p with
-            | Error _ -> []
-            | Ok r ->
-              [
-                ensure_part t base p Pipeline.VerifyRanges (fun () ->
-                    Verify.Check.ranges_part ~iters:t.options.check_iters a r);
-              ])
-        end
-      in
-      let trans =
-        ensure_part t base p Pipeline.VerifyTrans (fun () ->
-            Verify.Check.transform_part prog)
-      in
-      Ok { Verify.Check.parts = [ structural; oracle ] @ ranges_part @ [ trans ] }
-    end
+    Ok
+      (Verify.Check.assemble
+         ~structural:
+           (part Pipeline.VerifyIr (fun () -> Verify.Check.structural_part ~lower ssa))
+         ~oracle:
+           (part Pipeline.VerifyClass (fun () ->
+                Verify.Check.oracle_part ~iters Verify.Oracle.Classes a))
+         ~ranges
+         ~transforms:
+           (part Pipeline.VerifyTrans (fun () -> Verify.Check.transform_part prog)))
 
 (* [check t src] is the structured report (the CLI's `--check` and
    `ivtool check` read it); the rendered artifact below serves batch and

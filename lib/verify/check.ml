@@ -47,64 +47,36 @@ let oracle_runs =
     ("run-b", (fun x -> valuation ~base:2 ~modulus:5 x), 23);
   ]
 
-let oracle_part ?(iters = 100) (t : Analysis.Pipeline.analysis) : part =
+let oracle_part ?(iters = 100) observer (t : Analysis.Pipeline.analysis) : part =
   let results =
     List.map
       (fun (tag, params, seed) ->
         let state = Random.State.make [| seed |] in
         Oracle.check ~iters ~fuel:200_000 ~params
           ~rand:(fun () -> Random.State.bool state)
-          ~tag t)
+          ~tag observer t)
       oracle_runs
   in
-  let diags = List.concat_map (fun (r : Oracle.result) -> r.Oracle.diags) results in
-  let checked = List.fold_left (fun a (r : Oracle.result) -> a + r.Oracle.checked) 0 results in
-  let vars =
-    List.fold_left (fun a (r : Oracle.result) -> max a r.Oracle.vars) 0 results
-  in
-  let max_h =
-    List.fold_left (fun a (r : Oracle.result) -> max a r.Oracle.max_h) 0 results
-  in
-  let note =
-    Printf.sprintf "%d runs, N=%d: %d predictions over %d variables, max h=%d"
-      (List.length results) iters checked vars max_h
-  in
-  { family = "oracle"; note; checks = checked; diags }
-
-let ranges_part ?(iters = 100) (t : Analysis.Pipeline.analysis)
-    (r : Analysis.Range.t) : part =
-  let results =
-    List.map
-      (fun (tag, params, seed) ->
-        let state = Random.State.make [| seed |] in
-        Range_oracle.check ~iters ~fuel:200_000 ~params
-          ~rand:(fun () -> Random.State.bool state)
-          ~tag t r)
-      oracle_runs
-  in
-  let diags =
-    List.concat_map (fun (x : Range_oracle.result) -> x.Range_oracle.diags) results
-  in
-  let checked =
-    List.fold_left
-      (fun a (x : Range_oracle.result) -> a + x.Range_oracle.checked)
-      0 results
-  in
-  let vars =
-    List.fold_left
-      (fun a (x : Range_oracle.result) -> max a x.Range_oracle.vars)
-      0 results
-  in
-  let max_h =
-    List.fold_left
-      (fun a (x : Range_oracle.result) -> max a x.Range_oracle.max_h)
-      0 results
+  let fold f op = List.fold_left (fun a (r : Oracle.result) -> op a (f r)) 0 results in
+  let checked = fold (fun r -> r.Oracle.checked) ( + ) in
+  let family, claims, defs =
+    match observer with
+    | Oracle.Classes -> ("oracle", "predictions", "variables")
+    | Oracle.Ranges _ -> ("ranges", "interval checks", "defs")
   in
   let note =
-    Printf.sprintf "%d runs, N=%d: %d interval checks over %d defs, max h=%d"
-      (List.length results) iters checked vars max_h
+    Printf.sprintf "%d runs, N=%d: %d %s over %d %s, max h=%d" (List.length results)
+      iters checked claims
+      (fold (fun r -> r.Oracle.vars) max)
+      defs
+      (fold (fun r -> r.Oracle.max_h) max)
   in
-  { family = "ranges"; note; checks = checked; diags }
+  {
+    family;
+    note;
+    checks = checked;
+    diags = List.concat_map (fun (r : Oracle.result) -> r.Oracle.diags) results;
+  }
 
 let transform_part ?fuel (p : Ir.Ast.program) : part =
   let r = Transforms.check ?fuel p in
@@ -161,26 +133,27 @@ let to_json r =
     (String.concat "," (List.map part_to_json r.parts))
   ^ "\n"
 
+let assemble ~structural ~oracle ~ranges ~transforms =
+  let s = structural () in
+  if List.exists Diag.is_error s.diags then { parts = [ s ] }
+  else
+    let o = oracle () in
+    let r = ranges () in
+    let tr = transforms () in
+    { parts = (s :: o :: Option.to_list r) @ [ tr ] }
+
 let run ?iters src =
   match Ir.Parser.parse_result src with
   | Error e -> Error e
   | Ok prog ->
     let lower = Ir.Lower.lower prog in
     let ssa = Ir.Ssa.of_program prog in
-    let structural = structural_part ~lower ssa in
-    (* Only analyze (and interpret) structurally sound programs. *)
-    if List.exists Diag.is_error structural.diags then
-      Ok { parts = [ structural ] }
-    else
-      let t = Analysis.Pipeline.analyze ssa in
-      let r = Analysis.Pipeline.range_of t in
-      Ok
-        {
-          parts =
-            [
-              structural;
-              oracle_part ?iters t;
-              ranges_part ?iters t r;
-              transform_part prog;
-            ];
-        }
+    let t = lazy (Analysis.Pipeline.analyze ssa) in
+    Ok
+      (assemble
+         ~structural:(fun () -> structural_part ~lower ssa)
+         ~oracle:(fun () -> oracle_part ?iters Oracle.Classes (Lazy.force t))
+         ~ranges:(fun () ->
+           let t = Lazy.force t in
+           Some (oracle_part ?iters (Oracle.Ranges (Analysis.Pipeline.range_of t)) t))
+         ~transforms:(fun () -> transform_part prog))

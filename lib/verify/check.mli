@@ -1,4 +1,4 @@
-(** The checked-mode façade: assembles the three checker families into
+(** The checked-mode façade: assembles the four checker families into
     one report with stable text and JSON renderings.
 
     A report is a list of parts — one per family — each carrying its
@@ -17,21 +17,17 @@ type part = {
 
 type report = { parts : part list }
 
-(** The three parts. [structural_part] also verifies the pristine
-    lowered CFG when given one — this is the consumer the `lower` pass
-    never had. [oracle_part] interprets under two fixed parameter
-    valuations and '??' streams (deterministic, so cached text is
-    byte-stable across runs and domains), bounding each loop's checked
-    iterations at [iters]. *)
+(** The parts. [structural_part] also verifies the pristine lowered
+    CFG when given one — this is the consumer the `lower` pass never
+    had. [oracle_part] runs one {!Oracle} observer — {!Oracle.Classes}
+    for the "oracle" part, {!Oracle.Ranges} for the "ranges" part —
+    under two fixed parameter valuations and '??' streams
+    (deterministic, so cached text is byte-stable across runs and
+    domains), bounding each loop's checked iterations at [iters]. *)
 val structural_part : ?lower:Ir.Cfg.t -> Ir.Ssa.t -> part
 
-val oracle_part : ?iters:int -> Analysis.Pipeline.analysis -> part
-
-(** [ranges_part t r] checks every concrete valuation of every def
-    against its reported interval ({!Range_oracle}), under the same two
-    fixed runs as the classification oracle. *)
-val ranges_part :
-  ?iters:int -> Analysis.Pipeline.analysis -> Analysis.Range.t -> part
+val oracle_part :
+  ?iters:int -> Oracle.observer -> Analysis.Pipeline.analysis -> part
 
 val transform_part : ?fuel:int -> Ir.Ast.program -> part
 
@@ -52,6 +48,19 @@ val to_json : report -> string
     message), as {!to_json} renders it. *)
 val diag_to_json : Ir.Diag.t -> string
 
+(** [assemble] forces the four parts in report order and builds the
+    report. When the structural part carries an error, the report is
+    that part alone and no other thunk is called: a broken program is
+    never analyzed, interpreted or transformed. [ranges] returns [None]
+    when there are no ranges to check; the report then has no ranges
+    part. *)
+val assemble :
+  structural:(unit -> part) ->
+  oracle:(unit -> part) ->
+  ranges:(unit -> part option) ->
+  transforms:(unit -> part) ->
+  report
+
 (** [run src] is the whole standalone check — parse, build SSA, analyze,
-    all three parts — without a service engine. *)
+    all four parts through {!assemble} — without a service engine. *)
 val run : ?iters:int -> string -> (report, string) result

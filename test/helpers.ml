@@ -36,7 +36,8 @@ let oracle_check ?fuel ?params ?rand ?arrays src =
        (String.concat "; " (List.map Ir.Diag.to_string errs)));
   let t = Pipeline.analyze ssa in
   let r =
-    Verify.Oracle.check ~max_diags:max_int ?fuel ?params ?rand ?arrays t
+    Verify.Oracle.check ~max_diags:max_int ?fuel ?params ?rand ?arrays
+      Verify.Oracle.Classes t
   in
   (r.Verify.Oracle.checked, List.map Ir.Diag.to_string r.Verify.Oracle.diags)
 

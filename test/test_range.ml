@@ -185,11 +185,11 @@ let prop_ranges_sound =
       let r = Pipeline.range_of t in
       let state = Random.State.make [| Hashtbl.hash src |] in
       let result =
-        Verify.Range_oracle.check ~fuel:200_000 ~max_diags:4
+        Verify.Oracle.check ~fuel:200_000 ~max_diags:4
           ~rand:(fun () -> Random.State.bool state)
-          t r
+          (Verify.Oracle.Ranges r) t
       in
-      match result.Verify.Range_oracle.diags with
+      match result.Verify.Oracle.diags with
       | [] -> true
       | d :: _ ->
         QCheck2.Test.fail_reportf "program:\n%s\nrange oracle: %s" src

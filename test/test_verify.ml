@@ -26,11 +26,13 @@ let corpus_dir =
       Filename.concat "examples" "programs";
     ]
 
-let corpus () =
-  Sys.readdir corpus_dir |> Array.to_list
+let corpus_in dir =
+  Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".iv")
   |> List.sort compare
-  |> List.map (fun f -> (f, read_file (Filename.concat corpus_dir f)))
+  |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+
+let corpus () = corpus_in corpus_dir
 
 let fig9 () = read_file (Filename.concat corpus_dir "fig9_triangular.iv")
 let stress () = read_file (Filename.concat corpus_dir "oracle_stress.iv")
@@ -149,7 +151,7 @@ let test_oracle_depth () =
      oracle_stress.iv runs its outer loop 120 times, so the oracle must
      get at least that deep before fuel runs out. *)
   let t = Helpers.analyze (stress ()) in
-  let r = Oracle.check ~fuel:200_000 t in
+  let r = Oracle.check ~fuel:200_000 Oracle.Classes t in
   Alcotest.(check (list string)) "no failures" []
     (List.map Diag.to_string r.Oracle.diags);
   Alcotest.(check bool) "reaches h >= 64" true (r.Oracle.max_h >= 64);
@@ -232,9 +234,11 @@ let test_engine_caches_verify_parts () =
     [ "verify_ir"; "verify_class"; "verify_trans" ]
 
 let test_broken_ir_skips_oracle () =
-  (* Engine.check on a structurally broken program must not interpret
-     it: the report carries only the structural part. Broken IR cannot
-     come from the parser, so go through Check's parts directly. *)
+  (* A structurally broken program must not be analyzed, interpreted or
+     transformed: the report carries only the structural part. Broken IR
+     cannot come from the parser, so build the structural part over
+     injected IR and hand it to the assembly Check.run and Engine.check
+     share, with thunks that record being forced. *)
   let prog = Ir.Parser.parse bounded in
   let ssa = Ir.Ssa.of_program prog in
   (match Inject.apply Inject.Bad_edge ssa with
@@ -242,7 +246,22 @@ let test_broken_ir_skips_oracle () =
    | Error e -> Alcotest.fail e);
   let part = Check.structural_part ssa in
   Alcotest.(check bool) "fault found" true
-    (List.exists Diag.is_error part.Check.diags)
+    (List.exists Diag.is_error part.Check.diags);
+  let forced = ref [] in
+  let thunk family () =
+    forced := family :: !forced;
+    { part with Check.family; diags = [] }
+  in
+  let report =
+    Check.assemble
+      ~structural:(fun () -> part)
+      ~oracle:(thunk "oracle")
+      ~ranges:(fun () -> Some (thunk "ranges" ()))
+      ~transforms:(thunk "transforms")
+  in
+  Alcotest.(check (list string)) "structural part alone" [ "structural" ]
+    (List.map (fun (p : Check.part) -> p.Check.family) report.Check.parts);
+  Alcotest.(check (list string)) "no other part forced" [] !forced
 
 (* ---------- the serve verb ---------- *)
 
@@ -272,6 +291,25 @@ let test_check_verb () =
       | Server.Err e -> Alcotest.fail e
       | Server.Bye -> Alcotest.fail "unexpected BYE")
 
+(* ---------- one report, two callers ---------- *)
+
+(* Check.run (no engine) and Engine.check (cached parts) assemble the
+   same report: byte-identical text and JSON over both checked-in
+   corpora, through one engine so cached parts are shared too. *)
+let test_run_matches_engine () =
+  let e = Engine.create () in
+  List.iter
+    (fun (f, src) ->
+      match (Check.run src, Engine.check e src) with
+      | Ok standalone, Ok engine ->
+        Alcotest.(check string) (f ^ ": text") (Check.to_text standalone)
+          (Check.to_text engine);
+        Alcotest.(check string) (f ^ ": json") (Check.to_json standalone)
+          (Check.to_json engine)
+      | Error a, Error b -> Alcotest.(check string) (f ^ ": error") a b
+      | Ok _, Error e | Error e, Ok _ -> Alcotest.failf "%s: only one side failed: %s" f e)
+    (corpus () @ corpus_in (Filename.concat (Filename.dirname corpus_dir) "incremental"))
+
 let suite =
   ( "verify",
     [
@@ -289,4 +327,6 @@ let suite =
       Helpers.case "CHECK serve verb" test_check_verb;
       Helpers.case "unreachable tail checks clean"
         test_unreachable_tail_checks_clean;
+      Helpers.case "standalone and engine reports agree"
+        test_run_matches_engine;
     ] )
