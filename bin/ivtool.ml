@@ -69,16 +69,17 @@ let parse_or_fail src =
 
 let with_source file f = f (parse_or_fail (read_file file))
 
-(* Resolve --store/--no-store into a disk-store handle. A store that
-   cannot be opened is a usage error, not a degraded run: silently
-   dropping persistence would defeat the point of asking for it. *)
+(* A store that cannot be opened is a usage error, not a degraded run:
+   silently dropping persistence would defeat the point of asking for
+   it. *)
+let open_store dir =
+  match Store.Disk.open_store ~root:dir () with
+  | Ok s -> s
+  | Error msg -> fatal 1 "--store: %s" msg
+
+(* Resolve --store/--no-store into a disk-store handle. *)
 let store_of ~store_dir ~no_store =
-  match store_dir with
-  | Some dir when not no_store -> (
-    match Store.Disk.open_store ~root:dir () with
-    | Ok s -> Some s
-    | Error msg -> fatal 1 "--store: %s" msg)
-  | _ -> None
+  if no_store then None else Option.map open_store store_dir
 
 let engine_of ~no_sccp ?(check_iters = 100) ?(cache_size = 256)
     ?(use_ranges = true) ?store () =
@@ -88,16 +89,23 @@ let engine_of ~no_sccp ?(check_iters = 100) ?(cache_size = 256)
 
 let render_or_fail r = match r with Ok s -> print_string s | Error msg -> fatal 2 "%s" msg
 
+(* Every diagnostic of a check report, one stderr line each after
+   [prefix]. *)
+let print_diags ?(prefix = "") report =
+  List.iter
+    (fun (p : Verify.Check.part) ->
+      List.iter
+        (fun d -> prerr_endline (prefix ^ Ir.Diag.to_string d))
+        p.Verify.Check.diags)
+    report.Verify.Check.parts
+
 (* Checked mode behind `--check`: diagnostics go to stderr (the primary
    artifact keeps stdout); any error-severity finding exits 2. *)
 let run_check engine src =
   match Service.Engine.check engine src with
   | Error msg -> fatal 2 "%s" msg
   | Ok report ->
-    List.iter
-      (fun (p : Verify.Check.part) ->
-        List.iter (fun d -> prerr_endline (Ir.Diag.to_string d)) p.Verify.Check.diags)
-      report.Verify.Check.parts;
+    print_diags report;
     let errs = Verify.Check.errors report in
     if errs > 0 then
       fatal 2 "check failed: %d errors, %d warnings" errs
@@ -423,14 +431,8 @@ let cmd_batch jobs repeat artifacts timeout cache_size no_sccp check stats
           incr check_failures;
           Printf.eprintf "check %s: error: %s\n" item.Service.Batch.name msg
         | Ok report ->
-          List.iter
-            (fun (p : Verify.Check.part) ->
-              List.iter
-                (fun d ->
-                  Printf.eprintf "check %s: %s\n" item.Service.Batch.name
-                    (Ir.Diag.to_string d))
-                p.Verify.Check.diags)
-            report.Verify.Check.parts;
+          print_diags ~prefix:(Printf.sprintf "check %s: " item.Service.Batch.name)
+            report;
           if Verify.Check.errors report > 0 then incr check_failures)
       items;
     if !check_failures > 0 then begin
@@ -497,11 +499,7 @@ let cmd_passes no_sccp force store_dir no_store file =
 (* --- gc: size/age policy over a persistent artifact store --- *)
 
 let cmd_gc store_dir max_age max_mb dry_run trace_file trace_summary =
-  let store =
-    match Store.Disk.open_store ~root:store_dir () with
-    | Ok s -> s
-    | Error msg -> fatal 1 "--store: %s" msg
-  in
+  let store = open_store store_dir in
   let report =
     traced ~trace_file ~trace_summary (fun () ->
         Obs.Trace.with_span ~cat:"store" "store.gc" (fun () ->

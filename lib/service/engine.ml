@@ -221,9 +221,9 @@ let unit_store t d a = Cache.add t.cache (unit_key d) (E_unit a)
    cache, analyze only the units that missed, merge, and count one
    Unitclassify hit/miss per unit — the per-unit incremental
    signal STATS and traces expose. The missing units always go through
-   [Pool.fork_all]: inside a pool task they become stealable scheduler
-   nodes on the calling worker's deque, on a coordinator they borrow
-   [pool], and otherwise they run inline — so unit fan-out happens for
+   [Pool.fork_all]: inside a pool task they become a batch on that
+   task's pool, on a coordinator a batch on [pool], and otherwise a
+   batch the calling domain runs alone — so unit fan-out happens for
    batch items and single-file serve requests alike. *)
 let classify_units ?pool t p : (Pipeline.unit_outcome list, string) result =
   let pool_run thunks =

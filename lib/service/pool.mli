@@ -1,7 +1,7 @@
 (** A parallel batch engine on OCaml 5 domains.
 
     A {!pool} spawns its workers once ({!create}) and parks them between
-    jobs. [run pool f tasks] runs [f] over [tasks] on the pool's workers
+    batches. [run pool f tasks] runs [f] over [tasks] on the pool's workers
     and returns one {!outcome} per task {e in input order} — results are
     deterministic regardless of worker count or scheduling.
 
@@ -54,22 +54,20 @@ val size : pool -> int
 
 (** [run ?timeout_s ?queue_depth ?metrics pool f tasks] — one outcome
     per task, in input order, failures isolated, cooperative timeouts
-    via {!tick}. On a one-worker pool everything runs on the calling
-    domain (no scheduler atomics). Otherwise the workers run a
-    work-stealing scheduler: per-worker Chase-Lev deques, the submitter
-    seeds the task nodes, idle workers steal — see docs/SERVICE.md.
-    Blocks until every worker has finished the job. Serializes
-    concurrent submitters. Raises [Invalid_argument] after
-    {!shutdown}.
+    via {!tick}. The tasks form one batch: the calling domain claims
+    tasks by atomic index alongside the idle workers and returns when
+    every task has finished — see docs/SERVICE.md. Several domains may
+    run on one pool at once. Raises [Invalid_argument] after
+    {!shutdown}, for an empty [tasks] too.
 
     [queue_depth], when given, is called with the number of unclaimed
-    scheduler nodes each time a worker dequeues — feed it a
-    {!Obs.Instrument.gauge}. [metrics] (default: the pool's registry) receives
-    per-domain scheduler telemetry: [pool.tasks{domain=N}],
-    [pool.steals{domain=N}] and [pool.parks{domain=N}] counters,
-    [pool.task_latency{domain=N}] / [pool.queue_wait{domain=N}]
-    histograms, and per-task GC deltas as [pool.gc.*{domain=N}]
-    counters. *)
+    nodes across the pool's open batches each time this run's task is
+    claimed — feed it a {!Obs.Instrument.gauge}. [metrics] (default:
+    the pool's registry) receives per-domain scheduler telemetry:
+    [pool.tasks{domain=N}], [pool.steals{domain=N}] and
+    [pool.parks{domain=N}] counters, [pool.task_latency{domain=N}] /
+    [pool.queue_wait{domain=N}] histograms, and per-task GC deltas as
+    [pool.gc.*{domain=N}] counters. *)
 val run :
   ?timeout_s:float ->
   ?queue_depth:(int -> unit) ->
@@ -79,32 +77,27 @@ val run :
   'a array ->
   'b outcome array
 
-(** Stop and join the worker domains. Idempotent; waits for an
-    in-flight job to drain first. *)
+(** Stop and join the worker domains. Idempotent. A worker finishes
+    the node it is running first; a run still in flight completes on
+    the domain that called it. *)
 val shutdown : pool -> unit
 
 (** {2 In-task fork/join}
 
-    [fork_all thunks] evaluates every thunk and returns one outcome
-    per thunk, in order — the unit-graph scheduling entry point.
+    [fork_all thunks] evaluates every thunk as one batch and returns
+    one outcome per thunk, in order — the unit-graph scheduling entry
+    point.
 
-    Called from {e inside} a pool task (a {!run} worker),
-    the thunks are pushed onto the calling worker's own deque as
-    first-class scheduler nodes: idle workers steal them, the caller
-    helps with its own nodes, and the call returns when all have
-    finished. Subtasks inherit the forking task's deadline, and each
-    failure is isolated into its own outcome. The forker never
-    executes {e other} tasks while waiting, so forking while holding a
-    lock is safe.
-
-    Called from outside a pool task, the work is submitted to [pool]
-    as one job when it has more than one worker, and evaluated inline
-    (on the calling domain, preserving any ambient deadline)
-    otherwise. Never pass a [pool] whose job this call might already
-    be running inside — the in-task case is exactly what the worker
-    context detects and handles. *)
+    Called from {e inside} a pool task, the batch opens on that task's
+    pool: idle workers claim thunks, the caller claims the rest, and
+    the call returns when all have finished. The caller claims only
+    from batches it opened, so forking while holding a lock is safe.
+    Called from outside a task, the batch opens on [pool] when given,
+    and otherwise the calling domain runs every thunk itself. Either
+    way thunks run against the caller's deadline, and each failure is
+    isolated into its own outcome. *)
 val fork_all : ?pool:pool -> (unit -> 'a) array -> 'a outcome array
 
-(** True when the calling domain is currently executing a scheduler
-    node (so {!fork_all} will fan out onto its deque). *)
+(** True when the calling domain is currently executing a node of a
+    pool's batch (so {!fork_all} opens its batch on that pool). *)
 val in_worker : unit -> bool

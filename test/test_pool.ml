@@ -114,7 +114,7 @@ let test_batch_second_pass_hits_cache () =
   Alcotest.(check bool) "warm pass hits" true
     (stats.Service.Cache.hits >= List.length items * List.length artifacts)
 
-(* --- scheduler edge cases (the work-stealing deques) --- *)
+(* --- scheduler edge cases --- *)
 
 (* Many tasks, several of which die, on enough workers that thieves are
    stealing while the deaths happen: every failure stays isolated to its
@@ -134,7 +134,7 @@ let test_death_mid_steal () =
       | r -> Alcotest.(check int) "survivor in order" (i * 3) (unwrap r))
     results
 
-(* A timeout firing while the deques still hold queued work must not
+(* A timeout firing while the batch still holds unclaimed nodes must not
    take the queued tasks down with it. *)
 let test_timeout_with_nonempty_deque () =
   let n = 64 in
@@ -156,7 +156,7 @@ let test_timeout_with_nonempty_deque () =
   done
 
 (* In-task fork/join: each top-level task fans subtasks onto its own
-   deque; results come back in order with failures isolated, and the
+   batch; results come back in order with failures isolated, and the
    whole thing nests under a persistent pool. *)
 let test_fork_all_in_task () =
   let pool = Pool.create ~domains:3 () in
@@ -251,6 +251,95 @@ let test_steal_telemetry () =
        (fun (name, _) -> Helpers.contains name "pool.steals")
        (Obs.Instrument.snapshot m))
 
+(* A shut-down pool refuses every run, an empty one included. *)
+let test_run_after_shutdown () =
+  let pool = Pool.create ~domains:2 () in
+  Pool.shutdown pool;
+  List.iter
+    (fun tasks ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d tasks" (Array.length tasks))
+        (Invalid_argument "Pool.run: pool is shut down")
+        (fun () -> ignore (Pool.run pool Fun.id tasks)))
+    [ [||]; [| 1 |] ]
+
+(* Run [f] on its own domain and wait at most [seconds] for it, so a
+   scheduler deadlock fails the test instead of hanging the suite. The
+   stuck domain is left behind; the failure is reported all the same. *)
+let with_watchdog ?(seconds = 20.) f =
+  let result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+  in
+  let t0 = Unix.gettimeofday () in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r ->
+      Domain.join d;
+      (match r with Ok v -> v | Error e -> raise e)
+    | None when Unix.gettimeofday () -. t0 > seconds ->
+      Alcotest.fail (Printf.sprintf "no progress after %.0fs: deadlock" seconds)
+    | None ->
+      Unix.sleepf 0.005;
+      wait ()
+  in
+  wait ()
+
+(* Task A forks 8 subtasks while holding a mutex that task B also
+   takes (the engine forks under its pipeline mutex): the forker must
+   help only with its own subtasks, never run B inline under the lock. *)
+let test_fork_under_held_lock () =
+  let m = Mutex.create () in
+  let a_holds = Atomic.make false in
+  let f = function
+    | `A ->
+      Mutex.lock m;
+      Atomic.set a_holds true;
+      Fun.protect ~finally:(fun () -> Mutex.unlock m) @@ fun () ->
+      Pool.fork_all
+        (Array.init 8 (fun j () ->
+             Unix.sleepf 0.001;
+             j * j))
+      |> Array.map unwrap |> Array.to_list
+    | `B ->
+      while not (Atomic.get a_holds) do
+        Unix.sleepf 0.001
+      done;
+      Mutex.lock m;
+      Mutex.unlock m;
+      [ -1 ]
+  in
+  let results =
+    with_watchdog (fun () -> run_on ~domains:4 f [| `A; `B; `B; `B |])
+    |> Array.map unwrap |> Array.to_list
+  in
+  Alcotest.(check (list (list int)))
+    "ordered results"
+    [ List.init 8 (fun j -> j * j); [ -1 ]; [ -1 ]; [ -1 ] ]
+    results
+
+(* Two domains submit to one pool at once: each gets its own complete
+   results, in its own input order. *)
+let test_concurrent_runs () =
+  let pool = Pool.create ~domains:3 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let n = 200 in
+  let submit k () = Pool.run pool (fun i -> (k * 1000) + i) (Array.init n Fun.id) in
+  let a, b =
+    with_watchdog (fun () ->
+        let d = Domain.spawn (submit 1) in
+        let b = submit 2 () in
+        (Domain.join d, b))
+  in
+  List.iter
+    (fun (k, results) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "submitter %d" k)
+        (List.init n (fun i -> (k * 1000) + i))
+        (Array.to_list (Array.map unwrap results)))
+    [ (1, a); (2, b) ]
+
 let suite =
   ( "service-pool",
     [
@@ -266,4 +355,7 @@ let suite =
       Helpers.case "fork_all inherits the deadline" test_fork_all_inherits_deadline;
       Helpers.case "domains=1 inline fallback" test_j1_inline_fallback;
       Helpers.case "per-domain task/steal telemetry" test_steal_telemetry;
+      Helpers.case "run after shutdown raises, even empty" test_run_after_shutdown;
+      Helpers.case "fork under a held lock" test_fork_under_held_lock;
+      Helpers.case "two submitters at once" test_concurrent_runs;
     ] )
