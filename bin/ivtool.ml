@@ -402,15 +402,26 @@ let cmd_batch jobs repeat artifacts timeout cache_size no_sccp check stats
   let items =
     List.map (fun f -> { Service.Batch.name = f; source = read_file f }) files
   in
-  let results =
+  let results, checks =
     traced ~instruments:(Service.Engine.metrics engine) ~profile
       ?folded_file:folded ~trace_file ~trace_summary
       (fun () ->
-        (* One resident pool across every --repeat pass: the workers are
-           spawned once, not once per pass. *)
+        (* One resident pool across every --repeat pass and checked
+           mode: the workers are spawned once. *)
         with_pool jobs engine (fun pool ->
-            Service.Batch.run ?timeout_s:timeout ~passes:repeat ~pool
-              ~domains:jobs ~engine ~artifacts items))
+            let results =
+              Service.Batch.run ?timeout_s:timeout ~passes:repeat ~pool
+                ~domains:jobs ~engine ~artifacts items
+            in
+            let checks =
+              if not check then [||]
+              else
+                Service.Pool.run ~metrics:(Service.Engine.metrics engine) pool
+                  (fun (item : Service.Batch.item) ->
+                    Service.Engine.check engine item.Service.Batch.source)
+                  (Array.of_list items)
+            in
+            (results, checks)))
   in
   let failures = ref 0 in
   List.iter
@@ -423,10 +434,11 @@ let cmd_batch jobs repeat artifacts timeout cache_size no_sccp check stats
         Printf.printf "error: %s\n" msg)
     results;
   if check then begin
+    (* Diagnostics in item order, whatever order the pool ran them in. *)
     let check_failures = ref 0 in
-    List.iter
-      (fun (item : Service.Batch.item) ->
-        match Service.Engine.check engine item.Service.Batch.source with
+    List.iteri
+      (fun i (item : Service.Batch.item) ->
+        match Result.join (Service.Pool.to_result checks.(i)) with
         | Error msg ->
           incr check_failures;
           Printf.eprintf "check %s: error: %s\n" item.Service.Batch.name msg

@@ -4,22 +4,21 @@ let ensure_nl s =
   if s = "" || s.[String.length s - 1] = '\n' then s else s ^ "\n"
 
 let report ?pool engine ~artifacts item =
-  match artifacts with
-  | [] -> invalid_arg "Batch.report: no artifacts requested"
-  | [ a ] -> Result.map ensure_nl (Engine.render ?pool engine a item.source)
-  | artifacts ->
-    let rec go buf = function
-      | [] -> Ok (Buffer.contents buf)
-      | a :: rest -> (
-        match Engine.render ?pool engine a item.source with
-        | Error msg -> Error msg
-        | Ok text ->
-          Buffer.add_string buf
-            (Printf.sprintf "-- %s --\n" (Engine.artifact_to_string a));
-          Buffer.add_string buf (ensure_nl text);
-          go buf rest)
-    in
-    go (Buffer.create 256) artifacts
+  if artifacts = [] then invalid_arg "Batch.report: no artifacts requested";
+  Result.map
+    (function
+      | [ text ] -> ensure_nl text
+      | texts ->
+        let buf = Buffer.create 256 in
+        List.iter2
+          (fun a text ->
+            Buffer.add_string buf "-- ";
+            Buffer.add_string buf (Engine.artifact_to_string a);
+            Buffer.add_string buf " --\n";
+            Buffer.add_string buf (ensure_nl text))
+          artifacts texts;
+        Buffer.contents buf)
+    (Engine.renders ?pool engine artifacts item.source)
 
 let run ?timeout_s ?(passes = 1) ?pool ~domains ~engine ~artifacts items =
   let metrics = Engine.metrics engine in

@@ -9,7 +9,8 @@ type item = { name : string; source : string }
 (** [report engine ~artifacts item] renders the requested artifacts for
     one item: a single artifact is returned bare; several are
     concatenated under [-- classify --]-style headers. The first
-    analysis error wins. [pool] is lent to the engine for unit-level
+    analysis error wins. With a store attached, the item costs at most
+    one store read and one store write ({!Engine.renders}). [pool] is lent to the engine for unit-level
     fan-out — coordinator contexts only, never from inside a pool
     task. *)
 val report :

@@ -34,12 +34,15 @@ let artifact_of_string = function
   | "ranges" | "range" -> Some Ranges
   | _ -> None
 
-(* One cache holds pipeline instances, rendered dependence reports,
-   verify-report parts and per-unit analysis artifacts; the key
-   derivation keeps them apart. *)
+(* One cache holds pipeline instances, rendered reports, verify-report
+   parts and per-unit analysis artifacts; the key derivation keeps them
+   apart. A section promoted from the disk store is an [E_stored]; its
+   flag holds until the section's first serve, which counts as a disk
+   serve. *)
 type entry =
   | E_pipeline of Pipeline.t
   | E_text of string
+  | E_stored of (string * bool Atomic.t)
   | E_part of Verify.Check.part
   | E_unit of Pipeline.unit_artifact
 
@@ -77,9 +80,10 @@ type t = {
      store in this process — the `store` owner tier of `ivtool
      passes`. *)
   store_served : (Fnv.t * Pipeline.pass, unit) Hashtbl.t;
-  (* Render keys this process already knows the store holds: published
-     or served from it. *)
-  stored : (Fnv.t, unit) Hashtbl.t;
+  (* Per store entry key (one per source), the sections this process
+     knows the attached store holds: read from it or published. A key
+     present here is never read from the store again. *)
+  on_disk : (Fnv.t, artifact list) Hashtbl.t;
 }
 
 let create ?(capacity = 256) ?(options = default_options) ?store () =
@@ -100,7 +104,7 @@ let create ?(capacity = 256) ?(options = default_options) ?store () =
     store;
     prov_lock = Mutex.create ();
     store_served = Hashtbl.create 16;
-    stored = Hashtbl.create 16;
+    on_disk = Hashtbl.create 16;
   }
 
 let options t = t.options
@@ -109,7 +113,7 @@ let cache_stats t = Cache.stats t.cache
 let store t = t.store
 let set_store t s =
   t.store <- s;
-  Mutex.protect t.prov_lock (fun () -> Hashtbl.reset t.stored)
+  Mutex.protect t.prov_lock (fun () -> Hashtbl.reset t.on_disk)
 
 (* -- keys: the source text is digested exactly once per request; every
    key below derives from that digest -- *)
@@ -124,30 +128,32 @@ let unit_key udigest = Fnv.feed_string udigest "unit.artifact"
 
 (* -- the disk tier (lib/store) --
 
-   The store persists *rendered* artifacts: byte-stable report text
-   keyed by source digest ⊕ options ⊕ artifact kind. (Structured unit
-   artifacts stay memory-only: they embed interned identifiers whose
-   ids are process-local, so marshaling them across processes would be
-   unsound. The rendered text is the deterministic function of the
-   digest that survives.) [store_schema] versions the *content* of the
-   reports — bump it whenever a renderer's output format changes, so a
-   shared fleet store never serves bytes from an older report format. *)
+   The store persists *rendered* artifacts, one entry per source: a
+   table of (artifact, report text) sections keyed by the source digest,
+   the store schema and every option a report depends on. (Structured
+   unit artifacts stay memory-only: they embed interned identifiers
+   whose ids are process-local, so marshaling them across processes
+   would be unsound. The rendered text is the deterministic function of
+   the digest that survives.) [store_schema] versions the *content* of
+   the entries — bump it whenever a renderer's output format or the
+   entry layout changes, so a shared fleet store never serves bytes
+   from an older format. *)
 
-let store_schema = 2
+let store_schema = 3
+let entry_kind = "source"
 
-let render_key t base artifact =
-  let k =
-    Fnv.feed_int
-      (Fnv.feed_string base ("render." ^ artifact_to_string artifact))
-      store_schema
-  in
-  (* The rendered check report depends on the oracle's iteration bound;
-     two processes with different --iters must not share it. The deps
-     and check reports also depend on whether range sharpening is on. *)
-  match artifact with
-  | Check -> Fnv.feed_bool (Fnv.feed_int k t.options.check_iters) t.options.use_ranges
-  | Deps -> Fnv.feed_bool k t.options.use_ranges
-  | Classify | Trip | Ranges -> k
+(* The check report depends on the oracle's iteration bound, and the
+   deps and check reports on whether range sharpening is on: two
+   processes that differ in either must not share an entry. *)
+let entry_key t base =
+  Fnv.feed_bool
+    (Fnv.feed_int
+       (Fnv.feed_int (Fnv.feed_string base "store.entry") store_schema)
+       t.options.check_iters)
+    t.options.use_ranges
+
+(* Where a section's text lives in the LRU. *)
+let render_key ekey artifact = Fnv.feed_string ekey ("render." ^ artifact_to_string artifact)
 
 let count_served t artifact tier =
   Instrument.incr (List.assq tier (List.assq artifact t.served))
@@ -158,33 +164,65 @@ let mark_store_served t base pass =
 let was_store_served t base pass =
   Mutex.protect t.prov_lock (fun () -> Hashtbl.mem t.store_served (base, pass))
 
-(* Probe the disk tier under an [engine.store] span. Absent store =
-   silent None, so every caller works unchanged without one. *)
-let store_probe t tag key =
+let known_on_disk t ekey =
+  Mutex.protect t.prov_lock (fun () -> Hashtbl.find_opt t.on_disk ekey)
+
+(* Read the source's entry, once per process, and promote each of its
+   sections into the LRU as a not-yet-served [E_stored]. Returns the
+   promoted sections; none when the entry was read or published before,
+   or is absent or rejected. *)
+let load_entry t s ekey =
+  if known_on_disk t ekey <> None then []
+  else
+    let probe () = Store.Disk.get_table s ~kind:entry_kind ekey in
+    let table =
+      Option.value ~default:[]
+        (if Obs.Trace.enabled () then Obs.Trace.with_span ~cat:"engine" "engine.store" probe
+         else probe ())
+    in
+    let sections =
+      List.filter_map
+        (fun a ->
+          Option.map
+            (fun text -> (a, (text, Atomic.make true)))
+            (List.assoc_opt (artifact_to_string a) table))
+        all_artifacts
+    in
+    Mutex.protect t.prov_lock (fun () ->
+        Hashtbl.replace t.on_disk ekey (List.map fst sections));
+    List.iter (fun (a, v) -> Cache.add t.cache (render_key ekey a) (E_stored v)) sections;
+    sections
+
+(* Publish the source's entry when [fresh] (this request's renders)
+   adds a section the store does not hold yet. The entry is the union
+   of [fresh] and the sections already known there, whose texts come
+   from the LRU; one evicted from it is left out, and a later process
+   recomputes it. *)
+let publish t ekey fresh =
   match t.store with
-  | None -> None
+  | None -> ()
   | Some s ->
-    let probe () = Store.Disk.get s ~kind:tag key in
-    if Obs.Trace.enabled () then
-      Obs.Trace.with_span ~cat:"engine"
-        ~attrs:[ ("artifact", Obs.Trace.Str tag) ]
-        "engine.store" probe
-    else probe ()
-
-(* Record that the attached store holds the render key [key]; [false]
-   when it was recorded already. *)
-let mark_stored t key =
-  Mutex.protect t.prov_lock (fun () ->
-      let fresh = not (Hashtbl.mem t.stored key) in
-      if fresh then Hashtbl.replace t.stored key ();
-      fresh)
-
-(* Publish once per key per process: the bytes are a function of the
-   key, so a key already published or served from the store is there. *)
-let store_publish t tag key text =
-  match t.store with
-  | Some s when mark_stored t key -> Store.Disk.put s ~kind:tag key text
-  | Some _ | None -> ()
+    let known = Option.value ~default:[] (known_on_disk t ekey) in
+    if List.exists (fun (a, _) -> not (List.mem a known)) fresh then begin
+      let held a =
+        match Cache.peek t.cache (render_key ekey a) with
+        | Some (E_text text | E_stored (text, _)) -> Some text
+        | Some (E_pipeline _ | E_part _ | E_unit _) | None -> None
+      in
+      let sections =
+        List.filter_map
+          (fun a ->
+            match List.assq_opt a fresh with
+            | Some text -> Some (a, text)
+            | None when List.mem a known -> Option.map (fun text -> (a, text)) (held a)
+            | None -> None)
+          all_artifacts
+      in
+      Store.Disk.put_table s ~kind:entry_kind ekey
+        (List.map (fun (a, text) -> (artifact_to_string a, text)) sections);
+      Mutex.protect t.prov_lock (fun () ->
+          Hashtbl.replace t.on_disk ekey (List.map fst sections))
+    end
 
 let pipeline_for t base src : Pipeline.t =
   match
@@ -193,7 +231,7 @@ let pipeline_for t base src : Pipeline.t =
           (Pipeline.create ~options:{ Pipeline.use_sccp = t.options.use_sccp } src))
   with
   | E_pipeline p -> p
-  | E_text _ | E_part _ | E_unit _ -> assert false
+  | E_text _ | E_stored _ | E_part _ | E_unit _ -> assert false
 
 let pipeline t src = pipeline_for t (base_key t src) src
 
@@ -213,7 +251,7 @@ let phase_metric pass = "phase." ^ Pipeline.name pass
 let unit_lookup t d =
   match Cache.find t.cache (unit_key d) with
   | Some (E_unit a) -> Some a
-  | Some (E_pipeline _ | E_text _ | E_part _) | None -> None
+  | Some (E_pipeline _ | E_text _ | E_stored _ | E_part _) | None -> None
 
 let unit_store t d a = Cache.add t.cache (unit_key d) (E_unit a)
 
@@ -353,7 +391,7 @@ let deps_text ?pool t base p : (string, string) result =
       let key = deps_key base in
       match cached_pass t p Pipeline.Depgraph ~metric:"phase.deps" key render with
       | E_text text -> Ok text
-      | E_pipeline _ | E_part _ | E_unit _ -> assert false))
+      | E_pipeline _ | E_stored _ | E_part _ | E_unit _ -> assert false))
 
 (* -- checked mode: the four verify passes (lib/verify) --
 
@@ -377,7 +415,7 @@ let ensure_part t base p pass compute () : Verify.Check.part =
   let metric = phase_metric pass and key = part_key t base pass in
   match cached_pass t p pass ~metric key (fun () -> E_part (compute ())) with
   | E_part part -> part
-  | E_pipeline _ | E_text _ | E_unit _ -> assert false
+  | E_pipeline _ | E_text _ | E_stored _ | E_unit _ -> assert false
 
 (* The check chain forces Lower (unlike every other artifact): the
    structural verifier is the lowered CFG's consumer. *)
@@ -434,41 +472,52 @@ let final_pass = function
   | Check -> Pipeline.VerifyTrans
   | Ranges -> Pipeline.Ranges
 
-(* The three-step read path: memory (a forced pipeline, or the rendered
-   text an earlier disk hit promoted into the LRU), then the disk store,
-   then compute — publishing the fresh rendering back to the store so
-   the next process starts warm. *)
-let render ?pool t artifact src : (string, string) result =
+(* The three-step read path for one artifact: memory (a forced
+   pipeline, or a section text held in the LRU), then the source's store
+   entry, then compute. With a store attached every rendered text is
+   held in the LRU under its render key, so a later republish of the
+   entry can take it from there. *)
+let render_one ?pool t base ekey artifact src : (string, string) result =
   let tag = artifact_to_string artifact in
   Instrument.incr (Instrument.counter t.metrics ("requests." ^ tag));
-  let base = base_key t src in
-  let rkey = render_key t base artifact in
-  let cache_event hit tier_name =
+  let rkey = render_key ekey artifact in
+  let served tier =
+    count_served t artifact tier;
     if Obs.Trace.enabled () then
       Obs.Trace.event ~cat:"engine"
         ~attrs:
           [ ("artifact", Obs.Trace.Str tag);
-            ("hit", Obs.Trace.Bool hit);
-            ("tier", Obs.Trace.Str tier_name) ]
+            ("hit", Obs.Trace.Bool (tier <> Computed));
+            ( "tier",
+              Obs.Trace.Str
+                (match tier with Mem -> "memory" | Disk -> "disk" | Computed -> "computed") ) ]
         "engine.cache"
   in
-  (* Promoted rendered text exists only when a store is attached; keep
-     the store-less engine byte-for-byte on its historical path. *)
-  let promoted =
-    if t.store = None then None
-    else
-      match Cache.find t.cache rkey with
-      | Some (E_text text) -> Some text
-      | Some (E_pipeline _ | E_part _ | E_unit _) | None -> None
-  in
-  match promoted with
-  | Some text ->
-    count_served t artifact Mem;
-    cache_event true "memory";
+  (* A promoted section counts as a disk serve the first time only. *)
+  let from_store (text, unserved) =
+    if Atomic.exchange unserved false then begin
+      served Disk;
+      mark_store_served t base (final_pass artifact)
+    end
+    else served Mem;
     Ok text
-  | None -> (
+  in
+  let hold result =
+    (match (t.store, result) with
+     | Some _, Ok text -> Cache.add t.cache rkey (E_text text)
+     | _ -> ());
+    result
+  in
+  (* Held texts exist only when a store is attached; keep the store-less
+     engine byte-for-byte on its historical path. *)
+  let held = if t.store = None then None else Cache.find t.cache rkey in
+  match held with
+  | Some (E_text text) ->
+    served Mem;
+    Ok text
+  | Some (E_stored v) -> from_store v
+  | Some (E_pipeline _ | E_part _ | E_unit _) | None -> (
     let p = pipeline_for t base src in
-    let hit = Pipeline.forced p (final_pass artifact) in
     let compute () =
       match artifact with
       | Classify -> (
@@ -486,30 +535,20 @@ let render ?pool t artifact src : (string, string) result =
         | Error e -> Error e
         | Ok () -> Pipeline.range_report p)
     in
-    if hit then begin
+    if Pipeline.forced p (final_pass artifact) then begin
       (* The pipeline already holds every pass the artifact needs;
-         "compute" only re-renders it. Another artifact may have forced
-         that pass (deps forces ranges) without this rendering ever
-         reaching the store: publish it. *)
-      count_served t artifact Mem;
-      cache_event true "memory";
-      let result = compute () in
-      (match result with
-       | Ok text -> store_publish t tag rkey text
-       | Error _ -> ());
-      result
+         "compute" only re-renders it. *)
+      served Mem;
+      hold (compute ())
     end
     else
-      match store_probe t tag rkey with
-      | Some text ->
-        count_served t artifact Disk;
-        (* Promote: the next request for this artifact is a memory hit
-           even though no pipeline pass ever ran in this process. *)
-        Cache.add t.cache rkey (E_text text);
-        mark_store_served t base (final_pass artifact);
-        ignore (mark_stored t rkey);
-        cache_event true "disk";
-        Ok text
+      let stored =
+        match t.store with
+        | None -> None
+        | Some s -> List.assq_opt artifact (load_entry t s ekey)
+      in
+      match stored with
+      | Some v -> from_store v
       | None ->
         let result =
           if not (Obs.Trace.enabled ()) then compute ()
@@ -518,12 +557,30 @@ let render ?pool t artifact src : (string, string) result =
               ~attrs:[ ("artifact", Obs.Trace.Str tag) ]
               "engine.compute" compute
         in
-        count_served t artifact Computed;
-        (match result with
-         | Ok text -> store_publish t tag rkey text
-         | Error _ -> ());
-        cache_event false "computed";
-        result)
+        served Computed;
+        hold result)
+
+(* Render [artifacts] in order (the first error stops the rest), then
+   publish the source's store entry once, with every section rendered
+   here. *)
+let renders ?pool t artifacts src : (string list, string) result =
+  let base = base_key t src in
+  let ekey = entry_key t base in
+  let rec go acc = function
+    | [] -> (acc, None)
+    | a :: rest -> (
+      match render_one ?pool t base ekey a src with
+      | Ok text -> go ((a, text) :: acc) rest
+      | Error e -> (acc, Some e))
+  in
+  let rendered, failed = go [] artifacts in
+  publish t ekey rendered;
+  match failed with
+  | Some e -> Error e
+  | None -> Ok (List.rev_map snd rendered)
+
+let render ?pool t artifact src =
+  Result.map List.hd (renders ?pool t [ artifact ] src)
 
 let classify t src = render t Classify src
 let deps t src = render t Deps src
@@ -630,7 +687,7 @@ let clear t =
   Instrument.reset t.metrics;
   Mutex.protect t.prov_lock (fun () ->
       Hashtbl.reset t.store_served;
-      Hashtbl.reset t.stored)
+      Hashtbl.reset t.on_disk)
 
 (* -- introspection -- *)
 

@@ -45,13 +45,15 @@ type t
 
 (** [create ~capacity ~options ~store ()] — [capacity] bounds the
     memory cache (default 256 entries: pipelines plus dependence
-    reports). [store] layers a persistent disk tier under it: rendered
-    artifacts are looked up there when the memory tier misses
-    (promoting the bytes back into the LRU on a hit) and published
-    there after every fresh computation, so a restarted process — or a
-    sibling process sharing the same store — starts warm. Structured
-    values (pipelines, unit artifacts, verify parts) stay memory-only:
-    they embed process-local interned identifiers. See docs/STORE.md. *)
+    reports). [store] layers a persistent disk tier under it, one entry
+    per source holding its rendered artifacts as sections. When the
+    memory tier misses, the source's entry is read (at most once per
+    process) and every section is promoted into the LRU; a request that
+    renders a section the entry lacks republishes it with that section
+    added. A restarted process — or a sibling process sharing the same
+    store — starts warm. Structured values (pipelines, unit artifacts,
+    verify parts) stay memory-only: they embed process-local interned
+    identifiers. See docs/STORE.md. *)
 val create :
   ?capacity:int -> ?options:options -> ?store:Store.Disk.t -> unit -> t
 
@@ -91,6 +93,15 @@ val analyze :
     each unit counts one [unit_classify] hit or miss in
     {!pass_stats}. *)
 val render : ?pool:Pool.pool -> t -> artifact -> string -> (string, string) result
+
+(** [renders t artifacts src] renders each artifact in order, as
+    {!render} does, and stops at the first error. With a store
+    attached, it then publishes the source's entry once, when this
+    request rendered a section the store does not hold yet; the
+    sections rendered before an error are published too. [render] is
+    [renders] of one artifact. *)
+val renders :
+  ?pool:Pool.pool -> t -> artifact list -> string -> (string list, string) result
 
 val classify : t -> string -> (string, string) result
 val deps : t -> string -> (string, string) result

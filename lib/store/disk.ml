@@ -76,21 +76,24 @@ let read_all path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let get t ~kind key =
+(* Read one entry and validate its frame, then [decode] its payload. A
+   payload [decode] rejects counts like any other corrupt entry. *)
+let read t ~kind key decode =
   let path = entry_path t ~kind key in
   match read_all path with
   | exception (Sys_error _ | End_of_file) ->
     Atomic.incr t.misses;
     None
   | bytes -> (
-    match Frame.decode ~kind bytes with
-    | Ok payload ->
+    match Result.bind (Frame.decode ~kind bytes) decode with
+    | Ok v ->
       Atomic.incr t.hits;
-      Some payload
+      Some v
     | Error e ->
       (let c =
          match e with
-         | Frame.Truncated | Frame.Trailing _ | Frame.Bad_checksum ->
+         | Frame.Truncated | Frame.Trailing _ | Frame.Bad_checksum
+         | Frame.Bad_section ->
            t.rej_corrupt
          | Frame.Bad_version _ -> t.rej_version
          | Frame.Foreign | Frame.Bad_kind _ -> t.rej_foreign
@@ -98,6 +101,9 @@ let get t ~kind key =
        Atomic.incr c);
       Atomic.incr t.misses;
       None)
+
+let get t ~kind key = read t ~kind key Result.ok
+let get_table t ~kind key = read t ~kind key Frame.decode_table
 
 let write_all path bytes =
   let oc = open_out_bin path in
@@ -123,6 +129,8 @@ let put t ~kind key payload =
   with
   | () -> Atomic.incr t.puts
   | exception (Sys_error _ | Unix.Unix_error _) -> Atomic.incr t.put_errors
+
+let put_table t ~kind key sections = put t ~kind key (Frame.encode_table sections)
 
 let stats (t : t) : stats =
   {

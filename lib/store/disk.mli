@@ -28,7 +28,8 @@ type stats = {
   misses : int;  (** reads that found nothing usable (includes rejects) *)
   puts : int;  (** entries published *)
   put_errors : int;  (** writes that failed (disk full, permissions …) *)
-  rejects_corrupt : int;  (** truncated / trailing / checksum failures *)
+  rejects_corrupt : int;
+      (** truncated / trailing / checksum failures, malformed section tables *)
   rejects_version : int;  (** entries from another format version *)
   rejects_foreign : int;  (** bad magic or wrong-kind entries *)
 }
@@ -52,6 +53,15 @@ val get : t -> kind:string -> Hash.Fnv.t -> string option
 (** [put t ~kind key payload] publishes one entry atomically
     (write-to-temp + rename). Failures are counted, not raised. *)
 val put : t -> kind:string -> Hash.Fnv.t -> string -> unit
+
+(** [get_table t ~kind key] reads an entry whose payload is a
+    {!Frame.encode_table} section table. A valid frame holding a
+    malformed table counts as [rejects_corrupt] and a miss. *)
+val get_table : t -> kind:string -> Hash.Fnv.t -> (string * string) list option
+
+(** [put_table t ~kind key sections] publishes [sections] as one entry
+    ({!Frame.encode_table}), atomically like {!put}. *)
+val put_table : t -> kind:string -> Hash.Fnv.t -> (string * string) list -> unit
 
 val stats : t -> stats
 

@@ -12,6 +12,7 @@ type error =
   | Truncated
   | Trailing of int
   | Bad_checksum
+  | Bad_section
 
 let error_to_string = function
   | Foreign -> "not a store entry (bad magic)"
@@ -20,6 +21,7 @@ let error_to_string = function
   | Truncated -> "truncated entry"
   | Trailing n -> Printf.sprintf "%d trailing bytes past the payload" n
   | Bad_checksum -> "payload checksum mismatch"
+  | Bad_section -> "malformed section table"
 
 let checksum payload = Hash.Fnv.feed_string Hash.Fnv.empty payload
 
@@ -77,3 +79,49 @@ let decode ~kind bytes =
               let sum = get_u64_le bytes (6 + klen + 8) in
               if not (Int64.equal sum (checksum payload)) then Error Bad_checksum
               else Ok payload
+
+(* -- section tables: one payload holding (tag, text) sections -- *)
+
+(* A tag is 1..32 bytes of [a-z]; tags are strictly ascending, so a
+   table has one canonical encoding and no tag twice. *)
+let valid_tag tag =
+  let n = String.length tag in
+  n > 0 && n <= 32 && String.for_all (fun c -> c >= 'a' && c <= 'z') tag
+
+let encode_table sections =
+  let sections = List.sort (fun (a, _) (b, _) -> String.compare a b) sections in
+  let buf = Buffer.create 256 in
+  ignore
+    (List.fold_left
+       (fun prev (tag, text) ->
+         if (not (valid_tag tag)) || prev = Some tag then
+           invalid_arg "Store.Frame.encode_table: bad or repeated tag";
+         Buffer.add_char buf (Char.chr (String.length tag));
+         Buffer.add_string buf tag;
+         put_u64_le buf (Int64.of_int (String.length text));
+         Buffer.add_string buf text;
+         Some tag)
+       None sections);
+  Buffer.contents buf
+
+let decode_table payload =
+  let len = String.length payload in
+  let rec go off prev acc =
+    if off = len then Ok (List.rev acc)
+    else
+      let tlen = Char.code payload.[off] in
+      if off + 1 + tlen + 8 > len then Error Bad_section
+      else
+        let tag = String.sub payload (off + 1) tlen in
+        let text_off = off + 1 + tlen + 8 in
+        let n = get_u64_le payload (off + 1 + tlen) in
+        if (not (valid_tag tag))
+           || (match prev with Some p -> String.compare p tag >= 0 | None -> false)
+           || Int64.compare n 0L < 0
+           || Int64.compare n (Int64.of_int (len - text_off)) > 0
+        then Error Bad_section
+        else
+          let n = Int64.to_int n in
+          go (text_off + n) (Some tag) ((tag, String.sub payload text_off n) :: acc)
+  in
+  go 0 None []

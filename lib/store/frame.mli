@@ -35,6 +35,9 @@ type error =
   | Truncated  (** header or payload cut short (torn write) *)
   | Trailing of int  (** [n] bytes past the declared payload end *)
   | Bad_checksum  (** payload bytes do not match their checksum *)
+  | Bad_section
+      (** a section table (see {!decode_table}) whose section lengths or
+          tags do not parse *)
 
 val error_to_string : error -> string
 
@@ -47,3 +50,21 @@ val encode : kind:string -> string -> string
     returns its payload. Every failure mode is an [Error], never an
     exception. *)
 val decode : kind:string -> string -> (string, error) result
+
+(** {2 Section tables}
+
+    A payload may hold a table of named sections: one store entry per
+    source carries each of its rendered reports as one section. Each
+    section is a tag length T (1 byte), the tag (T bytes of [a-z], at
+    most 32), the text length N (8 bytes, little-endian) and the text.
+    Tags are strictly ascending, so a table has one encoding. The outer
+    frame's checksum covers the whole table. *)
+
+(** [encode_table sections] sorts [sections] by tag and encodes them.
+    @raise Invalid_argument on an invalid or repeated tag. *)
+val encode_table : (string * string) list -> string
+
+(** [decode_table payload] is the sections in tag order, or
+    [Error Bad_section] when a length runs past the payload, a tag is
+    invalid or the tags are not strictly ascending. Never raises. *)
+val decode_table : string -> ((string * string) list, error) result

@@ -51,6 +51,7 @@ let err_kind = function
   | Frame.Truncated -> "truncated"
   | Frame.Trailing _ -> "trailing"
   | Frame.Bad_checksum -> "checksum"
+  | Frame.Bad_section -> "section"
 
 let check_decode name expected ~kind bytes =
   match Frame.decode ~kind bytes with
@@ -92,6 +93,45 @@ let test_frame_rejects () =
   Alcotest.check_raises "empty kind rejected"
     (Invalid_argument "Store.Frame.encode: bad kind") (fun () ->
       ignore (Frame.encode ~kind:"" "x"))
+
+let test_frame_table () =
+  let sections = [ ("trip", "t\n"); ("classify", fig1); ("deps", "") ] in
+  let table = Frame.encode_table sections in
+  (match Frame.decode_table table with
+   | Ok got ->
+     Alcotest.(check (list (pair string string)))
+       "sections come back in tag order"
+       (List.sort compare sections) got
+   | Error e -> Alcotest.failf "table rejected: %s" (Frame.error_to_string e));
+  (* A prefix is a shorter valid table or malformed, never an
+     exception: the outer frame's checksum is what catches truncation. *)
+  for len = 0 to String.length table - 1 do
+    match Frame.decode_table (String.sub table 0 len) with
+    | Ok _ | Error Frame.Bad_section -> ()
+    | Error e -> Alcotest.failf "prefix of %d: unexpected %s" len (Frame.error_to_string e)
+  done;
+  let section tag text =
+    String.make 1 (Char.chr (String.length tag)) ^ tag
+    ^ String.init 8 (fun i -> Char.chr ((String.length text lsr (8 * i)) land 0xff))
+    ^ text
+  in
+  List.iter
+    (fun (name, bytes) ->
+      match Frame.decode_table bytes with
+      | Error Frame.Bad_section -> ()
+      | Ok _ -> Alcotest.failf "%s decoded" name
+      | Error e -> Alcotest.failf "%s: unexpected %s" name (Frame.error_to_string e))
+    [ ("empty tag", section "" "x");
+      ("tag outside [a-z]", section "Deps" "x");
+      ("tag over 32 bytes", section (String.make 33 'a') "x");
+      ("repeated tag", section "deps" "x" ^ section "deps" "y");
+      ("descending tags", section "trip" "x" ^ section "deps" "y");
+      ("length past the end", String.sub (section "deps" "xyz") 0 12);
+      ( "length with the top bit set",
+        "\004deps" ^ String.make 7 '\000' ^ "\128" ^ "x" ) ];
+  Alcotest.check_raises "repeated tag refused"
+    (Invalid_argument "Store.Frame.encode_table: bad or repeated tag") (fun () ->
+      ignore (Frame.encode_table [ ("deps", "a"); ("deps", "b") ]))
 
 (* ---------- the disk store ---------- *)
 
@@ -320,28 +360,33 @@ let test_engine_store_owner_column () =
       Alcotest.(check bool) "computing engine owns its passes" false
         (Helpers.contains (Engine.passes_report e1 fig1) "store"))
 
+(* The per-source entry files under [dir]. *)
+let source_entries dir =
+  List.concat_map
+    (fun shard ->
+      let d = Filename.concat dir shard in
+      if Sys.is_directory d then
+        List.filter_map
+          (fun n ->
+            if Filename.check_suffix n ".source" then Some (Filename.concat d n) else None)
+          (Array.to_list (Sys.readdir d))
+      else [])
+    (Array.to_list (Sys.readdir dir))
+
+let the_source_entry dir =
+  match source_entries dir with
+  | [ path ] -> path
+  | l -> Alcotest.failf "expected one source entry, found %d" (List.length l)
+
 let test_engine_recovers_from_corruption () =
   with_store_dir (fun dir ->
       let s = open_exn dir in
       let e1 = Engine.create ~store:s () in
       let first = render_exn e1 Engine.Classify fig1 in
       (* Find the published entry and tear it. *)
-      let entries = ref [] in
-      Array.iter
-        (fun shard ->
-          let d = Filename.concat dir shard in
-          if Sys.is_directory d then
-            Array.iter
-              (fun n ->
-                if Filename.check_suffix n ".classify" then
-                  entries := Filename.concat d n :: !entries)
-              (Sys.readdir d))
-        (Sys.readdir dir);
-      (match !entries with
-       | [ path ] ->
-         let b = read_raw path in
-         write_raw path (String.sub b 0 (String.length b / 2))
-       | l -> Alcotest.failf "expected one classify entry, found %d" (List.length l));
+      (let path = the_source_entry dir in
+       let b = read_raw path in
+       write_raw path (String.sub b 0 (String.length b / 2)));
       (* A fresh process: the torn entry is rejected, the report is
          recomputed (bit-identical), and the store is healed. *)
       let s2 = open_exn dir in
@@ -386,6 +431,116 @@ let test_engine_without_store_unchanged () =
   Alcotest.(check (triple int int int)) "tiers still counted" (0, 0, 1)
     (artifact_counts e Engine.Classify);
   Alcotest.(check bool) "no store accessor" true (Engine.store e = None)
+
+(* ---------- one entry per source ---------- *)
+
+let three = Engine.[ Classify; Trip; Deps ]
+let item = { Service.Batch.name = "fig1.iv"; source = fig1 }
+
+let report_exn e =
+  match Service.Batch.report e ~artifacts:three item with
+  | Ok text -> text
+  | Error msg -> Alcotest.fail msg
+
+let test_batch_item_one_put () =
+  with_store_dir (fun dir ->
+      let s = open_exn dir in
+      ignore (report_exn (Engine.create ~store:s ()));
+      let st = Disk.stats s in
+      Alcotest.(check int) "one read, a miss" 1 (st.Disk.hits + st.Disk.misses);
+      Alcotest.(check int) "one put" 1 st.Disk.puts;
+      Alcotest.(check int) "one entry" 1 (fst (Disk.usage s)))
+
+let test_batch_item_one_read () =
+  with_store_dir (fun dir ->
+      let cold = report_exn (Engine.create ~store:(open_exn dir) ()) in
+      let s = open_exn dir in
+      let e = Engine.create ~store:s () in
+      Alcotest.(check string) "same bytes from the store" cold (report_exn e);
+      let st = Disk.stats s in
+      Alcotest.(check (pair int int)) "one read, a hit" (1, 0) (st.Disk.hits, st.Disk.misses);
+      Alcotest.(check int) "nothing to publish" 0 st.Disk.puts;
+      List.iter
+        (fun (name, hits, misses) ->
+          Alcotest.(check int) (name ^ " never ran") 0 (hits + misses))
+        (Engine.pass_stats e);
+      List.iter
+        (fun a ->
+          Alcotest.(check (triple int int int))
+            (Engine.artifact_to_string a ^ " from disk") (0, 1, 0) (artifact_counts e a))
+        three;
+      (* Promoted sections count disk once: the next serve is memory. *)
+      ignore (report_exn e);
+      List.iter
+        (fun a ->
+          Alcotest.(check (triple int int int))
+            (Engine.artifact_to_string a ^ " then memory") (1, 1, 0) (artifact_counts e a))
+        three)
+
+(* Serve verbs render one artifact at a time: each new section
+   republishes the source's entry with every section known so far. *)
+let test_single_render_republishes_union () =
+  with_store_dir (fun dir ->
+      let s1 = open_exn dir in
+      let e1 = Engine.create ~store:s1 () in
+      let classify = render_exn e1 Engine.Classify fig1 in
+      Alcotest.(check int) "first section: one put" 1 (Disk.stats s1).Disk.puts;
+      ignore (render_exn e1 Engine.Classify fig1);
+      Alcotest.(check int) "a known section: no put" 1 (Disk.stats s1).Disk.puts;
+      let trip = render_exn e1 Engine.Trip fig1 in
+      Alcotest.(check int) "a new section: republished" 2 (Disk.stats s1).Disk.puts;
+      Alcotest.(check int) "still one entry" 1 (fst (Disk.usage s1));
+      let s2 = open_exn dir in
+      let e2 = Engine.create ~store:s2 () in
+      Alcotest.(check string) "trip from the entry" trip (render_exn e2 Engine.Trip fig1);
+      Alcotest.(check string) "classify kept in the union" classify
+        (render_exn e2 Engine.Classify fig1);
+      Alcotest.(check (pair int int)) "one read serves both" (1, 0)
+        ((Disk.stats s2).Disk.hits, (Disk.stats s2).Disk.misses);
+      List.iter
+        (fun a ->
+          Alcotest.(check (triple int int int))
+            (Engine.artifact_to_string a ^ " from disk") (0, 1, 0) (artifact_counts e2 a))
+        Engine.[ Classify; Trip ])
+
+(* A section table behind a valid frame can still be malformed (a
+   writer bug, or a hostile file): it is a counted corrupt reject and a
+   recompute, never an exception. *)
+let test_engine_rejects_bad_sections () =
+  with_store_dir (fun dir ->
+      let cold = report_exn (Engine.create ~store:(open_exn dir) ()) in
+      let path = the_source_entry dir in
+      let payload =
+        match Frame.decode ~kind:"source" (read_raw path) with
+        | Ok p -> p
+        | Error e -> Alcotest.fail (Frame.error_to_string e)
+      in
+      List.iter
+        (fun (name, mutate) ->
+          write_raw path (Frame.encode ~kind:"source" (mutate payload));
+          let s = open_exn dir in
+          let e = Engine.create ~store:s () in
+          Alcotest.(check string) (name ^ ": recomputed identically") cold (report_exn e);
+          Alcotest.(check int) (name ^ ": corrupt reject") 1 (Disk.stats s).Disk.rejects_corrupt;
+          Alcotest.(check int) (name ^ ": a miss") 1 (Disk.stats s).Disk.misses;
+          Alcotest.(check (triple int int int))
+            (name ^ ": computed") (0, 0, 1) (artifact_counts e Engine.Classify))
+        [ ( "bad section length",
+            fun p ->
+              (* The first text length (after the 1-byte tag length and
+                 the tag) claims more bytes than the payload holds. *)
+              let b = Bytes.of_string p in
+              Bytes.set b (1 + Char.code p.[0] + 7) '\001';
+              Bytes.to_string b );
+          ( "bad tag",
+            fun p ->
+              let b = Bytes.of_string p in
+              Bytes.set b 1 'C';
+              Bytes.to_string b ) ];
+      (* The recompute republished a sound entry. *)
+      let s = open_exn dir in
+      Alcotest.(check string) "healed" cold (report_exn (Engine.create ~store:s ()));
+      Alcotest.(check int) "served by the healed entry" 1 (Disk.stats s).Disk.hits)
 
 (* ---------- the serve-mode PERSIST verb ---------- *)
 
@@ -443,6 +598,7 @@ let suite =
     [
       Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
       Alcotest.test_case "frame rejects" `Quick test_frame_rejects;
+      Alcotest.test_case "frame section table" `Quick test_frame_table;
       Alcotest.test_case "disk roundtrip" `Quick test_disk_roundtrip;
       Alcotest.test_case "disk rejects corruption" `Quick test_disk_rejects_corruption;
       Alcotest.test_case "concurrent writers" `Quick test_disk_concurrent_writers;
@@ -457,4 +613,11 @@ let suite =
       Alcotest.test_case "serve PERSIST" `Quick test_server_persist;
       Alcotest.test_case "memory renders published" `Quick
         test_engine_publishes_memory_renders;
+      Alcotest.test_case "batch item: one put, one entry" `Quick test_batch_item_one_put;
+      Alcotest.test_case "batch item: one read from a fresh engine" `Quick
+        test_batch_item_one_read;
+      Alcotest.test_case "single render republishes the union" `Quick
+        test_single_render_republishes_union;
+      Alcotest.test_case "malformed section table rejected" `Quick
+        test_engine_rejects_bad_sections;
     ] )
