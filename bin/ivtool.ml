@@ -633,7 +633,8 @@ let folded_flag =
                  derived from the span tree to $(docv).")
 
 let cache_size_flag =
-  Arg.(value & opt int 1024 & info [ "cache-size" ] ~doc:"Artifact cache capacity (entries).")
+  Arg.(value & opt int 1024
+       & info [ "cache-size" ] ~doc:"Cache capacity (entries: sources and unit artifacts).")
 
 let store_flag =
   Arg.(value & opt (some string) None

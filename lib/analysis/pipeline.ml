@@ -87,7 +87,7 @@ let inputs = function
 (* Passes whose results the pipeline cannot compute itself: the engine
    forces them (dependence testing lives in lib/dependence, checked mode
    in lib/verify, and the unit walk needs the engine's shared artifact
-   cache) and records completion with [note]. *)
+   cache) and keeps their results. *)
 let engine_forced = function
   | Depgraph | VerifyIr | VerifyClass | VerifyRanges | VerifyTrans
   | Unitclassify ->
@@ -734,15 +734,10 @@ type t = {
   mutable v_looptree : (Ir.Loops.t, string) result option;
   mutable v_sccp : (Sccp.result option, string) result option;
   mutable v_units : (unit_info list, string) result option;
-  mutable v_classify : (analysis rendered, string) result option;
+  mutable v_classify : (analysis, string) result option;
   mutable v_trip : (string, string) result option;
-  mutable v_range : (Range.t rendered, string) result option;
-  mutable noted : pass list; (* the engine-forced passes that have run *)
+  mutable v_range : (Range.t, string) result option;
 }
-
-(* A forced pass's result and its report, rendered on the first read
-   (under [lock]) and kept. *)
-and 'a rendered = { value : 'a; mutable text : string option }
 
 let create ?(options = default_options) src =
   {
@@ -758,13 +753,9 @@ let create ?(options = default_options) src =
     v_classify = None;
     v_trip = None;
     v_range = None;
-    noted = [];
   }
 
 let options t = t.opts
-
-(* Callers hold [t.lock]. *)
-let note_pass t pass = if not (List.mem pass t.noted) then t.noted <- pass :: t.noted
 
 (* Each stage runs under a "pipeline.<pass>" span on first forcing.
    Callers hold [t.lock]. *)
@@ -859,17 +850,6 @@ let ensure_units t =
     t.v_units <- Some v;
     v
 
-let rendered value = { value; text = None }
-
-(* [text_of render r] is [r]'s report. Callers hold [t.lock]. *)
-let text_of render r =
-  match r.text with
-  | Some text -> text
-  | None ->
-    let text = render r.value in
-    r.text <- Some text;
-    text
-
 (* The Classify pass: probe [lookup] with each unit's digest,
    [relocate] each hit stored by a differently numbered program and
    [walk] the misses (together fanned out through [pool_run] when given
@@ -956,8 +936,7 @@ let classify_units ?pool_run ~lookup ~store t =
                      a ))
                  probed)
           in
-          t.v_classify <- Some (Ok (rendered (merge_units ?sccp ssa artifacts)));
-          note_pass t Unitclassify;
+          t.v_classify <- Some (Ok (merge_units ?sccp ssa artifacts));
           Ok outcomes))
 
 let ensure_classify t =
@@ -972,7 +951,7 @@ let ensure_trip t =
     let v =
       match ensure_classify t with
       | Error e -> Error e
-      | Ok a -> Ok (staged Trip (fun () -> trip_report_of a.value))
+      | Ok a -> Ok (staged Trip (fun () -> trip_report_of a))
     in
     t.v_trip <- Some v;
     v
@@ -996,7 +975,7 @@ let ensure_range t =
     let v =
       match ensure_classify t with
       | Error e -> Error e
-      | Ok a -> Ok (rendered (staged Ranges (fun () -> range_of a.value)))
+      | Ok a -> Ok (staged Ranges (fun () -> range_of a))
     in
     t.v_range <- Some v;
     v
@@ -1011,11 +990,11 @@ let ssa t = locked t (fun () -> ensure_ssa t)
 let looptree t = locked t (fun () -> ensure_looptree t)
 let sccp t = locked t (fun () -> ensure_sccp t)
 let trip_report t = locked t (fun () -> ensure_trip t)
-let promoted t = locked t (fun () -> Result.map (fun r -> r.value) (ensure_classify t))
-let report t = locked t (fun () -> Result.map (text_of report_of) (ensure_classify t))
+let promoted t = locked t (fun () -> ensure_classify t)
+let report t = locked t (fun () -> Result.map report_of (ensure_classify t))
 let units t = locked t (fun () -> ensure_units t)
-let ranges t = locked t (fun () -> Result.map (fun r -> r.value) (ensure_range t))
-let range_report t = locked t (fun () -> Result.map (text_of Range.report) (ensure_range t))
+let ranges t = locked t (fun () -> ensure_range t)
+let range_report t = locked t (fun () -> Result.map Range.report (ensure_range t))
 
 let classify_with_units ?pool_run ~lookup ~store t =
   locked t (fun () -> classify_units ?pool_run ~lookup ~store t)
@@ -1036,8 +1015,7 @@ let force t pass =
       | Classify -> discard (ensure_classify t)
       | Trip -> discard (ensure_trip t)
       | Ranges -> discard (ensure_range t)
-      | Depgraph -> Error "pass depgraph is forced by the service layer"
-      | Unitclassify | VerifyIr | VerifyClass | VerifyRanges | VerifyTrans ->
+      | Depgraph | Unitclassify | VerifyIr | VerifyClass | VerifyRanges | VerifyTrans ->
         Error ("pass " ^ name pass ^ " is forced by the service layer"))
 
 let forced t pass =
@@ -1052,8 +1030,5 @@ let forced t pass =
       | Classify -> Option.is_some t.v_classify
       | Trip -> Option.is_some t.v_trip
       | Ranges -> Option.is_some t.v_range
-      | ( Depgraph | Unitclassify | VerifyIr | VerifyClass | VerifyRanges
-        | VerifyTrans ) as p ->
-        List.mem p t.noted)
-
-let note t pass = locked t (fun () -> note_pass t pass)
+      | Unitclassify -> ( match t.v_classify with Some (Ok _) -> true | _ -> false)
+      | Depgraph | VerifyIr | VerifyClass | VerifyRanges | VerifyTrans -> false)

@@ -23,12 +23,11 @@
       stage forcing per instance; distinct sources never contend).
 
     The [Depgraph] pass is declared in the DAG (so the pass listing
-    covers it) but is {e forced} by the service layer:
-    dependence testing lives in [lib/dependence], above this library.
-    The engine records its completion with {!note}. The three verify
-    passes ([VerifyIr], [VerifyClass], [VerifyTrans]) follow the same
-    pattern: declared here, computed by [lib/verify] through the
-    engine's checked mode. *)
+    covers it) but is {e forced} by the service layer: dependence
+    testing lives in [lib/dependence], above this library, and the
+    engine keeps its result. The verify passes follow the same pattern:
+    declared here, computed by [lib/verify] through the engine's
+    checked mode. *)
 
 (* -- the pass DAG -- *)
 
@@ -79,7 +78,7 @@ val name : pass -> string
 val inputs : pass -> pass list
 
 (** Passes the pipeline cannot compute by itself — the service layer
-    forces them and records completion with {!note}: [Depgraph] (lives
+    forces them and keeps their results: [Depgraph] (lives
     in [lib/dependence]), the three verify passes ([lib/verify]) and
     [Unitclassify] (its per-unit hits and misses are the engine's). *)
 val engine_forced : pass -> bool
@@ -242,7 +241,7 @@ val trip_report : t -> (string, string) result
 val promoted : t -> (analysis, string) result
 
 (** The rendered classification report (forces through [Classify]),
-    rendered on the first call and kept. *)
+    rendered on each call. *)
 val report : t -> (string, string) result
 
 (** The analysis units with their digests: one per loop-forest root, in
@@ -253,7 +252,7 @@ val units : t -> (unit_info list, string) result
     through [Ranges]). *)
 val ranges : t -> (Range.t, string) result
 
-(** The rendered range table, rendered on the first call and kept. *)
+(** The rendered range table, rendered on each call. *)
 val range_report : t -> (string, string) result
 
 (** [classify_with_units ?pool_run ~lookup ~store t] forces [Classify]
@@ -279,10 +278,8 @@ val classify_with_units :
     forced here (it lives above this library) and returns [Error]. *)
 val force : t -> pass -> (unit, string) result
 
-(** [forced t pass] — has the pass run (or, for an {!engine_forced}
-    pass, been {!note}d)? Never forces anything. *)
+(** [forced t pass] — has the pass run here? Never forces anything.
+    [Unitclassify] counts as forced once [Classify] succeeded; the
+    passes the service layer computes ([Depgraph] and the verify
+    passes) are never forced here: the engine keeps their results. *)
 val forced : t -> pass -> bool
-
-(** [note t pass] records an externally-computed pass (the service
-    layer's dependence graph, or a verify pass) as forced. *)
-val note : t -> pass -> unit

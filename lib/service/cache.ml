@@ -105,11 +105,6 @@ let add_locked c k v =
 
 let find c k = locked c (fun () -> find_locked c k)
 
-(* [peek] is a stat-neutral [find]: no hit/miss accounting, no LRU
-   touch. For introspection (invalidation, debug listings) that must
-   not perturb the statistics under test. *)
-let peek c k =
-  locked c (fun () -> Option.map (fun n -> n.value) (Hashtbl.find_opt c.tbl k))
 let add c k v = locked c (fun () -> add_locked c k v)
 
 let find_or_add c k f =

@@ -29,10 +29,6 @@ val size : ('k, 'v) t -> int
     one hit or one miss. *)
 val find : ('k, 'v) t -> 'k -> 'v option
 
-(** [peek c k] is a stat-neutral {!find}: no hit/miss accounting and no
-    recency bump. For introspection that must not perturb statistics. *)
-val peek : ('k, 'v) t -> 'k -> 'v option
-
 (** [add c k v] inserts or replaces [k], making it most-recent, evicting
     the LRU entry if the cache was full. Does not touch hit/miss. *)
 val add : ('k, 'v) t -> 'k -> 'v -> unit

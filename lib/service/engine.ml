@@ -1,13 +1,14 @@
 (* Content-addressed memoization of the staged analysis pipeline.
 
-   The engine keys its cache per *pass*, not per monolithic analysis:
-   each source text maps (through one digest, computed once per
-   request) to an Analysis.Pipeline instance whose stages force lazily,
-   so a trip-count request never runs range analysis or dependence
-   testing. The dependence report — the one artifact computed above
-   lib/analysis — and the verify parts are properties of the program,
-   so they are cached under keys derived from that same source digest:
-   they survive pipeline eviction, and no two programs share one. *)
+   The engine keeps one cache entry per source, keyed by one digest of
+   its text (computed once per request): a record holding the source's
+   Analysis.Pipeline instance, whose stages force lazily (a trip-count
+   request never runs range analysis or dependence testing), every
+   report rendered for it, the passes the engine computes itself (the
+   dependence report and the verify parts) and what the disk store holds
+   for it. Evicting or invalidating the record drops all of that at
+   once. Unit artifacts are the other kind of entry: keyed by unit
+   digest, because nests are shared across sources. *)
 
 module Fnv = Hash.Fnv
 module Pipeline = Analysis.Pipeline
@@ -34,17 +35,27 @@ let artifact_of_string = function
   | "ranges" | "range" -> Some Ranges
   | _ -> None
 
-(* One cache holds pipeline instances, rendered reports, verify-report
-   parts and per-unit analysis artifacts; the key derivation keeps them
-   apart. A section promoted from the disk store is an [E_stored]; its
-   flag holds until the section's first serve, which counts as a disk
-   serve. *)
-type entry =
-  | E_pipeline of Pipeline.t
-  | E_text of string
-  | E_stored of (string * bool Atomic.t)
-  | E_part of Verify.Check.part
-  | E_unit of Pipeline.unit_artifact
+(* Everything the engine keeps for one source. [lock] guards the mutable
+   fields; no analysis runs under it. *)
+type source = {
+  pipeline : Pipeline.t;
+  ekey : Fnv.t; (* the source's store entry key *)
+  lock : Mutex.t;
+  (* Every report rendered here or promoted from the store. *)
+  mutable texts : (artifact * string) list;
+  (* The engine's own passes: the dependence report and the verify
+     parts, once run. *)
+  mutable deps : string option;
+  mutable parts : (Pipeline.pass * Verify.Check.part) list;
+  (* The store whose entry this record has read or published, the
+     sections that entry holds, and the promoted sections whose first
+     serve (counted tier=disk) is still to come. *)
+  mutable store : Store.Disk.t option;
+  mutable stored : artifact list;
+  mutable unserved : artifact list;
+}
+
+type entry = E_source of source | E_unit of Pipeline.unit_artifact
 
 let all_artifacts = [ Classify; Deps; Trip; Check; Ranges ]
 
@@ -52,7 +63,7 @@ let all_artifacts = [ Classify; Deps; Trip; Check; Ranges ]
    names METRICS exports: [pass.hits{pass=…}] / [pass.misses{pass=…}]
    per pipeline pass, and [artifact.served{artifact=…,tier=…}] per
    artifact kind and the tier that served it — the memory tier (a
-   forced pipeline or a promoted text entry), the disk store, or a fresh
+   forced pass or a held report), the disk store, or a fresh
    computation. *)
 let pass_metric kind pass =
   Instrument.labeled ("pass." ^ kind) [ ("pass", Pipeline.name pass) ]
@@ -75,15 +86,6 @@ type t = {
   passes : (Pipeline.pass * (Instrument.counter * Instrument.counter)) list;
   served : (artifact * (tier * Instrument.counter) list) list;
   mutable store : Store.Disk.t option;
-  prov_lock : Mutex.t;
-  (* (base key, pass) pairs whose artifact was served from the disk
-     store in this process — the `store` owner tier of `ivtool
-     passes`. *)
-  store_served : (Fnv.t * Pipeline.pass, unit) Hashtbl.t;
-  (* Per store entry key (one per source), the sections this process
-     knows the attached store holds: read from it or published. A key
-     present here is never read from the store again. *)
-  on_disk : (Fnv.t, artifact list) Hashtbl.t;
 }
 
 let create ?(capacity = 256) ?(options = default_options) ?store () =
@@ -102,25 +104,22 @@ let create ?(capacity = 256) ?(options = default_options) ?store () =
         (fun a -> (a, List.map (fun (tier, _) -> (tier, counter (served_metric a tier))) tiers))
         all_artifacts;
     store;
-    prov_lock = Mutex.create ();
-    store_served = Hashtbl.create 16;
-    on_disk = Hashtbl.create 16;
   }
 
 let options t = t.options
 let metrics t = t.metrics
 let cache_stats t = Cache.stats t.cache
 let store t = t.store
-let set_store t s =
-  t.store <- s;
-  Mutex.protect t.prov_lock (fun () -> Hashtbl.reset t.on_disk)
+
+(* A record's store state describes the store it was read from or
+   published to; after a switch each record reads the new store once. *)
+let set_store t s = t.store <- s
 
 (* -- keys: the source text is digested exactly once per request; every
    key below derives from that digest -- *)
 
 let base_key t src = Fnv.feed_bool (Fnv.of_strings [ src ]) t.options.use_sccp
-let pipeline_key base = Fnv.feed_string base "pipeline"
-let deps_key base = Fnv.feed_string base "text.deps"
+let source_key base = Fnv.feed_string base "source"
 
 (* Unit artifacts key off the unit digest alone (not the source): two
    sources sharing an unchanged loop nest share its artifact. *)
@@ -152,88 +151,78 @@ let entry_key t base =
        t.options.check_iters)
     t.options.use_ranges
 
-(* Where a section's text lives in the LRU. *)
-let render_key ekey artifact = Fnv.feed_string ekey ("render." ^ artifact_to_string artifact)
+let locked r f = Mutex.protect r.lock f
 
-let count_served t artifact tier =
-  Instrument.incr (List.assq tier (List.assq artifact t.served))
+let knows (r : source) s = match r.store with Some known -> known == s | None -> false
 
-let mark_store_served t base pass =
-  Mutex.protect t.prov_lock (fun () -> Hashtbl.replace t.store_served (base, pass) ())
+(* Read the source's entry from store [s], once per resident record and
+   store, and promote each section the record does not hold yet. *)
+let load_entry r s =
+  let probe () = Store.Disk.get_table s ~kind:entry_kind r.ekey in
+  let table =
+    Option.value ~default:[]
+      (if Obs.Trace.enabled () then Obs.Trace.with_span ~cat:"engine" "engine.store" probe
+       else probe ())
+  in
+  let sections =
+    List.filter_map
+      (fun a -> Option.map (fun text -> (a, text)) (List.assoc_opt (artifact_to_string a) table))
+      all_artifacts
+  in
+  locked r (fun () ->
+      let promoted = List.filter (fun (a, _) -> not (List.mem_assq a r.texts)) sections in
+      r.texts <- promoted @ r.texts;
+      r.unserved <- List.map fst promoted @ r.unserved;
+      r.store <- Some s;
+      r.stored <- List.map fst sections)
 
-let was_store_served t base pass =
-  Mutex.protect t.prov_lock (fun () -> Hashtbl.mem t.store_served (base, pass))
-
-let known_on_disk t ekey =
-  Mutex.protect t.prov_lock (fun () -> Hashtbl.find_opt t.on_disk ekey)
-
-(* Read the source's entry, once per process, and promote each of its
-   sections into the LRU as a not-yet-served [E_stored]. Returns the
-   promoted sections; none when the entry was read or published before,
-   or is absent or rejected. *)
-let load_entry t s ekey =
-  if known_on_disk t ekey <> None then []
-  else
-    let probe () = Store.Disk.get_table s ~kind:entry_kind ekey in
-    let table =
-      Option.value ~default:[]
-        (if Obs.Trace.enabled () then Obs.Trace.with_span ~cat:"engine" "engine.store" probe
-         else probe ())
-    in
-    let sections =
-      List.filter_map
-        (fun a ->
-          Option.map
-            (fun text -> (a, (text, Atomic.make true)))
-            (List.assoc_opt (artifact_to_string a) table))
-        all_artifacts
-    in
-    Mutex.protect t.prov_lock (fun () ->
-        Hashtbl.replace t.on_disk ekey (List.map fst sections));
-    List.iter (fun (a, v) -> Cache.add t.cache (render_key ekey a) (E_stored v)) sections;
-    sections
-
-(* Publish the source's entry when [fresh] (this request's renders)
-   adds a section the store does not hold yet. The entry is the union
-   of [fresh] and the sections already known there, whose texts come
-   from the LRU; one evicted from it is left out, and a later process
-   recomputes it. *)
-let publish t ekey fresh =
+(* Publish the source's entry when [rendered] (this request's sections)
+   adds one the store does not hold yet. The entry is every report the
+   request rendered or the record holds: with the entry read first, the
+   union of the stored sections and this process's. *)
+let publish t r rendered =
   match t.store with
   | None -> ()
-  | Some s ->
-    let known = Option.value ~default:[] (known_on_disk t ekey) in
-    if List.exists (fun (a, _) -> not (List.mem a known)) fresh then begin
-      let held a =
-        match Cache.peek t.cache (render_key ekey a) with
-        | Some (E_text text | E_stored (text, _)) -> Some text
-        | Some (E_pipeline _ | E_part _ | E_unit _) | None -> None
-      in
-      let sections =
-        List.filter_map
-          (fun a ->
-            match List.assq_opt a fresh with
-            | Some text -> Some (a, text)
-            | None when List.mem a known -> Option.map (fun text -> (a, text)) (held a)
-            | None -> None)
-          all_artifacts
-      in
-      Store.Disk.put_table s ~kind:entry_kind ekey
-        (List.map (fun (a, text) -> (artifact_to_string a, text)) sections);
-      Mutex.protect t.prov_lock (fun () ->
-          Hashtbl.replace t.on_disk ekey (List.map fst sections))
-    end
+  | Some s -> (
+    let entry =
+      locked r (fun () ->
+          let stored = if knows r s then r.stored else [] in
+          if List.for_all (fun (a, _) -> List.mem a stored) rendered then []
+          else
+            let text a =
+              match List.assq_opt a rendered with
+              | Some text -> Some (a, text)
+              | None -> Option.map (fun text -> (a, text)) (List.assq_opt a r.texts)
+            in
+            let sections = List.filter_map text all_artifacts in
+            r.store <- Some s;
+            r.stored <- List.map fst sections;
+            sections)
+    in
+    if entry <> [] then
+      Store.Disk.put_table s ~kind:entry_kind r.ekey
+        (List.map (fun (a, text) -> (artifact_to_string a, text)) entry))
 
-let pipeline_for t base src : Pipeline.t =
+let source_for t base src =
   match
-    Cache.find_or_add t.cache (pipeline_key base) (fun () ->
-        E_pipeline
-          (Pipeline.create ~options:{ Pipeline.use_sccp = t.options.use_sccp } src))
+    Cache.find_or_add t.cache (source_key base) (fun () ->
+        E_source
+          {
+            pipeline = Pipeline.create ~options:{ Pipeline.use_sccp = t.options.use_sccp } src;
+            ekey = entry_key t base;
+            lock = Mutex.create ();
+            texts = [];
+            deps = None;
+            parts = [];
+            store = None;
+            stored = [];
+            unserved = [];
+          })
   with
-  | E_pipeline p -> p
-  | E_text _ | E_stored _ | E_part _ | E_unit _ -> assert false
+  | E_source r -> r
+  | E_unit _ -> assert false
 
-let pipeline t src = pipeline_for t (base_key t src) src
+let pipeline t src = (source_for t (base_key t src) src).pipeline
 
 (* -- per-pass forcing with hit/miss accounting -- *)
 
@@ -241,17 +230,26 @@ let count_pass t pass ~hit =
   let hits, misses = List.assq pass t.passes in
   Instrument.incr (if hit then hits else misses)
 
-(* A pass miss is timed under "phase.<pass>". The dependence report is
-   timed as "phase.deps" by [deps_text] itself, never through here. *)
-let phase_metric pass = "phase." ^ Pipeline.name pass
+(* A pass miss is timed under "phase.<pass>", the dependence report
+   under "phase.deps". *)
+let phase_metric = function
+  | Pipeline.Depgraph -> "phase.deps"
+  | pass -> "phase." ^ Pipeline.name pass
+
+(* Run a pass that missed: count the miss, tick the cooperative timeout
+   and time [compute] under the pass's phase metric. *)
+let run t pass compute =
+  count_pass t pass ~hit:false;
+  Pool.tick ();
+  Obs.Prof.time t.metrics (phase_metric pass) compute
 
 (* The unit-artifact cache interface handed to the pipeline's unit
-   walk. [Cache.find] (not [peek]) so reused artifacts stay warm in the
-   LRU. *)
+   walk. [Cache.find] bumps recency, so reused artifacts stay warm in
+   the LRU. *)
 let unit_lookup t d =
   match Cache.find t.cache (unit_key d) with
   | Some (E_unit a) -> Some a
-  | Some (E_pipeline _ | E_text _ | E_stored _ | E_part _) | None -> None
+  | Some (E_source _) | None -> None
 
 let unit_store t d a = Cache.add t.cache (unit_key d) (E_unit a)
 
@@ -306,32 +304,22 @@ let classify_units ?pool t p : (Pipeline.unit_outcome list, string) result =
 (* Classify, with its hit/miss accounting, returning the per-unit
    outcomes (empty when the pass was already forced). *)
 let classify_outcomes ?pool t p : (Pipeline.unit_outcome list, string) result =
-  let hit = Pipeline.forced p Pipeline.Classify in
-  count_pass t Pipeline.Classify ~hit;
-  if hit then Ok []
-  else begin
-    Pool.tick ();
-    Obs.Prof.time t.metrics
-      (phase_metric Pipeline.Classify)
-      (fun () -> classify_units ?pool t p)
+  if Pipeline.forced p Pipeline.Classify then begin
+    count_pass t Pipeline.Classify ~hit:true;
+    Ok []
   end
+  else run t Pipeline.Classify (fun () -> classify_units ?pool t p)
 
 (* Force one pass: a hit when the pipeline already holds its result
-   (even a cached error), a miss — timed under the legacy phase metric,
-   with a cooperative-timeout tick — when it must run. Classify routes
+   (even a cached error), a miss when it must run. Classify routes
    through the unit layer. *)
 let ensure ?pool t p pass : (unit, string) result =
   match pass with
   | Pipeline.Classify -> Result.map ignore (classify_outcomes ?pool t p)
-  | _ ->
-    let hit = Pipeline.forced p pass in
-    count_pass t pass ~hit;
-    if hit then Ok ()
-    else begin
-      Pool.tick ();
-      Obs.Prof.time t.metrics (phase_metric pass) (fun () ->
-          Pipeline.force p pass)
-    end
+  | _ when Pipeline.forced p pass ->
+    count_pass t pass ~hit:true;
+    Ok ()
+  | _ -> run t pass (fun () -> Pipeline.force p pass)
 
 let rec ensure_chain ?pool t p = function
   | [] -> Ok ()
@@ -339,22 +327,6 @@ let rec ensure_chain ?pool t p = function
     match ensure ?pool t p pass with
     | Ok () -> ensure_chain ?pool t p rest
     | Error e -> Error e)
-
-(* Force a pass the engine computes itself (the dependence report and
-   the verify parts) through the memory cache under [key]: a miss runs
-   [compute] with a timeout tick, timed under [metric]; either way the
-   pass is counted and recorded on the pipeline with [Pipeline.note]. *)
-let cached_pass t p pass ~metric key compute =
-  let computed = ref false in
-  let entry =
-    Cache.find_or_add t.cache key (fun () ->
-        computed := true;
-        Pool.tick ();
-        Obs.Prof.time t.metrics metric compute)
-  in
-  count_pass t pass ~hit:(not !computed);
-  Pipeline.note p pass;
-  entry
 
 (* Lower is absent from every chain but the check chain: nothing else
    needs the pristine pre-SSA CFG. *)
@@ -371,57 +343,54 @@ let analyze ?pool t src : (Analysis.Pipeline.analysis, string) result =
 
 (* -- the dependence report (the service layer's own pass) -- *)
 
-let deps_text ?pool t base p : (string, string) result =
+let deps_text ?pool t r : (string, string) result =
+  let p = r.pipeline in
   let chain = if t.options.use_ranges then ranges_chain else classify_chain in
   match ensure_chain ?pool t p chain with
   | Error e -> Error e
   | Ok () -> (
-    match Pipeline.promoted p with
-    | Error e -> Error e
-    | Ok a -> (
+    match (Pipeline.promoted p, r.deps) with
+    | Error e, _ -> Error e
+    | Ok _, Some text ->
+      count_pass t Pipeline.Depgraph ~hit:true;
+      Ok text
+    | Ok a, None ->
       let ranges =
         if t.options.use_ranges then
           match Pipeline.ranges p with Ok r -> Some r | Error _ -> None
         else None
       in
-      let render () =
-        let g = Dependence.Dep_graph.build ?ranges a in
-        E_text (if g = [] then "no dependences\n" else Dependence.Dep_graph.to_string a g)
+      let text =
+        run t Pipeline.Depgraph (fun () ->
+            let g = Dependence.Dep_graph.build ?ranges a in
+            if g = [] then "no dependences\n" else Dependence.Dep_graph.to_string a g)
       in
-      let key = deps_key base in
-      match cached_pass t p Pipeline.Depgraph ~metric:"phase.deps" key render with
-      | E_text text -> Ok text
-      | E_pipeline _ | E_stored _ | E_part _ | E_unit _ -> assert false))
+      locked r (fun () -> r.deps <- Some text);
+      Ok text)
 
 (* -- checked mode: the four verify passes (lib/verify) --
 
-   Each part is cached on its own key, derived from the source digest
-   like every other artifact of the program (the two oracle parts also
-   from the iteration bound). Completed parts are recorded on the
-   pipeline with [Pipeline.note], so `ivtool passes` and STATS show
-   checked mode like any other pass. *)
+   Each part is kept on the source's record, so `ivtool passes` and
+   STATS show checked mode like any other pass. *)
 
-let verify_passes = Pipeline.[ VerifyIr; VerifyClass; VerifyRanges; VerifyTrans ]
-
-let part_key t base pass =
-  let k = Fnv.feed_string base ("part." ^ Pipeline.name pass) in
-  match pass with
-  | Pipeline.VerifyClass | Pipeline.VerifyRanges -> Fnv.feed_int k t.options.check_iters
-  | _ -> k
-
-(* Force one verify pass through the part cache, with the same hit/miss
-   accounting, timeout tick and phase timing as any other pass. *)
-let ensure_part t base p pass compute () : Verify.Check.part =
-  let metric = phase_metric pass and key = part_key t base pass in
-  match cached_pass t p pass ~metric key (fun () -> E_part (compute ())) with
-  | E_part part -> part
-  | E_pipeline _ | E_text _ | E_stored _ | E_unit _ -> assert false
+(* Force one verify pass, with the same hit/miss accounting, timeout
+   tick and phase timing as any other pass. *)
+let part t r pass compute () : Verify.Check.part =
+  match List.assq_opt pass r.parts with
+  | Some part ->
+    count_pass t pass ~hit:true;
+    part
+  | None ->
+    let part = run t pass compute in
+    locked r (fun () -> r.parts <- (pass, part) :: r.parts);
+    part
 
 (* The check chain forces Lower (unlike every other artifact): the
    structural verifier is the lowered CFG's consumer. *)
 let check_chain = Pipeline.[ Parse; Lower; Ssa; Looptree; Sccp; Units; Classify ]
 
-let check_parts ?pool t base p : (Verify.Check.report, string) result =
+let check_parts ?pool t r : (Verify.Check.report, string) result =
+  let p = r.pipeline in
   match ensure_chain ?pool t p check_chain with
   | Error e -> Error e
   | Ok () ->
@@ -431,17 +400,17 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
     let ssa = get (Pipeline.ssa p) in
     let a = get (Pipeline.promoted p) in
     let iters = t.options.check_iters in
-    let part = ensure_part t base p in
+    let part = part t r in
     let ranges () =
       if not t.options.use_ranges then None
       else
         match Result.bind (ensure ?pool t p Pipeline.Ranges) (fun () -> Pipeline.ranges p)
         with
         | Error _ -> None
-        | Ok r ->
+        | Ok ranges ->
           Some
             (part Pipeline.VerifyRanges
-               (fun () -> Verify.Check.oracle_part ~iters (Verify.Oracle.Ranges r) a)
+               (fun () -> Verify.Check.oracle_part ~iters (Verify.Oracle.Ranges ranges) a)
                ())
     in
     Ok
@@ -460,8 +429,7 @@ let check_parts ?pool t base p : (Verify.Check.report, string) result =
    the CHECK verb. *)
 let check t src : (Verify.Check.report, string) result =
   Instrument.incr (Instrument.counter t.metrics "requests.check");
-  let base = base_key t src in
-  check_parts t base (pipeline_for t base src)
+  check_parts t (source_for t (base_key t src) src)
 
 (* -- rendered artifacts -- *)
 
@@ -472,17 +440,35 @@ let final_pass = function
   | Check -> Pipeline.VerifyTrans
   | Ranges -> Pipeline.Ranges
 
-(* The three-step read path for one artifact: memory (a forced
-   pipeline, or a section text held in the LRU), then the source's store
-   entry, then compute. With a store attached every rendered text is
-   held in the LRU under its render key, so a later republish of the
-   entry can take it from there. *)
-let render_one ?pool t base ekey artifact src : (string, string) result =
+(* Has [pass] run for the source: the engine's own passes per the
+   record, the rest per the pipeline. *)
+let ran r = function
+  | Pipeline.Depgraph -> r.deps <> None
+  | (Pipeline.VerifyIr | VerifyClass | VerifyRanges | VerifyTrans) as pass ->
+    List.mem_assq pass r.parts
+  | pass -> Pipeline.forced r.pipeline pass
+
+(* Keep [text] as the record's [artifact] report; the first kept wins. *)
+let hold r artifact text =
+  locked r (fun () ->
+      if not (List.mem_assq artifact r.texts) then r.texts <- (artifact, text) :: r.texts)
+
+(* The record's [artifact] report, rendered from its pipeline and kept
+   on first use. *)
+let kept_text r artifact render =
+  match List.assq_opt artifact r.texts with
+  | Some text -> Ok text
+  | None -> Result.map (fun text -> hold r artifact text; text) (render r.pipeline)
+
+(* The read path for one artifact: memory (a forced final pass, or a
+   report promoted from the store), then the source's store entry, then
+   compute. A forced artifact is re-ensured pass by pass, so every pass
+   it needs counts a hit, and its held report is served. *)
+let render_one ?pool t r artifact : (string, string) result =
   let tag = artifact_to_string artifact in
   Instrument.incr (Instrument.counter t.metrics ("requests." ^ tag));
-  let rkey = render_key ekey artifact in
   let served tier =
-    count_served t artifact tier;
+    Instrument.incr (List.assq tier (List.assq artifact t.served));
     if Obs.Trace.enabled () then
       Obs.Trace.event ~cat:"engine"
         ~attrs:
@@ -493,88 +479,59 @@ let render_one ?pool t base ekey artifact src : (string, string) result =
                 (match tier with Mem -> "memory" | Disk -> "disk" | Computed -> "computed") ) ]
         "engine.cache"
   in
-  (* A promoted section counts as a disk serve the first time only. *)
-  let from_store (text, unserved) =
-    if Atomic.exchange unserved false then begin
-      served Disk;
-      mark_store_served t base (final_pass artifact)
-    end
-    else served Mem;
-    Ok text
+  let forced = ran r (final_pass artifact) in
+  (match t.store with
+   | Some s when (not forced) && not (knows r s) -> load_entry r s
+   | _ -> ());
+  let held, first =
+    locked r (fun () ->
+        let first = List.mem artifact r.unserved in
+        if first then r.unserved <- List.filter (( <> ) artifact) r.unserved;
+        (List.assq_opt artifact r.texts, first))
   in
-  let hold result =
-    (match (t.store, result) with
-     | Some _, Ok text -> Cache.add t.cache rkey (E_text text)
-     | _ -> ());
-    result
-  in
-  (* Held texts exist only when a store is attached; keep the store-less
-     engine byte-for-byte on its historical path. *)
-  let held = if t.store = None then None else Cache.find t.cache rkey in
   match held with
-  | Some (E_text text) ->
-    served Mem;
+  | Some text when first || not forced ->
+    (* A promoted section: its first serve counts as a disk serve. *)
+    served (if first then Disk else Mem);
     Ok text
-  | Some (E_stored v) -> from_store v
-  | Some (E_pipeline _ | E_part _ | E_unit _) | None -> (
-    let p = pipeline_for t base src in
+  | _ ->
+    let rendered chain render =
+      Result.bind (ensure_chain ?pool t r.pipeline chain) (fun () -> kept_text r artifact render)
+    in
     let compute () =
       match artifact with
-      | Classify -> (
-        match ensure_chain ?pool t p classify_chain with
-        | Error e -> Error e
-        | Ok () -> Pipeline.report p)
-      | Trip -> (
-        match ensure_chain ?pool t p trip_chain with
-        | Error e -> Error e
-        | Ok () -> Pipeline.trip_report p)
-      | Deps -> deps_text ?pool t base p
-      | Check -> Result.map Verify.Check.to_text (check_parts ?pool t base p)
-      | Ranges -> (
-        match ensure_chain ?pool t p ranges_chain with
-        | Error e -> Error e
-        | Ok () -> Pipeline.range_report p)
+      | Classify -> rendered classify_chain Pipeline.report
+      | Trip -> rendered trip_chain Pipeline.trip_report
+      | Deps -> deps_text ?pool t r
+      | Check -> Result.map Verify.Check.to_text (check_parts ?pool t r)
+      | Ranges -> rendered ranges_chain Pipeline.range_report
     in
-    if Pipeline.forced p (final_pass artifact) then begin
-      (* The pipeline already holds every pass the artifact needs;
-         "compute" only re-renders it. *)
-      served Mem;
-      hold (compute ())
-    end
-    else
-      let stored =
-        match t.store with
-        | None -> None
-        | Some s -> List.assq_opt artifact (load_entry t s ekey)
-      in
-      match stored with
-      | Some v -> from_store v
-      | None ->
-        let result =
-          if not (Obs.Trace.enabled ()) then compute ()
-          else
-            Obs.Trace.with_span ~cat:"engine"
-              ~attrs:[ ("artifact", Obs.Trace.Str tag) ]
-              "engine.compute" compute
-        in
-        served Computed;
-        hold result)
+    let result =
+      if forced || not (Obs.Trace.enabled ()) then compute ()
+      else
+        Obs.Trace.with_span ~cat:"engine"
+          ~attrs:[ ("artifact", Obs.Trace.Str tag) ]
+          "engine.compute" compute
+    in
+    served (if forced then Mem else Computed);
+    Result.iter (hold r artifact) result;
+    result
 
-(* Render [artifacts] in order (the first error stops the rest), then
-   publish the source's store entry once, with every section rendered
-   here. *)
+(* Render [artifacts] in order (the first error stops the rest), each
+   through one lookup of the source's record, then publish the source's
+   store entry once, with every section rendered here. *)
 let renders ?pool t artifacts src : (string list, string) result =
   let base = base_key t src in
-  let ekey = entry_key t base in
-  let rec go acc = function
-    | [] -> (acc, None)
+  let rec go last acc = function
+    | [] -> (last, acc, None)
     | a :: rest -> (
-      match render_one ?pool t base ekey a src with
-      | Ok text -> go ((a, text) :: acc) rest
-      | Error e -> (acc, Some e))
+      let r = source_for t base src in
+      match render_one ?pool t r a with
+      | Ok text -> go (Some r) ((a, text) :: acc) rest
+      | Error e -> (Some r, acc, Some e))
   in
-  let rendered, failed = go [] artifacts in
-  publish t ekey rendered;
+  let last, rendered, failed = go None [] artifacts in
+  Option.iter (fun r -> publish t r rendered) last;
   match failed with
   | Some e -> Error e
   | None -> Ok (List.rev_map snd rendered)
@@ -590,12 +547,12 @@ let ranges t src = render t Ranges src
 (* -- incremental surfaces -- *)
 
 (* Shared by diff and reanalyze: classify [src] through the unit layer
-   and hand back the per-unit outcomes alongside the pipeline. *)
+   and hand back the per-unit outcomes alongside the source's record. *)
 let classify_with_outcomes ?pool t src =
-  let p = pipeline t src in
-  match ensure_chain ?pool t p Pipeline.[ Parse; Ssa; Looptree; Sccp; Units ] with
+  let r = source_for t (base_key t src) src in
+  match ensure_chain ?pool t r.pipeline Pipeline.[ Parse; Ssa; Looptree; Sccp; Units ] with
   | Error e -> Error e
-  | Ok () -> Result.map (fun outcomes -> (p, outcomes)) (classify_outcomes ?pool t p)
+  | Ok () -> Result.map (fun outcomes -> (r, outcomes)) (classify_outcomes ?pool t r.pipeline)
 
 (* [diff t old_src new_src] analyzes OLD (warming the unit cache), then
    NEW through it, and reports per unit whether its artifact was reused
@@ -615,8 +572,8 @@ let diff ?pool t old_src new_src : (string, string) result =
     in
     match classify_with_outcomes ?pool t new_src with
     | Error e -> Error e
-    | Ok (p_new, outcomes) -> (
-      match (Pipeline.units p_new, Pipeline.looptree p_new) with
+    | Ok (r_new, outcomes) -> (
+      match (Pipeline.units r_new.pipeline, Pipeline.looptree r_new.pipeline) with
       | Error e, _ | _, Error e -> Error e
       | Ok infos, Ok loops ->
         let reused = ref 0 and reran = ref 0 in
@@ -659,8 +616,8 @@ let reanalyze ?pool t src : (string, string) result =
   Instrument.incr (Instrument.counter t.metrics "requests.reanalyze");
   match classify_with_outcomes ?pool t src with
   | Error e -> Error e
-  | Ok (p, outcomes) -> (
-    match Pipeline.report p with
+  | Ok (r, outcomes) -> (
+    match kept_text r Classify Pipeline.report with
     | Error e -> Error e
     | Ok report ->
       let summary =
@@ -675,19 +632,12 @@ let reanalyze ?pool t src : (string, string) result =
       Ok (summary ^ report))
 
 let invalidate t src =
-  let base = base_key t src in
-  List.fold_left
-    (fun n key -> if Cache.invalidate t.cache key then n + 1 else n)
-    0
-    (pipeline_key base :: deps_key base :: List.map (part_key t base) verify_passes)
+  if Cache.invalidate t.cache (source_key (base_key t src)) then 1 else 0
 
 let clear t =
   Cache.clear t.cache;
   Cache.reset_stats t.cache;
-  Instrument.reset t.metrics;
-  Mutex.protect t.prov_lock (fun () ->
-      Hashtbl.reset t.store_served;
-      Hashtbl.reset t.on_disk)
+  Instrument.reset t.metrics
 
 (* -- introspection -- *)
 
@@ -803,19 +753,26 @@ let prometheus_report t =
 
 let passes_report t src =
   let base = base_key t src in
-  let p = pipeline_for t base src in
+  let r = source_for t base src in
+  (* A report the record holds for a pass that never ran here came from
+     the store; counted once it has been served. *)
+  let from_store pass =
+    List.exists
+      (fun (a, _) -> final_pass a = pass && not (List.mem a r.unserved))
+      r.texts
+  in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "source %s  (sccp=%b)\n" (Fnv.to_hex base) t.options.use_sccp);
   List.iter
     (fun pass ->
-      let forced = Pipeline.forced p pass in
+      let forced = ran r pass in
       let status = if forced then "forced" else "lazy" in
       (* Provenance: [store] when the pass's artifact was satisfied from
          the disk store and the pass itself never ran here; otherwise
          who would compute it. *)
       let owner =
-        if (not forced) && was_store_served t base pass then "store"
+        if (not forced) && from_store pass then "store"
         else if Pipeline.engine_forced pass then "engine"
         else "pipeline"
       in

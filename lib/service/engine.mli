@@ -1,22 +1,20 @@
 (** The memoizing analysis engine.
 
     An engine owns one {!Cache} and one {!Obs.Instrument} registry and
-    serves the repository's analyses over raw source text. Caching is
-    per-pass, not per-monolith: the source text is digested once per
-    request, that digest names an {!Analysis.Pipeline} instance in the
-    LRU, and each request forces exactly the pipeline passes its
-    artifact needs — a [trip] request never runs range analysis or
-    dependence testing. The registry holds all of the engine's
-    accounting: [pass.hits/misses{pass=…}] and
-    [artifact.served{artifact=…,tier=…}] counters, registered at
-    {!create} (see {!pass_stats}, {!artifact_stats}).
-
-    The dependence report — the one pass computed above [lib/analysis]
-    — is cached under a key derived from the request's source digest:
-    it is a property of the program, so it survives pipeline eviction
-    and no two programs share one. Checked mode ({!check}) works the
-    same way: each verify part is cached under the source digest (the
-    oracle parts with the iteration bound too).
+    serves the repository's analyses over raw source text. The source
+    text is digested once per request, and that digest names the
+    source's one cache entry: a record holding its
+    {!Analysis.Pipeline} instance, every report rendered for it or
+    promoted from the disk store, the passes the engine computes itself
+    (the dependence report and the verify parts of checked mode) and
+    what the store holds for it. Each request forces exactly the
+    pipeline passes its artifact needs — a [trip] request never runs
+    range analysis or dependence testing. The other entries are unit
+    artifacts, keyed by unit digest and shared across sources. The
+    registry holds all of the engine's accounting:
+    [pass.hits/misses{pass=…}] and [artifact.served{artifact=…,tier=…}]
+    counters, registered at {!create} (see {!pass_stats},
+    {!artifact_stats}).
 
     Phase timings ([phase.parse], [phase.ssa], [phase.classify],
     [phase.deps], …) are recorded in the registry on the miss path, and
@@ -44,16 +42,17 @@ val artifact_of_string : string -> artifact option
 type t
 
 (** [create ~capacity ~options ~store ()] — [capacity] bounds the
-    memory cache (default 256 entries: pipelines plus dependence
-    reports). [store] layers a persistent disk tier under it, one entry
-    per source holding its rendered artifacts as sections. When the
-    memory tier misses, the source's entry is read (at most once per
-    process) and every section is promoted into the LRU; a request that
-    renders a section the entry lacks republishes it with that section
-    added. A restarted process — or a sibling process sharing the same
-    store — starts warm. Structured values (pipelines, unit artifacts,
-    verify parts) stay memory-only: they embed process-local interned
-    identifiers. See docs/STORE.md. *)
+    memory cache (default 256 entries: one per resident source, plus
+    the unit artifacts). [store] layers a persistent disk tier under
+    it, one entry per source holding its rendered artifacts as
+    sections. When the memory tier misses, the source's entry is read
+    (once per resident source: a source evicted from the cache reads it
+    again) and every section is promoted into the source's record; a
+    request that renders a section the entry lacks republishes it with
+    that section added. A restarted process — or a sibling process
+    sharing the same store — starts warm. Structured values (pipelines,
+    unit artifacts, verify parts) stay memory-only: they embed
+    process-local interned identifiers. See docs/STORE.md. *)
 val create :
   ?capacity:int -> ?options:options -> ?store:Store.Disk.t -> unit -> t
 
@@ -65,12 +64,15 @@ val cache_stats : t -> Cache.stats
 val store : t -> Store.Disk.t option
 
 (** Attach ([Some]) or detach ([None]) the disk tier at runtime — the
-    serve-mode [PERSIST] verb. Requests in flight keep whichever store
-    they already probed. *)
+    serve-mode [PERSIST] verb. Each resident source reads the new
+    store's entry once, or publishes its reports there on its next
+    render. Requests in flight keep whichever store they already
+    probed. *)
 val set_store : t -> Store.Disk.t option -> unit
 
-(** The engine's pipeline instance for [src] (creating an unforced one
-    on first sight). Exposed for introspection and tests. *)
+(** The pipeline instance of [src]'s record (creating the record, with
+    an unforced pipeline, on first sight). Exposed for introspection and
+    tests. *)
 val pipeline : t -> string -> Analysis.Pipeline.t
 
 (** The memoized whole-program analysis (forces through promotion).
@@ -87,7 +89,8 @@ val analyze :
   ?pool:Pool.pool -> t -> string -> (Analysis.Pipeline.analysis, string) result
 
 (** [render t artifact src] is the memoized text report, forcing only
-    the passes the artifact needs. A Classify miss runs unit-at-a-time
+    the passes the artifact needs. Each render looks the source's
+    record up once. A Classify miss runs unit-at-a-time
     through the shared unit-artifact cache: unchanged units (keyed by
     their exact {!Analysis.Pipeline.unit_info} digest) are reused, and
     each unit counts one [unit_classify] hit or miss in
@@ -124,17 +127,18 @@ val reanalyze : ?pool:Pool.pool -> t -> string -> (string, string) result
 
 (** [check t src] is checked mode as a structured report: the three
     verify passes ([verify_ir], [verify_class], [verify_trans]) forced
-    through the part cache — each keyed off the source digest, each
-    recorded on the pipeline so [passes]/STATS show it. The
+    through the source's record, which keeps each part so
+    [passes]/STATS show it. The
     rendered equivalent is [render t Check src]. When the structural
     part finds errors the report carries only that part: a broken IR is
     not interpreted or transformed. *)
 val check : t -> string -> (Verify.Check.report, string) result
 
-(** [invalidate t src] drops the pipeline entry for [src] (under the
-    engine's options), its dependence report and its verify parts;
-    returns how many entries were removed. Every key derives from the
-    source digest, so this works after the pipeline entry was evicted. *)
+(** [invalidate t src] drops [src]'s record (under the engine's
+    options): its pipeline, reports, dependence report, verify parts
+    and store state. Returns how many entries were removed: 1, or 0
+    when the source is not resident. Unit artifacts stay: other sources
+    may share them. *)
 val invalidate : t -> string -> int
 
 (** Drop every cache entry and reset the cache statistics and every

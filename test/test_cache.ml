@@ -152,15 +152,15 @@ let test_colliding_sources_keep_their_reports () =
     Engine.[ Deps; Check ];
   Alcotest.(check bool) "the two dependence reports differ" true
     (fresh Engine.Deps a1 <> fresh Engine.Deps a2);
-  (* Invalidation drops each program's own entries: the pipeline, the
-     dependence report and the four verify parts. *)
+  (* Invalidation drops each program's own entry: one record holds its
+     pipeline, reports, dependence report and four verify parts. *)
   let e = Engine.create () in
   List.iter
     (fun src ->
       List.iter (fun a -> ignore (Engine.render e a src)) Engine.[ Deps; Check ])
     [ a1; a2 ];
-  Alcotest.(check int) "a1's entries" 6 (Engine.invalidate e a1);
-  Alcotest.(check int) "a2's entries" 6 (Engine.invalidate e a2)
+  Alcotest.(check int) "a1's entries" 1 (Engine.invalidate e a1);
+  Alcotest.(check int) "a2's entries" 1 (Engine.invalidate e a2)
 
 let suite =
   ( "service-cache",

@@ -154,12 +154,12 @@ let test_per_pass_accounting () =
 let test_deps_invalidate_drops_both () =
   let engine = Engine.create () in
   ignore (ok (Engine.deps engine fig9));
-  Alcotest.(check int) "pipeline + deps report + unit artifact" 3
+  Alcotest.(check int) "source record + unit artifact" 2
     (Engine.cache_stats engine).Service.Cache.size;
-  (* Invalidation is per-source: the pipeline entry and the derived
-     deps report go, but the unit artifact for fig9's nest stays (it is
-     keyed by the nest digest and shared across sources). *)
-  Alcotest.(check int) "both dropped" 2 (Engine.invalidate engine fig9);
+  (* Invalidation is per-source: the source's record (its pipeline and
+     its deps report) goes, but the unit artifact for fig9's nest stays
+     (it is keyed by the nest digest and shared across sources). *)
+  Alcotest.(check int) "both dropped" 1 (Engine.invalidate engine fig9);
   Alcotest.(check int) "unit artifact survives" 1
     (Engine.cache_stats engine).Service.Cache.size
 
@@ -215,7 +215,7 @@ let test_pipeline_errors () =
     (Pipeline.report p = Pipeline.trip_report p);
   Alcotest.(check bool) "parse forced (error cached)" true
     (Pipeline.forced p Pipeline.Parse);
-  (* Depgraph can only be noted by the service layer. *)
+  (* Depgraph is computed by the service layer only. *)
   let good = Pipeline.create fig9 in
   Alcotest.(check bool) "depgraph cannot be forced here" true
     (Result.is_error (Pipeline.force good Pipeline.Depgraph))

@@ -593,6 +593,76 @@ let test_server_persist () =
           Alcotest.(check string) "detached status" "no store attached\n"
             (payload (Server.handle e2 "PERSIST"))))
 
+(* ---------- one cache entry per source ---------- *)
+
+let variant i = Printf.sprintf "j = %d\nL7: loop\n  i = j + c\n  j = i + k\nendloop\n" i
+
+let renders_exn e artifacts src =
+  match Engine.renders e artifacts src with
+  | Ok texts -> texts
+  | Error msg -> Alcotest.fail msg
+
+(* A stored source whose record was evicted reads its entry again: the
+   next request is a disk serve, not a recompute. *)
+let test_evicted_source_reread () =
+  with_store_dir (fun dir ->
+      let sources = List.init 40 variant in
+      let populate = Engine.create ~store:(open_exn dir) () in
+      List.iter (fun src -> ignore (renders_exn populate three src)) sources;
+      let s = open_exn dir in
+      let e = Engine.create ~capacity:16 ~store:s () in
+      List.iter (fun src -> ignore (renders_exn e three src)) sources;
+      Alcotest.(check int) "one read per source" 40 (Disk.stats s).Disk.hits;
+      let first = List.hd sources in
+      Alcotest.(check (list string)) "same bytes after eviction"
+        (renders_exn populate three first) (renders_exn e three first);
+      Alcotest.(check int) "the evicted entry is read again" 41 (Disk.stats s).Disk.hits;
+      List.iter
+        (fun a ->
+          Alcotest.(check (triple int int int))
+            (Engine.artifact_to_string a ^ " from disk again") (0, 41, 0) (artifact_counts e a))
+        three;
+      List.iter
+        (fun (name, _, misses) -> Alcotest.(check int) (name ^ " never ran") 0 misses)
+        (Engine.pass_stats e))
+
+(* A source is one record, whatever was rendered for it and whatever the
+   store holds; INVALIDATE drops that record and nothing else. *)
+let test_one_entry_per_source () =
+  with_store_dir (fun dir ->
+      with_temp_program fig1 (fun path ->
+          let e = Engine.create ~store:(open_exn dir) () in
+          ignore (renders_exn e Engine.[ Classify; Deps; Trip; Check; Ranges ] fig1);
+          let size () = (Engine.cache_stats e).Service.Cache.size in
+          Alcotest.(check int) "the record and one unit" 2 (size ());
+          Alcotest.(check string) "one entry invalidated" "invalidated 1\n"
+            (payload (Server.handle e ("INVALIDATE " ^ path)));
+          Alcotest.(check int) "only the unit is left" 1 (size ())))
+
+(* PERSIST to a second directory: a resident source's next render
+   publishes its entry there, and a fresh engine reads it once. *)
+let test_persist_switch_publishes () =
+  with_store_dir (fun dir ->
+      with_temp_program fig1 (fun path ->
+          let first = Filename.concat dir "first" and second = Filename.concat dir "second" in
+          let e = Engine.create () in
+          ignore (payload (Server.handle e ("PERSIST " ^ first)));
+          let classify = payload (Server.handle e ("CLASSIFY " ^ path)) in
+          ignore (payload (Server.handle e ("PERSIST " ^ second)));
+          Alcotest.(check string) "served from memory" classify
+            (payload (Server.handle e ("CLASSIFY " ^ path)));
+          let s2 = Option.get (Engine.store e) in
+          Alcotest.(check int) "published to the second store" 1 (Disk.stats s2).Disk.puts;
+          Alcotest.(check int) "one entry there" 1 (fst (Disk.usage s2));
+          let s = open_exn second in
+          let fresh = Engine.create ~store:s () in
+          ignore (render_exn fresh Engine.Classify fig1);
+          ignore (render_exn fresh Engine.Classify fig1);
+          Alcotest.(check (pair int int)) "read once" (1, 0)
+            ((Disk.stats s).Disk.hits, (Disk.stats s).Disk.misses);
+          Alcotest.(check (triple int int int)) "disk, then memory" (1, 1, 0)
+            (artifact_counts fresh Engine.Classify)))
+
 let suite =
   ( "store",
     [
@@ -620,4 +690,8 @@ let suite =
         test_single_render_republishes_union;
       Alcotest.test_case "malformed section table rejected" `Quick
         test_engine_rejects_bad_sections;
+      Alcotest.test_case "evicted source is read again" `Quick test_evicted_source_reread;
+      Alcotest.test_case "one cache entry per source" `Quick test_one_entry_per_source;
+      Alcotest.test_case "PERSIST switch publishes there" `Quick
+        test_persist_switch_publishes;
     ] )
