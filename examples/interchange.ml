@@ -63,8 +63,7 @@ let () =
   let o = Option.get (Ir.Loops.find_by_name loops "L23") in
   let i = Option.get (Ir.Loops.find_by_name loops "L24") in
   (match
-     Transform.Unimodular.distance_vectors tri_edges ~outer:o.Ir.Loops.id
-       ~inner:i.Ir.Loops.id
+     Dependence.Dep_graph.distance_vectors tri_edges [ o.Ir.Loops.id; i.Ir.Loops.id ]
    with
    | Some dvs -> (
      Printf.printf "triangular distance vectors: %s\n"

@@ -69,9 +69,9 @@ let () =
         match e.Dependence.Dep_graph.outcome with
         | Dependence.Deptest.Dependent d -> (
           (* The outermost common loop is the relaxation sweep. *)
-          match d.Dependence.Deptest.directions with
-          | (_, ds) :: _ -> ds.Dependence.Deptest.eq
-          | [] -> true)
+          List.exists
+            (function (_, ds) :: _ -> ds.Dependence.Deptest.eq | [] -> true)
+            d.Dependence.Deptest.vectors)
         | Dependence.Deptest.Independent -> false)
       g
   in

@@ -75,73 +75,62 @@ let mul_vec m v =
       done;
       !acc)
 
-(* Gauss-Jordan elimination of [m] augmented with [aug] (side effects on
-   both copies); returns false when a pivot cannot be found (singular). *)
-let gauss_jordan m aug =
-  let n = m.rows in
-  let ok = ref true in
-  let col = ref 0 in
-  while !ok && !col < n do
-    let c = !col in
-    (* Find a pivot row at or below c. *)
-    let pivot = ref (-1) in
-    let r = ref c in
-    while !pivot < 0 && !r < n do
-      if not (Rat.is_zero (get m !r c)) then pivot := !r;
-      incr r
+(* Gauss-Jordan elimination of [m] in place to reduced row echelon
+   form, taking pivots in columns [0, cols) only: the columns past them
+   ride along (an augmented right side or identity). Any shape and rank;
+   returns the pivot columns in order, pivot k in row k. *)
+let eliminate m ~cols =
+  let pivots = ref [] in
+  let row = ref 0 in
+  for c = 0 to cols - 1 do
+    let r = !row in
+    let p = ref r in
+    while !p < m.rows && Rat.is_zero (get m !p c) do
+      incr p
     done;
-    if !pivot < 0 then ok := false
-    else begin
-      let p = !pivot in
-      if p <> c then begin
-        (* Swap rows p and c in both matrices. *)
-        for j = 0 to m.cols - 1 do
-          let tmp = get m c j in
-          set m c j (get m p j);
-          set m p j tmp
-        done;
-        for j = 0 to aug.cols - 1 do
-          let tmp = get aug c j in
-          set aug c j (get aug p j);
-          set aug p j tmp
-        done
-      end;
-      let inv_pivot = Rat.inv (get m c c) in
-      for j = 0 to m.cols - 1 do
-        set m c j (Rat.mul inv_pivot (get m c j))
+    if !p < m.rows then begin
+      (* Columns left of [c] are zero in rows [r] and below. *)
+      for j = c to m.cols - 1 do
+        let tmp = get m r j in
+        set m r j (get m !p j);
+        set m !p j tmp
       done;
-      for j = 0 to aug.cols - 1 do
-        set aug c j (Rat.mul inv_pivot (get aug c j))
+      let inv_pivot = Rat.inv (get m r c) in
+      for j = c to m.cols - 1 do
+        set m r j (Rat.mul inv_pivot (get m r j))
       done;
-      for i = 0 to n - 1 do
-        if i <> c && not (Rat.is_zero (get m i c)) then begin
+      for i = 0 to m.rows - 1 do
+        if i <> r && not (Rat.is_zero (get m i c)) then begin
           let factor = get m i c in
-          for j = 0 to m.cols - 1 do
-            set m i j (Rat.sub (get m i j) (Rat.mul factor (get m c j)))
-          done;
-          for j = 0 to aug.cols - 1 do
-            set aug i j (Rat.sub (get aug i j) (Rat.mul factor (get aug c j)))
+          for j = c to m.cols - 1 do
+            set m i j (Rat.sub (get m i j) (Rat.mul factor (get m r j)))
           done
         end
       done;
-      incr col
+      pivots := c :: !pivots;
+      incr row
     end
   done;
-  !ok
+  List.rev !pivots
+
+(* Solve [m x = b] for every column of [b] at once: eliminate [m | b]
+   and read the right block off a full-rank result. *)
+let solve_block m b =
+  let n = m.rows in
+  let work = init n (n + b.cols) (fun i j -> if j < n then get m i j else get b i (j - n)) in
+  if List.length (eliminate work ~cols:n) < n then None
+  else Some (init n b.cols (fun i j -> get work i (n + j)))
 
 let inverse m =
   if m.rows <> m.cols then invalid_arg "Ratmat.inverse: not square";
-  let work = copy m in
-  let aug = identity m.rows in
-  if gauss_jordan work aug then Some aug else None
+  solve_block m (identity m.rows)
 
 let solve m b =
   if m.rows <> m.cols then invalid_arg "Ratmat.solve: not square";
   if Array.length b <> m.rows then invalid_arg "Ratmat.solve: bad vector";
-  let work = copy m in
-  let aug = init m.rows 1 (fun i _ -> b.(i)) in
-  if gauss_jordan work aug then Some (Array.init m.rows (fun i -> get aug i 0))
-  else None
+  Option.map
+    (fun x -> Array.init m.rows (fun i -> get x i 0))
+    (solve_block m (init m.rows 1 (fun i _ -> b.(i))))
 
 let determinant m =
   if m.rows <> m.cols then invalid_arg "Ratmat.determinant: not square";

@@ -34,6 +34,13 @@ val scale : Rat.t -> t -> t
     @raise Invalid_argument on dimension mismatch. *)
 val mul_vec : t -> Rat.t array -> Rat.t array
 
+(** [eliminate m ~cols] reduces [m] in place to reduced row echelon
+    form by Gauss–Jordan elimination, taking pivots in the first [cols]
+    columns only (the rest ride along, e.g. an augmented right side).
+    Any shape and rank; returns the pivot columns in order, pivot [k] in
+    row [k]. *)
+val eliminate : t -> cols:int -> int list
+
 (** [inverse m] is [Some m'] with [m * m' = I], or [None] if singular.
     @raise Invalid_argument if [m] is not square. *)
 val inverse : t -> t option

@@ -123,8 +123,8 @@ let collect_refs (t : Pipeline.analysis) : array_ref list =
 let common_loops a b = List.filter (fun l -> List.mem l b.loops) a.loops
 
 (* Merge per-dimension outcomes into one edge outcome: any independent
-   dimension kills the dependence; directions intersect; same-loop
-   distances must agree. *)
+   dimension kills the dependence; the unions intersect (vector by
+   vector); same-loop distances must agree. *)
 let merge_outcomes common (outcomes : Deptest.outcome list) : Deptest.outcome =
   let exception Indep in
   try
@@ -138,19 +138,20 @@ let merge_outcomes common (outcomes : Deptest.outcome list) : Deptest.outcome =
       (* No subscripts (scalar array?): treat as always dependent. *)
       Deptest.maybe common
     | first :: rest ->
-      let directions =
+      let inter (v : Deptest.vector) (w : Deptest.vector) =
+        List.map
+          (fun (l, ds) ->
+            match List.assoc_opt l w with
+            | Some ds' -> (l, Deptest.dirset_inter ds ds')
+            | None -> (l, ds))
+          v
+      in
+      let vectors =
         List.fold_left
           (fun acc (d : Deptest.dependence) ->
-            List.map
-              (fun (l, ds) ->
-                match List.assoc_opt l d.Deptest.directions with
-                | Some ds' -> (l, Deptest.dirset_inter ds ds')
-                | None -> (l, ds))
-              acc)
-          first.Deptest.directions rest
+            List.concat_map (fun v -> List.map (inter v) d.Deptest.vectors) acc)
+          first.Deptest.vectors rest
       in
-      if List.exists (fun (_, ds) -> Deptest.dirset_is_empty ds) directions then
-        raise Indep;
       let distance =
         (* Union of known per-loop distances; conflicts are independence.
            The accumulator is borrowed per-domain scratch — this runs
@@ -175,9 +176,9 @@ let merge_outcomes common (outcomes : Deptest.outcome list) : Deptest.outcome =
                 |> List.sort Stdlib.compare)
         else None
       in
-      Deptest.Dependent
+      Deptest.restrict
         {
-          directions;
+          Deptest.vectors;
           distance;
           holds_after =
             List.fold_left (fun m (d : Deptest.dependence) -> Stdlib.max m d.Deptest.holds_after) 0 deps;
@@ -214,72 +215,46 @@ let coupled_refinement src dst (outcome : Deptest.outcome) : Deptest.outcome =
     else begin
       match Deptest.solve_distance_system (List.filter_map Fun.id rows) with
       | None -> Deptest.Independent
+      | Some [] -> outcome (* nothing determined *)
       | Some dists ->
-        (* Sharpen directions with the determined distances. *)
-        let directions =
-          List.map
-            (fun (l, ds) ->
-              match List.assoc_opt l dists with
-              | Some n ->
-                ( l,
-                  Deptest.dirset_inter ds
-                    { Deptest.lt = n > 0; eq = n = 0; gt = n < 0 } )
-              | None -> (l, ds))
-            d.Deptest.directions
+        let distance =
+          match d.Deptest.distance with
+          | Some old ->
+            (* Union, preferring the coupled solution. *)
+            let extra = List.filter (fun (l, _) -> not (List.mem_assoc l dists)) old in
+            Some (List.sort Stdlib.compare (dists @ extra))
+          | None -> Some dists
         in
-        if List.exists (fun (_, ds) -> Deptest.dirset_is_empty ds) directions then
-          Deptest.Independent
-        else begin
-          let distance =
-            match d.Deptest.distance with
-            | Some old ->
-              (* Union, preferring the coupled solution. *)
-              let extra = List.filter (fun (l, _) -> not (List.mem_assoc l dists)) old in
-              Some (List.sort Stdlib.compare (dists @ extra))
-            | None -> if dists = [] then None else Some dists
-          in
-          Deptest.Dependent { d with directions; distance }
-        end
+        (* Sharpen directions with the determined distances. *)
+        Deptest.restrict
+          { d with distance; vectors = List.map (Deptest.sharpen dists) d.Deptest.vectors }
     end)
 
 (* Execution-order filtering: an edge from [src] to [dst] only exists for
    direction vectors compatible with [src] executing first. When [src]
    precedes [dst] textually the same iteration is allowed; otherwise the
-   dependence must be carried by some loop. The per-loop approximation
-   constrains the outermost common loop (sound: an inner '>' under an
-   outer '<' is legal). *)
+   dependence must be carried by some loop. Each vector is filtered the
+   same per-loop way, constraining only the outermost common loop
+   (sound: an inner '>' under an outer '<' is legal). *)
+let carried_only = { Deptest.no_dirs with lt = true }
+let not_backward = { Deptest.all_dirs with gt = false }
+
 let time_filter ~src_first common (outcome : Deptest.outcome) : Deptest.outcome =
-  match outcome with
-  | Deptest.Independent -> Deptest.Independent
-  | Deptest.Dependent d -> (
-    match common with
-    | [] ->
-      (* No common loop: only textual order can carry a dependence. *)
-      if src_first then outcome else Deptest.Independent
-    | outermost :: rest ->
-      let directions =
-        List.map
-          (fun (l, ds) ->
-            if l = outermost then
-              (l, Deptest.dirset_inter ds { Deptest.lt = true; eq = true; gt = false })
-            else (l, ds))
-          d.Deptest.directions
-      in
-      let directions =
-        (* With a single common loop and the source textually after the
-           sink, the dependence must be strictly loop-carried. *)
-        if (not src_first) && rest = [] then
-          List.map
-            (fun (l, ds) ->
-              ( l,
-                Deptest.dirset_inter ds { Deptest.lt = true; eq = false; gt = false }
-              ))
-            directions
-        else directions
-      in
-      if List.exists (fun (_, ds) -> Deptest.dirset_is_empty ds) directions then
-        Deptest.Independent
-      else Deptest.Dependent { d with directions })
+  match (outcome, common) with
+  | Deptest.Independent, _ -> Deptest.Independent
+  | Deptest.Dependent _, [] ->
+    (* No common loop: only textual order can carry a dependence. *)
+    if src_first then outcome else Deptest.Independent
+  | Deptest.Dependent d, outermost :: rest ->
+    (* With a single common loop and the source textually after the
+       sink, the dependence must be strictly loop-carried. *)
+    let allowed = if (not src_first) && rest = [] then carried_only else not_backward in
+    let filter v =
+      List.map
+        (fun (l, ds) -> if l = outermost then (l, Deptest.dirset_inter ds allowed) else (l, ds))
+        v
+    in
+    Deptest.restrict { d with vectors = List.map filter d.Deptest.vectors }
 
 (* --- region strictness (paper §5.4) ---
 
@@ -362,17 +337,14 @@ let refine_ref_strictness (t : Pipeline.analysis) (r : array_ref) : array_ref =
   { r with subscripts = refined }
 
 (* A self edge (a write against its own later executions) can never be
-   satisfied by the same statement instance: if only the all-equal
-   iteration vector remains, there is no dependence. *)
+   satisfied by the same statement instance: the all-equal iteration
+   vector is no dependence. *)
 let drop_all_equal (outcome : Deptest.outcome) : Deptest.outcome =
+  let all_equal v = v <> [] && List.for_all (fun (_, ds) -> ds = Deptest.eq_dir) v in
   match outcome with
-  | Deptest.Dependent d
-    when d.Deptest.directions <> []
-         && List.for_all
-              (fun (_, ds) ->
-                ds.Deptest.eq && (not ds.Deptest.lt) && not ds.Deptest.gt)
-              d.Deptest.directions ->
-    Deptest.Independent
+  | Deptest.Dependent d when List.exists all_equal d.Deptest.vectors ->
+    Deptest.restrict
+      { d with vectors = List.filter (fun v -> not (all_equal v)) d.Deptest.vectors }
   | o -> o
 
 (* Range-analysis pre-test: two subscript positions whose use-site value
@@ -532,10 +504,55 @@ let direction_vectors_of ~(bounds : int -> int option) (e : edge) :
   end
   else None
 
-(* [dependent_edges g] keeps the edges whose dependence was not
-   disproved. *)
-let dependent_edges g =
-  List.filter (fun e -> e.outcome <> Deptest.Independent) g
+(* --- the legality query: what loop transformations ask of the graph --- *)
+
+(* Loop [l] carries an edge when some vector lets source and sink run in
+   different iterations of [l] ('<' or '>' feasible); a loop not common
+   to both references carries nothing. *)
+let carried_by l e =
+  match e.outcome with
+  | Deptest.Independent -> false
+  | Deptest.Dependent d ->
+    List.exists
+      (fun v ->
+        match List.assoc_opt l v with
+        | Some ds -> ds.Deptest.lt || ds.Deptest.gt
+        | None -> false)
+      d.Deptest.vectors
+
+let carries g l = List.exists (carried_by l) g
+
+(* Interchanging (outer, inner) runs a dependence of direction (<, >)
+   sink-first. Exact distances decide when both loops have one;
+   otherwise any vector that allows (<, >) blocks. *)
+let blocks_interchange ~outer ~inner e =
+  match e.outcome with
+  | Deptest.Independent -> false
+  | Deptest.Dependent d -> (
+    match d.Deptest.distance with
+    | Some dists when List.mem_assoc outer dists && List.mem_assoc inner dists ->
+      List.assoc outer dists > 0 && List.assoc inner dists < 0
+    | _ ->
+      let dir v l = Option.value ~default:Deptest.all_dirs (List.assoc_opt l v) in
+      List.exists (fun v -> (dir v outer).Deptest.lt && (dir v inner).Deptest.gt) d.Deptest.vectors)
+
+let permits_interchange g ~outer ~inner = not (List.exists (blocks_interchange ~outer ~inner) g)
+
+(* The exact distance vectors over [loops] (0 where a dependence records
+   none) that a unimodular transformation must keep lexicographically
+   positive; [None] when some dependence has no exact distances. *)
+let distance_vectors g loops =
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | e :: rest -> (
+      match e.outcome with
+      | Deptest.Independent -> go acc rest
+      | Deptest.Dependent { Deptest.distance = Some dists; _ } ->
+        let v = List.map (fun l -> Option.value ~default:0 (List.assoc_opt l dists)) loops in
+        go (Array.of_list v :: acc) rest
+      | Deptest.Dependent _ -> None)
+  in
+  go [] g
 
 let pp_edge (t : Pipeline.analysis) fmt e =
   let name id = Ir.Ssa.primary_name t.Pipeline.ssa id in

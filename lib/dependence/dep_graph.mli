@@ -65,7 +65,25 @@ val build :
 val direction_vectors_of :
   bounds:(int -> int option) -> edge -> Deptest.simple_dir list list option
 
-val dependent_edges : edge list -> edge list
+(** {2 Legality}
+
+    The one query loop transformations ask of a dependence graph. *)
+
+(** [carries g l]: some edge of [g] is carried by loop [l] — in some
+    direction vector, '<' or '>' is feasible at [l]. A loop that does
+    not enclose both references of an edge does not carry it. *)
+val carries : edge list -> int -> bool
+
+(** [permits_interchange g ~outer ~inner]: no edge has direction
+    (<, >) on (outer, inner). Exact distances decide when both loops
+    have one; otherwise any vector allowing (<, >) blocks. *)
+val permits_interchange : edge list -> outer:int -> inner:int -> bool
+
+(** [distance_vectors g loops] is each edge's exact distance vector over
+    [loops] (0 where it records none), for unimodular legality; [None]
+    when some edge has no exact distances. *)
+val distance_vectors : edge list -> int list -> int array list option
+
 val pp_edge : Pipeline.analysis -> Format.formatter -> edge -> unit
 val pp : Pipeline.analysis -> Format.formatter -> edge list -> unit
 val to_string : Pipeline.analysis -> edge list -> string

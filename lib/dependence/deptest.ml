@@ -14,8 +14,11 @@
        a constraint on iteration numbers modulo the period — in the
        relaxation pattern, "=" on members becomes "<>" on iterations;
      - monotonic families: "m = m'" only has solutions compatible with
-       the member's monotonicity; strictly monotonic members force the
-       "=" direction. *)
+       the member's monotonicity within one activation of its loop;
+       strictly monotonic members force the "=" direction there.
+
+   A dependence is a finite union of direction vectors: it holds for an
+   iteration pair whose directions fit some vector. *)
 
 module Sym = Analysis.Sym
 module Ivclass = Analysis.Ivclass
@@ -28,9 +31,14 @@ type dirset = { lt : bool; eq : bool; gt : bool }
 
 let all_dirs = { lt = true; eq = true; gt = true }
 let no_dirs = { lt = false; eq = false; gt = false }
+let eq_dir = { lt = false; eq = true; gt = false }
 let dirset_is_empty d = (not d.lt) && (not d.eq) && not d.gt
 
 let dirset_inter a b = { lt = a.lt && b.lt; eq = a.eq && b.eq; gt = a.gt && b.gt }
+let dirset_union a b = { lt = a.lt || b.lt; eq = a.eq || b.eq; gt = a.gt || b.gt }
+
+(* The direction a sink-minus-source distance [n] implies. *)
+let dirset_of_distance n = { lt = n > 0; eq = n = 0; gt = n < 0 }
 
 let pp_dirset fmt d =
   let s =
@@ -46,8 +54,10 @@ let pp_dirset fmt d =
   in
   Format.pp_print_string fmt s
 
+type vector = (int * dirset) list
+
 type dependence = {
-  directions : (int * dirset) list; (* per common loop, outer first *)
+  vectors : vector list; (* the union; each per common loop, outer first *)
   distance : (int * int) list option; (* exact distances when known *)
   holds_after : int; (* wrap-around order *)
   exact : bool; (* false: conservative "maybe" *)
@@ -56,15 +66,34 @@ type dependence = {
 
 type outcome = Independent | Dependent of dependence
 
+let star common = List.map (fun l -> (l, all_dirs)) common
+
 let maybe ?note common =
   Dependent
-    {
-      directions = List.map (fun l -> (l, all_dirs)) common;
-      distance = None;
-      holds_after = 0;
-      exact = false;
-      note;
-    }
+    { vectors = [ star common ]; distance = None; holds_after = 0; exact = false; note }
+
+(* [restrict d] is [d] without the vectors some loop has no direction
+   left in (and without repeats); independent when none is left. *)
+let restrict d =
+  let feasible v = List.for_all (fun (_, ds) -> not (dirset_is_empty ds)) v in
+  match d.vectors with
+  | [ v ] -> if feasible v then Dependent d else Independent
+  | vectors -> (
+    let keep kept v = if feasible v && not (List.mem v kept) then v :: kept else kept in
+    match List.fold_left keep [] vectors with
+    | [] -> Independent
+    | kept -> Dependent { d with vectors = List.rev kept })
+
+(* [sharpen dists v] narrows each loop of [v] with a known distance. *)
+let sharpen dists (v : vector) : vector =
+  if dists = [] then v
+  else
+    List.map
+      (fun (l, ds) ->
+        match List.assoc_opt l dists with
+        | Some n -> (l, dirset_inter ds (dirset_of_distance n))
+        | None -> (l, ds))
+      v
 
 (* --- the affine equation test --- *)
 
@@ -74,70 +103,22 @@ type eq_term = { loop : int; a : int; b : int }
 let const_int_of_sym s =
   match Sym.const s with Some r -> Rat.to_int_exact r | None -> None
 
-(* Extract integer coefficients from both affine forms; [None] when a
-   step is symbolic (the test is then conservative). *)
+(* The dependence equation of two affine forms: integer per-loop
+   coefficients and the symbolic constant difference; [None] when a step
+   is symbolic (the test is then conservative). *)
 let equation (src : Affine.t) (dst : Affine.t) =
-  let loops =
-    List.sort_uniq Stdlib.compare (Affine.loops src @ Affine.loops dst)
+  let rec terms acc = function
+    | [] -> Some (List.rev acc, Sym.sub dst.Affine.const src.Affine.const)
+    | l :: rest -> (
+      match
+        (const_int_of_sym (Affine.coeff src l), const_int_of_sym (Affine.coeff dst l))
+      with
+      | Some a, Some b -> terms ({ loop = l; a; b } :: acc) rest
+      | _ -> None)
   in
-  let terms =
-    List.map
-      (fun l ->
-        match
-          ( const_int_of_sym (Affine.coeff src l),
-            const_int_of_sym (Affine.coeff dst l) )
-        with
-        | Some a, Some b -> Some { loop = l; a; b }
-        | _ -> None)
-      loops
-  in
-  let c = Sym.sub dst.Affine.const src.Affine.const in
-  match (List.for_all Option.is_some terms, const_int_of_sym c) with
-  | true, Some c -> Some (List.filter_map Fun.id terms, c)
-  | _ ->
-    (* Symbolic residue: when the constants differ by a non-constant
-       symbol the equation cannot be decided here. *)
-    None
-
-(* Like [equation] but the constant difference is kept symbolic; the
-   per-loop coefficients must still be integer constants. This is the
-   entry point for range sharpening: a caller holding value intervals
-   can bound the symbolic constant even when SCCP cannot fold it. *)
-let interval_equation (src : Affine.t) (dst : Affine.t) =
-  let loops =
-    List.sort_uniq Stdlib.compare (Affine.loops src @ Affine.loops dst)
-  in
-  let terms =
-    List.map
-      (fun l ->
-        match
-          ( const_int_of_sym (Affine.coeff src l),
-            const_int_of_sym (Affine.coeff dst l) )
-        with
-        | Some a, Some b -> Some { loop = l; a; b }
-        | _ -> None)
-      loops
-  in
-  if List.for_all Option.is_some terms then
-    Some
-      (List.filter_map Fun.id terms, Sym.sub dst.Affine.const src.Affine.const)
-  else None
+  terms [] (List.sort_uniq Stdlib.compare (Affine.loops src @ Affine.loops dst))
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-
-(* GCD test: an integer solution requires gcd of the coefficients to
-   divide the constant. Under an '=' direction the two counters are one
-   variable with coefficient (a - b). *)
-let gcd_test terms (dirs : (int * [ `Lt | `Eq | `Gt | `Any ]) list) c =
-  let g =
-    List.fold_left
-      (fun g t ->
-        match List.assoc_opt t.loop dirs with
-        | Some `Eq -> gcd g (t.a - t.b)
-        | _ -> gcd (gcd g t.a) t.b)
-      0 terms
-  in
-  if g = 0 then c = 0 else c mod g = 0
 
 (* Banerjee-style bounds by vertex enumeration of each loop's constraint
    polytope; [u] is the iteration count of the loop (h in [0, u-1]),
@@ -179,28 +160,8 @@ let term_bounds ~(u : int option) ~(dir : [ `Lt | `Eq | `Gt | `Any ]) a b =
       rays;
     Some (!lo, !hi)
 
-(* Feasibility of the equation under a direction assignment. *)
-let feasible ~bounds terms dirs c =
-  if not (gcd_test terms dirs c) then false
-  else begin
-    let open Extint in
-    let rec sum lo hi = function
-      | [] -> Some (lo, hi)
-      | t :: rest -> (
-        let dir = Option.value ~default:`Any (List.assoc_opt t.loop dirs) in
-        match term_bounds ~u:(bounds t.loop) ~dir t.a t.b with
-        | None -> None
-        | Some (tlo, thi) -> sum (add lo tlo) (add hi thi) rest)
-    in
-    match sum zero zero terms with
-    | None -> false
-    | Some (lo, hi) -> le lo (Fin c) && le (Fin c) hi
-  end
-
-(* --- range-sharpened feasibility: the constant is an interval --- *)
-
-(* Does the non-empty extended interval [lo, hi] contain a multiple of
-   [g] (g > 0)? Unbounded on either side: always (multiples are
+(* Does the extended interval [lo, hi] contain a multiple of [g]
+   (g > 0)? Unbounded on either side: yes when non-empty (multiples are
    unbounded both ways). *)
 let multiple_in g lo hi =
   let open Extint in
@@ -214,66 +175,37 @@ let multiple_in g lo hi =
     fdiv hi g * g >= lo
   | Pos_inf, _ | _, Neg_inf -> false
 
-(* Feasibility under a direction assignment when the constant is only
-   known to lie in [crange]: a dependence needs some c in the interval
-   that the term sum can reach (gcd-compatible multiples only). *)
-let interval_feasible ~bounds ~(crange : Extint.t * Extint.t) terms dirs =
+(* Does [lo, hi] hold a multiple of [g] (zero itself when g = 0)? *)
+let reaches g lo hi =
+  if g = 0 then Extint.le lo Extint.zero && Extint.le Extint.zero hi
+  else multiple_in g lo hi
+
+(* Feasibility of the equation under a direction assignment (a loop not
+   in [dirs] is '*') when the constant is known to lie in [crange] — an
+   exact constant c is the range [c, c]. A dependence needs some c in
+   the range that is a multiple of the coefficients' gcd (under '=' the
+   two counters are one variable with coefficient a - b) and that the
+   Banerjee bounds of the term sum reach. *)
+let feasible ~bounds ~(crange : Extint.t * Extint.t) terms dirs =
   let open Extint in
+  let clo, chi = crange in
+  let g =
+    List.fold_left
+      (fun g t ->
+        match List.assoc_opt t.loop dirs with
+        | Some `Eq -> gcd g (t.a - t.b)
+        | _ -> gcd (gcd g t.a) t.b)
+      0 terms
+  in
   let rec sum lo hi = function
-    | [] -> Some (lo, hi)
+    | [] -> reaches g (max lo clo) (min hi chi)
     | t :: rest -> (
       let dir = Option.value ~default:`Any (List.assoc_opt t.loop dirs) in
       match term_bounds ~u:(bounds t.loop) ~dir t.a t.b with
-      | None -> None
+      | None -> false
       | Some (tlo, thi) -> sum (add lo tlo) (add hi thi) rest)
   in
-  match sum zero zero terms with
-  | None -> false
-  | Some (slo, shi) ->
-    let clo, chi = crange in
-    let lo = max slo clo and hi = min shi chi in
-    if not (le lo hi) then false
-    else begin
-      let g =
-        List.fold_left
-          (fun g t ->
-            match List.assoc_opt t.loop dirs with
-            | Some `Eq -> gcd g (t.a - t.b)
-            | _ -> gcd (gcd g t.a) t.b)
-          0 terms
-      in
-      if g = 0 then le lo zero && le zero hi else multiple_in g lo hi
-    end
-
-(* [interval_affine_test] mirrors [affine_test]'s steady-state path for
-   an interval-valued constant: prove independence when no value in the
-   interval admits a solution, otherwise refine directions. Distances
-   stay unknown (the constant is not a single value). *)
-let interval_affine_test ~bounds ~common ~crange terms : outcome =
-  if not (interval_feasible ~bounds ~crange terms []) then Independent
-  else begin
-    let directions =
-      List.map
-        (fun l ->
-          let try_dir d = interval_feasible ~bounds ~crange terms [ (l, d) ] in
-          (l, { lt = try_dir `Lt; eq = try_dir `Eq; gt = try_dir `Gt }))
-        common
-    in
-    if List.exists (fun (_, d) -> dirset_is_empty d) directions then Independent
-    else
-      Dependent
-        {
-          directions;
-          distance = None;
-          holds_after = 0;
-          exact = false;
-          note =
-            Some
-              (Printf.sprintf "symbolic constant bounded to [%s, %s]"
-                 (Extint.to_string (fst crange))
-                 (Extint.to_string (snd crange)));
-        }
-  end
+  reaches g clo chi && sum zero zero terms
 
 (* --- hierarchical direction-vector enumeration [WB87] --- *)
 
@@ -285,30 +217,27 @@ type simple_dir = [ `Lt | `Eq | `Gt ]
    decidable (symbolic equation) or the nest is too deep to enumerate. *)
 let direction_vectors ~(bounds : int -> int option) ~(common : int list)
     (src : Affine.t) (dst : Affine.t) : simple_dir list list option =
-  if List.length common > 6 then None
-  else
-    match equation src dst with
+  match equation src dst with
+  | Some (terms, c) when List.length common <= 6 -> (
+    match const_int_of_sym c with
     | None -> None
-    | Some (terms, c) ->
+    | Some c ->
+      let feasible (fixed : (int * simple_dir) list) =
+        feasible ~bounds ~crange:(Extint.Fin c, Extint.Fin c) terms
+          (fixed :> (int * [ simple_dir | `Any ]) list)
+      in
       let rec refine fixed = function
-        | [] -> if feasible ~bounds terms fixed c then [ List.rev fixed ] else []
+        | [] -> if feasible fixed then [ List.rev_map snd fixed ] else []
         | l :: rest ->
           List.concat_map
             (fun d ->
               let fixed = (l, d) :: fixed in
               (* Prune: skip the whole subtree when already infeasible. *)
-              if feasible ~bounds terms fixed c then refine fixed rest else [])
+              if feasible fixed then refine fixed rest else [])
             [ `Lt; `Eq; `Gt ]
       in
-      let vectors = refine [] common in
-      Some
-        (List.map
-           (fun assignment ->
-             List.map
-               (fun (_, d) ->
-                 match d with `Lt -> `Lt | `Eq -> `Eq | `Gt -> `Gt | `Any -> `Eq)
-               assignment)
-           vectors)
+      Some (refine [] common))
+  | _ -> None
 
 let pp_simple_dir fmt (d : simple_dir) =
   Format.pp_print_string fmt (match d with `Lt -> "<" | `Eq -> "=" | `Gt -> ">")
@@ -321,111 +250,56 @@ let pp_simple_dir fmt (d : simple_dir) =
 let equation_for_distances (src : Affine.t) (dst : Affine.t) :
     ((int * int) list * int) option =
   match equation src dst with
-  | Some (terms, c) ->
-    if List.for_all (fun t -> t.a = t.b) terms then
-      Some (List.map (fun t -> (t.loop, t.a)) terms, -c)
-    else None
-  | None -> None
+  | Some (terms, c) when List.for_all (fun t -> t.a = t.b) terms ->
+    Option.map (fun c -> (List.map (fun t -> (t.loop, t.a)) terms, -c)) (const_int_of_sym c)
+  | _ -> None
 
 (* [solve_distance_system rows] solves the linear system of distance
    constraints by exact elimination; returns the loops whose distance is
-   uniquely determined, or [None] when the system is inconsistent over
-   the rationals (proving independence). *)
+   uniquely determined, or [None] when the system has no integer
+   solution (proving independence). *)
 let solve_distance_system (rows : ((int * int) list * int) list) :
     (int * int) list option =
-  (* Collect variables. *)
   let vars =
-    List.sort_uniq Stdlib.compare (List.concat_map (fun (ts, _) -> List.map fst ts) rows)
+    Array.of_list
+      (List.sort_uniq Stdlib.compare (List.concat_map (fun (ts, _) -> List.map fst ts) rows))
   in
-  let n = List.length vars in
+  let n = Array.length vars in
   let index l =
-    let rec go i = function
-      | [] -> assert false
-      | v :: _ when v = l -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 0 vars
+    let rec go i = if vars.(i) = l then i else go (i + 1) in
+    go 0
   in
-  let m = List.length rows in
-  if n = 0 then
-    (* No variables: consistent iff every rhs is zero. *)
-    if List.for_all (fun (_, c) -> c = 0) rows then Some [] else None
-  else begin
-    let a = Array.make_matrix m (n + 1) Bignum.Rat.zero in
-    List.iteri
-      (fun i (ts, c) ->
-        List.iter (fun (l, k) -> a.(i).(index l) <- Bignum.Rat.of_int k) ts;
-        a.(i).(n) <- Bignum.Rat.of_int c)
-      rows;
-    (* Gaussian elimination to row echelon, tracking pivot columns. *)
-    let pivots = ref [] in
-    let row = ref 0 in
-    (try
-       for col = 0 to n - 1 do
-         if !row < m then begin
-           let p = ref (-1) in
-           for i = !row to m - 1 do
-             if !p < 0 && not (Bignum.Rat.is_zero a.(i).(col)) then p := i
-           done;
-           if !p >= 0 then begin
-             let tmp = a.(!row) in
-             a.(!row) <- a.(!p);
-             a.(!p) <- tmp;
-             let inv = Bignum.Rat.inv a.(!row).(col) in
-             for j = col to n do
-               a.(!row).(j) <- Bignum.Rat.mul inv a.(!row).(j)
-             done;
-             for i = 0 to m - 1 do
-               if i <> !row && not (Bignum.Rat.is_zero a.(i).(col)) then begin
-                 let f = a.(i).(col) in
-                 for j = col to n do
-                   a.(i).(j) <- Bignum.Rat.sub a.(i).(j) (Bignum.Rat.mul f a.(!row).(j))
-                 done
-               end
-             done;
-             pivots := (col, !row) :: !pivots;
-             incr row
-           end
-         end
-       done
-     with Exit -> ());
-    (* Inconsistent: a zero row with nonzero rhs. *)
-    let inconsistent = ref false in
-    for i = 0 to m - 1 do
-      let zero_lhs = ref true in
-      for j = 0 to n - 1 do
-        if not (Bignum.Rat.is_zero a.(i).(j)) then zero_lhs := false
-      done;
-      if !zero_lhs && not (Bignum.Rat.is_zero a.(i).(n)) then inconsistent := true
-    done;
-    if !inconsistent then None
-    else begin
-      (* A pivot row with no other nonzero lhs entries determines its
-         variable uniquely. *)
-      let determined =
-        List.filter_map
-          (fun (col, r) ->
-            let unique = ref true in
-            for j = 0 to n - 1 do
-              if j <> col && not (Bignum.Rat.is_zero a.(r).(j)) then unique := false
-            done;
-            if !unique then
-              match Bignum.Rat.to_int_exact a.(r).(n) with
-              | Some d -> Some (List.nth vars col, d)
-              | None ->
-                (* Fractional distance: no integer solution at all. *)
-                raise Exit
-            else None)
-          !pivots
-      in
-      Some (List.sort Stdlib.compare determined)
-    end
-  end
-
-let solve_distance_system rows =
-  match solve_distance_system rows with
-  | exception Exit -> None (* fractional determined distance: independent *)
-  | x -> x
+  (* The augmented matrix [A | c]. *)
+  let m = Ratmat.create (List.length rows) (n + 1) in
+  List.iteri
+    (fun i (ts, c) ->
+      List.iter (fun (l, k) -> Ratmat.set m i (index l) (Rat.of_int k)) ts;
+      Ratmat.set m i n (Rat.of_int c))
+    rows;
+  let pivots = Ratmat.eliminate m ~cols:n in
+  let rank = List.length pivots in
+  let lhs_zero r skip =
+    let rec go j = j >= n || ((j = skip || Rat.is_zero (Ratmat.get m r j)) && go (j + 1)) in
+    go 0
+  in
+  (* Inconsistent: a row past the rank (zero left side) with a nonzero
+     right side. *)
+  let rec consistent r =
+    r >= Ratmat.rows m || (Rat.is_zero (Ratmat.get m r n) && consistent (r + 1))
+  in
+  if not (consistent rank) then None
+  else
+    (* A pivot row with no other nonzero left-side entry determines its
+       variable; a fractional value admits no integer solution at all. *)
+    let rec determined acc r = function
+      | [] -> Some (List.sort Stdlib.compare acc)
+      | col :: rest when lhs_zero r col -> (
+        match Rat.to_int_exact (Ratmat.get m r n) with
+        | Some d -> determined ((vars.(col), d) :: acc) (r + 1) rest
+        | None -> None)
+      | _ :: rest -> determined acc (r + 1) rest
+    in
+    determined [] 0 pivots
 
 (* Dependences through a wrap-around subscript's *first* iterations: the
    steady-state equation only covers h >= order, so each recorded initial
@@ -461,12 +335,7 @@ let initial_dirs ~(bounds : int -> int option) ~(wrap_side : Affine.t)
             else (false, false, true)
           in
           let lt, gt = if flipped then (gt, lt) else (lt, gt) in
-          dirs :=
-            {
-              lt = !dirs.lt || lt;
-              eq = !dirs.eq || eq;
-              gt = !dirs.gt || gt;
-            }
+          dirs := dirset_union !dirs { lt; eq; gt }
         in
         let ok = ref true in
         List.iteri
@@ -499,8 +368,6 @@ let initial_dirs ~(bounds : int -> int option) ~(wrap_side : Affine.t)
         if !ok then Some !dirs else None
       | _ -> None
     end)
-
-let dirset_union a b = { lt = a.lt || b.lt; eq = a.eq || b.eq; gt = a.gt || b.gt }
 
 (* [affine_test ~bounds ~common src dst] runs the full test between two
    affine subscripts. [sym_range] bounds a symbolic expression to an
@@ -554,102 +421,89 @@ let affine_test ~(bounds : int -> int option) ~(common : int list)
         | Some l, _ | None, Some l -> l
         | None, None -> -1
       in
-      let widen directions =
+      let widen v =
         List.map
           (fun (l, ds) ->
             if l = wl then (l, dirset_union ds extra) else (l, dirset_union ds all_dirs))
-          directions
+          v
       in
       match steady with
       | Independent ->
         Dependent
           {
-            directions =
-              widen (List.map (fun l -> (l, no_dirs)) common);
+            vectors = [ widen (List.map (fun l -> (l, no_dirs)) common) ];
             distance = None;
             holds_after;
             exact = true;
             note = Some "dependence only through the wrap-around initial values";
           }
       | Dependent d ->
-        Dependent
-          { d with directions = widen d.directions; distance = None })
+        Dependent { d with vectors = List.map widen d.vectors; distance = None })
     | None -> (
+      let note = "wrap-around initial iterations unanalyzed" in
       match steady with
-      | Independent ->
-        maybe ~note:"wrap-around initial iterations unanalyzed" common
+      | Independent -> maybe ~note common
       | Dependent d ->
         Dependent
-          {
-            d with
-            directions = List.map (fun (l, _) -> (l, all_dirs)) d.directions;
-            distance = None;
-            exact = false;
-            note = Some "wrap-around initial iterations unanalyzed";
-          })
+          { d with vectors = [ star common ]; distance = None; exact = false; note = Some note })
   in
-  match equation src dst with
-  | None -> (
-    (* Range sharpening: constant coefficients but a symbolic constant
-       difference — bound it to an interval and test every value. Kept
-       away from wrap-arounds (their initial iterations need the exact
-       constant). *)
-    let fallback () =
-      maybe ~note:"symbolic coefficients; assumed dependent" common
-    in
-    match sym_range with
-    | Some range
-      when src.Affine.holds_after = 0 && dst.Affine.holds_after = 0 -> (
-      match interval_equation src dst with
-      | Some (terms, csym) -> (
-        match range csym with
-        | Some crange -> interval_affine_test ~bounds ~common ~crange terms
-        | None -> fallback ())
-      | None -> fallback ())
-    | _ -> fallback ())
-  | Some (terms, c) ->
-    if not (feasible ~bounds terms [] c) then widen_with_initials Independent
+  (* The steady-state test for a constant difference in [crange];
+     [point] is the constant when it is exact (then distances can be
+     known). Refines each common loop's direction with the others at
+     '*'. *)
+  let steady terms ~point crange =
+    let feasible = feasible ~bounds ~crange terms in
+    if not (feasible []) then Independent
     else begin
-      (* Refine each common loop's direction with the others at '*'. *)
       let directions =
         List.map
           (fun l ->
-            let try_dir d = feasible ~bounds terms [ (l, d) ] c in
+            let try_dir d = feasible [ (l, d) ] in
             (l, { lt = try_dir `Lt; eq = try_dir `Eq; gt = try_dir `Gt }))
           common
       in
-      if List.exists (fun (_, d) -> dirset_is_empty d) directions then
-        widen_with_initials Independent
-      else begin
-        (* Exact distances: per loop with a = b <> 0 and this the only
-           loop in the equation (strong SIV). *)
-        let distance =
-          match terms with
-          | [ t ] when t.a = t.b && t.a <> 0 && List.mem t.loop common ->
-            (* a(h - h') = c, so the sink-minus-source distance is -c/a. *)
-            if c mod t.a = 0 then Some [ (t.loop, -(c / t.a)) ] else None
-          | [] -> Some []
-          | _ -> None
-        in
-        (* A known distance sharpens the direction set. *)
-        let directions =
-          match distance with
-          | Some [ (l, d) ] ->
-            List.map
-              (fun (l', ds) ->
-                if l' = l then
-                  (l', dirset_inter ds { lt = d > 0; eq = d = 0; gt = d < 0 })
-                else (l', ds))
-              directions
-          | _ -> directions
-        in
-        if List.exists (fun (_, d) -> dirset_is_empty d) directions then
-          widen_with_initials Independent
-        else
-          widen_with_initials
-            (Dependent { directions; distance; holds_after; exact = true; note = None })
-      end
+      (* Exact distances: per loop with a = b <> 0 and this the only
+         loop in the equation (strong SIV); a(h - h') = c, so the
+         sink-minus-source distance is -c/a. *)
+      let distance =
+        match (point, terms) with
+        | Some c, [ t ] when t.a = t.b && t.a <> 0 && List.mem t.loop common ->
+          if c mod t.a = 0 then Some [ (t.loop, -(c / t.a)) ] else None
+        | Some _, [] -> Some []
+        | _ -> None
+      in
+      let note =
+        match point with
+        | Some _ -> None
+        | None ->
+          Some
+            (Printf.sprintf "symbolic constant bounded to [%s, %s]"
+               (Extint.to_string (fst crange))
+               (Extint.to_string (snd crange)))
+      in
+      let directions =
+        match distance with Some ds -> sharpen ds directions | None -> directions
+      in
+      restrict { vectors = [ directions ]; distance; holds_after; exact = point <> None; note }
     end
+  in
+  let fallback () = maybe ~note:"symbolic coefficients; assumed dependent" common in
+  match equation src dst with
+  | None -> fallback ()
+  | Some (terms, csym) -> (
+    match const_int_of_sym csym with
+    | Some c -> widen_with_initials (steady terms ~point:(Some c) (Extint.Fin c, Extint.Fin c))
+    | None -> (
+      (* Range sharpening: constant coefficients but a symbolic constant
+         difference — bound it to an interval and test every value. Kept
+         away from wrap-arounds (their initial iterations need the exact
+         constant). *)
+      match sym_range with
+      | Some range when src.Affine.holds_after = 0 && dst.Affine.holds_after = 0 -> (
+        match range csym with
+        | Some crange -> steady terms ~point:None crange
+        | None -> fallback ())
+      | _ -> fallback ()))
 
 (* --- translations for the non-affine classes (§6) --- *)
 
@@ -709,14 +563,10 @@ let periodic_test ~common (p : Ivclass.periodic) (q : Ivclass.periodic) : outcom
           all_dirs
         else { lt = true; eq = false; gt = true }
       in
-      let directions =
-        List.map
-          (fun l -> if l = p.Ivclass.loop then (l, d) else (l, all_dirs))
-          common
-      in
       Dependent
         {
-          directions;
+          vectors =
+            [ List.map (fun l -> if l = p.Ivclass.loop then (l, d) else (l, all_dirs)) common ];
           distance = None;
           holds_after = 0;
           exact = true;
@@ -732,6 +582,11 @@ let periodic_test ~common (p : Ivclass.periodic) (q : Ivclass.periodic) : outcom
     end
   end
 
+(* A monotonic family holds within one activation of its loop: there,
+   with every common loop outside it at '=', nondecreasing values can
+   only coincide moving forward ('=' alone for a strict same def). Two
+   activations — some outer common loop at '<' or '>' — may meet at any
+   direction. *)
 let monotonic_test ~common ~(same_def : bool) (m : Ivclass.monotonic)
     (m' : Ivclass.monotonic) : outcome =
   if m.Ivclass.loop <> m'.Ivclass.loop || m.Ivclass.family <> m'.Ivclass.family
@@ -739,20 +594,26 @@ let monotonic_test ~common ~(same_def : bool) (m : Ivclass.monotonic)
      || (m.Ivclass.family = Ivclass.no_family && not same_def)
   then maybe ~note:"monotonic subscripts from different families" common
   else begin
-    let d =
-      if same_def && m.Ivclass.strict && m'.Ivclass.strict then
-        (* A strictly monotonic subscript never repeats: only h = h'. *)
-        { lt = false; eq = true; gt = false }
-      else
-        (* Nondecreasing values can only coincide moving forward. *)
-        { lt = true; eq = true; gt = false }
+    let strict = same_def && m.Ivclass.strict && m'.Ivclass.strict in
+    let d = if strict then eq_dir else { lt = true; eq = true; gt = false } in
+    (* Vectors over [outer] with some loop not '=': (=, .., =, <>, *, .., * ). *)
+    let rec across = function
+      | [] -> []
+      | l :: rest ->
+        ((l, { all_dirs with eq = false }) :: star rest)
+        :: List.map (fun v -> (l, eq_dir) :: v) (across rest)
     in
-    let directions =
-      List.map (fun l -> if l = m.Ivclass.loop then (l, d) else (l, all_dirs)) common
+    let rec split outer = function
+      | [] -> [ star common ]
+      | l :: inner when l = m.Ivclass.loop ->
+        let outer = List.rev outer in
+        (List.map (fun o -> (o, eq_dir)) outer @ ((l, d) :: star inner))
+        :: List.map (fun v -> v @ star (l :: inner)) (across outer)
+      | l :: rest -> split (l :: outer) rest
     in
     Dependent
       {
-        directions;
+        vectors = split [] common;
         distance = None;
         holds_after = 0;
         exact = false;
@@ -793,7 +654,7 @@ let test ~(bounds : int -> int option) ~(common : int list)
     | Dependent d ->
       Dependent
         {
-          directions = List.map (fun (l, _) -> (l, all_dirs)) d.directions;
+          vectors = [ star common ];
           distance = None;
           holds_after = Stdlib.max d.holds_after wrap_order;
           exact = false;
@@ -829,14 +690,22 @@ let test ~(bounds : int -> int option) ~(common : int list)
       | _ -> maybe common)
     | _ -> maybe common)
 
+
+let pp_vector fmt (v : vector) =
+  Format.pp_print_char fmt '(';
+  Format.pp_print_list
+    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
+    (fun fmt (l, ds) -> Format.fprintf fmt "L%d:%a" l pp_dirset ds)
+    fmt v;
+  Format.pp_print_char fmt ')'
+
 let pp_outcome fmt = function
   | Independent -> Format.pp_print_string fmt "independent"
   | Dependent d ->
-    Format.fprintf fmt "dependent (%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-         (fun fmt (l, ds) -> Format.fprintf fmt "L%d:%a" l pp_dirset ds))
-      d.directions;
+    Format.pp_print_string fmt "dependent ";
+    Format.pp_print_list
+      ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " | ")
+      pp_vector fmt d.vectors;
     (match d.distance with
      | Some [] | None -> ()
      | Some ds ->

@@ -1,7 +1,8 @@
 (** Data dependence testing over classified subscripts (paper §6): GCD
     and Banerjee-style direction bounds for affine subscripts, coupled
     distance systems across dimensions, and the paper's translations for
-    wrap-around, periodic and monotonic subscripts. *)
+    wrap-around, periodic and monotonic subscripts. A dependence is a
+    finite union of direction vectors. *)
 
 module Sym = Analysis.Sym
 module Ivclass = Analysis.Ivclass
@@ -13,14 +14,22 @@ type dirset = { lt : bool; eq : bool; gt : bool }
 
 val all_dirs : dirset
 val no_dirs : dirset
+
+(** Only [=]. *)
+val eq_dir : dirset
 val dirset_is_empty : dirset -> bool
 val dirset_inter : dirset -> dirset -> dirset
 
 (** Renders as the usual glyphs: [*], [<=], [<>], [<], [=], ... *)
 val pp_dirset : Format.formatter -> dirset -> unit
 
+(** One feasible-direction set per common loop, outer first. *)
+type vector = (int * dirset) list
+
+(** A dependence holds for the iteration pairs whose directions fit some
+    vector of the union; a single vector is the usual per-loop summary. *)
 type dependence = {
-  directions : (int * dirset) list;  (** per common loop, outer first *)
+  vectors : vector list;  (** the union, never empty *)
   distance : (int * int) list option;  (** exact distances when known *)
   holds_after : int;  (** wrap-around order (§6) *)
   exact : bool;  (** false: conservative "maybe" *)
@@ -31,6 +40,15 @@ type outcome = Independent | Dependent of dependence
 
 (** [maybe common] is the conservative all-directions dependence. *)
 val maybe : ?note:string -> int list -> outcome
+
+(** [restrict d] is [d] without the vectors in which some loop has no
+    direction left (and without repeats); [Independent] when none is
+    left. *)
+val restrict : dependence -> outcome
+
+(** [sharpen dists v] narrows each loop of [v] that has a known
+    distance in [dists]. *)
+val sharpen : (int * int) list -> vector -> vector
 
 (** [affine_test ~bounds ~common src dst] tests two affine subscripts;
     [bounds l] is loop [l]'s iteration count when known. [sym_range]
@@ -83,4 +101,6 @@ val test :
   Ivclass.t ->
   outcome
 
+(** Renders a union's vectors joined by [" | "], e.g.
+    [dependent (L0:=, L1:<=) | (L0:<, L1:<>)]. *)
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -82,7 +82,7 @@ let is_scalar_op = function
 let convert (cfg : Cfg.t) : t =
   let preds = Cfg.pred_table cfg in
   let dom =
-    Obs.Trace.with_span "pipeline.dominators" (fun () -> Dom.compute ~preds cfg)
+    Obs.Trace.with_span "ssa.dominators" (fun () -> Dom.compute ~preds cfg)
   in
   let nblocks = Cfg.num_blocks cfg in
   (* 1. Definition blocks per scalar variable, keeping the variables in
@@ -319,19 +319,19 @@ let convert (cfg : Cfg.t) : t =
       end)
     (List.rev !naming_events);
   let loops =
-    Obs.Trace.with_span "pipeline.looptree" (fun () -> Loops.compute ~preds cfg dom)
+    Obs.Trace.with_span "ssa.looptree" (fun () -> Loops.compute ~preds cfg dom)
   in
   { cfg; preds; dom; loops; phi_var; names_of; name_env }
 
-let convert cfg = Obs.Trace.with_span "pipeline.ssa" (fun () -> convert cfg)
+let convert cfg = Obs.Trace.with_span "ssa.convert" (fun () -> convert cfg)
 
 (* [of_source src] parses, lowers and converts to SSA in one step. *)
 let of_source src =
-  convert (Obs.Trace.with_span "pipeline.lower" (fun () -> Lower.lower_source src))
+  convert (Obs.Trace.with_span "ssa.lower" (fun () -> Lower.lower_source src))
 
 (* [of_program ast] lowers and converts a constructed AST. *)
 let of_program p =
-  convert (Obs.Trace.with_span "pipeline.lower" (fun () -> Lower.lower p))
+  convert (Obs.Trace.with_span "ssa.lower" (fun () -> Lower.lower p))
 
 (* --- Validation (used by property tests) --- *)
 

@@ -138,7 +138,7 @@ let unit_key udigest = Fnv.feed_string udigest "unit.artifact"
    entry layout changes, so a shared fleet store never serves bytes
    from an older format. *)
 
-let store_schema = 3
+let store_schema = 4
 let entry_kind = "source"
 
 (* The check report depends on the oracle's iteration bound, and the
@@ -203,24 +203,26 @@ let publish t r rendered =
       Store.Disk.put_table s ~kind:entry_kind r.ekey
         (List.map (fun (a, text) -> (artifact_to_string a, text)) entry))
 
-let source_for t base src =
-  match
-    Cache.find_or_add t.cache (source_key base) (fun () ->
-        E_source
-          {
-            pipeline = Pipeline.create ~options:{ Pipeline.use_sccp = t.options.use_sccp } src;
-            ekey = entry_key t base;
-            lock = Mutex.create ();
-            texts = [];
-            deps = None;
-            parts = [];
-            store = None;
-            stored = [];
-            unserved = [];
-          })
-  with
+(* [resident t base fresh] is the source's record, inserting [fresh ()]
+   when it is not resident. *)
+let resident t base fresh =
+  match Cache.find_or_add t.cache (source_key base) (fun () -> E_source (fresh ())) with
   | E_source r -> r
   | E_unit _ -> assert false
+
+let source_for t base src =
+  resident t base (fun () ->
+      {
+        pipeline = Pipeline.create ~options:{ Pipeline.use_sccp = t.options.use_sccp } src;
+        ekey = entry_key t base;
+        lock = Mutex.create ();
+        texts = [];
+        deps = None;
+        parts = [];
+        store = None;
+        stored = [];
+        unserved = [];
+      })
 
 let pipeline t src = (source_for t (base_key t src) src).pipeline
 
@@ -519,13 +521,20 @@ let render_one ?pool t r artifact : (string, string) result =
 
 (* Render [artifacts] in order (the first error stops the rest), each
    through one lookup of the source's record, then publish the source's
-   store entry once, with every section rendered here. *)
+   store entry once, with every section rendered here. A later lookup
+   re-seats the request's own record: in a small cache a Classify miss's
+   unit inserts may have evicted it, and a fresh record would parse and
+   classify again. *)
 let renders ?pool t artifacts src : (string list, string) result =
   let base = base_key t src in
   let rec go last acc = function
     | [] -> (last, acc, None)
     | a :: rest -> (
-      let r = source_for t base src in
+      let r =
+        match last with
+        | None -> source_for t base src
+        | Some r -> resident t base (fun () -> r)
+      in
       match render_one ?pool t r a with
       | Ok text -> go (Some r) ((a, text) :: acc) rest
       | Error e -> (Some r, acc, Some e))

@@ -3,32 +3,8 @@
    iteration-space distance (1, -1) is exactly what makes interchange
    illegal there, while the rectangular variant's (1, 0) permits it). *)
 
-module Deptest = Dependence.Deptest
 module Dep_graph = Dependence.Dep_graph
 module Pipeline = Analysis.Pipeline
-
-(* A dependence direction vector (outer, inner) blocks interchange when
-   it is (<, >): swapping would make the sink run before the source. *)
-let edge_blocks_interchange ~outer ~inner (e : Dep_graph.edge) =
-  match e.Dep_graph.outcome with
-  | Deptest.Independent -> false
-  | Deptest.Dependent d -> (
-    (* Exact distances decide precisely. *)
-    match d.Deptest.distance with
-    | Some dists when List.mem_assoc outer dists && List.mem_assoc inner dists ->
-      List.assoc outer dists > 0 && List.assoc inner dists < 0
-    | _ -> (
-      (* Fall back to the direction sets (conservative: a possible (<,>)
-         combination blocks). *)
-      let dir l =
-        Option.value ~default:Deptest.all_dirs (List.assoc_opt l d.Deptest.directions)
-      in
-      ((dir outer).Deptest.lt && (dir inner).Deptest.gt)))
-
-(* [legal t edges ~outer ~inner] decides interchange legality for the
-   loop pair from an already-built dependence graph. *)
-let legal (edges : Dep_graph.edge list) ~outer ~inner =
-  not (List.exists (edge_blocks_interchange ~outer ~inner) edges)
 
 (* [apply p ~outer_name] swaps the named perfect nest in the AST.
    @raise Invalid_argument if no loop of that name is a perfect 2-deep
@@ -73,7 +49,7 @@ let apply (p : Ir.Ast.program) ~outer_name : Ir.Ast.program =
   if not !swapped then not_perfect ();
   p
 
-(* [legal_for_program src ~outer_name ~inner_name] is the whole check:
+(* [legal_for_source src ~outer_name ~inner_name] is the whole check:
    analyze, build the dependence graph, decide. *)
 let legal_for_source src ~outer_name ~inner_name =
   let t = Pipeline.analyze (Ir.Ssa.of_source src) in
@@ -82,6 +58,7 @@ let legal_for_source src ~outer_name ~inner_name =
     (Ir.Loops.find_by_name loops outer_name, Ir.Loops.find_by_name loops inner_name)
   with
   | Some o, Some i ->
-    let edges = Dep_graph.build t in
-    Some (legal edges ~outer:o.Ir.Loops.id ~inner:i.Ir.Loops.id)
+    Some
+      (Dep_graph.permits_interchange (Dep_graph.build t) ~outer:o.Ir.Loops.id
+         ~inner:i.Ir.Loops.id)
   | _ -> None

@@ -2,13 +2,6 @@
     the dependence graph (paper §6.1: the triangular nest's
     iteration-space distance (1, -1) is exactly what blocks it). *)
 
-(** A direction vector (outer <, inner >) blocks interchange. *)
-val edge_blocks_interchange :
-  outer:int -> inner:int -> Dependence.Dep_graph.edge -> bool
-
-(** [legal edges ~outer ~inner] from an already-built dependence graph. *)
-val legal : Dependence.Dep_graph.edge list -> outer:int -> inner:int -> bool
-
 (** [apply p ~outer_name] swaps the named perfect nest.
     @raise Invalid_argument if no loop of that name is a perfect 2-deep
     nest (a statement beside the inner loop, say) or the inner bounds

@@ -5,26 +5,8 @@
    subscripts, and the pack loop of §4.4 once the write subscript is
    strictly monotonic). *)
 
-module Deptest = Dependence.Deptest
 module Dep_graph = Dependence.Dep_graph
 module Pipeline = Analysis.Pipeline
-
-(* A dependence is carried by loop [l] when source and sink can be in
-   different iterations of [l] (direction < or > feasible). *)
-let edge_carried_by l (e : Dep_graph.edge) =
-  match e.Dep_graph.outcome with
-  | Deptest.Independent -> false
-  | Deptest.Dependent d -> (
-    match List.assoc_opt l d.Deptest.directions with
-    | Some ds -> ds.Deptest.lt || ds.Deptest.gt
-    | None ->
-      (* The loop does not enclose both references: not carried by it. *)
-      false)
-
-(* [carried_edges t edges l] lists the dependences preventing loop [l]
-   from running in parallel. *)
-let carried_edges (edges : Dep_graph.edge list) l =
-  List.filter (edge_carried_by l) edges
 
 (* [parallel_loops t] analyzes the program and returns, for every loop,
    whether its iterations are independent. *)
@@ -32,8 +14,7 @@ let parallel_loops (t : Pipeline.analysis) : (Ir.Loops.loop * bool) list =
   let edges = Dep_graph.build t in
   let loops = Ir.Ssa.loops t.Pipeline.ssa in
   List.map
-    (fun (lp : Ir.Loops.loop) ->
-      (lp, carried_edges edges lp.Ir.Loops.id = []))
+    (fun (lp : Ir.Loops.loop) -> (lp, not (Dep_graph.carries edges lp.Ir.Loops.id)))
     (Ir.Loops.postorder loops)
 
 let report t =

@@ -4,13 +4,6 @@
     translations unlock (§4.2 relaxation sweeps, §4.4 pack loops). Scalar
     reductions are outside this check's scope. *)
 
-val edge_carried_by : int -> Dependence.Dep_graph.edge -> bool
-
-(** [carried_edges edges l] lists the dependences keeping loop [l]
-    serial. *)
-val carried_edges :
-  Dependence.Dep_graph.edge list -> int -> Dependence.Dep_graph.edge list
-
 (** [parallel_loops t] decides for every loop of the program. *)
 val parallel_loops : Analysis.Pipeline.analysis -> (Ir.Loops.loop * bool) list
 

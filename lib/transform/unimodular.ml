@@ -73,30 +73,6 @@ let make_interchangeable ?(max_skew = 8) (dvs : int array list) : matrix option 
   in
   try_f 0
 
-(* [distance_vectors edges ~outer ~inner] extracts the 2-D distance
-   vectors the legality checks consume; [None] when some dependence has
-   no exact distances (conservative callers should refuse). *)
-let distance_vectors (edges : Dependence.Dep_graph.edge list) ~outer ~inner =
-  let module Deptest = Dependence.Deptest in
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | (e : Dependence.Dep_graph.edge) :: rest -> (
-      match e.Dependence.Dep_graph.outcome with
-      | Deptest.Independent -> go acc rest
-      | Deptest.Dependent d -> (
-        match d.Deptest.distance with
-        | Some dists ->
-          let v =
-            [|
-              Option.value ~default:0 (List.assoc_opt outer dists);
-              Option.value ~default:0 (List.assoc_opt inner dists);
-            |]
-          in
-          go (v :: acc) rest
-        | None -> None))
-  in
-  go [] edges
-
 let pp_matrix fmt (t : matrix) =
   Format.fprintf fmt "@[<v>";
   Array.iter

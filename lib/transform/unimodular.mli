@@ -26,9 +26,4 @@ val legal : matrix -> int array list -> bool
     interchange∘skew(f) — the paper's triangular example needs f >= 1. *)
 val make_interchangeable : ?max_skew:int -> int array list -> matrix option
 
-(** [distance_vectors edges ~outer ~inner] extracts exact 2-D distance
-    vectors; [None] when some dependence lacks them. *)
-val distance_vectors :
-  Dependence.Dep_graph.edge list -> outer:int -> inner:int -> int array list option
-
 val pp_matrix : Format.formatter -> matrix -> unit

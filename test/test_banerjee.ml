@@ -36,7 +36,7 @@ let brute ~u ~a ~c1 ~b ~c2 dir =
 let directions_of (outcome : Deptest.outcome) =
   match outcome with
   | Deptest.Independent -> None
-  | Deptest.Dependent d -> Some (List.assoc 0 d.Deptest.directions)
+  | Deptest.Dependent d -> Some (List.assoc 0 (List.hd d.Deptest.vectors))
 
 let prop_single_loop_exact =
   Helpers.qtest ~count:800 "affine test = brute force (single loop)"

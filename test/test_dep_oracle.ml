@@ -2,7 +2,7 @@
    array access with its address, time stamp and loop iteration vector,
    compute the *real* dependences from the trace, and require the static
    dependence graph to cover every one of them — including the observed
-   direction on the outermost common loop. *)
+   direction vector over every common loop. *)
 
 module Pipeline = Analysis.Pipeline
 module Dep_graph = Dependence.Dep_graph
@@ -53,15 +53,31 @@ let trace ?(params = fun _ -> 0) ?(rand = fun () -> false) ssa =
   let st = Ir.Interp.run ~fuel:300_000 ~on_instr ~params ~rand ssa in
   (st.Ir.Interp.outcome, List.rev !events)
 
-(* The observed direction at the outermost loop common to both refs. *)
-let outer_direction (e1 : event) (e2 : event) common =
-  match common with
-  | [] -> None
-  | outer :: _ -> (
-    match (List.assoc_opt outer e1.iters, List.assoc_opt outer e2.iters) with
-    | Some h1, Some h2 ->
-      Some (if h1 < h2 then `Lt else if h1 = h2 then `Eq else `Gt)
-    | _ -> None)
+(* The observed direction on every loop common to both refs, outer
+   first. *)
+let observed_vector (e1 : event) (e2 : event) common =
+  List.filter_map
+    (fun l ->
+      match (List.assoc_opt l e1.iters, List.assoc_opt l e2.iters) with
+      | Some h1, Some h2 -> Some (l, if h1 < h2 then `Lt else if h1 = h2 then `Eq else `Gt)
+      | _ -> None)
+    common
+
+(* Some vector of the union admits the observed directions. *)
+let admits (d : Deptest.dependence) observed =
+  List.exists
+    (fun v ->
+      List.for_all
+        (fun (l, dir) ->
+          match List.assoc_opt l v with
+          | None -> true
+          | Some ds -> (
+            match dir with
+            | `Lt -> ds.Deptest.lt
+            | `Eq -> ds.Deptest.eq
+            | `Gt -> ds.Deptest.gt))
+        observed)
+    d.Deptest.vectors
 
 let check_program ?(rand = fun () -> false) src =
   let ssa = Ir.Ssa.of_source src in
@@ -103,27 +119,19 @@ let check_program ?(rand = fun () -> false) src =
             | Deptest.Independent ->
               fail "edge claims independence but %s(%s) repeats" (fst e1.address)
                 (String.concat "," (List.map string_of_int (snd e1.address)))
-            | Deptest.Dependent d -> (
-              (* The observed outermost-loop direction must be allowed. *)
+            | Deptest.Dependent d ->
+              (* The observed direction vector must fit the union. *)
               let r1 = List.assoc e1.ref_id refs_by_id in
               let r2 = List.assoc e2.ref_id refs_by_id in
-              let common = Dep_graph.common_loops r1 r2 in
-              match outer_direction e1 e2 common with
-              | None -> ()
-              | Some dir -> (
-                match List.assoc_opt (List.hd common) d.Deptest.directions with
-                | None -> ()
-                | Some ds ->
-                  let allowed =
-                    match dir with
-                    | `Lt -> ds.Deptest.lt
-                    | `Eq -> ds.Deptest.eq
-                    | `Gt -> ds.Deptest.gt
-                  in
-                  if not allowed then
-                    fail "direction %s not allowed on %s"
-                      (match dir with `Lt -> "<" | `Eq -> "=" | `Gt -> ">")
-                      (fst e1.address))))
+              let observed = observed_vector e1 e2 (Dep_graph.common_loops r1 r2) in
+              if not (admits d observed) then
+                fail "direction (%s) not allowed on %s"
+                  (String.concat ", "
+                     (List.map
+                        (fun (_, dir) ->
+                          match dir with `Lt -> "<" | `Eq -> "=" | `Gt -> ">")
+                        observed))
+                  (fst e1.address))
         end
       done
     done;
@@ -155,6 +163,11 @@ let corpus =
     (* d in L1 steps from a wrap-around base: its first L0 iteration
        runs 2, 4, 6 and meets A(4). *)
     "d = 2\nL0: for g = 1 to 3 loop\n  L1: for i = 1 to 3 loop\n    A(d) = 1\n    d = d + 2\n  endloop\n  A(4) = 2\n  d = 3\nendloop";
+    (* A monotonic counter holds within one activation of its loop: F(1)
+       written at (i=1, j=3) is read at (i=2, j=1), direction (<, >) —
+       whether k restarts in each L1 iteration or keeps growing. *)
+    "L1: for i = 1 to 3 loop\n  k = 0\n  L2: for j = 1 to 4 loop\n    if ?? then\n      k = k + 1\n    endif\n    F(k) = F(k) + 1\n  endloop\nendloop";
+    "k = 0\nL1: for i = 1 to 3 loop\n  L2: for j = 1 to 4 loop\n    if ?? then\n      k = k + 1\n    endif\n    F(k) = F(k) + 1\n  endloop\nendloop";
   ]
 
 let test_corpus () =

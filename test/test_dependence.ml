@@ -80,7 +80,7 @@ endloop
     (fun (e : Dep_graph.edge) ->
       match e.Dep_graph.outcome with
       | Deptest.Dependent d ->
-        let _, ds = List.hd d.Deptest.directions in
+        let _, ds = List.hd (List.hd d.Deptest.vectors) in
         Alcotest.(check bool) "no same-iteration dependence" false ds.Deptest.eq
       | Deptest.Independent -> Alcotest.fail "edge should be dependent")
     es
@@ -106,7 +106,7 @@ endloop
        (fun (e : Dep_graph.edge) ->
          match e.Dep_graph.outcome with
          | Deptest.Dependent d ->
-           List.exists (fun (_, ds) -> ds.Deptest.eq) d.Deptest.directions
+           List.exists (List.exists (fun (_, ds) -> ds.Deptest.eq)) d.Deptest.vectors
          | Deptest.Independent -> false)
        es)
 
@@ -135,19 +135,19 @@ endloop
   (* B: strictly monotonic subscript -> '=' only. *)
   (match find "B" Dep_graph.Flow with
    | Some { outcome = Deptest.Dependent d; _ } ->
-     let _, ds = List.hd d.Deptest.directions in
+     let _, ds = List.hd (List.hd d.Deptest.vectors) in
      Alcotest.(check bool) "B eq" true ds.Deptest.eq;
      Alcotest.(check bool) "B no lt" false ds.Deptest.lt
    | _ -> Alcotest.fail "no B flow edge");
   (* F flow: '<='; F anti: '<'. *)
   (match find "F" Dep_graph.Flow with
    | Some { outcome = Deptest.Dependent d; _ } ->
-     let _, ds = List.hd d.Deptest.directions in
+     let _, ds = List.hd (List.hd d.Deptest.vectors) in
      Alcotest.(check bool) "F flow le" true (ds.Deptest.eq && ds.Deptest.lt && not ds.Deptest.gt)
    | _ -> Alcotest.fail "no F flow edge");
   match find "F" Dep_graph.Anti with
   | Some { outcome = Deptest.Dependent d; _ } ->
-    let _, ds = List.hd d.Deptest.directions in
+    let _, ds = List.hd (List.hd d.Deptest.vectors) in
     Alcotest.(check bool) "F anti lt" true (ds.Deptest.lt && not ds.Deptest.eq)
   | _ -> Alcotest.fail "no F anti edge"
 
@@ -181,7 +181,7 @@ endloop
   Alcotest.(check bool) "B cells written at most once" true (self_output "B" = None);
   (match self_output "F" with
    | Some { outcome = Deptest.Dependent d; _ } ->
-     let _, ds = List.hd d.Deptest.directions in
+     let _, ds = List.hd (List.hd d.Deptest.vectors) in
      Alcotest.(check bool) "F rewrites later cells" true (ds.Deptest.lt && not ds.Deptest.eq)
    | _ -> Alcotest.fail "F self-output edge expected")
 
@@ -299,6 +299,25 @@ let test_solve_distance_system () =
   | Some ds -> Alcotest.failf "expected no determined distances, got %d" (List.length ds)
   | None -> Alcotest.fail "consistent system"
 
+(* A monotonic counter under an outer loop: within one L1 iteration the
+   F subscripts coincide only moving forward in L2, but F(1) written at
+   (i=1, j=3) is read at (i=2, j=1), direction (<, >). *)
+let monotonic_counter ~reset =
+  Printf.sprintf
+    "%sL1: for i = 1 to 3 loop\n%s  L2: for j = 1 to 4 loop\n    if ?? then\n      k = k + 1\n    endif\n    F(k) = F(k) + 1\n  endloop\nendloop"
+    (if reset then "" else "k = 0\n")
+    (if reset then "  k = 0\n" else "")
+
+let monotonic_union_edges =
+  let union =
+    "dependent (L0:=, L1:<=) | (L0:<, L1:*) [conservative] — monotonic: dependence direction (<=)"
+  in
+  [ "anti F->F " ^ union; "flow F->F " ^ union; "output F->F " ^ union ]
+
+let test_monotonic_under_outer_loop () =
+  check_edges "k reset in each L1 iteration" (monotonic_counter ~reset:true) monotonic_union_edges;
+  check_edges "k set above L1" (monotonic_counter ~reset:false) monotonic_union_edges
+
 let suite =
   ( "dependence",
     [
@@ -321,4 +340,5 @@ let suite =
       Helpers.case "different arrays" test_different_arrays_no_edge;
       Helpers.case "reads only" test_reads_only_no_edge;
       Helpers.case "distance system solver" test_solve_distance_system;
+      Helpers.case "monotonic counter under an outer loop" test_monotonic_under_outer_loop;
     ] )

@@ -324,6 +324,21 @@ let test_range_report_pinned () =
   Alcotest.(check string) "64-nest range report digest" "ba9b348c2c6a534c"
     (Hash.Fnv.to_hex (Hash.Fnv.of_strings [ Analysis.Range.report r ]))
 
+let test_small_cache_keeps_request_record () =
+  (* A Classify miss inserts one unit artifact per nest after the
+     source's record: 64 of them overflow an 8-entry cache. The request
+     must still parse and classify once for all three artifacts. *)
+  let engine = Engine.create ~capacity:8 () in
+  let src = Ir.Ast.to_string (Helpers.nest_program ~seed:7 ~nests:64) in
+  ignore (ok (Engine.renders engine Engine.[ Classify; Trip; Deps ] src));
+  let misses pass =
+    match List.find_opt (fun (p, _, _) -> p = pass) (Engine.pass_stats engine) with
+    | Some (_, _, m) -> m
+    | None -> Alcotest.failf "no pass %s" pass
+  in
+  Alcotest.(check int) "parse runs once" 1 (misses "parse");
+  Alcotest.(check int) "each unit classified once" 64 (misses "unit_classify")
+
 let suite =
   ( "pipeline",
     [
@@ -339,4 +354,5 @@ let suite =
       Helpers.case "batch over a pool matches spawning" test_batch_over_pool_matches_spawning;
       prop_forest_walk_matches_unit_walk;
       Helpers.case "64-nest range report is pinned" test_range_report_pinned;
+      Helpers.case "small cache keeps the request's record" test_small_cache_keeps_request_record;
     ] )

@@ -277,6 +277,21 @@ let test_multi_domain_spans () =
   Alcotest.(check bool) "both roots" true
     (worker.Trace.parent = None && main.Trace.parent = None)
 
+let test_classify_one_ssa_span () =
+  (* The pipeline's own stage spans are the only ones named after its
+     passes: SSA conversion and the loop forest nest inside under names
+     of their own, so a trace summary counts each stage once. *)
+  let engine = Service.Engine.create () in
+  let _, t =
+    Trace.collect (fun () ->
+        Service.Engine.classify engine "L1: for i = 1 to 4 loop\n  A(i) = i\nendloop")
+  in
+  let count name =
+    List.length (List.filter (fun (s : Trace.span) -> s.Trace.name = name) (Trace.spans t))
+  in
+  Alcotest.(check int) "one pipeline.ssa span" 1 (count "pipeline.ssa");
+  Alcotest.(check int) "one pipeline.looptree span" 1 (count "pipeline.looptree")
+
 let suite =
   ( "obs-trace",
     [
@@ -300,4 +315,5 @@ let suite =
       Helpers.case "provenance: geometric" test_prov_geometric;
       Helpers.case "provenance: monotonic" test_prov_monotonic;
       Helpers.case "multi-domain spans" test_multi_domain_spans;
+      Helpers.case "classify traces one span per stage" test_classify_one_ssa_span;
     ] )

@@ -128,6 +128,18 @@ L23: for i = 1 to n loop
 endloop
 |}
 
+let monotonic_counter = {|
+k = 0
+L1: for i = 1 to 3 loop
+  L2: for j = 1 to 4 loop
+    if ?? then
+      k = k + 1
+    endif
+    F(k) = F(k) + 1
+  endloop
+endloop
+|}
+
 let test_interchange_legality () =
   (* Rectangular (1,0): legal. Triangular in iteration space (1,-1):
      illegal — the paper's §6.1 example. Anti-diagonal (1,-1): illegal. *)
@@ -139,7 +151,12 @@ let test_interchange_legality () =
        ~inner_name:"L24");
   Alcotest.(check (option bool)) "anti-diagonal illegal" (Some false)
     (Transform.Interchange.legal_for_source anti_diagonal ~outer_name:"L23"
-       ~inner_name:"L24")
+       ~inner_name:"L24");
+  (* k never decreases, yet F(1) written at (i=1, j=3) is read at
+     (i=2, j=1): direction (<, >), which swapping L1 and L2 reverses. *)
+  Alcotest.(check (option bool)) "monotonic counter illegal" (Some false)
+    (Transform.Interchange.legal_for_source monotonic_counter ~outer_name:"L1"
+       ~inner_name:"L2")
 
 let test_interchange_apply () =
   let ast = Ir.Parser.parse rectangular in
@@ -209,7 +226,7 @@ let test_unimodular_from_dependences () =
   let i = Option.get (Ir.Loops.find_by_name loops "L24") in
   let edges = Dependence.Dep_graph.build t in
   match
-    Transform.Unimodular.distance_vectors edges ~outer:o.Ir.Loops.id ~inner:i.Ir.Loops.id
+    Dependence.Dep_graph.distance_vectors edges [ o.Ir.Loops.id; i.Ir.Loops.id ]
   with
   | Some dvs -> (
     Alcotest.(check bool) "plain interchange illegal" false
