@@ -271,7 +271,8 @@ let cmd_run fuel seed file =
       in
       (match st.Ir.Interp.outcome with
        | Ir.Interp.Halted -> Printf.printf "halted after %d steps\n" st.Ir.Interp.steps
-       | Ir.Interp.Out_of_fuel -> Printf.printf "stopped: out of fuel (%d steps)\n" fuel);
+       | Ir.Interp.Out_of_fuel -> Printf.printf "stopped: out of fuel (%d steps)\n" fuel
+       | Ir.Interp.Trapped _ -> Printf.printf "trapped after %d steps\n" st.Ir.Interp.steps);
       let cells =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.Ir.Interp.arrays []
         |> List.sort compare
@@ -281,7 +282,14 @@ let cmd_run fuel seed file =
           Printf.printf "%s(%s) = %d\n" (Ir.Ident.name a)
             (String.concat ", " (List.map string_of_int idx))
             v)
-        cells)
+        cells;
+      match st.Ir.Interp.outcome with
+      | Ir.Interp.Trapped (trap, id) ->
+        fatal 2 "%s"
+          (Ir.Diag.to_string
+             (Ir.Diag.v ~loc:(Ir.Diag.Var (Ir.Ssa.primary_name ssa id)) ~code:"RUN001"
+                ~origin:"run" "%s" (Ir.Ops.trap_to_string trap)))
+      | Ir.Interp.Halted | Ir.Interp.Out_of_fuel -> ())
 
 (* Seeded corpus generation (Corpus.Gen): the CLI face of the engine
    behind the B1 generated corpus and the property tests. *)

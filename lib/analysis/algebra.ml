@@ -132,6 +132,8 @@ let growth t =
 
 (* --- the operator table --- *)
 
+let max_geometric_h = 1024
+
 let rec add a b =
   match (a, b) with
   | Unknown, _ | _, Unknown -> Unknown
@@ -254,7 +256,10 @@ and shift t k =
   | Linear _ | Unknown | Wrap _ | Monotonic _ -> None
 
 (* [sym_at t h] is the symbolic value of [t] at the concrete iteration
-   [h >= 0], when expressible. *)
+   [h >= 0], when expressible. A geometric term is not expanded past
+   iteration [max_geometric_h]: its power then has thousands of bits,
+   far outside the 63-bit range of any run that does not trap, and
+   building it takes time quadratic in that size. *)
 and sym_at t h =
   match t with
   | Invariant s -> Some s
@@ -265,6 +270,9 @@ and sym_at t h =
       (Array.to_list coeffs
       |> List.mapi (fun k c -> Sym.scale (Rat.pow (Rat.of_int h) k) c)
       |> List.fold_left Sym.add Sym.zero)
+  | Geometric { ratio; _ }
+    when h > max_geometric_h && not (Rat.equal (Rat.abs ratio) Rat.one) ->
+    None
   | Geometric { gcoeffs; ratio; gcoeff; _ } ->
     let p =
       Array.to_list gcoeffs

@@ -927,13 +927,17 @@ let classify_exp ctx id a b =
   | Ivclass.Invariant _, Ivclass.Invariant _ -> opaque_invariant id
   | Ivclass.Invariant base, exp -> (
     (* c ^ (b0 + b1*h) = c^b0 * (c^b1)^h: geometric (an extension the
-       paper's framework admits directly). *)
+       paper's framework admits directly). Only for an exponent that
+       never goes negative (a negative exponent gives 0), and, unless
+       |c| = 1, whose powers stay below c^63: a larger one traps. *)
     match (Sym.const base, Algebra.poly_view exp) with
     | Some c, Some (Some loop, [| b0; b1 |]) -> (
       match (Sym.const b0, Sym.const b1) with
       | Some b0c, Some b1c -> (
         match (Rat.to_int_exact b0c, Rat.to_int_exact b1c) with
-        | Some e0, Some e1 when not (Rat.is_zero c) ->
+        | Some e0, Some e1
+          when e0 >= 0 && e1 >= 0 && (not (Rat.is_zero c))
+               && (Rat.equal (Rat.abs c) Rat.one || (e0 < 63 && e1 < 63)) ->
           let ratio = Rat.pow c e1 in
           if Rat.is_zero ratio || Rat.equal ratio Rat.one then opaque_invariant id
           else

@@ -1,83 +1,31 @@
-(* Integers extended with infinities.
+(* Integers extended with infinities: the bound arithmetic of the range
+   domain and of the Banerjee tests.
 
-   Two families of operations share the representation:
-
-   - the exact Banerjee-style bound arithmetic used by dependence
-     testing ([add], [mul_scalar]), which treats opposite infinities as
-     a program error;
-   - the saturating arithmetic the range analysis needs ([sat_add],
-     [mul], [neg]): finite overflow rounds away from zero to the
-     matching infinity, so a saturated bound always contains the exact
-     mathematical value. *)
+   Programs compute over Z (a run that leaves the native range traps,
+   see [Ir.Ops]), so the arithmetic is the mathematical one: finite
+   overflow rounds away from zero to the matching infinity, and a
+   saturated bound still contains the exact value. *)
 
 type t = Neg_inf | Fin of int | Pos_inf
 
 let zero = Fin 0
 let of_int n = Fin n
 
-let to_int = function Fin n -> Some n | Neg_inf | Pos_inf -> None
-let is_finite = function Fin _ -> true | Neg_inf | Pos_inf -> false
-
+(* Opposite infinities are a program error (a well-formed bound
+   computation never mixes them). *)
 let add a b =
   match (a, b) with
-  | Fin x, Fin y -> Fin (x + y)
+  | Fin x, Fin y -> (
+    match Ir.Ops.add x y with
+    | s -> Fin s
+    | exception Ir.Ops.Trap _ -> if x >= 0 then Pos_inf else Neg_inf)
   | Pos_inf, Neg_inf | Neg_inf, Pos_inf ->
     invalid_arg "Extint.add: opposite infinities"
   | Pos_inf, _ | _, Pos_inf -> Pos_inf
   | Neg_inf, _ | _, Neg_inf -> Neg_inf
 
-(* Overflow-checked native sums: [None] when x + y leaves the native
-   range (the sign of the true result is then the shared sign of the
-   operands). *)
-let add_int_opt x y =
-  let s = x + y in
-  if (x >= 0) = (y >= 0) && (s >= 0) <> (x >= 0) then None else Some s
-
-(* Saturating addition: finite overflow becomes the infinity of the
-   operands' shared sign, so the result still bounds the exact sum.
-   Opposite infinities remain a program error (a well-formed bound
-   computation never mixes them). *)
-let sat_add a b =
-  match (a, b) with
-  | Fin x, Fin y -> (
-    match add_int_opt x y with
-    | Some s -> Fin s
-    | None -> if x >= 0 then Pos_inf else Neg_inf)
-  | Pos_inf, Neg_inf | Neg_inf, Pos_inf ->
-    invalid_arg "Extint.sat_add: opposite infinities"
-  | Pos_inf, _ | _, Pos_inf -> Pos_inf
-  | Neg_inf, _ | _, Neg_inf -> Neg_inf
-
-(* Overflow-checked native product. The [min_int] corner cases matter:
-   [min_int * -1] wraps (and [min_int / -1] traps), so they are handled
-   before the division-based check. *)
-let mul_int_opt x y =
-  if x = 0 || y = 0 then Some 0
-  else if x = 1 then Some y
-  else if y = 1 then Some x
-  else if x = -1 then if y = min_int then None else Some (-y)
-  else if y = -1 then if x = min_int then None else Some (-x)
-  else if x = min_int || y = min_int then None
-  else begin
-    let p = x * y in
-    if p / y = x then Some p else None
-  end
-
-(* [mul_scalar c x] multiplies by a finite integer, exactly when the
-   product fits (the Banerjee tests' coefficients are small); on native
-   overflow it saturates to the correctly signed infinity rather than
-   wrapping — [mul_scalar (-1) (Fin min_int)] is [Pos_inf]. *)
-let mul_scalar c x =
-  match x with
-  | Fin v -> (
-    match mul_int_opt c v with
-    | Some p -> Fin p
-    | None -> if (c > 0) = (v > 0) then Pos_inf else Neg_inf)
-  | Pos_inf -> if c > 0 then Pos_inf else if c < 0 then Neg_inf else Fin 0
-  | Neg_inf -> if c > 0 then Neg_inf else if c < 0 then Pos_inf else Fin 0
-
-(* Saturating negation: [neg (Fin min_int)] has no finite counterpart
-   and saturates to [Pos_inf]. *)
+(* [neg (Fin min_int)] has no finite counterpart and saturates to
+   [Pos_inf]. *)
 let neg = function
   | Fin n -> if n = min_int then Pos_inf else Fin (-n)
   | Pos_inf -> Neg_inf
@@ -88,27 +36,25 @@ let sign = function
   | Pos_inf -> 1
   | Neg_inf -> -1
 
-(* Saturating multiplication. Conventions: finite overflow saturates to
-   the infinity matching the sign of the true product, and [0 * ±inf]
-   is [0] — the interval-arithmetic convention, where the zero factor
-   is exact and annihilates however large the other side is. *)
+(* Conventions: finite overflow saturates to the infinity matching the
+   sign of the true product, and [0 * ±inf] is [0] — the
+   interval-arithmetic convention, where the zero factor is exact and
+   annihilates however large the other side is. *)
 let mul a b =
   match (a, b) with
   | Fin 0, _ | _, Fin 0 -> Fin 0
   | Fin x, Fin y -> (
-    match mul_int_opt x y with
-    | Some p -> Fin p
-    | None -> if (x > 0) = (y > 0) then Pos_inf else Neg_inf)
+    match Ir.Ops.mul x y with
+    | p -> Fin p
+    | exception Ir.Ops.Trap _ -> if (x > 0) = (y > 0) then Pos_inf else Neg_inf)
   | _ -> if sign a * sign b > 0 then Pos_inf else Neg_inf
 
 (* [div_scalar x c] divides by a finite non-zero integer (truncating,
-   like the interpreter); the single wrapping case [min_int / -1]
-   saturates. *)
+   like the interpreter); [min_int / -1] saturates. *)
 let div_scalar x c =
   if c = 0 then invalid_arg "Extint.div_scalar: zero divisor";
   match x with
-  | Fin n ->
-    if n = min_int && c = -1 then Pos_inf else Fin (n / c)
+  | Fin n -> if n = min_int && c = -1 then Pos_inf else Fin (n / c)
   | Pos_inf -> if c > 0 then Pos_inf else Neg_inf
   | Neg_inf -> if c > 0 then Neg_inf else Pos_inf
 
@@ -126,11 +72,6 @@ let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
 let le a b = compare a b <= 0
-
-let pp fmt = function
-  | Neg_inf -> Format.pp_print_string fmt "-inf"
-  | Pos_inf -> Format.pp_print_string fmt "+inf"
-  | Fin n -> Format.pp_print_int fmt n
 
 let to_string = function
   | Neg_inf -> "-inf"

@@ -1,34 +1,17 @@
-(** Integers extended with infinities: the exact arithmetic Banerjee
-    bounds use, plus the saturating arithmetic of the range domain. *)
+(** Integers extended with infinities: the bound arithmetic of the range
+    domain and of the Banerjee tests. The operations are mathematical
+    (programs compute over Z, see {!Ir.Ops}): finite overflow saturates
+    to the correctly signed infinity, so a result still bounds the exact
+    value. *)
 
 type t = Neg_inf | Fin of int | Pos_inf
 
 val zero : t
 val of_int : int -> t
 
-(** [to_int x] is the finite payload, [None] for infinities. *)
-val to_int : t -> int option
-
-val is_finite : t -> bool
-
-(** Exact addition. @raise Invalid_argument on opposite infinities. *)
+(** Saturating addition. @raise Invalid_argument on opposite
+    infinities. *)
 val add : t -> t -> t
-
-(** Overflow-checked native addition ([None] when [x + y] wraps). *)
-val add_int_opt : int -> int -> int option
-
-(** Saturating addition: finite overflow becomes the infinity of the
-    operands' shared sign (the result still bounds the exact sum).
-    @raise Invalid_argument on opposite infinities. *)
-val sat_add : t -> t -> t
-
-(** Overflow-checked native product, handling the [min_int] corners. *)
-val mul_int_opt : int -> int -> int option
-
-(** [mul_scalar c x] multiplies by a finite integer, exactly when the
-    product fits; native overflow saturates to the correctly signed
-    infinity ([mul_scalar (-1) (Fin min_int) = Pos_inf]). *)
-val mul_scalar : int -> t -> t
 
 (** Saturating negation: [neg (Fin min_int) = Pos_inf]. *)
 val neg : t -> t
@@ -41,13 +24,9 @@ val mul : t -> t -> t
     @raise Invalid_argument when [c = 0]. *)
 val div_scalar : t -> int -> t
 
-(** Sign of the extended integer (-1, 0 or 1). *)
-val sign : t -> int
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
 val le : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

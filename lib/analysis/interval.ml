@@ -1,14 +1,10 @@
 (* Intervals over extended integers — the value domain of the range
    analysis.
 
-   An interval bounds the *machine* values a def can take, so the
-   transfer functions must respect native wrap-around: whenever an
-   operation could overflow for some operands inside the inputs, the
-   result degrades to [top] (a wrapped value can land anywhere). The
-   closed-form seeds computed by [Range] instead use the mathematical
-   ([sat_*]) operations: classification closed forms are built from
-   small strides where the fuel bound keeps the exact value inside the
-   native range (see docs/RANGES.md for the caveat).
+   An interval bounds the values a def takes over Z: a run that leaves
+   the native range traps (see [Ir.Ops]), so the transfer functions are
+   the mathematical ones, rounding an endpoint that leaves the range
+   outward.
 
    Invariant: [lo <= hi], [lo <> Pos_inf], [hi <> Neg_inf]. Bottom is
    not represented — the analysis keeps unvisited defs out of its
@@ -52,90 +48,37 @@ let widen ~old ~next =
     hi = (if Extint.compare next.hi old.hi > 0 then Extint.Pos_inf else old.hi);
   }
 
-(* --- machine-safe transfer functions (wrap-aware) --- *)
+(* --- transfer functions --- *)
 
-let fin2 a b =
-  match (a, b) with
-  | Extint.Fin x, Extint.Fin y -> Some (x, y)
-  | _ -> None
+(* Endpoints round outward. A lower bound that saturated to [Pos_inf]
+   lies above the native range, so [max_int] still bounds it from below
+   (and symmetrically for an upper bound at [Neg_inf]); the result stays
+   well-formed. Such a def traps before it holds a value. *)
+let bounds lo hi =
+  {
+    lo = (if lo = Extint.Pos_inf then Extint.Fin max_int else lo);
+    hi = (if hi = Extint.Neg_inf then Extint.Fin min_int else hi);
+  }
 
-(* Addition: exact when both inputs are bounded and neither endpoint
-   sum overflows; any infinity or overflow means some concrete sum can
-   wrap, so the result is top. *)
-let add a b =
-  match (fin2 a.lo b.lo, fin2 a.hi b.hi) with
-  | Some (l1, l2), Some (h1, h2) -> (
-    match (Extint.add_int_opt l1 l2, Extint.add_int_opt h1 h2) with
-    | Some lo, Some hi -> { lo = Extint.Fin lo; hi = Extint.Fin hi }
-    | _ -> top)
-  | _ -> top
+let add a b = bounds (Extint.add a.lo b.lo) (Extint.add a.hi b.hi)
+let neg a = bounds (Extint.neg a.hi) (Extint.neg a.lo)
+let sub a b = add a (neg b)
 
-(* Negation: exact unless the input can be [min_int] (whose machine
-   negation is itself). *)
-let neg a =
-  if mem min_int a then top
-  else { lo = Extint.neg a.hi; hi = Extint.neg a.lo }
-
-let sub a b = if is_top a || is_top b then top else add a (neg b)
-
-(* Multiplication: exact when all four endpoint products fit; a zero
-   singleton annihilates anything. *)
+(* The product's extremes lie among the four endpoint products. *)
 let mul a b =
-  match (singleton a, singleton b) with
-  | Some 0, _ | _, Some 0 -> const 0
-  | _ -> (
-    match (fin2 a.lo a.hi, fin2 b.lo b.hi) with
-    | Some (al, ah), Some (bl, bh) -> (
-      let products =
-        [
-          Extint.mul_int_opt al bl;
-          Extint.mul_int_opt al bh;
-          Extint.mul_int_opt ah bl;
-          Extint.mul_int_opt ah bh;
-        ]
-      in
-      match
-        List.fold_left
-          (fun acc p ->
-            match (acc, p) with
-            | Some (lo, hi), Some p -> Some (Stdlib.min lo p, Stdlib.max hi p)
-            | _ -> None)
-          (Some (max_int, min_int))
-          products
-      with
-      | Some (lo, hi) -> { lo = Extint.Fin lo; hi = Extint.Fin hi }
-      | None -> top)
-    | _ -> top)
+  let p1 = Extint.mul a.lo b.lo and p2 = Extint.mul a.lo b.hi in
+  let p3 = Extint.mul a.hi b.lo and p4 = Extint.mul a.hi b.hi in
+  bounds
+    (Extint.min (Extint.min p1 p2) (Extint.min p3 p4))
+    (Extint.max (Extint.max p1 p2) (Extint.max p3 p4))
 
-(* Division by a non-zero constant. Truncating division is monotone
-   non-decreasing in the dividend for positive divisors and
-   non-increasing for negative ones; the only wrapping case is
-   [min_int / -1], excluded by falling back to [neg]'s rule. *)
-let div_const a c =
-  if c = 0 then top
-  else if c = -1 then neg a
-  else if c > 0 then
-    { lo = Extint.div_scalar a.lo c; hi = Extint.div_scalar a.hi c }
-  else { lo = Extint.div_scalar a.hi c; hi = Extint.div_scalar a.lo c }
-
+(* Division by a singleton non-zero divisor. Truncating division is
+   monotone non-decreasing in the dividend for positive divisors and
+   non-increasing for negative ones. *)
 let div a b =
-  match singleton b with Some c when c <> 0 -> div_const a c | _ -> top
+  match singleton b with
+  | Some c when c > 0 -> bounds (Extint.div_scalar a.lo c) (Extint.div_scalar a.hi c)
+  | Some c when c < 0 -> bounds (Extint.div_scalar a.hi c) (Extint.div_scalar a.lo c)
+  | Some _ | None -> top
 
-(* --- mathematical (saturating) operations, for closed-form seeds --- *)
-
-let sat_add a b =
-  { lo = Extint.sat_add a.lo b.lo; hi = Extint.sat_add a.hi b.hi }
-
-(* [mul_scalar s t] scales by an exact integer (saturating). *)
-let mul_scalar s t =
-  if s = 0 then const 0
-  else begin
-    let p1 = Extint.mul (Extint.Fin s) t.lo
-    and p2 = Extint.mul (Extint.Fin s) t.hi in
-    { lo = Extint.min p1 p2; hi = Extint.max p1 p2 }
-  end
-
-let pp fmt t =
-  Format.fprintf fmt "[%a, %a]" Extint.pp t.lo Extint.pp t.hi
-
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = Printf.sprintf "[%s, %s]" (Extint.to_string t.lo) (Extint.to_string t.hi)

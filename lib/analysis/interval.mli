@@ -1,9 +1,8 @@
 (** Intervals over extended integers — the value domain of the range
-    analysis. Bounds are on *machine* values: the wrap-aware transfer
-    functions ([add], [sub], [mul], [neg], [div]) degrade to [top]
-    whenever an operation could overflow inside the inputs, while the
-    saturating operations ([sat_add], [mul_scalar]) follow exact
-    mathematical semantics for classification closed-form seeds. *)
+    analysis. Bounds are on values over Z (a run that leaves the native
+    range traps, see {!Ir.Ops}); the transfer functions are the
+    mathematical ones, and an endpoint that leaves the range rounds
+    outward. *)
 
 type t
 
@@ -20,7 +19,6 @@ val bool_range : t
 val lo : t -> Extint.t
 val hi : t -> Extint.t
 val is_top : t -> bool
-val singleton : t -> int option
 val equal : t -> t -> bool
 val mem : int -> t -> bool
 
@@ -43,13 +41,4 @@ val mul : t -> t -> t
 (** Division by a singleton non-zero divisor; [top] otherwise. *)
 val div : t -> t -> t
 
-val div_const : t -> int -> t
-
-(** Saturating (mathematical) addition, for closed-form seeds. *)
-val sat_add : t -> t -> t
-
-(** Saturating scale by an exact integer, for closed-form seeds. *)
-val mul_scalar : int -> t -> t
-
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

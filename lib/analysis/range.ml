@@ -66,8 +66,7 @@ let h_range ~trip_of ~sub1_loop l =
    (or one-sided) iteration spaces — recursing into outer-loop bases —
    constant periodic tuples, and wrap-arounds with constant initials.
    Polynomial, geometric and monotonic classes fall back to the
-   dataflow ([None]); closed-form arithmetic is mathematical
-   (saturating), see docs/RANGES.md for the overflow caveat. *)
+   dataflow ([None]). *)
 let rec class_interval ~trip_of ~sub1_loop (cls : Ivclass.t) :
     Interval.t option =
   match cls with
@@ -81,7 +80,7 @@ let rec class_interval ~trip_of ~sub1_loop (cls : Ivclass.t) :
       match Bignum.Rat.to_int_exact step with
       | Some s ->
         let h = h_range ~trip_of ~sub1_loop loop in
-        Some (Interval.sat_add bi (Interval.mul_scalar s h))
+        Some (Interval.add bi (Interval.mul (Interval.const s) h))
       | None -> None)
     | _ -> None)
   | Ivclass.Periodic { values; _ } ->
@@ -344,12 +343,12 @@ let sym_interval t (s : Sym.t) : Interval.t option =
           (fun acc (a, p) -> Interval.mul acc (power (atom_iv a) p))
           (Interval.const 1) mono
       in
-      Some (Interval.mul_scalar c iv)
+      Some (Interval.mul (Interval.const c) iv)
   in
   List.fold_left
     (fun acc tm ->
       match (acc, term tm) with
-      | Some acc, Some iv -> Some (Interval.sat_add acc iv)
+      | Some acc, Some iv -> Some (Interval.add acc iv)
       | _, _ -> None)
     (Some (Interval.const 0))
     s

@@ -109,6 +109,8 @@ let run (ssa : Ir.Ssa.t) : result =
       | Top -> ())
     | Ir.Cfg.Halt -> ()
   in
+  (* A fold that traps is not a constant: the run stops there. *)
+  let fold f a = match f a with n -> Const n | exception Ir.Ops.Trap _ -> Bottom in
   let eval_instr (i : Ir.Instr.t) =
     let arg k = value_of_operand i.Ir.Instr.args.(k) in
     match i.Ir.Instr.op with
@@ -117,8 +119,7 @@ let run (ssa : Ir.Ssa.t) : result =
          Bottom, which takes the result to Bottom too). *)
       match (op, arg 0, arg 1) with
       | Ir.Ops.Mul, Const 0, _ | Ir.Ops.Mul, _, Const 0 -> Const 0
-      | Ir.Ops.Div, _, Const 0 -> Bottom
-      | _, Const a, Const b -> Const (Ir.Ops.eval_binop op a b)
+      | _, Const a, Const b -> fold (Ir.Ops.eval_binop op a) b
       | _, Top, _ | _, _, Top -> Top
       | _, Bottom, _ | _, _, Bottom -> Bottom)
     | Ir.Instr.Relop op -> (
@@ -127,7 +128,7 @@ let run (ssa : Ir.Ssa.t) : result =
       | Bottom, _ | _, Bottom -> Bottom
       | Top, _ | _, Top -> Top)
     | Ir.Instr.Neg -> (
-      match arg 0 with Const a -> Const (-a) | x -> x)
+      match arg 0 with Const a -> fold Ir.Ops.neg a | x -> x)
     | Ir.Instr.Phi ->
       let l = block_of i in
       let ps = preds.(l) in

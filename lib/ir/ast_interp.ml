@@ -16,7 +16,7 @@ type state = {
   fuel : int;
 }
 
-type outcome = Halted | Out_of_fuel
+type outcome = Halted | Out_of_fuel | Trapped of Ops.trap
 
 exception Stop
 exception Exit_loop
@@ -42,7 +42,7 @@ let rec eval st (e : Ast.expr) : int =
     let va = eval st a in
     let vb = eval st b in
     Ops.eval_binop op va vb
-  | Ast.Neg a -> -eval st a
+  | Ast.Neg a -> Ops.neg (eval st a)
 
 let eval_cond st (c : Ast.cond) : bool =
   match c with
@@ -79,7 +79,7 @@ let rec exec st (s : Ast.stmt) : unit =
         let i = lookup st var in
         if (step > 0 && i > limit) || (step < 0 && i < limit) then raise Exit_loop;
         exec_list st body;
-        Hashtbl.replace st.env var (lookup st var + step)
+        Hashtbl.replace st.env var (Ops.add (lookup st var) step)
       done
     with Exit_loop -> ())
 
@@ -101,7 +101,11 @@ let run ?(fuel = 100_000) ?(params = fun _ -> 0) ?(rand = fun () -> false)
       fuel;
     }
   in
-  let outcome = try exec_list st p.Ast.stmts; Halted with Stop -> Out_of_fuel in
+  let outcome =
+    try exec_list st p.Ast.stmts; Halted with
+    | Stop -> Out_of_fuel
+    | Ops.Trap trap -> Trapped trap
+  in
   (st, outcome)
 
 (* [array_footprint st] is the final array state, sorted, for comparison

@@ -12,7 +12,7 @@ type state = {
   fuel : int;
 }
 
-type outcome = Halted | Out_of_fuel
+type outcome = Halted | Out_of_fuel | Trapped of Ops.trap
 
 val run :
   ?fuel:int ->

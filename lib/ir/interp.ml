@@ -8,7 +8,7 @@
    each enclosing loop. Tests compare the listener's observations with
    the closed forms predicted by the classifier. *)
 
-type outcome = Halted | Out_of_fuel
+type outcome = Halted | Out_of_fuel | Trapped of Ops.trap * Instr.Id.t
 
 type state = {
   ssa : Ssa.t;
@@ -54,7 +54,7 @@ let exec_instr st (instr : Instr.t) =
   match instr.Instr.op with
   | Instr.Binop op -> Ops.eval_binop op (arg 0) (arg 1)
   | Instr.Relop op -> if Ops.eval_relop op (arg 0) (arg 1) then 1 else 0
-  | Instr.Neg -> -(arg 0)
+  | Instr.Neg -> Ops.neg (arg 0)
   | Instr.Rand -> if st.rand () then 1 else 0
   | Instr.Aload a ->
     let idx = Array.to_list (Array.map (value st) instr.Instr.args) in
@@ -156,7 +156,12 @@ let run ?(fuel = 100_000) ?(on_instr = fun _ _ _ -> ()) ?(params = fun _ -> 0)
        List.iter
          (fun (instr : Instr.t) ->
            charge ();
-           let v = exec_instr st instr in
+           let v =
+             try exec_instr st instr
+             with Ops.Trap trap ->
+               st.outcome <- Trapped (trap, instr.Instr.id);
+               raise Stop
+           in
            Instr.Id.Table.replace st.env instr.Instr.id v;
            on_instr st instr v)
          rest;

@@ -4,9 +4,14 @@
     Semantics notes: all phis of a block read their operands on the
     incoming edge simultaneously (so rotation patterns behave); '??'
     conditions read the supplied random stream; arrays are unbounded and
-    zero-initialized; execution stops after [fuel] instruction steps. *)
+    zero-initialized; execution stops after [fuel] instruction steps, or
+    at the first instruction that traps ({!Ops.Trap}: overflow of the
+    native range or division by zero), which writes no value. *)
 
-type outcome = Halted | Out_of_fuel
+type outcome =
+  | Halted
+  | Out_of_fuel
+  | Trapped of Ops.trap * Instr.Id.t  (** the trap and the instruction *)
 
 type state = {
   ssa : Ssa.t;

@@ -138,7 +138,7 @@ let unit_key udigest = Fnv.feed_string udigest "unit.artifact"
    entry layout changes, so a shared fleet store never serves bytes
    from an older format. *)
 
-let store_schema = 4
+let store_schema = 5
 let entry_kind = "source"
 
 (* The check report depends on the oracle's iteration bound, and the

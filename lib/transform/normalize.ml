@@ -62,6 +62,32 @@ let rec subst_stmt var replacement (s : Ir.Ast.stmt) : Ir.Ast.stmt =
         }
   | Ir.Ast.Exit_if c -> Ir.Ast.Exit_if (subst_cond var replacement c)
 
+(* The value of a bound built from literals. @raise Ir.Ops.Trap when
+   evaluating it traps (the loop then traps too). *)
+let rec constant (e : Ir.Ast.expr) =
+  match e with
+  | Ir.Ast.Int n -> Some n
+  | Ir.Ast.Neg a -> Option.map Ir.Ops.neg (constant a)
+  | Ir.Ast.Binop (op, a, b) -> (
+    match (constant a, constant b) with
+    | Some x, Some y -> Some (Ir.Ops.eval_binop op x y)
+    | _ -> None)
+  | Ir.Ast.Var _ | Ir.Ast.Aref _ -> None
+
+(* The bound of a loop with constant bounds, folded: -1 for an empty
+   loop, else floor((hi - lo) / step). Folding keeps the normalized loop
+   from computing hi - lo, which can leave the native range where the
+   loop's own values do not; a loop whose span or last offset
+   [bound * step] leaves it is not normalized. *)
+let constant_bound lo hi step =
+  if (step > 0 && hi < lo) || (step < 0 && hi > lo) then -1
+  else
+    try
+      let bound = Ir.Ops.div (Ir.Ops.sub hi lo) step in
+      ignore (Ir.Ops.mul bound step);
+      bound
+    with Ir.Ops.Trap _ -> invalid_arg "Normalize: loop span leaves the 63-bit range"
+
 (* [normalize_stmt s] normalizes all for loops in [s], innermost last. *)
 let rec normalize_stmt (s : Ir.Ast.stmt) : Ir.Ast.stmt =
   match s with
@@ -74,17 +100,20 @@ let rec normalize_stmt (s : Ir.Ast.stmt) : Ir.Ast.stmt =
         (Ir.Ops.Add, Ir.Ast.Binop (Ir.Ops.Mul, Ir.Ast.Var nv, Ir.Ast.Int step), lo)
     in
     let body = List.map (subst_stmt var replacement) body in
-    (* The new bound is floor((hi - lo) / step); with the language's
-       truncating division that is (hi - lo + step)/step - 1, which is
-       also correct for empty loops and negative steps. *)
     let bound =
-      Ir.Ast.Binop
-        ( Ir.Ops.Sub,
-          Ir.Ast.Binop
-            ( Ir.Ops.Div,
-              Ir.Ast.Binop (Ir.Ops.Add, Ir.Ast.Binop (Ir.Ops.Sub, hi, lo), Ir.Ast.Int step),
-              Ir.Ast.Int step ),
-          Ir.Ast.Int 1 )
+      match (constant lo, constant hi) with
+      | Some l, Some h -> Ir.Ast.Int (constant_bound l h step)
+      | _ | (exception Ir.Ops.Trap _) ->
+        (* The new bound is floor((hi - lo) / step); with the language's
+           truncating division that is (hi - lo + step)/step - 1, which
+           is also correct for empty loops and negative steps. *)
+        Ir.Ast.Binop
+          ( Ir.Ops.Sub,
+            Ir.Ast.Binop
+              ( Ir.Ops.Div,
+                Ir.Ast.Binop (Ir.Ops.Add, Ir.Ast.Binop (Ir.Ops.Sub, hi, lo), Ir.Ast.Int step),
+                Ir.Ast.Int step ),
+            Ir.Ast.Int 1 )
     in
     Ir.Ast.For { name; var = nv; lo = Ir.Ast.Int 0; hi = bound; step = 1; body }
   | Ir.Ast.Loop (name, body) -> Ir.Ast.Loop (name, List.map normalize_stmt body)

@@ -14,7 +14,12 @@
    correctness argument is the classification itself: the multiply's
    value during iteration h equals b + s*h, which is exactly the phi's
    value. The tests validate the rewrite by running the reference
-   interpreter on both versions and comparing the full array traffic. *)
+   interpreter on both versions and comparing the full array traffic.
+
+   The latch increment computes one value ahead (b + s*U after the last
+   iteration), which may leave the native range and trap: only a
+   multiply whose range, covering h up to the trip count U, is finite
+   is reduced. *)
 
 module Sym = Analysis.Sym
 module Ivclass = Analysis.Ivclass
@@ -26,9 +31,11 @@ type reduction = {
   loop : int;
 }
 
-(* [reduce_loop t loop_id] strength-reduces one loop; returns the list of
+let native = Analysis.Interval.make (Analysis.Extint.Fin min_int) (Analysis.Extint.Fin max_int)
+
+(* [reduce_loop t range loop_id] strength-reduces one loop; returns the list of
    reductions performed. The CFG is modified in place. *)
-let reduce_loop (t : Pipeline.analysis) loop_id : reduction list =
+let reduce_loop (t : Pipeline.analysis) range loop_id : reduction list =
   let ssa = t.Pipeline.ssa in
   let cfg = Ir.Ssa.cfg ssa in
   let loops = Ir.Ssa.loops ssa in
@@ -45,7 +52,10 @@ let reduce_loop (t : Pipeline.analysis) loop_id : reduction list =
             match Ir.Instr.Id.Table.find_opt r.Pipeline.table instr.Ir.Instr.id with
             | Some (Ivclass.Linear { base = Ivclass.Invariant b; step; loop = l })
               when l = loop_id && Codegen.integral b && Codegen.integral step
-                   && not (Sym.is_zero step) ->
+                   && (not (Sym.is_zero step))
+                   && Analysis.Interval.subset
+                        (Analysis.Range.interval_of range instr.Ir.Instr.id)
+                        native ->
               Some (instr, b, step)
             | _ -> None)
           | _ -> None)
@@ -95,6 +105,7 @@ let reduce_loop (t : Pipeline.analysis) loop_id : reduction list =
    before rewriting; re-analyze if classifications are needed after. *)
 let reduce (t : Pipeline.analysis) : reduction list =
   let loops = Ir.Ssa.loops t.Pipeline.ssa in
+  let range = Pipeline.range_of t in
   List.concat_map
-    (fun (lp : Ir.Loops.loop) -> reduce_loop t lp.Ir.Loops.id)
+    (fun (lp : Ir.Loops.loop) -> reduce_loop t range lp.Ir.Loops.id)
     (Ir.Loops.postorder loops)

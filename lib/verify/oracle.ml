@@ -29,11 +29,6 @@ type result = {
 
 type mono_state = { mutable last_act : int; mutable last_v : int option }
 
-(* The interpreter computes in native (wrapping) integers while the
-   classifier is exact; past this magnitude the comparison is
-   meaningless (overflow is unspecified). *)
-let overflow_bound = Bignum.Rat.of_int (1 lsl 55)
-
 (* The classification observer: [count] records one compared
    prediction for a def at iteration [h] of loop [lp]; [fail] reports a
    broken one under a code and message. *)
@@ -78,15 +73,14 @@ let observe_class ~params ~count ~fail (t : Pipeline.analysis) =
     | cls -> (
       let iter_of outer = Some (Ir.Interp.loop_iter st outer) in
       match Ivclass.eval_at_nest lookup iter_of cls h with
-      | Some predicted
-        when Bignum.Rat.compare (Bignum.Rat.abs predicted) overflow_bound < 0 ->
+      | Some predicted ->
         count id h;
         if not (Bignum.Rat.equal predicted (Bignum.Rat.of_int v)) then
           fail id ~code:"ORA001" ~origin:"oracle"
             (Printf.sprintf "h=%d predicted %s, observed %d" h
                (Bignum.Rat.to_string predicted)
                v)
-      | Some _ | None -> ())
+      | None -> ())
 
 (* The range observer: both the full interval (RNG001) and the
    body-refined interval at the def's own block (RNG002). Only non-top

@@ -18,13 +18,12 @@
       ([RNG001]) and inside the body-refined interval at the def's own
       block ([RNG002]). Top intervals are not counted as checks.
 
-    The check is bounded three ways: [iters] caps the iteration index h
-    per loop (the first N iterations — divergence beyond machine-word
-    overflow territory is meaningless, and closed forms that hold for N
+    The check is bounded two ways: [iters] caps the iteration index h
+    per loop (the first N iterations — closed forms that hold for N
     iterations of every loop shape the classifier handles hold
-    generally); [fuel] caps total interpreted steps; and predictions
-    whose exact value exceeds 2^55 are skipped, since the interpreter
-    wraps native integers while the classifier is exact. *)
+    generally), and [fuel] caps total interpreted steps. The interpreter
+    computes over Z like the classifier; a run that traps (overflow of
+    the native range, division by zero) is compared up to the trap. *)
 
 type observer =
   | Classes  (** each def's classification *)

@@ -5,22 +5,27 @@ module Diag = Ir.Diag
 
 type result = { diags : Ir.Diag.t list; transforms : int; cells : int }
 
-(* Final array contents under a fixed input valuation and '??' stream;
-   None when the interpreter ran out of fuel (infinite loops under this
-   valuation — the differential is then meaningless). *)
+(* How a run under a fixed input valuation and '??' stream ended: its
+   final array contents when it halted. *)
+type run = Cells of (string * int list * int) list | Trapped of Ir.Ops.trap | Out_of_fuel
+
 let footprint ~fuel ~params ~seed ssa =
   let state = Random.State.make [| seed |] in
   let st =
     Ir.Interp.run ~fuel ~params ~rand:(fun () -> Random.State.bool state) ssa
   in
   match st.Ir.Interp.outcome with
-  | Ir.Interp.Out_of_fuel -> None
+  | Ir.Interp.Out_of_fuel -> Out_of_fuel
+  | Ir.Interp.Trapped (trap, _) -> Trapped trap
   | Ir.Interp.Halted ->
-    Some
+    Cells
       (Hashtbl.fold
          (fun (a, idx) v acc -> (Ir.Ident.name a, idx, v) :: acc)
          st.Ir.Interp.arrays []
       |> List.sort compare)
+
+let show_cell (a, idx, v) =
+  Printf.sprintf "%s(%s)=%d" a (String.concat "," (List.map string_of_int idx)) v
 
 let check ?(fuel = 200_000) ?(seed = 7) ?(params = fun _ -> 0)
     (p : Ir.Ast.program) : result =
@@ -28,7 +33,8 @@ let check ?(fuel = 200_000) ?(seed = 7) ?(params = fun _ -> 0)
   let transforms = ref 0 in
   let cells = ref 0 in
   let add d = diags := d :: !diags in
-  let base = footprint ~fuel ~params ~seed (Ir.Ssa.of_program p) in
+  let footprint = footprint ~fuel ~params ~seed in
+  let base = footprint (Ir.Ssa.of_program p) in
   (* Structural diagnostics after a rewrite keep their codes but name
      the transform as origin, so `error[SSA004] licm (...)` reads as
      "LICM broke dominance". *)
@@ -38,36 +44,43 @@ let check ?(fuel = 200_000) ?(seed = 7) ?(params = fun _ -> 0)
       (Structural.check_cfg ~origin:name (Ir.Ssa.cfg ssa)
       @ Ir.Ssa.check ssa)
   in
-  let differential name ssa =
-    match (base, footprint ~fuel ~params ~seed ssa) with
-    | Some before, Some after ->
+  (* Only runs where the reference program halts are compared: a trap
+     in the rewritten program alone is then a divergence too. *)
+  let compare_runs name ~code ~diverged reference rewritten =
+    match (reference, rewritten) with
+    | Cells before, Cells after ->
       cells := !cells + List.length before;
       if before <> after then begin
-        let extra =
-          List.filter (fun c -> not (List.mem c before)) after
-        in
-        let missing =
-          List.filter (fun c -> not (List.mem c after)) before
-        in
-        let show (a, idx, v) =
-          Printf.sprintf "%s(%s)=%d" a
-            (String.concat "," (List.map string_of_int idx))
-            v
-        in
-        add
-          (Diag.v ~code:"TRN002" ~origin:name
-             "array footprint diverges from the untransformed program \
-              (%d cells changed, e.g. %s)"
-             (List.length extra + List.length missing)
-             (match (extra, missing) with
-              | c :: _, _ -> show c
-              | [], c :: _ -> "missing " ^ show c
-              | [], [] -> "reordered"))
+        let extra = List.filter (fun c -> not (List.mem c before)) after in
+        let missing = List.filter (fun c -> not (List.mem c after)) before in
+        add (Diag.v ~code ~origin:name "%s" (diverged extra missing))
       end
-    | None, _ | _, None ->
+    | Cells _, Trapped trap ->
+      add
+        (Diag.v ~code ~origin:name
+           "the rewritten program traps (%s) where the reference halts"
+           (Ir.Ops.trap_to_string trap))
+    | Trapped trap, _ ->
+      add
+        (Diag.v ~severity:Diag.Info ~code:"TRN000" ~origin:name
+           "differential skipped: the original trapped (%s)"
+           (Ir.Ops.trap_to_string trap))
+    | Out_of_fuel, _ | Cells _, Out_of_fuel ->
       add
         (Diag.v ~severity:Diag.Info ~code:"TRN000" ~origin:name
            "differential skipped: out of fuel under this valuation")
+  in
+  let differential name ssa =
+    compare_runs name ~code:"TRN002" base (footprint ssa)
+      ~diverged:(fun extra missing ->
+        Printf.sprintf
+          "array footprint diverges from the untransformed program (%d cells \
+           changed, e.g. %s)"
+          (List.length extra + List.length missing)
+          (match (extra, missing) with
+           | c :: _, _ -> show_cell c
+           | [], c :: _ -> "missing " ^ show_cell c
+           | [], [] -> "reordered"))
   in
   let validate name apply =
     incr transforms;
@@ -123,28 +136,14 @@ let check ?(fuel = 200_000) ?(seed = 7) ?(params = fun _ -> 0)
    | full, opt ->
      let ssa_opt = Ir.Ssa.of_program opt in
      structural "bounds" ssa_opt;
-     (match
-        ( footprint ~fuel ~params ~seed (Ir.Ssa.of_program full),
-          footprint ~fuel ~params ~seed ssa_opt )
-      with
-      | Some checked, Some optimized ->
-        cells := !cells + List.length checked;
-        if checked <> optimized then
-          add
-            (Diag.v ~code:"TRN003" ~origin:"bounds"
-               "optimized-checked footprint diverges from fully-checked                 (%d cells differ): an eliminated bounds check would have                 fired"
-               (List.length
-                  (List.filter
-                     (fun c -> not (List.mem c checked))
-                     optimized)
-               + List.length
-                   (List.filter
-                      (fun c -> not (List.mem c optimized))
-                      checked)))
-      | None, _ | _, None ->
-        add
-          (Diag.v ~severity:Diag.Info ~code:"TRN000" ~origin:"bounds"
-             "differential skipped: out of fuel under this valuation"))
+     compare_runs "bounds" ~code:"TRN003"
+       (footprint (Ir.Ssa.of_program full))
+       (footprint ssa_opt)
+       ~diverged:(fun extra missing ->
+         Printf.sprintf
+           "optimized-checked footprint diverges from fully-checked (%d cells \
+            differ): an eliminated bounds check would have fired"
+           (List.length extra + List.length missing))
    | exception e ->
      add
        (Diag.v ~code:"TRN001" ~origin:"bounds" "transform raised: %s"

@@ -8,11 +8,15 @@
     but carry the transform's name as origin), and the rewritten program
     is interpreted against the untransformed one under identical inputs
     and random streams, comparing final array contents — the semantic
-    footprint the dependence tests care about.
+    footprint the dependence tests care about. Only runs where the
+    untransformed program halts are compared, so a rewritten program
+    that traps where the original halts diverges.
 
     Codes: [TRN001] a transform raised, [TRN002] footprint divergence
-    after a transform, [TRN000] (info) differential skipped because the
-    program ran out of fuel. *)
+    after a transform (or a trap the original does not have), [TRN003]
+    the same for bounds-check elimination against the fully-checked
+    program, [TRN000] (info) differential skipped because a run ran out
+    of fuel or the original trapped. *)
 
 type result = {
   diags : Ir.Diag.t list;

@@ -76,19 +76,35 @@ let contains s sub =
     !found
   end
 
-(* Final array contents after interpreting a program: the semantic
-   footprint used to validate transformations. *)
-let array_footprint ?(fuel = 200_000) ?(params = fun _ -> 0) ?(rand = fun () -> false)
-    ?(arrays = []) ast =
-  let ssa = Ir.Ssa.of_program ast in
+(* Final array contents of a run that halts — the semantic footprint
+   used to validate transformations; [None] when the run runs out of
+   fuel or traps. *)
+let halted_footprint ?(fuel = 200_000) ?(params = fun _ -> 0)
+    ?(rand = fun () -> false) ?(arrays = []) ssa =
   let st = Ir.Interp.run ~fuel ~params ~rand ~arrays ssa in
-  (match st.Ir.Interp.outcome with
-   | Ir.Interp.Halted -> ()
-   | Ir.Interp.Out_of_fuel -> Alcotest.fail "interpreter ran out of fuel");
-  Hashtbl.fold
-    (fun (a, idx) v acc -> (Ir.Ident.name a, idx, v) :: acc)
-    st.Ir.Interp.arrays []
-  |> List.sort compare
+  match st.Ir.Interp.outcome with
+  | Ir.Interp.Halted ->
+    Some
+      (Hashtbl.fold
+         (fun (a, idx) v acc -> (Ir.Ident.name a, idx, v) :: acc)
+         st.Ir.Interp.arrays []
+      |> List.sort compare)
+  | Ir.Interp.Out_of_fuel | Ir.Interp.Trapped _ -> None
+
+(* The footprint of a run that must halt. *)
+let ssa_footprint ?fuel ?params ?rand ?arrays ssa =
+  match halted_footprint ?fuel ?params ?rand ?arrays ssa with
+  | Some cells -> cells
+  | None -> Alcotest.fail "interpreter did not halt (out of fuel or trapped)"
+
+let array_footprint ?fuel ?params ?rand ?arrays ast =
+  ssa_footprint ?fuel ?params ?rand ?arrays (Ir.Ssa.of_program ast)
+
+(* The footprint property of a rewrite: runs are compared only where the
+   original halts, and the rewritten program must then halt with the
+   same cells (a trap of its own is a divergence). *)
+let preserves before after =
+  match before with None -> true | Some _ -> after = before
 
 (* ---------- many-nest files ----------
 

@@ -24,15 +24,7 @@ endloop
 A(k) = 1
 |}
 
-let footprint ssa =
-  let st = Ir.Interp.run ~fuel:2_000_000 ssa in
-  (match st.Ir.Interp.outcome with
-   | Ir.Interp.Halted -> ()
-   | Ir.Interp.Out_of_fuel -> Alcotest.fail "out of fuel");
-  Hashtbl.fold
-    (fun (a, idx) v acc -> (Ir.Ident.name a, idx, v) :: acc)
-    st.Ir.Interp.arrays []
-  |> List.sort compare
+let footprint ssa = Helpers.ssa_footprint ~fuel:2_000_000 ssa
 
 let test_materialize_fig8 () =
   let before = footprint (Ir.Ssa.of_source fig78) in
@@ -81,17 +73,15 @@ let prop_materialize_preserves =
       let seed = Hashtbl.hash src in
       let run ssa =
         let state = Random.State.make [| seed |] in
-        let st =
-          Ir.Interp.run ~fuel:500_000 ~rand:(fun () -> Random.State.bool state) ssa
-        in
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.Ir.Interp.arrays []
-        |> List.sort compare
+        Helpers.halted_footprint ~fuel:500_000
+          ~rand:(fun () -> Random.State.bool state)
+          ssa
       in
       let before = run (Ir.Ssa.of_source src) in
       let ssa = Ir.Ssa.of_source src in
       let t = Pipeline.analyze ssa in
       let _ = Transform.Exit_values.materialize t in
-      Ir.Ssa.check ssa = [] && run ssa = before)
+      Ir.Ssa.check ssa = [] && Helpers.preserves before (run ssa))
 
 (* --- direction-vector enumeration --- *)
 

@@ -1,6 +1,5 @@
 (* Extint edge cases: the saturating operations around the infinities
-   and the min_int corner, which the exact Banerjee arithmetic never
-   exercises but the range domain leans on. *)
+   and the min_int corner. *)
 
 module E = Analysis.Extint
 
@@ -20,16 +19,16 @@ let test_neg () =
   Alcotest.check ext "neg max_int" (fin (-max_int)) (E.neg (fin max_int))
 
 let test_sat_add () =
-  Alcotest.check ext "finite" (fin 7) (E.sat_add (fin 3) (fin 4));
-  Alcotest.check ext "overflow up" E.Pos_inf (E.sat_add (fin max_int) (fin 1));
+  Alcotest.check ext "finite" (fin 7) (E.add (fin 3) (fin 4));
+  Alcotest.check ext "overflow up" E.Pos_inf (E.add (fin max_int) (fin 1));
   Alcotest.check ext "overflow down" E.Neg_inf
-    (E.sat_add (fin min_int) (fin (-1)));
-  Alcotest.check ext "inf absorbs" E.Pos_inf (E.sat_add E.Pos_inf (fin (-5)));
+    (E.add (fin min_int) (fin (-1)));
+  Alcotest.check ext "inf absorbs" E.Pos_inf (E.add E.Pos_inf (fin (-5)));
   Alcotest.check ext "neg inf absorbs" E.Neg_inf
-    (E.sat_add E.Neg_inf (fin max_int));
+    (E.add E.Neg_inf (fin max_int));
   Alcotest.check_raises "opposite infinities"
-    (Invalid_argument "Extint.sat_add: opposite infinities") (fun () ->
-      ignore (E.sat_add E.Pos_inf E.Neg_inf))
+    (Invalid_argument "Extint.add: opposite infinities") (fun () ->
+      ignore (E.add E.Pos_inf E.Neg_inf))
 
 let test_mul () =
   Alcotest.check ext "finite" (fin 12) (E.mul (fin 3) (fin 4));
@@ -47,29 +46,16 @@ let test_mul () =
     (E.mul (fin max_int) (fin (-2)))
 
 let test_mul_scalar () =
-  Alcotest.check ext "exact" (fin (-6)) (E.mul_scalar (-2) (fin 3));
-  Alcotest.check ext "scalar 0 kills inf" E.zero (E.mul_scalar 0 E.Pos_inf);
-  Alcotest.check ext "flips inf" E.Neg_inf (E.mul_scalar (-1) E.Pos_inf);
-  Alcotest.check ext "min_int corner" E.Pos_inf
-    (E.mul_scalar (-1) (fin min_int))
+  Alcotest.check ext "exact" (fin (-6)) (E.mul (fin (-2)) (fin 3));
+  Alcotest.check ext "scalar 0 kills inf" E.zero (E.mul E.zero E.Pos_inf);
+  Alcotest.check ext "flips inf" E.Neg_inf (E.mul (fin (-1)) E.Pos_inf);
+  Alcotest.check ext "min_int corner" E.Pos_inf (E.mul (fin (-1)) (fin min_int))
 
 let test_div_scalar () =
   Alcotest.check ext "exact" (fin (-3)) (E.div_scalar (fin 7) (-2));
   Alcotest.check ext "inf / negative flips" E.Neg_inf
     (E.div_scalar E.Pos_inf (-3));
   Alcotest.check ext "min_int / -1" E.Pos_inf (E.div_scalar (fin min_int) (-1))
-
-let test_int_opts () =
-  Alcotest.(check (option int)) "add ok" (Some 3) (E.add_int_opt 1 2);
-  Alcotest.(check (option int)) "add wraps" None (E.add_int_opt max_int 1);
-  Alcotest.(check (option int)) "add wraps down" None
-    (E.add_int_opt min_int (-1));
-  Alcotest.(check (option int)) "mul ok" (Some (-8)) (E.mul_int_opt 2 (-4));
-  Alcotest.(check (option int)) "mul wraps" None (E.mul_int_opt max_int 2);
-  Alcotest.(check (option int)) "min_int * -1 wraps" None
-    (E.mul_int_opt min_int (-1));
-  Alcotest.(check (option int)) "min_int * 1 ok" (Some min_int)
-    (E.mul_int_opt min_int 1)
 
 let suite =
   ( "extint",
@@ -79,5 +65,4 @@ let suite =
       Helpers.case "saturating multiplication" test_mul;
       Helpers.case "scalar multiplication" test_mul_scalar;
       Helpers.case "scalar division" test_div_scalar;
-      Helpers.case "overflow-checked native ops" test_int_opts;
     ] )

@@ -109,9 +109,53 @@ let test_conditional_rand () =
   Alcotest.(check (option int)) "two increments" (Some 2)
     (Hashtbl.find_opt st.Ir.Interp.arrays (a, [ 0 ]))
 
+let trapped st =
+  match st.Ir.Interp.outcome with
+  | Ir.Interp.Trapped (trap, _) -> Some trap
+  | Ir.Interp.Halted | Ir.Interp.Out_of_fuel -> None
+
 let test_division_by_zero () =
-  Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
-      ignore (run "x = 1 / 0"))
+  Alcotest.(check bool) "div by zero traps" true
+    (trapped (run "x = 1 / 0") = Some Ir.Ops.Zero_divisor)
+
+let test_checked_arithmetic () =
+  let overflows f =
+    Alcotest.check_raises "overflow" (Ir.Ops.Trap Ir.Ops.Overflow) (fun () -> ignore (f ()))
+  in
+  Alcotest.(check int) "add ok" 3 (Ir.Ops.add 1 2);
+  overflows (fun () -> Ir.Ops.add max_int 1);
+  overflows (fun () -> Ir.Ops.add min_int (-1));
+  Alcotest.(check int) "mul ok" (-8) (Ir.Ops.mul 2 (-4));
+  overflows (fun () -> Ir.Ops.mul max_int 2);
+  overflows (fun () -> Ir.Ops.mul min_int (-1));
+  Alcotest.(check int) "min_int * 1 ok" min_int (Ir.Ops.mul min_int 1);
+  overflows (fun () -> Ir.Ops.sub min_int 1);
+  overflows (fun () -> Ir.Ops.neg min_int);
+  overflows (fun () -> Ir.Ops.div min_int (-1));
+  overflows (fun () -> Ir.Ops.exp 2 62);
+  overflows (fun () -> Ir.Ops.exp 2 100);
+  Alcotest.(check int) "sub" min_int (Ir.Ops.sub (-max_int) 1);
+  Alcotest.(check int) "sub min_int" max_int (Ir.Ops.sub (-1) min_int);
+  overflows (fun () -> Ir.Ops.sub 0 min_int);
+  Alcotest.(check int) "exp to min_int" min_int (Ir.Ops.exp (-4) 31);
+  Alcotest.(check int) "exp 2^61" (1 lsl 61) (Ir.Ops.exp 2 61);
+  Alcotest.(check int) "exp (-1)^huge" (-1) (Ir.Ops.exp (-1) max_int);
+  Alcotest.(check int) "negative exponent" 0 (Ir.Ops.exp 2 (-1));
+  Alcotest.(check int) "truncating" (-3) (Ir.Ops.div (-7) 2)
+
+(* Programs at the edge of the native range (examples/traps): a run
+   stops with a trap where it used to wrap and run out of fuel. *)
+let test_range_edge_traps () =
+  List.iter
+    (fun src ->
+      Alcotest.(check bool) src true (trapped (run src) = Some Ir.Ops.Overflow))
+    [
+      "n = 4611686018427387903\nfor i = n - 2 to n loop\n  A(i) = A(i + 1)\nendloop";
+      "k = 0 - 4611686018427387903 - 1\nfor i = 1 to 3 loop\n  k = k - 1\n  A(i) = k\nendloop";
+      "for i = 0 to 4611686018427387903 by 4611686018427387903 loop\n  A(0) = i\nendloop";
+      "x = 2 ^ 100\nA(0) = x";
+      "x = 0 - 4611686018427387903 - 1\nA(0) = -x";
+    ]
 
 let suite =
   ( "interp",
@@ -126,4 +170,6 @@ let suite =
       Helpers.case "loop iteration counters" test_loop_iter_counter;
       Helpers.case "random conditions" test_conditional_rand;
       Helpers.case "division by zero" test_division_by_zero;
+      Helpers.case "checked arithmetic" test_checked_arithmetic;
+      Helpers.case "range edge traps" test_range_edge_traps;
     ] )

@@ -101,10 +101,12 @@ let prop_random_normalization_preserves_semantics =
       let seed = Hashtbl.hash (Ir.Ast.to_string p) in
       let footprint ast =
         let state = Random.State.make [| seed |] in
-        Helpers.array_footprint ~rand:(fun () -> Random.State.bool state) ast
+        Helpers.halted_footprint
+          ~rand:(fun () -> Random.State.bool state)
+          (Ir.Ssa.of_program ast)
       in
       match Transform.Normalize.normalize p with
-      | normalized -> footprint p = footprint normalized
+      | normalized -> Helpers.preserves (footprint p) (footprint normalized)
       | exception Invalid_argument _ -> true (* body assigns its index *))
 
 let suite =

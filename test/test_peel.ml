@@ -78,9 +78,11 @@ let prop_peel_preserves_semantics =
       let seed = Hashtbl.hash (Ir.Ast.to_string p) in
       let footprint ast =
         let state = Random.State.make [| seed |] in
-        Helpers.array_footprint ~rand:(fun () -> Random.State.bool state) ast
+        Helpers.halted_footprint
+          ~rand:(fun () -> Random.State.bool state)
+          (Ir.Ssa.of_program ast)
       in
-      footprint p = footprint peeled)
+      Helpers.preserves (footprint p) (footprint peeled))
 
 let suite =
   ( "peel",

@@ -320,8 +320,8 @@ let prop_forest_walk_matches_unit_walk =
 let test_range_report_pinned () =
   let ssa = Lazy.force Helpers.nest_ssa in
   let r = Pipeline.range_of (Pipeline.analyze ssa) in
-  Alcotest.(check int) "fixpoint rounds" 8 (Analysis.Range.iterations r);
-  Alcotest.(check string) "64-nest range report digest" "ba9b348c2c6a534c"
+  Alcotest.(check int) "fixpoint rounds" 7 (Analysis.Range.iterations r);
+  Alcotest.(check string) "64-nest range report digest" "1d5b3ef1705df294"
     (Hash.Fnv.to_hex (Hash.Fnv.of_strings [ Analysis.Range.report r ]))
 
 let test_small_cache_keeps_request_record () =

@@ -36,6 +36,12 @@ let test_demo_intervals () =
   Alcotest.(check string) "i2 spans the trip plus exit" "[1, 51]"
     (interval_str t r "i2")
 
+(* 2 ^ 100 leaves the native range: constant propagation does not fold
+   it to the wrapped 0, and the range makes no claim. *)
+let test_overflowing_power_is_top () =
+  let t, r = ranges_of "x = 2 ^ 100\nA(0) = x\n" in
+  Alcotest.(check string) "x1" "[-inf, +inf]" (interval_str t r "x1")
+
 (* The h-range refinement: inside the loop body (below the counted exit
    test) the index never carries its exit value. *)
 let test_body_refinement () =
@@ -200,6 +206,7 @@ let suite =
     [
       Helpers.case "branch join and trip intervals" test_demo_intervals;
       Helpers.case "body interval excludes exit value" test_body_refinement;
+      Helpers.case "overflowing power is top" test_overflowing_power_is_top;
       Helpers.case "ranges sharpen dependence testing" test_deps_sharpened;
       Helpers.case "bounds checks eliminated" test_bounds_elim;
       Helpers.case "unprovable checks retained" test_bounds_retained;

@@ -11,15 +11,7 @@ let count_muls ssa =
 
 (* Run a program's SSA directly (the reduced CFG is only available as a
    mutated Ssa.t). *)
-let footprint_of_ssa ?(params = fun _ -> 0) ssa =
-  let st = Ir.Interp.run ~fuel:500_000 ~params ssa in
-  (match st.Ir.Interp.outcome with
-   | Ir.Interp.Halted -> ()
-   | Ir.Interp.Out_of_fuel -> Alcotest.fail "interpreter out of fuel");
-  Hashtbl.fold
-    (fun (a, idx) v acc -> (Ir.Ident.name a, idx, v) :: acc)
-    st.Ir.Interp.arrays []
-  |> List.sort compare
+let footprint_of_ssa ?params ssa = Helpers.ssa_footprint ~fuel:500_000 ?params ssa
 
 let reduce_and_compare ?(params = fun _ -> 0) src =
   let before = footprint_of_ssa ~params (Ir.Ssa.of_source src) in
@@ -101,18 +93,16 @@ let prop_reduction_preserves_random_programs =
       let seed = Hashtbl.hash src in
       let footprint ssa =
         let state = Random.State.make [| seed |] in
-        let st =
-          Ir.Interp.run ~fuel:500_000 ~rand:(fun () -> Random.State.bool state) ssa
-        in
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.Ir.Interp.arrays []
-        |> List.sort compare
+        Helpers.halted_footprint ~fuel:500_000
+          ~rand:(fun () -> Random.State.bool state)
+          ssa
       in
       let before = footprint (Ir.Ssa.of_source src) in
       let ssa = Ir.Ssa.of_source src in
       let t = Pipeline.analyze ssa in
       let _ = SR.reduce t in
       match Ir.Ssa.check ssa with
-      | [] -> footprint ssa = before
+      | [] -> Helpers.preserves before (footprint ssa)
       | errs ->
         QCheck2.Test.fail_reportf "SSA broken: %s"
           (String.concat "; " (List.map Ir.Diag.to_string errs)))

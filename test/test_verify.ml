@@ -287,6 +287,87 @@ let test_check_verb () =
       | Server.Err e -> Alcotest.fail e
       | Server.Bye -> Alcotest.fail "unexpected BYE")
 
+(* ---------- one integer semantics ---------- *)
+
+let traps_dir = Filename.concat (Filename.dirname corpus_dir) "traps"
+
+(* examples/traps holds three programs at the edge of the
+   native range, 2 ^ 100 and a zero divisor. Each run traps, and checked
+   mode compares each run up to its trap: no errors, and the
+   transform differentials are skipped because the original trapped. *)
+let test_trap_programs_check_clean () =
+  let traps = corpus_in traps_dir in
+  Alcotest.(check int) "five reproducers" 5 (List.length traps);
+  List.iter
+    (fun (f, src) ->
+      let st = Ir.Interp.run (Ir.Ssa.of_source src) in
+      Alcotest.(check bool) (f ^ ": run traps") true
+        (match st.Ir.Interp.outcome with Ir.Interp.Trapped _ -> true | _ -> false);
+      match Check.run src with
+      | Ok r ->
+        Alcotest.(check int) (f ^ ": errors") 0 (Check.errors r);
+        Alcotest.(check bool) (f ^ ": differential skipped") true
+          (Helpers.contains (Check.to_text r) "the original trapped")
+      | Error e -> Alcotest.failf "%s: %s" f e)
+    traps;
+  with_temp_program (List.assoc "div_zero.iv" traps) (fun path ->
+      match Server.handle (Engine.create ()) ("CHECK " ^ path) with
+      | Server.Ok_payload body ->
+        Alcotest.(check bool) "CHECK answers clean" true
+          (Helpers.contains body "check: 0 errors, 0 warnings,")
+      | Server.Err e -> Alcotest.fail e
+      | Server.Bye -> Alcotest.fail "unexpected BYE")
+
+(* Hostile constants: Corpus.Gen programs with a share of their
+   literals and loop steps moved next to max_int and min_int. A run
+   either traps or computes over Z, so checked mode stays clean. *)
+let hostile (p : Ir.Ast.program) =
+  let k = ref 0 in
+  let pick n =
+    incr k;
+    match (!k * 7 + abs n) mod 5 with
+    | 0 -> max_int - abs n
+    | 1 -> -max_int + abs n
+    | 2 -> (max_int / 2) + n
+    | _ -> n
+  in
+  let open Ir.Ast in
+  let rec expr = function
+    | Int n -> Int (pick n)
+    | Var _ as e -> e
+    | Aref (a, es) -> Aref (a, List.map expr es)
+    | Binop (op, a, b) -> Binop (op, expr a, expr b)
+    | Neg e -> Neg (expr e)
+  in
+  let cond = function Cmp (op, a, b) -> Cmp (op, expr a, expr b) | Unknown -> Unknown in
+  let rec stmt = function
+    | Assign (x, e) -> Assign (x, expr e)
+    | Astore (a, es, e) -> Astore (a, List.map expr es, expr e)
+    | If (c, t, e) -> If (cond c, List.map stmt t, List.map stmt e)
+    | Loop (name, body) -> Loop (name, List.map stmt body)
+    | For f ->
+      let step = pick f.step in
+      For
+        {
+          f with
+          lo = expr f.lo;
+          hi = expr f.hi;
+          step = (if step = 0 then 1 else step);
+          body = List.map stmt f.body;
+        }
+    | Exit_if c -> Exit_if (cond c)
+  in
+  { p with stmts = List.map stmt p.stmts }
+
+let prop_hostile_constants_check_clean =
+  Helpers.qtest ~count:300 "hostile constants check clean" Gen.gen_program
+    (fun p ->
+      let src = Ir.Ast.to_string (hostile p) in
+      match Check.run src with
+      | Ok r when Check.errors r = 0 -> true
+      | Ok r -> QCheck2.Test.fail_reportf "%s\n%s" src (Check.to_text r)
+      | Error e -> QCheck2.Test.fail_reportf "%s\n%s" src e)
+
 (* ---------- one report, two callers ---------- *)
 
 (* Check.run (no engine) and Engine.check (cached parts) assemble the
@@ -325,4 +406,6 @@ let suite =
         test_unreachable_tail_checks_clean;
       Helpers.case "standalone and engine reports agree"
         test_run_matches_engine;
+      Helpers.case "trap programs check clean" test_trap_programs_check_clean;
+      prop_hostile_constants_check_clean;
     ] )
