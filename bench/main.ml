@@ -623,13 +623,24 @@ let b2_render engine src =
       | Error msg -> failwith ("B2: " ^ msg))
     b2_artifacts
 
+(* Per unit: classification hits and misses, then range-section hits
+   and misses. *)
 let b2_unit_stat engine =
-  match
-    List.find_opt (fun (p, _, _) -> p = "unit_classify")
-      (Service.Engine.pass_stats engine)
-  with
-  | Some (_, hits, misses) -> (hits, misses)
-  | None -> (0, 0)
+  let classify =
+    match
+      List.find_opt (fun (p, _, _) -> p = "unit_classify")
+        (Service.Engine.pass_stats engine)
+    with
+    | Some (_, hits, misses) -> (hits, misses)
+    | None -> (0, 0)
+  in
+  let registry = Obs.Instrument.snapshot (Service.Engine.metrics engine) in
+  let count name =
+    match List.assoc_opt name registry with
+    | Some (Obs.Instrument.V_counter n) -> n
+    | _ -> 0
+  in
+  (classify, (count "unit.range_hits", count "unit.range_misses"))
 
 let b2_rows () =
   let old_src = b2_program b2_nests in
@@ -640,13 +651,13 @@ let b2_rows () =
     let cold = b2_render (Service.Engine.create ~capacity:4096 ()) new_src in
     let inc = Service.Engine.create ~capacity:4096 () in
     ignore (b2_render inc old_src);
-    let h0, m0 = b2_unit_stat inc in
+    let (h0, m0), (rh0, rm0) = b2_unit_stat inc in
     let merged = b2_render inc new_src in
-    let h1, m1 = b2_unit_stat inc in
+    let (h1, m1), (rh1, rm1) = b2_unit_stat inc in
     (* Byte-identity is part of the experiment's claim: check it on every
        harness run, not only in the test suite. *)
     if merged <> cold then failwith "B2: incremental reports diverge from cold run";
-    (h1 - h0, m1 - m0)
+    ((h1 - h0, m1 - m0), (rh1 - rh0, rm1 - rm0))
   in
   ignore (b2_render full (b2_program ~edited:(b2_nests / 2) b2_nests));
   [
@@ -663,8 +674,9 @@ let experiment_b2 () =
     "   program: %d top-level nests; edit one nest, re-render classify+trip+deps\n"
     b2_nests;
   List.iter
-    (fun (mode, (hits, misses)) ->
-      Printf.printf "  %-12s unit hits=%d misses=%d\n" mode hits misses)
+    (fun (mode, ((hits, misses), (range_hits, range_misses))) ->
+      Printf.printf "  %-12s unit hits=%d misses=%d  range hits=%d misses=%d\n" mode hits
+        misses range_hits range_misses)
     rows;
   print_endline "   merged reports byte-identical";
   write_bench "BENCH_incremental.json" ~experiment:"B2"
@@ -678,8 +690,9 @@ let experiment_b2 () =
     ]
     "runs"
     (List.map
-       (fun (mode, (hits, misses)) ->
-         [ ("mode", Str mode); ("unit_hits", Int hits); ("unit_misses", Int misses) ])
+       (fun (mode, ((hits, misses), (range_hits, range_misses))) ->
+         [ ("mode", Str mode); ("unit_hits", Int hits); ("unit_misses", Int misses);
+           ("range_hits", Int range_hits); ("range_misses", Int range_misses) ])
        rows);
   print_newline ()
 

@@ -220,10 +220,21 @@ type unit_info = {
   ucanon : canon; (* this program's numbering of the unit *)
 }
 
+(* A root's range facts in the unit's canonical numbering: indices into
+   [c_defs], [c_loops] and [c_labels], so a hit maps into any program
+   through that program's own numbering. *)
+type range_section = {
+  rs_key : Hash.Fnv.t; (* the unit digest plus what the fixpoint reads from outside *)
+  rs_full : (int * Interval.t) array; (* own def, full interval *)
+  rs_body : (int * int * int * Interval.t) array; (* own def, loop, exit block, body *)
+  rs_rounds : int;
+}
+
 type unit_artifact = {
   ua_results : loop_result list; (* promoted; aligned with [c_loops] *)
   ua_exits : (Ir.Instr.Id.t * Sym.t) list; (* the unit's exit values *)
   ua_canon : canon; (* the numbering of the program that computed it *)
+  ua_ranges : range_section option; (* the root's range facts, once solved *)
 }
 
 type unit_outcome = {
@@ -399,6 +410,7 @@ let walk ?sccp ssa (c : canon) : unit_artifact =
     ua_results = Array.to_list (Array.map (fun id -> fst (Hashtbl.find walked id)) c.c_loops);
     ua_exits = Ir.Instr.Id.Table.fold (fun d s acc -> (d, s) :: acc) exits [];
     ua_canon = c;
+    ua_ranges = None;
   }
 
 (* The one assembler of an [analysis]: each artifact's results land at
@@ -671,6 +683,11 @@ let unit_digest ~use_sccp ssa sccp nb ~index root =
 
 exception Unmapped
 
+(* The index of [x] in [a]. @raise Unmapped *)
+let position a x =
+  let rec go k = if k = Array.length a then raise Unmapped else if a.(k) = x then k else go (k + 1) in
+  go 0
+
 (* [relocate c a] maps artifact [a], stored by a program that numbers
    the same unit differently, into the program whose numbering is [c]:
    table keys, class atoms, loop ids, families, exit blocks, nodes and
@@ -691,14 +708,7 @@ let relocate (c : canon) (a : unit_artifact) : unit_artifact option =
       | Some id' -> id'
       | None -> raise Unmapped
     in
-    let through from into x =
-      let rec go k =
-        if k = Array.length from then raise Unmapped
-        else if from.(k) = x then into.(k)
-        else go (k + 1)
-      in
-      go 0
-    in
+    let through from into x = into.(position from x) in
     let label = through s.c_labels c.c_labels in
     let loop = through s.c_loops c.c_loops in
     let sym = Sym.rename (function Sym.Def d -> Sym.Def (def d) | a -> a) in
@@ -718,6 +728,7 @@ let relocate (c : canon) (a : unit_artifact) : unit_artifact option =
           ua_results = List.map result a.ua_results;
           ua_exits = List.map (fun (d, x) -> (def d, sym x)) a.ua_exits;
           ua_canon = c;
+          ua_ranges = a.ua_ranges;
         }
     with Unmapped -> None
   end
@@ -958,7 +969,7 @@ let ensure_trip t =
 
 (* The range analysis consumes the promoted classification tables; the
    closures keep [Range] free of a dependency on this module. *)
-let range_of (a : analysis) : Range.t =
+let range_of ?through (a : analysis) : Range.t =
   let class_of id =
     match innermost_loop a id with
     | Some lp -> table_entry a lp id
@@ -966,19 +977,125 @@ let range_of (a : analysis) : Range.t =
     | exception Not_found -> None
   in
   let trip_of l = Option.map (fun r -> r.trip) a.by_loop.(l) in
-  Range.compute ?sccp:a.sccp ~class_of ~trip_of a.ssa
+  Range.compute ?sccp:a.sccp ?through ~class_of ~trip_of a.ssa
+
+(* -- range sections (the Ranges pass through the unit layer) -- *)
+
+let feed_extint d = function
+  | Extint.Neg_inf -> Hash.Fnv.feed_string d "-inf"
+  | Extint.Pos_inf -> Hash.Fnv.feed_string d "+inf"
+  | Extint.Fin n -> Hash.Fnv.feed_int (Hash.Fnv.feed_string d "fin") n
+
+(* The key of a root's range section: the unit digest (which fixes the
+   root's instructions, loop shape, SCCP constants and classification)
+   plus every fact the root's fixpoint reads from outside the unit —
+   the SCCP executability of each canonical block, and the interval of
+   each canonical def the unit reads but does not define, as the
+   top-level pass left it. *)
+let range_key (i : unit_info) (g : Range.region) =
+  let c = i.ucanon in
+  let d = ref (Hash.Fnv.feed_string i.udigest "ranges") in
+  Array.iter (fun l -> d := Hash.Fnv.feed_bool !d (g.Range.executable l)) c.c_labels;
+  Array.iter
+    (fun id ->
+      if not (g.Range.owns id) then
+        d :=
+          match g.Range.interval_now id with
+          | None -> Hash.Fnv.feed_string !d "none"
+          | Some iv -> feed_extint (feed_extint !d (Interval.lo iv)) (Interval.hi iv))
+    c.c_defs;
+  !d
+
+(* A section's facts in the program numbered [c]. *)
+let facts_of_section (c : canon) (s : range_section) : Range.facts =
+  {
+    Range.f_full = Array.fold_right (fun (k, iv) acc -> (c.c_defs.(k), iv) :: acc) s.rs_full [];
+    f_body =
+      Array.fold_right
+        (fun (k, l, b, iv) acc -> (c.c_defs.(k), c.c_loops.(l), c.c_labels.(b), iv) :: acc)
+        s.rs_body [];
+    f_rounds = s.rs_rounds;
+  }
+
+(* Facts solved in the program numbered [c], in canonical indices;
+   [None] when they name an id the numbering does not cover. *)
+let section_of_facts (c : canon) key (f : Range.facts) : range_section option =
+  let defs = Ir.Instr.Id.Table.create (Array.length c.c_defs) in
+  Array.iteri (fun k id -> Ir.Instr.Id.Table.replace defs id k) c.c_defs;
+  let def id =
+    match Ir.Instr.Id.Table.find_opt defs id with Some k -> k | None -> raise Unmapped
+  in
+  try
+    Some
+      {
+        rs_key = key;
+        rs_full = Array.of_list (List.map (fun (id, iv) -> (def id, iv)) f.Range.f_full);
+        rs_body =
+          Array.of_list
+            (List.map
+               (fun (id, l, b, iv) -> (def id, position c.c_loops l, position c.c_labels b, iv))
+               f.Range.f_body);
+        rs_rounds = f.Range.f_rounds;
+      }
+  with Unmapped -> None
+
+(* The Ranges pass: solve the range fixpoint root by root, answering
+   each unit whose cached artifact holds a section under the same key
+   from that section, and storing each freshly solved section with the
+   unit's artifact by functional update (a unit whose artifact has left
+   the cache keeps no section). Without [cache] (a bare pipeline) every
+   root is solved. Returns one outcome per unit (none when Ranges
+   was already forced). Callers hold [t.lock]. *)
+let range_units ?cache t =
+  match t.v_range with
+  | Some (Error e) -> Error e
+  | Some (Ok _) -> Ok []
+  | None -> (
+    match (ensure_classify t, ensure_units t) with
+    | Error e, _ | _, Error e ->
+      t.v_range <- Some (Error e);
+      Error e
+    | Ok a, Ok infos ->
+      staged Ranges (fun () ->
+          let loops = Ir.Ssa.loops a.ssa in
+          let by_root = Hashtbl.create 64 in
+          List.iteri (fun k i -> Hashtbl.replace by_root i.uroot (k, i)) infos;
+          let outcomes = ref [] in
+          let through (lookup, store) (g : Range.region) =
+            match Hashtbl.find_opt by_root g.Range.root with
+            | None -> g.Range.solve ()
+            | Some (index, i) ->
+              let key = range_key i g in
+              let cached = lookup i.udigest in
+              let hit =
+                match cached with
+                | Some { ua_ranges = Some s; _ } when Hash.Fnv.equal s.rs_key key -> Some s
+                | _ -> None
+              in
+              outcomes :=
+                {
+                  u_index = index;
+                  u_loop = (Ir.Loops.loop loops i.uroot).Ir.Loops.name;
+                  u_hit = hit <> None;
+                  u_relocated = false;
+                }
+                :: !outcomes;
+              match hit with
+              | Some s -> facts_of_section i.ucanon s
+              | None ->
+                let f = g.Range.solve () in
+                (match (cached, section_of_facts i.ucanon key f) with
+                 | Some ua, (Some _ as section) -> store i.udigest { ua with ua_ranges = section }
+                 | _ -> ());
+                f
+          in
+          t.v_range <- Some (Ok (range_of ?through:(Option.map through cache) a));
+          Ok (List.rev !outcomes)))
 
 let ensure_range t =
-  match t.v_range with
-  | Some v -> v
-  | None ->
-    let v =
-      match ensure_classify t with
-      | Error e -> Error e
-      | Ok a -> Ok (staged Ranges (fun () -> range_of a))
-    in
-    t.v_range <- Some v;
-    v
+  match range_units t with
+  | Error e -> Error e
+  | Ok _ -> Option.get t.v_range
 
 let locked t f =
   Mutex.lock t.lock;
@@ -998,6 +1115,9 @@ let range_report t = locked t (fun () -> Result.map Range.report (ensure_range t
 
 let classify_with_units ?pool_run ~lookup ~store t =
   locked t (fun () -> classify_units ?pool_run ~lookup ~store t)
+
+let ranges_with_units ~lookup ~store t =
+  locked t (fun () -> range_units ~cache:(lookup, store) t)
 
 let discard : _ -> (unit, string) result = function
   | Ok _ -> Ok ()

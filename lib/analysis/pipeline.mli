@@ -174,16 +174,34 @@ type unit_info = {
   ucanon : canon;
 }
 
+(** A loop-forest root's range facts, in the unit's canonical numbering
+    (indices into [c_defs], [c_loops] and [c_labels]): the full interval
+    of each def the root defines, its below-the-exit-test refinements as
+    (def, loop, counted exit block, interval), and its fixpoint rounds.
+    [rs_key] is the unit digest plus every fact the root's fixpoint
+    reads from outside the unit: the SCCP executability of each
+    canonical block and the interval of each canonical def the unit
+    reads but does not define. *)
+type range_section = {
+  rs_key : Hash.Fnv.t;
+  rs_full : (int * Interval.t) array;
+  rs_body : (int * int * int * Interval.t) array;
+  rs_rounds : int;
+}
+
 (** The cached per-unit result: promoted per-loop classification
-    results (aligned with [c_loops]), the unit's exit values, and the
-    numbering of the program that computed them. An artifact holds only
-    ids, classes and counts, so caching it keeps no program alive.
-    Artifacts are shared across pipeline instances and domains — never
-    mutated after creation. *)
+    results (aligned with [c_loops]), the unit's exit values, the
+    numbering of the program that computed them, and, once a Ranges pass
+    has solved the root through the unit layer, its range section. An
+    artifact holds only ids, classes, intervals and counts, so caching
+    it keeps no program alive. Artifacts are shared across pipeline
+    instances and domains — never mutated after creation (a range
+    section is added by storing an updated copy). *)
 type unit_artifact = {
   ua_results : loop_result list;
   ua_exits : (Ir.Instr.Id.t * Sym.t) list;
   ua_canon : canon;
+  ua_ranges : range_section option;
 }
 
 (** What happened to one unit during {!classify_with_units}. *)
@@ -208,10 +226,12 @@ val report_of : analysis -> string
 (** The per-loop trip-count report (the [trip] artifact). *)
 val trip_report_of : analysis -> string
 
-(** [range_of a] runs the value-range analysis over a (promoted)
-    analysis record — the [Ranges] pass body, called directly (fresh
-    each call) by standalone consumers such as transform validation. *)
-val range_of : analysis -> Range.t
+(** [range_of ?through a] runs the value-range analysis over a
+    (promoted) analysis record — the [Ranges] pass body, called directly
+    (fresh each call) by standalone consumers such as transform
+    validation. [through] answers each loop-forest root (see
+    {!Range.compute}); without it every root is solved. *)
+val range_of : ?through:(Range.region -> Range.facts) -> analysis -> Range.t
 
 (* -- the lazy per-source instance -- *)
 
@@ -269,6 +289,22 @@ val range_report : t -> (string, string) result
     no cache; the service engine passes its shared one. *)
 val classify_with_units :
   ?pool_run:((unit -> unit_artifact) array -> unit_artifact array) ->
+  lookup:(Hash.Fnv.t -> unit_artifact option) ->
+  store:(Hash.Fnv.t -> unit_artifact -> unit) ->
+  t ->
+  (unit_outcome list, string) result
+
+(** [ranges_with_units ~lookup ~store t] forces [Ranges] through the
+    unit-artifact cache: the fixpoint is solved one loop-forest root at
+    a time, and a unit whose cached artifact holds a {!range_section}
+    under the root's current key is answered from it, mapped through
+    this program's numbering. Each root solved here is stored with its
+    unit's artifact by functional update, when the cache still holds
+    that artifact. Forcing [Ranges] any other way solves every root
+    with no cache. Returns one {!unit_outcome} per unit (empty when
+    [Ranges] was already forced); [u_relocated] is always false, since
+    a section is kept in canonical numbering. *)
+val ranges_with_units :
   lookup:(Hash.Fnv.t -> unit_artifact option) ->
   store:(Hash.Fnv.t -> unit_artifact -> unit) ->
   t ->

@@ -106,9 +106,31 @@ let rec class_interval ~trip_of ~sub1_loop (cls : Ivclass.t) :
 let some_top = Some Interval.top
 let some_bool = Some Interval.bool_range
 
-(* SSA ids and block labels are dense, so the per-def and per-block
-   state lives in arrays indexed by them. *)
-let compute ?(sccp : Sccp.result option)
+type facts = {
+  f_full : (Ir.Instr.Id.t * Interval.t) list;
+  f_body : (Ir.Instr.Id.t * int * Ir.Label.t * Interval.t) list;
+  f_rounds : int;
+}
+
+type region = {
+  root : int;
+  interval_now : Ir.Instr.Id.t -> Interval.t option;
+  executable : Ir.Label.t -> bool;
+  owns : Ir.Instr.Id.t -> bool;
+  solve : unit -> facts;
+}
+
+(* The fixpoint is solved one loop-forest root at a time (Bourdoncle's
+   recursive iteration strategy): top-level blocks get one pass in
+   reverse postorder, and when the pass reaches a root's header the
+   root's blocks iterate to their own fixpoint, with their own round
+   counter for widening and their own cap, before the pass moves on. A
+   root reads from outside only the intervals of defs the pass has
+   already finished, so [through] may answer a root from a cache keyed
+   on those intervals instead of solving it. SSA ids and block labels
+   are dense, so the per-def and per-block state lives in arrays
+   indexed by them. *)
+let compute ?(sccp : Sccp.result option) ?(through : (region -> facts) option)
     ~(class_of : Ir.Instr.Id.t -> Ivclass.t option)
     ~(trip_of : int -> Trip_count.t option) (ssa : Ir.Ssa.t) : t =
   let cfg = Ir.Ssa.cfg ssa in
@@ -122,18 +144,23 @@ let compute ?(sccp : Sccp.result option)
   in
   let header = Array.make nblocks false in
   List.iter (fun lp -> header.(lp.Ir.Loops.header) <- true) (Ir.Loops.all loops);
-  let size = ref 0 and num_defs = ref 0 in
-  Ir.Cfg.iter_instrs cfg (fun _ instr ->
-      size := max !size (instr.Ir.Instr.id + 1);
-      incr num_defs);
-  let size = !size in
+  (* The loop-forest root owning each block, or -1 at top level. *)
+  let root_of = Array.make nblocks (-1) in
+  List.iter
+    (fun r ->
+      Ir.Label.Set.iter (fun l -> root_of.(l) <- r) (Ir.Loops.loop loops r).Ir.Loops.blocks)
+    (Ir.Loops.roots loops);
+  let size = Ir.Cfg.fold_instrs cfg (fun n _ instr -> max n (instr.Ir.Instr.id + 1)) 0 in
   (* Per def: its current interval (exact constants start there and are
-     never recomputed) and its closed-form clamp, computed once. *)
+     never recomputed), its closed-form clamp, computed once, and the
+     root owning it. *)
   let full = Array.make size None in
   let exact = Array.make size false in
   let seeds = Array.make size None in
-  Ir.Cfg.iter_instrs cfg (fun _ instr ->
+  let owner = Array.make size (-1) in
+  Ir.Cfg.iter_instrs cfg (fun label instr ->
       let id = instr.Ir.Instr.id in
+      owner.(id) <- root_of.(label);
       (match sccp with
       | Some r -> (
         match Sccp.const_of r id with
@@ -212,11 +239,10 @@ let compute ?(sccp : Sccp.result option)
       (* The instruction's value is the stored operand (last arg). *)
       if n = 0 then some_top else value_iv args.(n - 1)
   in
-  let order = List.filter (fun l -> executable.(l)) (Ir.Cfg.reverse_postorder cfg) in
-  let cap = widen_start + !num_defs + 8 in
-  let rounds = ref 0 in
-  let changed = ref true in
-  let step label (instr : Ir.Instr.t) =
+  let changed = ref false in
+  (* One step of a def in round [round] of its root (top-level defs take
+     one step, in round 1). *)
+  let step ~round label (instr : Ir.Instr.t) =
     let id = instr.Ir.Instr.id in
     if not exact.(id) then
       match transfer label instr with
@@ -233,7 +259,7 @@ let compute ?(sccp : Sccp.result option)
             if
               instr.Ir.Instr.op = Ir.Instr.Phi
               && header.(label)
-              && !rounds > widen_start
+              && round > widen_start
               && not (Interval.equal old next)
             then clamp id (Interval.widen ~old ~next)
             else next
@@ -243,51 +269,120 @@ let compute ?(sccp : Sccp.result option)
             changed := true
           end)
   in
-  let rec visit label = function
+  let rec visit_instrs ~round label = function
     | [] -> ()
     | instr :: rest ->
-      step label instr;
-      visit label rest
+      step ~round label instr;
+      visit_instrs ~round label rest
   in
-  while !changed && !rounds < cap do
-    incr rounds;
-    changed := false;
-    List.iter (fun label -> visit label (Ir.Cfg.block cfg label).Ir.Cfg.instrs) order
-  done;
-  if !changed then
-    (* Safety net (never expected): discard the unconverged dataflow and
-       keep only the independently sound seeds. *)
-    Ir.Cfg.iter_instrs cfg (fun _ instr ->
-        let id = instr.Ir.Instr.id in
-        if not exact.(id) then full.(id) <- Some (clamp id Interval.top));
-  (* Below-the-exit-test refinements: recompute classified defs with the
-     def's own loop capped at U - 1, valid where the counted exit block
+  let visit ~round label = visit_instrs ~round label (Ir.Cfg.block cfg label).Ir.Cfg.instrs in
+  let order = Ir.Cfg.reverse_postorder cfg in
+  (* Each root's blocks, in reverse postorder: the header first. *)
+  let region_blocks = Array.make (Ir.Loops.num_loops loops) [] in
+  List.iter
+    (fun l -> if root_of.(l) >= 0 then region_blocks.(root_of.(l)) <- l :: region_blocks.(root_of.(l)))
+    (List.rev order);
+  let own_instrs r f =
+    List.iter
+      (fun l -> List.iter (fun (i : Ir.Instr.t) -> f i) (Ir.Cfg.block cfg l).Ir.Cfg.instrs)
+      region_blocks.(r)
+  in
+  (* Below-the-exit-test refinement of a classified def: its value with
+     its own loop capped at U - 1, valid where the counted exit block
      dominates the use. *)
+  let body_of id =
+    match class_of id with
+    | None -> None
+    | Some cls -> (
+      match Ivclass.loop_of cls with
+      | None -> None
+      | Some l -> (
+        match trip_of l with
+        | None -> None
+        | Some tr -> (
+          match (tr.Trip_count.exit_block, Trip_count.max_count_int tr) with
+          | Some exit_block, Some _ -> (
+            match class_interval ~trip_of ~sub1_loop:(Some l) cls with
+            | Some seed ->
+              let fl = Option.value ~default:Interval.top full.(id) in
+              let iv = match Interval.meet fl seed with Some m -> m | None -> fl in
+              if Interval.equal iv fl then None else Some (l, exit_block, iv)
+            | None -> None)
+          | _ -> None)))
+  in
   let body = Table.create 16 in
-  Ir.Cfg.iter_instrs cfg (fun _ instr ->
-      let id = instr.Ir.Instr.id in
-      match class_of id with
-      | Some cls -> (
-        match Ivclass.loop_of cls with
-        | Some l -> (
-          match trip_of l with
-          | Some tr -> (
-            match (tr.Trip_count.exit_block, Trip_count.max_count_int tr) with
-            | Some exit_block, Some _ -> (
-              match class_interval ~trip_of ~sub1_loop:(Some l) cls with
-              | Some seed -> (
-                let fl = Option.value ~default:Interval.top full.(id) in
-                let iv =
-                  match Interval.meet fl seed with Some m -> m | None -> fl
-                in
-                if not (Interval.equal iv fl) then
-                  Table.replace body id (l, exit_block, iv))
-              | None -> ())
-            | _ -> ())
-          | None -> ())
-        | None -> ())
-      | None -> ());
-  { ssa; full; body; iterations = !rounds }
+  (* Solve root [r] in place: its blocks' fixpoint, then its body
+     refinements. Returns the rounds taken. *)
+  let solve r =
+    let blocks = List.filter (fun l -> executable.(l)) region_blocks.(r) in
+    let ndefs = ref 0 in
+    own_instrs r (fun _ -> incr ndefs);
+    let cap = widen_start + !ndefs + 8 in
+    let rounds = ref 0 in
+    changed := true;
+    while !changed && !rounds < cap do
+      incr rounds;
+      changed := false;
+      List.iter (visit ~round:!rounds) blocks
+    done;
+    if !changed then
+      (* Safety net (never expected): discard the region's unconverged
+         dataflow and keep only the independently sound seeds. *)
+      own_instrs r (fun instr ->
+          let id = instr.Ir.Instr.id in
+          if not exact.(id) then full.(id) <- Some (clamp id Interval.top));
+    own_instrs r (fun instr ->
+        let id = instr.Ir.Instr.id in
+        Option.iter (fun b -> Table.replace body id b) (body_of id));
+    !rounds
+  in
+  (* Root [r]'s facts as [solve] left them. *)
+  let facts_of r rounds =
+    let f_full = ref [] and f_body = ref [] in
+    own_instrs r (fun instr ->
+        let id = instr.Ir.Instr.id in
+        Option.iter (fun iv -> f_full := (id, iv) :: !f_full) full.(id);
+        Option.iter (fun (l, b, iv) -> f_body := (id, l, b, iv) :: !f_body) (Table.find_opt body id));
+    { f_full = !f_full; f_body = !f_body; f_rounds = rounds }
+  in
+  let solved = Array.make (Ir.Loops.num_loops loops) false in
+  let iterations = ref 1 in
+  List.iter
+    (fun label ->
+      let r = root_of.(label) in
+      if r < 0 then begin
+        if executable.(label) then begin
+          changed := false;
+          visit ~round:1 label;
+          (* The top level's confirming round. *)
+          if !changed then iterations := max !iterations 2
+        end
+      end
+      else if not solved.(r) then begin
+        solved.(r) <- true;
+        let rounds =
+          match through with
+          | None -> solve r
+          | Some through ->
+            let facts =
+              through
+                {
+                  root = r;
+                  interval_now = (fun id -> full.(id));
+                  executable = (fun l -> executable.(l));
+                  owns = (fun id -> owner.(id) = r);
+                  solve = (fun () -> facts_of r (solve r));
+                }
+            in
+            (* A no-op when [through] solved the root here. *)
+            List.iter (fun (id, iv) -> full.(id) <- Some iv) facts.f_full;
+            List.iter (fun (id, l, b, iv) -> Table.replace body id (l, b, iv)) facts.f_body;
+            facts.f_rounds
+        in
+        iterations := max !iterations rounds
+      end)
+    order;
+  { ssa; full; body; iterations = !iterations }
 
 (* --- queries --- *)
 

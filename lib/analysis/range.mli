@@ -5,18 +5,48 @@
 
 type t
 
-(** [compute ?sccp ~class_of ~trip_of ssa] runs the analysis. [class_of]
-    resolves a def's (promoted) classification, [trip_of] a loop's trip
-    count; both normally come from the pipeline's classification layer
-    (see {!Pipeline.range_of}). *)
+(** A loop-forest root's solved facts, in this program's numbering: the
+    full interval of each def the root defines (defs never reached are
+    left out), its below-the-exit-test refinements as (def, loop,
+    counted exit block, interval), and the rounds its fixpoint took,
+    counting the confirming round. *)
+type facts = {
+  f_full : (Ir.Instr.Id.t * Interval.t) list;
+  f_body : (Ir.Instr.Id.t * int * Ir.Label.t * Interval.t) list;
+  f_rounds : int;
+}
+
+(** What a root's fixpoint reads when the top-level pass reaches its
+    header: the intervals of the defs already finished ([interval_now];
+    [None] for a def never reached), block executability, and which defs
+    the root defines ([owns]). [solve] runs the root's fixpoint. *)
+type region = {
+  root : int;
+  interval_now : Ir.Instr.Id.t -> Interval.t option;
+  executable : Ir.Label.t -> bool;
+  owns : Ir.Instr.Id.t -> bool;
+  solve : unit -> facts;
+}
+
+(** [compute ?sccp ?through ~class_of ~trip_of ssa] runs the analysis
+    one loop-forest root at a time: top-level blocks get one pass in
+    reverse postorder, and each root reached there iterates to its own
+    fixpoint (its own widening counter and cap). [through] answers each
+    root, by calling [solve] or from a cache keyed on what the region
+    reads; without it every root is solved. [class_of] resolves a def's
+    (promoted) classification, [trip_of] a loop's trip count; both
+    normally come from the pipeline's classification layer (see
+    {!Pipeline.range_of}). *)
 val compute :
   ?sccp:Sccp.result ->
+  ?through:(region -> facts) ->
   class_of:(Ir.Instr.Id.t -> Ivclass.t option) ->
   trip_of:(int -> Trip_count.t option) ->
   Ir.Ssa.t ->
   t
 
-(** Fixpoint rounds used (bounded; see the widening policy). *)
+(** Fixpoint rounds used: the most any root took, counting its
+    confirming round (bounded; see the widening policy). *)
 val iterations : t -> int
 
 (** [interval_of t id] bounds every value the def ever computes — for a

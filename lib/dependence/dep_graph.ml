@@ -319,16 +319,17 @@ let strict_region (t : Pipeline.analysis) loop_id family : Ir.Label.Set.t =
     end
 
 (* Upgrade a reference's monotonic subscript classes using the region
-   rule: at a block in the strict region, the family cannot repeat. *)
-let refine_ref_strictness (t : Pipeline.analysis) (r : array_ref) : array_ref =
+   rule: at a block in the strict region, the family cannot repeat.
+   [region loop family] is {!strict_region}, computed once per (loop,
+   family) by the caller. *)
+let refine_ref_strictness region (r : array_ref) : array_ref =
   let refined =
     List.map
       (fun c ->
         match c with
         | Ivclass.Monotonic m
           when (not m.Ivclass.strict) && m.Ivclass.family <> Ivclass.no_family ->
-          let region = strict_region t m.Ivclass.loop m.Ivclass.family in
-          if Ir.Label.Set.mem r.block region then
+          if Ir.Label.Set.mem r.block (region m.Ivclass.loop m.Ivclass.family) then
             Ivclass.Monotonic { m with Ivclass.strict = true }
           else c
         | c -> c)
@@ -436,7 +437,16 @@ let directed_edge ?ranges ~bounds (src : array_ref) (dst : array_ref) :
    tested, and only surviving (possibly conservative) edges are kept. *)
 let build ?(include_input = false) ?ranges (t : Pipeline.analysis) : edge list =
   Obs.Trace.with_span ~cat:"deptest" "deptest.build" @@ fun () ->
-  let refs = List.map (refine_ref_strictness t) (collect_refs t) in
+  let regions = Hashtbl.create 8 in
+  let region loop family =
+    match Hashtbl.find_opt regions (loop, family) with
+    | Some r -> r
+    | None ->
+      let r = strict_region t loop family in
+      Hashtbl.replace regions (loop, family) r;
+      r
+  in
+  let refs = List.map (refine_ref_strictness region) (collect_refs t) in
   (* Iteration-count bounds for the Banerjee tests: an exact count when
      available, else the multi-exit maximum (paper §5.2: "useful for
      dependence testing, to place bounds on the solution space"). *)
@@ -447,33 +457,35 @@ let build ?(include_input = false) ?ranges (t : Pipeline.analysis) : edge list =
     | None -> Trip_count.max_count_int trip
   in
   let edges = ref [] in
-  let rec pairs = function
-    | [] -> ()
-    | (r1 : array_ref) :: rest ->
+  let add = function Some e -> edges := e :: !edges | None -> () in
+  (* Pairs are enumerated within per-array buckets, each in program
+     order: walking the references in program order and pairing each
+     with the rest of its bucket yields the edges in the order a scan
+     over every later reference would. *)
+  let buckets = Ir.Ident.Tbl.create 16 in
+  List.iter
+    (fun (r : array_ref) ->
+      Ir.Ident.Tbl.replace buckets r.array
+        (r :: Option.value ~default:[] (Ir.Ident.Tbl.find_opt buckets r.array)))
+    (List.rev refs);
+  List.iter
+    (fun (r1 : array_ref) ->
+      let rest =
+        match Ir.Ident.Tbl.find buckets r1.array with _ :: rest -> rest | [] -> []
+      in
+      Ir.Ident.Tbl.replace buckets r1.array rest;
       (* A write also depends on itself across iterations (output): the
          self-edge is how the §5.4 strict-region rule shows C(k2)'s
          cells are written at most once. *)
-      if r1.kind = Write then begin
-        match directed_edge ?ranges ~bounds r1 r1 with
-        | Some e -> edges := e :: !edges
-        | None -> ()
-      end;
+      if r1.kind = Write then add (directed_edge ?ranges ~bounds r1 r1);
       List.iter
-        (fun r2 ->
-          if Ir.Ident.equal r1.array r2.array
-             && (r1.kind = Write || r2.kind = Write || include_input)
-          then begin
-            (match directed_edge ?ranges ~bounds r1 r2 with
-             | Some e -> edges := e :: !edges
-             | None -> ());
-            match directed_edge ?ranges ~bounds r2 r1 with
-            | Some e -> edges := e :: !edges
-            | None -> ()
+        (fun (r2 : array_ref) ->
+          if r1.kind = Write || r2.kind = Write || include_input then begin
+            add (directed_edge ?ranges ~bounds r1 r2);
+            add (directed_edge ?ranges ~bounds r2 r1)
           end)
-        rest;
-      pairs rest
-  in
-  pairs refs;
+        rest)
+    refs;
   List.rev !edges
 
 (* [direction_vectors_of ~bounds edge] enumerates full direction vectors
@@ -554,15 +566,32 @@ let distance_vectors g loops =
   in
   go [] g
 
-let pp_edge (t : Pipeline.analysis) fmt e =
+(* The one renderer of an edge: its kind, both references and the
+   outcome, on one line. *)
+let add_edge (t : Pipeline.analysis) buf e =
   let name id = Ir.Ssa.primary_name t.Pipeline.ssa id in
-  Format.fprintf fmt "%s %s@%s -> %s@%s: %a" (kind_to_string e.kind)
-    (Ir.Ident.name e.src.array) (name e.src.instr) (Ir.Ident.name e.dst.array)
-    (name e.dst.instr) Deptest.pp_outcome e.outcome
+  Buffer.add_string buf (kind_to_string e.kind);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Ir.Ident.name e.src.array);
+  Buffer.add_char buf '@';
+  Buffer.add_string buf (name e.src.instr);
+  Buffer.add_string buf " -> ";
+  Buffer.add_string buf (Ir.Ident.name e.dst.array);
+  Buffer.add_char buf '@';
+  Buffer.add_string buf (name e.dst.instr);
+  Buffer.add_string buf ": ";
+  Deptest.add_outcome buf e.outcome
 
-let pp (t : Pipeline.analysis) fmt g =
-  Format.fprintf fmt "@[<v>";
-  List.iter (fun e -> Format.fprintf fmt "%a@," (pp_edge t) e) g;
-  Format.fprintf fmt "@]"
+let pp_edge t fmt e =
+  let buf = Buffer.create 128 in
+  add_edge t buf e;
+  Format.pp_print_string fmt (Buffer.contents buf)
 
-let to_string t g = Format.asprintf "%a" (pp t) g
+let to_string t g =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      add_edge t buf e;
+      Buffer.add_char buf '\n')
+    g;
+  Buffer.contents buf

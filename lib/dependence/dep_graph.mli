@@ -84,6 +84,12 @@ val permits_interchange : edge list -> outer:int -> inner:int -> bool
     when some edge has no exact distances. *)
 val distance_vectors : edge list -> int list -> int array list option
 
+(** {2 Rendering} *)
+
+(** One edge on one line: [kind A@src -> A@dst: outcome]
+    (see {!Deptest.add_outcome}). *)
 val pp_edge : Pipeline.analysis -> Format.formatter -> edge -> unit
-val pp : Pipeline.analysis -> Format.formatter -> edge list -> unit
+
+(** The dependence report: each edge's line, in order, each ending in a
+    newline; written linearly into one buffer. *)
 val to_string : Pipeline.analysis -> edge list -> string

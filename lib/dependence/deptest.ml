@@ -40,19 +40,16 @@ let dirset_union a b = { lt = a.lt || b.lt; eq = a.eq || b.eq; gt = a.gt || b.gt
 (* The direction a sink-minus-source distance [n] implies. *)
 let dirset_of_distance n = { lt = n > 0; eq = n = 0; gt = n < 0 }
 
-let pp_dirset fmt d =
-  let s =
-    match (d.lt, d.eq, d.gt) with
-    | true, true, true -> "*"
-    | true, true, false -> "<="
-    | true, false, true -> "<>"
-    | true, false, false -> "<"
-    | false, true, true -> ">="
-    | false, true, false -> "="
-    | false, false, true -> ">"
-    | false, false, false -> "none"
-  in
-  Format.pp_print_string fmt s
+let dirset_to_string d =
+  match (d.lt, d.eq, d.gt) with
+  | true, true, true -> "*"
+  | true, true, false -> "<="
+  | true, false, true -> "<>"
+  | true, false, false -> "<"
+  | false, true, true -> ">="
+  | false, true, false -> "="
+  | false, false, true -> ">"
+  | false, false, false -> "none"
 
 type vector = (int * dirset) list
 
@@ -120,43 +117,55 @@ let equation (src : Affine.t) (dst : Affine.t) =
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
+(* The value a*h - b*h' of the term at one vertex (h, h'), exactly: a
+   value past the native range becomes the matching infinity. The
+   checked operations decide the common case; when one of them traps,
+   the vertex is evaluated over Z. *)
+let vertex a b (h, h') =
+  match Ir.Ops.sub (Ir.Ops.mul a h) (Ir.Ops.mul b h') with
+  | v -> Extint.Fin v
+  | exception Ir.Ops.Trap _ -> (
+    let v =
+      Bigint.sub (Bigint.mul (Bigint.of_int a) (Bigint.of_int h))
+        (Bigint.mul (Bigint.of_int b) (Bigint.of_int h'))
+    in
+    match Bigint.to_int_opt v with
+    | Some n -> Extint.Fin n
+    | None -> if Bigint.sign v > 0 then Extint.Pos_inf else Extint.Neg_inf)
+
+(* A bound past the native range on the inner side of an interval: a
+   lower bound above every native int is still above [max_int], and an
+   upper bound below every native int is below [min_int]. *)
+let round_lo = function Extint.Pos_inf -> Extint.Fin max_int | x -> x
+let round_hi = function Extint.Neg_inf -> Extint.Fin min_int | x -> x
+
 (* Banerjee-style bounds by vertex enumeration of each loop's constraint
    polytope; [u] is the iteration count of the loop (h in [0, u-1]),
-   [None] when unknown or unbounded. *)
+   [None] when unknown or unbounded. An unbounded polytope adds rays,
+   given by the sign of the term along them. *)
 let term_bounds ~(u : int option) ~(dir : [ `Lt | `Eq | `Gt | `Any ]) a b =
   let open Extint in
-  let fin_points, rays =
+  let sign_a = Stdlib.compare a 0 and sign_neg_b = Stdlib.compare 0 b in
+  let sign_diff = Stdlib.compare a b in
+  let points, rays =
     match (dir, u) with
-    | `Eq, Some u ->
-      if u < 1 then ([], []) else ([ (a - b) * 0; (a - b) * (u - 1) ], [])
-    | `Eq, None -> ([ 0 ], [ a - b ])
-    | `Lt, Some u ->
-      if u < 2 then ([], [])
-      else
-        ( [ (a * 0) - (b * 1); (a * 0) - (b * (u - 1)); (a * (u - 2)) - (b * (u - 1)) ],
-          [] )
-    | `Lt, None -> ([ -b ], [ -b; a - b ])
-    | `Gt, Some u ->
-      if u < 2 then ([], [])
-      else
-        ( [ (a * 1) - (b * 0); (a * (u - 1)) - (b * 0); (a * (u - 1)) - (b * (u - 2)) ],
-          [] )
-    | `Gt, None -> ([ a ], [ a; a - b ])
+    | `Eq, Some u -> if u < 1 then ([], []) else ([ (0, 0); (u - 1, u - 1) ], [])
+    | `Eq, None -> ([ (0, 0) ], [ sign_diff ])
+    | `Lt, Some u -> if u < 2 then ([], []) else ([ (0, 1); (0, u - 1); (u - 2, u - 1) ], [])
+    | `Lt, None -> ([ (0, 1) ], [ sign_neg_b; sign_diff ])
+    | `Gt, Some u -> if u < 2 then ([], []) else ([ (1, 0); (u - 1, 0); (u - 1, u - 2) ], [])
+    | `Gt, None -> ([ (1, 0) ], [ sign_a; sign_diff ])
     | `Any, Some u ->
-      if u < 1 then ([], [])
-      else
-        ( [ 0; -b * (u - 1); a * (u - 1); (a - b) * (u - 1) ],
-          [] )
-    | `Any, None -> ([ 0 ], [ a; -b; a - b ])
+      if u < 1 then ([], []) else ([ (0, 0); (0, u - 1); (u - 1, 0); (u - 1, u - 1) ], [])
+    | `Any, None -> ([ (0, 0) ], [ sign_a; sign_neg_b; sign_diff ])
   in
-  match fin_points with
+  match List.map (vertex a b) points with
   | [] -> None (* infeasible direction (too few iterations) *)
-  | first :: _ ->
-    let lo = ref (Fin (List.fold_left Stdlib.min first fin_points)) in
-    let hi = ref (Fin (List.fold_left Stdlib.max first fin_points)) in
+  | first :: _ as values ->
+    let lo = ref (round_lo (List.fold_left min first values)) in
+    let hi = ref (round_hi (List.fold_left max first values)) in
     List.iter
-      (fun slope ->
-        if slope > 0 then hi := Pos_inf else if slope < 0 then lo := Neg_inf)
+      (fun slope -> if slope > 0 then hi := Pos_inf else if slope < 0 then lo := Neg_inf)
       rays;
     Some (!lo, !hi)
 
@@ -193,7 +202,10 @@ let feasible ~bounds ~(crange : Extint.t * Extint.t) terms dirs =
     List.fold_left
       (fun g t ->
         match List.assoc_opt t.loop dirs with
-        | Some `Eq -> gcd g (t.a - t.b)
+        | Some `Eq -> (
+          (* A difference past the native range keeps no useful
+             divisor: 1 rules nothing out. *)
+          match Ir.Ops.sub t.a t.b with d -> gcd g d | exception Ir.Ops.Trap _ -> 1)
         | _ -> gcd (gcd g t.a) t.b)
       0 terms
   in
@@ -203,7 +215,7 @@ let feasible ~bounds ~(crange : Extint.t * Extint.t) terms dirs =
       let dir = Option.value ~default:`Any (List.assoc_opt t.loop dirs) in
       match term_bounds ~u:(bounds t.loop) ~dir t.a t.b with
       | None -> false
-      | Some (tlo, thi) -> sum (add lo tlo) (add hi thi) rest)
+      | Some (tlo, thi) -> sum (round_lo (add lo tlo)) (round_hi (add hi thi)) rest)
   in
   reaches g clo chi && sum zero zero terms
 
@@ -238,9 +250,6 @@ let direction_vectors ~(bounds : int -> int option) ~(common : int list)
       in
       Some (refine [] common))
   | _ -> None
-
-let pp_simple_dir fmt (d : simple_dir) =
-  Format.pp_print_string fmt (match d with `Lt -> "<" | `Eq -> "=" | `Gt -> ">")
 
 (* [equation_for_distances src dst] views the dependence equation as a
    constraint on per-loop iteration distances d_L = h'_L - h_L, when
@@ -691,29 +700,46 @@ let test ~(bounds : int -> int option) ~(common : int list)
     | _ -> maybe common)
 
 
-let pp_vector fmt (v : vector) =
-  Format.pp_print_char fmt '(';
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-    (fun fmt (l, ds) -> Format.fprintf fmt "L%d:%a" l pp_dirset ds)
-    fmt v;
-  Format.pp_print_char fmt ')'
-
-let pp_outcome fmt = function
-  | Independent -> Format.pp_print_string fmt "independent"
+(* The one renderer of an outcome: "independent", or "dependent" with
+   the union of direction vectors, the known distances, the wrap-around
+   order, the conservative flag and the note. *)
+let add_outcome buf = function
+  | Independent -> Buffer.add_string buf "independent"
   | Dependent d ->
-    Format.pp_print_string fmt "dependent ";
-    Format.pp_print_list
-      ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " | ")
-      pp_vector fmt d.vectors;
+    Buffer.add_string buf "dependent ";
+    List.iteri
+      (fun k v ->
+        if k > 0 then Buffer.add_string buf " | ";
+        Buffer.add_char buf '(';
+        List.iteri
+          (fun j (l, ds) ->
+            if j > 0 then Buffer.add_string buf ", ";
+            Buffer.add_char buf 'L';
+            Buffer.add_string buf (string_of_int l);
+            Buffer.add_char buf ':';
+            Buffer.add_string buf (dirset_to_string ds))
+          v;
+        Buffer.add_char buf ')')
+      d.vectors;
     (match d.distance with
      | Some [] | None -> ()
      | Some ds ->
-       Format.fprintf fmt " distance (%a)"
-         (Format.pp_print_list
-            ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-            (fun fmt (l, n) -> Format.fprintf fmt "L%d:%d" l n))
-         ds);
-    if d.holds_after > 0 then Format.fprintf fmt " [after %d iterations]" d.holds_after;
-    if not d.exact then Format.fprintf fmt " [conservative]";
-    (match d.note with Some n -> Format.fprintf fmt " — %s" n | None -> ())
+       Buffer.add_string buf " distance (";
+       List.iteri
+         (fun j (l, n) ->
+           if j > 0 then Buffer.add_string buf ", ";
+           Printf.bprintf buf "L%d:%d" l n)
+         ds;
+       Buffer.add_char buf ')');
+    if d.holds_after > 0 then Printf.bprintf buf " [after %d iterations]" d.holds_after;
+    if not d.exact then Buffer.add_string buf " [conservative]";
+    (match d.note with
+     | Some n ->
+       Buffer.add_string buf " — ";
+       Buffer.add_string buf n
+     | None -> ())
+
+let pp_outcome fmt o =
+  let buf = Buffer.create 64 in
+  add_outcome buf o;
+  Format.pp_print_string fmt (Buffer.contents buf)

@@ -20,9 +20,6 @@ val eq_dir : dirset
 val dirset_is_empty : dirset -> bool
 val dirset_inter : dirset -> dirset -> dirset
 
-(** Renders as the usual glyphs: [*], [<=], [<>], [<], [=], ... *)
-val pp_dirset : Format.formatter -> dirset -> unit
-
 (** One feasible-direction set per common loop, outer first. *)
 type vector = (int * dirset) list
 
@@ -76,8 +73,6 @@ val direction_vectors :
   Affine.t ->
   simple_dir list list option
 
-val pp_simple_dir : Format.formatter -> simple_dir -> unit
-
 (** [equation_for_distances src dst] views the equation as a constraint
     sum a_L·d_L = c on iteration distances, when source and sink
     coefficients agree per loop. *)
@@ -101,6 +96,11 @@ val test :
   Ivclass.t ->
   outcome
 
-(** Renders a union's vectors joined by [" | "], e.g.
-    [dependent (L0:=, L1:<=) | (L0:<, L1:<>)]. *)
+(** [add_outcome buf o] renders [o] into [buf]: a union's vectors joined
+    by [" | "], each direction set as its glyph ([*], [<=], [<>], [<],
+    [=], ...), e.g. [dependent (L0:=, L1:<=) | (L0:<, L1:<>)]. The one
+    renderer of an outcome. *)
+val add_outcome : Buffer.t -> outcome -> unit
+
+(** {!add_outcome} on a formatter. *)
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -66,8 +66,8 @@ let uninstall () = Atomic.set ambient None
 let current () = Atomic.get ambient
 let enabled () = Atomic.get ambient <> None
 
-(* Innermost open span id, per domain. *)
-let stack : int list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* The open spans, innermost first, per domain. *)
+let stack : span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
 let tid () = (Domain.self () :> int)
 
@@ -94,17 +94,17 @@ let with_span ?(cat = "pipeline") ?(attrs = []) name f =
   | None -> f ()
   | Some t ->
     let st = Domain.DLS.get stack in
-    let parent = match !st with [] -> None | p :: _ -> Some p in
+    let parent = match !st with [] -> None | p :: _ -> Some p.sid in
     let sid = Atomic.fetch_and_add t.next_sid 1 in
     let start_ns = Clock.now_ns () in
     let span = { sid; parent; name; cat; tid = tid (); start_ns; stop_ns = start_ns; attrs } in
     (* Recorded at start so children observe the parent id even if the
        collector is drained mid-flight; [stop_ns] is patched at exit. *)
     record_span t span;
-    st := sid :: !st;
+    st := span :: !st;
     Fun.protect
       ~finally:(fun () ->
-        (match !st with s :: rest when s = sid -> st := rest | _ -> ());
+        (match !st with s :: rest when s == span -> st := rest | _ -> ());
         span.stop_ns <- Clock.now_ns ())
       f
 
@@ -115,11 +115,9 @@ let add_attrs attrs =
     match !(Domain.DLS.get stack) with
     | [] -> ()
     | top :: _ ->
-      (* The open span is near the head of the reversed list. *)
-      locked t (fun () ->
-          match List.find_opt (fun s -> s.sid = top) t.spans_rev with
-          | Some s -> s.attrs <- s.attrs @ attrs
-          | None -> ()))
+      (* The open span itself, whether or not the collector had room to
+         retain it: no search of the retained spans. *)
+      locked t (fun () -> top.attrs <- top.attrs @ attrs))
 
 let event ?(cat = "event") ?(attrs = []) name =
   match Atomic.get ambient with

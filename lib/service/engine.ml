@@ -312,15 +312,30 @@ let classify_outcomes ?pool t p : (Pipeline.unit_outcome list, string) result =
   end
   else run t Pipeline.Classify (fun () -> classify_units ?pool t p)
 
+(* A Ranges miss runs through the unit layer too: each unit whose
+   cached artifact holds a range section under the root's current key
+   is answered from it, and the rest are solved and stored. Per unit,
+   one [unit.range_hits] or [unit.range_misses] count. *)
+let range_units t p : (unit, string) result =
+  match Pipeline.ranges_with_units ~lookup:(unit_lookup t) ~store:(unit_store t) p with
+  | Error e -> Error e
+  | Ok outcomes ->
+    let hits = List.length (List.filter (fun o -> o.Pipeline.u_hit) outcomes) in
+    Instrument.incr ~by:hits (Instrument.counter t.metrics "unit.range_hits");
+    Instrument.incr ~by:(List.length outcomes - hits)
+      (Instrument.counter t.metrics "unit.range_misses");
+    Ok ()
+
 (* Force one pass: a hit when the pipeline already holds its result
-   (even a cached error), a miss when it must run. Classify routes
-   through the unit layer. *)
+   (even a cached error), a miss when it must run. Classify and Ranges
+   route through the unit layer. *)
 let ensure ?pool t p pass : (unit, string) result =
   match pass with
   | Pipeline.Classify -> Result.map ignore (classify_outcomes ?pool t p)
   | _ when Pipeline.forced p pass ->
     count_pass t pass ~hit:true;
     Ok ()
+  | Pipeline.Ranges -> run t pass (fun () -> range_units t p)
   | _ -> run t pass (fun () -> Pipeline.force p pass)
 
 let rec ensure_chain ?pool t p = function

@@ -153,9 +153,29 @@ let prop_vectors_exact_2d =
             (not real) || claimed)
           all)
 
+(* A coefficient times the trip count past the native range: A(a*h)
+   against A(a) with a = 2^60 over 16 iterations. The vertex a*15 lies
+   past max_int; formed in native ints it wrapped to -2^60, the bounds
+   missed the constant a, and the pair came out independent although
+   h = 1 writes the cell read. *)
+let test_vertex_past_native_range () =
+  let a = 1 lsl 60 in
+  let src = affine 0 ~const:0 ~coeff:a in
+  let dst = affine 0 ~const:a ~coeff:0 in
+  let outcome = Deptest.affine_test ~bounds:(fun _ -> Some 16) ~common:[ 0 ] src dst in
+  match directions_of outcome with
+  | None -> Alcotest.fail "h = 1 meets the sink, yet the pair was reported independent"
+  | Some ds ->
+    (* The source iteration h = 1 meets every sink iteration: the
+       directions h < h' and h = h' and h > h' all occur. *)
+    Alcotest.(check bool) "every direction allowed" true
+      (ds.Deptest.lt && ds.Deptest.eq && ds.Deptest.gt)
+
 let suite =
   ( "banerjee",
     [
       prop_single_loop_exact;
       prop_vectors_exact_2d;
+      Helpers.case "vertex past the native range stays dependent"
+        test_vertex_past_native_range;
     ] )

@@ -171,6 +171,115 @@ let test_parallel_merge_identical () =
       let seq = ok (Engine.render (Engine.create ()) Engine.Classify new_src) in
       Alcotest.(check string) "pooled merge = sequential" seq par)
 
+(* --- range sections: the Ranges pass through the unit layer --- *)
+
+(* Range-section hits and misses, from the engine's registry. *)
+let range_stat engine =
+  let registry = Obs.Instrument.snapshot (Engine.metrics engine) in
+  let count name =
+    match List.assoc_opt name registry with
+    | Some (Obs.Instrument.V_counter n) -> n
+    | _ -> 0
+  in
+  (count "unit.range_hits", count "unit.range_misses")
+
+(* Warm an engine on [old_src]'s RANGES and DEPS replies, then render
+   [new_src]'s: each must equal a cold engine's byte for byte. Returns
+   the edit step's range (hits, misses) and unit_classify (hits,
+   misses). *)
+let check_ranges_identical ~edited old_src new_src =
+  let replies e src = List.map (fun a -> ok (Engine.render e a src)) Engine.[ Ranges; Deps ] in
+  let warm = Engine.create () in
+  ignore (replies warm old_src);
+  let r0 = range_stat warm and c0 = stat warm "unit_classify" in
+  let incremental = replies warm new_src in
+  let cold = replies (Engine.create ()) new_src in
+  List.iter2
+    (fun a b -> Alcotest.(check string) ("RANGES/DEPS incremental = cold after " ^ edited) a b)
+    cold incremental;
+  let since (h0, m0) (h1, m1) = (h1 - h0, m1 - m0) in
+  (since r0 (range_stat warm), since c0 (stat warm "unit_classify"))
+
+(* L2 reads [s], L1's exit value: not constant, so no part of L2's
+   digest. Flipping L1's step keeps every id but moves the interval of
+   [s], and with it whether B(s + 10) can meet B(j). L2's classification
+   is reused; its range key must miss. *)
+let test_live_in_interval_edit () =
+  let src op =
+    Printf.sprintf
+      "s = 0
+       L1: for i = 1 to 10 loop
+      \  s = s %s 2
+       endloop
+       L2: for j = 1 to 5 loop
+      \  B(j) = B(s + 10)
+       endloop
+       L3: for k = 1 to 4 loop
+      \  C(k) = k
+       endloop
+"
+      op
+  in
+  let ranges, classify = check_ranges_identical ~edited:"an earlier nest's edit" (src "+") (src "-") in
+  Alcotest.(check (pair int int)) "L2 and L3 classifications reused" (2, 1) classify;
+  Alcotest.(check (pair int int)) "only L3's range section reused" (1, 2) ranges
+
+(* A constant set before a top-level if decides whether L1 runs: its
+   blocks' executability changes while its digest does not. *)
+let test_executability_edit () =
+  let src c =
+    Printf.sprintf
+      "c = %d
+       if c > 0 then
+      \  L1: for i = 1 to 10 loop
+      \    A(i) = A(i + 1)
+      \  endloop
+       endif
+       L2: for j = 1 to 5 loop
+      \  B(j) = j
+       endloop
+"
+      c
+  in
+  let ranges, classify = check_ranges_identical ~edited:"an executability edit" (src 1) (src 0) in
+  Alcotest.(check (pair int int)) "both classifications reused" (2, 0) classify;
+  Alcotest.(check (pair int int)) "L1's range key misses" (1, 1) ranges
+
+(* A size-changing edit to the first nest shifts every later id: the
+   later nests' range sections hit and are mapped into the new
+   numbering. *)
+let test_range_sections_relocated () =
+  let ranges, classify =
+    check_ranges_identical ~edited:"a size-changing edit" old_src (base ~body1:"s + 2 * i" ())
+  in
+  Alcotest.(check (pair int int)) "two classifications relocated" (2, 1) classify;
+  Alcotest.(check (pair int int)) "two range sections relocated" (2, 1) ranges
+
+(* Sixty-four independent nests: after a one-nest edit, a DEPS request
+   solves the range fixpoint for the edited root alone, whether the
+   edit keeps every id or shifts them. *)
+let test_one_root_resolved () =
+  let program ?(op = "+") ?(extra = "") () =
+    String.concat ""
+      (List.init 64 (fun k ->
+           let op = if k = 40 then op else "+" and extra = if k = 40 then extra else "" in
+           Printf.sprintf
+             "s%d = 0
+N%d: for i%d = 1 to n loop
+  s%d = s%d %s i%d
+%s  A%d(i%d) = s%d
+endloop
+"
+             k k k k k op k extra k k k))
+  in
+  List.iter
+    (fun (edited, new_src) ->
+      let ranges, classify = check_ranges_identical ~edited (program ()) new_src in
+      Alcotest.(check (pair int int)) (edited ^ ": classifications") (63, 1) classify;
+      Alcotest.(check (pair int int)) (edited ^ ": one root solved") (63, 1) ranges)
+    [ ("a size-preserving edit", program ~op:"-" ());
+      ("a size-changing edit", program ~extra:"  s40 = s40 + 1\n" ()) ]
+
 (* --- the merged analysis still satisfies the checked-mode oracle --- *)
 
 let test_check_after_merge () =
@@ -584,6 +693,11 @@ let suite =
       Helpers.case "size-changing edit byte-identical" test_size_changing_edit;
       Helpers.case "live-in reorder byte-identical" test_live_in_reorder;
       Helpers.case "parallel merge byte-identical" test_parallel_merge_identical;
+      Helpers.case "live-in interval edit misses the reader's range key" test_live_in_interval_edit;
+      Helpers.case "executability edit misses the range key" test_executability_edit;
+      Helpers.case "range sections relocated after a size-changing edit"
+        test_range_sections_relocated;
+      Helpers.case "a one-nest edit re-solves one root of 64" test_one_root_resolved;
       Helpers.case "checked mode passes on merged" test_check_after_merge;
       Helpers.case "diff report" test_diff_report;
       Helpers.case "relocated hits reported" test_relocations_reported;
